@@ -17,8 +17,8 @@ from .model import (CountTables, HmcParams, Interner, ModelBundle, PmcParams,
 from .oracle import TinyInstance, embed_hmc_as_pmc, enumerate_map, enumerate_posteriors
 from .serialize import (deserialize_model, load_model, model_stats, save_model,
                         serialize_model)
-from .training import (TrainConfig, accumulate_counts, fit_hmc, fit_pmc,
-                       train_model, update_online)
+from .training import (TrainConfig, accumulate_counts, bundle_from_counts,
+                       fit_hmc, fit_pmc, train_model, update_online)
 
 __version__ = "0.1.0"
 

@@ -12,14 +12,13 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import evaluation, inference, oracle
 from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                     read_records, read_tag_mapping, write_conll)
-from .errors import DeadEnd, PmctagError
+from .errors import DeadEnd, FormatError, PmctagError
 from .evaluation import evaluate_predictions, format_report_kv, format_report_text
 from .model import ModelBundle
 from .serialize import load_model, model_stats, save_model
@@ -33,7 +32,6 @@ DEFAULTS = {
     "word_column": 0,
     "tag_column": 1,
     "suffix_max_len": 3,
-    "threads": 1,
     "repetitions": 3,
     "instances": 200,
     "seed": 12345,
@@ -63,7 +61,6 @@ def _add_decode_options(p):
     p.add_argument("--decoder", choices=inference.DECODERS, default=None)
     p.add_argument("--downgrade-trigger", dest="trigger",
                    choices=inference.TRIGGERS, default=None)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser():
@@ -116,14 +113,30 @@ def build_parser():
     return parser
 
 
+def _read_config(path) -> dict:
+    """Option defaults from a JSON object; known keys keep their types."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"config {path}: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(loaded, dict):
+        raise FormatError(f"config {path}: expected a JSON object")
+    config = {}
+    for key, value in loaded.items():
+        key = key.replace("-", "_")
+        if key in DEFAULTS and type(value) is not type(DEFAULTS[key]):
+            raise FormatError(f"config {path}: {key} must be a "
+                              f"{type(DEFAULTS[key]).__name__}, not {value!r}")
+        config[key] = value
+    return config
+
+
 def _effective(args):
     """Merge defaults, the optional config file and explicit flags."""
     merged = dict(DEFAULTS)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.items():
-            merged[key.replace("-", "_")] = value
+        merged.update(_read_config(args.config))
     for key, value in vars(args).items():
         if key == "config":
             continue
@@ -145,26 +158,18 @@ def _read_corpus(opts, path) -> LabeledCorpus:
 
 
 def _decode_corpus(model: ModelBundle, sentences, opts):
-    """Decode word sequences; returns (results, failures).
+    """Decode word sequences in order; returns (results, failures).
 
-    Failed sentences carry the DeadEnd instead of a result. Output order
-    matches input order regardless of thread scheduling.
+    Failed sentences carry the DeadEnd instead of a result.
     """
-    def one(item):
-        idx, words = item
+    results = []
+    for idx, words in enumerate(sentences):
         try:
-            return inference.decode_sentence(model, words, mode=opts.mode,
-                                             decoder=opts.decoder,
-                                             trigger=opts.trigger)
+            results.append(inference.decode_sentence(
+                model, words, mode=opts.mode, decoder=opts.decoder,
+                trigger=opts.trigger))
         except DeadEnd as exc:
-            return DeadEnd(exc.position, sentence_index=idx)
-
-    items = list(enumerate(sentences))
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(item) for item in items]
+            results.append(DeadEnd(exc.position, sentence_index=idx))
     failures = [r for r in results if isinstance(r, DeadEnd)]
     return results, failures
 
@@ -179,8 +184,7 @@ def _downgrade_rate(results):
 
 def cmd_train(opts) -> int:
     corpus = _read_corpus(opts, opts.corpus)
-    config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len,
-                         tag_column=opts.tag_column)
+    config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     t0 = time.perf_counter()
     model = train_model(corpus, config)
     for path in opts.extra_corpus:
@@ -257,8 +261,7 @@ def cmd_eval(opts) -> int:
 def cmd_bench(opts) -> int:
     corpus = _read_corpus(opts, opts.corpus)
     test = _read_corpus(opts, opts.test_corpus) if opts.test_corpus else corpus
-    config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len,
-                         tag_column=opts.tag_column)
+    config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     test_words = test.words()
 
     def decode_all(model):
@@ -311,14 +314,13 @@ COMMANDS = {
 }
 
 INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                json.JSONDecodeError, ValueError, PmctagError)
+                ValueError, PmctagError)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    opts = _effective(args)
     try:
-        return COMMANDS[args.command](opts)
+        return COMMANDS[args.command](_effective(args))
     except DeadEnd as exc:
         _diag(f"error: {exc}")
         return 1

@@ -22,7 +22,7 @@ class EmptySentence(PmctagError):
 
 
 class FormatError(PmctagError):
-    """Malformed corpus or mapping file. Carries the 1-based line number."""
+    """Malformed corpus, mapping or config file. Carries the 1-based line number."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -16,6 +16,10 @@ from .errors import EmptyCorpus, EmptyToken
 # Feature tuple keys are (label, cap, hyphen, first, digit, suffix).
 FeatureKey = tuple[int, int, int, int, int, str]
 
+# Longer suffixes are whole words for almost every token; the bound also
+# keeps a corrupt model file from asking for millions of levels.
+MAX_SUFFIX_LEN = 16
+
 
 @dataclass(frozen=True)
 class WordFeatures:
@@ -101,10 +105,11 @@ def _tables_from_tuple_counts(tuple_counts, label_totals, max_len):
 
 
 def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmissionTables:
-    """Estimate the per-level feature tables from a labeled corpus.
+    """Estimate the per-level feature tables by walking a labeled corpus.
 
     Counts are integers accumulated over all tokens and divided once per
-    key, so the result is independent of sentence order.
+    key, so the result is independent of sentence order. Training uses
+    derive_feature_tables; this walk is the reference it is tested against.
     """
     if not corpus.sentences:
         raise EmptyCorpus("cannot fit feature tables on an empty corpus")
@@ -147,14 +152,15 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmi
     for (i, k), (first_c, rest_c) in occ.items():
         word = vocabulary[k]
         label_totals[i] = label_totals.get(i, 0) + first_c + rest_c
+        f = extract_features(word, 1, 0)
         for m in range(suffix_max_len + 1):
-            f = extract_features(word, 1, m)
+            suffix = word_suffix(word, m)
             counts_m = tuple_counts[m]
             if first_c:
-                key = (i, f.cap, f.hyphen, 1, f.digit, f.suffix)
+                key = (i, f.cap, f.hyphen, 1, f.digit, suffix)
                 counts_m[key] = counts_m.get(key, 0) + first_c
             if rest_c:
-                key = (i, f.cap, f.hyphen, 0, f.digit, f.suffix)
+                key = (i, f.cap, f.hyphen, 0, f.digit, suffix)
                 counts_m[key] = counts_m.get(key, 0) + rest_c
     if not label_totals:
         raise EmptyCorpus("count tables carry no token occurrences")

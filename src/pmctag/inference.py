@@ -59,33 +59,39 @@ class FactorProvider:
 class DecodeIndex:
     """Read-only lookup structures derived from a trained bundle.
 
-    pair_labels maps an observed word bigram (k, l) to the label pairs
-    (i, j) whose pattern count is positive; for count-trained parameters
-    these are exactly the non-zero entries of the PMC step factor.
+    emission_columns[k] and pi2_columns[k] hold the HMC emission and the
+    PMC initial factor n0_ik / L of word k as vectors over labels.
+    pair_labels maps an observed word bigram (k, l) to the triples
+    (i, j, n_ikjl / m_ik) with a positive pattern count: the non-zero
+    entries of the PMC step factor trans2[i, k][j] * emit2[i, k, j][l],
+    written as the single count ratio that product reduces to.
     """
 
     def __init__(self, model: ModelBundle):
         n = len(model.alphabet)
+        counts = model.counts
         self.n_labels = n
-        self.emission_columns: dict[int, np.ndarray] = {}
-        for (i, k), p in model.hmc.emit.items():
-            col = self.emission_columns.get(k)
-            if col is None:
-                col = np.zeros(n)
-                self.emission_columns[k] = col
-            col[i] = p
-        self.pi2_columns: dict[int, np.ndarray] = {}
-        for (i, k), p in model.pmc.pi2.items():
-            col = self.pi2_columns.get(k)
-            if col is None:
-                col = np.zeros(n)
-                self.pi2_columns[k] = col
-            col[i] = p
-        self.pair_labels: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (i, k, j, l) in model.counts.n_ikjl:
-            self.pair_labels.setdefault((k, l), []).append((i, j))
+        self.emission_columns = _columns(model.hmc.emit.items(), n)
+        self.pi2_columns = _columns(
+            ((key, c / counts.L) for key, c in counts.n0_ik.items()), n)
+        m_ik = counts.m_ik
+        self.pair_labels: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+        for (i, k, j, l), c in counts.n_ikjl.items():
+            self.pair_labels.setdefault((k, l), []).append((i, j, c / m_ik[(i, k)]))
         self.zero_column = np.zeros(n)
         self.zero_column.setflags(write=False)
+
+
+def _columns(items, n) -> dict[int, np.ndarray]:
+    """Group ((label, word), value) entries into per-word label vectors."""
+    columns: dict[int, np.ndarray] = {}
+    for (i, k), p in items:
+        col = columns.get(k)
+        if col is None:
+            col = np.zeros(n)
+            columns[k] = col
+        col[i] = p
+    return columns
 
 
 def decode_index(model: ModelBundle) -> DecodeIndex:
@@ -115,12 +121,10 @@ def _emission_column(model, index, word, wid, position):
     return index.emission_columns.get(wid, index.zero_column)
 
 
-def _pmc_step_factor(model, index, pairs, k, l):
-    trans2 = model.pmc.trans2
-    emit2 = model.pmc.emit2
+def _pmc_step_factor(index, triples):
     f = np.zeros((index.n_labels, index.n_labels))
-    for i, j in pairs:
-        f[i, j] = trans2[(i, k)][j] * emit2[(i, k, j)][l]
+    for i, j, p in triples:
+        f[i, j] = p
     return f
 
 
@@ -183,9 +187,9 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
         k, l = wids[t], wids[t + 1]
         factor = None
         if mode == "pmc" and k is not None and l is not None:
-            pairs = index.pair_labels.get((k, l))
-            if pairs:
-                factor = _pmc_step_factor(model, index, pairs, k, l)
+            triples = index.pair_labels.get((k, l))
+            if triples:
+                factor = _pmc_step_factor(index, triples)
                 if trigger == "zero-factor" and not factor.any():
                     factor = None
         if factor is None:

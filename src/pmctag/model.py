@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import EmptySupport
 
-FORMAT_VERSION = 1
-
 PROB_TOL = 1e-12
 
 
@@ -159,27 +157,30 @@ class PmcParams:
 class CountTables:
     """Raw pattern counts plus cached marginals.
 
-    n_ikjl counts adjacent patterns (label i, word k, label j, word l);
-    n0_i and n0_ik count chain-initial labels and (label, word) pairs.
-    L is the number of training chains. Marginals follow by summation:
-    n_ikj over l, n_ij over k, m_ik over j and n_i over j.
+    n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
+    n0_ik chain-initial (label, word) pairs; these two are the model's
+    only stored state. Everything else follows by summation: the chain
+    count L and n0_i over n0_ik, n_ikj over l, n_ij over k, m_ik over j
+    and n_i over j.
     """
 
-    n0_i: np.ndarray
     n0_ik: dict[tuple[int, int], int]
     n_ikjl: dict[tuple[int, int, int, int], int]
+    n0_i: np.ndarray = field(repr=False)
     L: int
-    n_ikj: dict[tuple[int, int, int], int] = field(default=None, repr=False)
-    n_ij: np.ndarray = field(default=None, repr=False)
-    m_ik: dict[tuple[int, int], int] = field(default=None, repr=False)
-    n_i: np.ndarray = field(default=None, repr=False)
+    n_ikj: dict[tuple[int, int, int], int] = field(repr=False)
+    n_ij: np.ndarray = field(repr=False)
+    m_ik: dict[tuple[int, int], int] = field(repr=False)
+    n_i: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_raw(cls, n0_i, n0_ik, n_ikjl, L) -> "CountTables":
+    def from_raw(cls, n_labels, n0_ik, n_ikjl) -> "CountTables":
         """Build the table set from raw counts, computing all marginals."""
-        n = n0_i.shape[0]
+        n0_i = np.zeros(n_labels, dtype=np.int64)
+        for (i, _), c in n0_ik.items():
+            n0_i[i] += c
         n_ikj: dict[tuple[int, int, int], int] = {}
-        n_ij = np.zeros((n, n), dtype=np.int64)
+        n_ij = np.zeros((n_labels, n_labels), dtype=np.int64)
         m_ik: dict[tuple[int, int], int] = {}
         for (i, k, j, l), c in n_ikjl.items():
             key = (i, k, j)
@@ -187,7 +188,7 @@ class CountTables:
             n_ij[i, j] += c
             m_ik[(i, k)] = m_ik.get((i, k), 0) + c
         n_i = n_ij.sum(axis=1)
-        return cls(n0_i=n0_i, n0_ik=n0_ik, n_ikjl=n_ikjl, L=L,
+        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=n0_i, L=sum(n0_ik.values()),
                    n_ikj=n_ikj, n_ij=n_ij, m_ik=m_ik, n_i=n_i)
 
     @property
@@ -198,51 +199,46 @@ class CountTables:
         """Recompute every marginal by exhaustive summation and compare."""
         if any(c < 0 for c in self.n_ikjl.values()):
             raise AssertionError("negative pattern count")
-        fresh = CountTables.from_raw(self.n0_i, self.n0_ik, self.n_ikjl, self.L)
+        fresh = CountTables.from_raw(self.n_labels, self.n0_ik, self.n_ikjl)
         if self.n_ikj != fresh.n_ikj or self.m_ik != fresh.m_ik:
             raise AssertionError("cached marginals disagree with summation")
         if not np.array_equal(self.n_ij, fresh.n_ij) or not np.array_equal(self.n_i, fresh.n_i):
             raise AssertionError("cached marginals disagree with summation")
-        if int(self.n0_i.sum()) != self.L:
-            raise AssertionError("initial counts do not sum to the chain count")
-        if sum(self.n0_ik.values()) != self.L:
-            raise AssertionError("initial pair counts do not sum to the chain count")
+        if not np.array_equal(self.n0_i, fresh.n0_i) or self.L != fresh.L:
+            raise AssertionError("initial counts disagree with summation")
 
     def __eq__(self, other):
         return (
             isinstance(other, CountTables)
-            and np.array_equal(self.n0_i, other.n0_i)
+            and self.n_labels == other.n_labels
             and self.n0_ik == other.n0_ik
             and self.n_ikjl == other.n_ikjl
-            and self.L == other.L
         )
 
 
 @dataclass(eq=False)
 class ModelBundle:
-    """A trained PMC with its fallback HMC, feature model and raw counts.
+    """A trained PMC with its fallback HMC and feature model.
 
+    Only the interners, the raw counts, the task and the suffix length are
+    state; hmc and features are derived from them, and the PMC factors are
+    count ratios the decoder reads from counts directly. Build bundles with
+    training.bundle_from_counts, which attaches the derived tables.
     Immutable after training: share freely across concurrent decoders.
     Online updates build a new bundle rather than mutating in place.
     """
 
     alphabet: Interner
     vocabulary: Interner
-    hmc: HmcParams
-    pmc: PmcParams
-    features: "FeatureEmissionTables"  # noqa: F821 - defined in features.py
     counts: CountTables
     task: str
-    format_version: int = FORMAT_VERSION
+    suffix_max_len: int
+    hmc: HmcParams = field(init=False, repr=False)
+    features: "FeatureEmissionTables" = field(init=False, repr=False)  # noqa: F821 - defined in features.py
     _decode_cache: object = field(default=None, init=False, repr=False)
-
-    @property
-    def suffix_max_len(self) -> int:
-        return self.features.max_len
 
     def validate(self):
         self.hmc.validate()
-        self.pmc.validate()
         self.counts.validate()
         self.features.validate()
         if self.counts.n_labels != len(self.alphabet):
@@ -253,10 +249,7 @@ class ModelBundle:
             isinstance(other, ModelBundle)
             and self.alphabet == other.alphabet
             and self.vocabulary == other.vocabulary
-            and self.hmc == other.hmc
-            and self.pmc == other.pmc
-            and self.features == other.features
             and self.counts == other.counts
             and self.task == other.task
-            and self.format_version == other.format_version
+            and self.suffix_max_len == other.suffix_max_len
         )

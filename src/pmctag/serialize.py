@@ -1,9 +1,13 @@
 """Versioned binary model files.
 
-The payload is a fixed sequence of sections, every sparse table written in
-sorted key order, so serializing the same model always yields identical
-bytes. A CRC32 trailer guards against corruption; counts are stored as
-unsigned 64-bit integers, probabilities as little-endian float64.
+A model file stores only what cannot be derived: the task, the suffix
+length, the label and word interners and the two raw count tables n0_ik
+and n_ikjl. Every probability table is rederived on load, so a file
+cannot carry tables that disagree with its counts. Count tables are
+written in strictly increasing key order with positive counts, so a
+model serializes to exactly one byte string; the reader rejects anything
+else. A CRC32 trailer guards against corruption; ids are stored as
+little-endian uint32, counts as uint64.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import zlib
 import numpy as np
 
 from .errors import CorruptModel, UnsupportedVersion
-from .features import FeatureEmissionTables
-from .model import (FORMAT_VERSION, CountTables, HmcParams, Interner,
-                    ModelBundle, PmcParams)
+from .features import MAX_SUFFIX_LEN
+from .model import CountTables, Interner, ModelBundle
+from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
+FORMAT_VERSION = 2
 
 
 class _Writer:
@@ -92,82 +97,62 @@ class _Reader:
             raise CorruptModel("trailing bytes after model payload")
 
 
-def _write_int_table(w, table, key_width, value_dtype):
+def _write_count_table(w, table, key_width):
     items = sorted(table.items())
-    w.u64(len(items))
-    keys = np.array([k for k, _ in items], dtype=np.int32).reshape(-1, key_width)
-    w.array(keys, np.int32)
-    w.array(np.array([v for _, v in items]), value_dtype)
+    w.array(np.array([k for k, _ in items], dtype=np.uint32).reshape(-1, key_width),
+            np.uint32)
+    w.array(np.array([v for _, v in items], dtype=np.uint64), np.uint64)
 
 
-def _read_int_table(r, key_width, value_dtype, cast):
-    n = r.u64()
-    keys = r.array(np.int32)
-    if keys.size != n * key_width:
-        raise CorruptModel("key array size mismatch")
-    values = r.array(value_dtype)
-    if values.size != n:
-        raise CorruptModel("value array size mismatch")
-    keys = keys.reshape(-1, key_width)
-    if key_width == 1:
-        return {int(keys[i, 0]): cast(values[i]) for i in range(n)}
-    return {tuple(int(x) for x in keys[i]): cast(values[i]) for i in range(n)}
+def _read_count_table(r, id_limits):
+    """Read a count table whose key columns are bounded by id_limits."""
+    width = len(id_limits)
+    keys = r.array(np.uint32)
+    values = r.array(np.uint64)
+    if keys.size != values.size * width:
+        raise CorruptModel("count key and value arrays disagree in size")
+    keys = keys.reshape(-1, width)
+    if (keys >= np.array(id_limits, dtype=np.int64)).any():
+        raise CorruptModel("count key refers to an unknown label or word")
+    if (values == 0).any():
+        raise CorruptModel("zero count stored")
+    key_list = list(map(tuple, keys.tolist()))
+    if any(a >= b for a, b in zip(key_list, key_list[1:])):
+        raise CorruptModel("count keys are not strictly increasing")
+    counts = values.tolist()
+    if sum(counts) >= 2 ** 63:
+        raise CorruptModel("counts overflow a signed 64-bit total")
+    return dict(zip(key_list, counts))
+
+
+def _read_interner(r, what) -> Interner:
+    items = r.string_list()
+    interner = Interner(items)
+    if len(interner) != len(items):
+        raise CorruptModel(f"duplicate {what}")
+    return interner
 
 
 def serialize_model(model: ModelBundle) -> bytes:
     """Deterministic byte encoding of a model bundle."""
     w = _Writer()
     w.string(model.task)
+    w.u32(model.suffix_max_len)
     w.string_list(model.alphabet.items)
     w.string_list(model.vocabulary.items)
-
-    counts = model.counts
-    w.u64(counts.L)
-    w.array(counts.n0_i, np.uint64)
-    _write_int_table(w, counts.n0_ik, 2, np.uint64)
-    _write_int_table(w, counts.n_ikjl, 4, np.uint64)
-
-    hmc = model.hmc
-    w.array(hmc.pi, np.float64)
-    w.array(hmc.trans, np.float64)
-    w.array(hmc.trans_support.astype(np.uint8), np.uint8)
-    _write_int_table(w, hmc.emit, 2, np.float64)
-
-    pmc = model.pmc
-    _write_int_table(w, pmc.pi2, 2, np.float64)
-    trans_items = sorted(pmc.trans2.items())
-    w.u64(len(trans_items))
-    w.array(np.array([k for k, _ in trans_items], dtype=np.int32).reshape(-1, 2),
-            np.int32)
-    if trans_items:
-        w.array(np.stack([row for _, row in trans_items]), np.float64)
-    else:
-        w.array(np.zeros(0), np.float64)
-    emit_flat = {key + (l,): p
-                 for key, row in pmc.emit2.items() for l, p in row.items()}
-    _write_int_table(w, emit_flat, 4, np.float64)
-
-    feats = model.features
-    w.u32(feats.max_len)
-    for table in feats.tables:
-        items = sorted(table.items())
-        pool = sorted({key[5] for key, _ in items})
-        pool_index = {s: i for i, s in enumerate(pool)}
-        w.string_list(pool)
-        w.u64(len(items))
-        ints = np.array(
-            [(k[0], k[1], k[2], k[3], k[4], pool_index[k[5]]) for k, _ in items],
-            dtype=np.int32).reshape(-1, 6)
-        w.array(ints, np.int32)
-        w.array(np.array([p for _, p in items]), np.float64)
-
+    _write_count_table(w, model.counts.n0_ik, 2)
+    _write_count_table(w, model.counts.n_ikjl, 4)
     payload = w.getvalue()
-    header = MAGIC + struct.pack("<IQ", model.format_version, len(payload))
+    header = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload))
     return header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def deserialize_model(data: bytes) -> ModelBundle:
-    """Rebuild a model bundle from serialize_model output."""
+    """Rebuild a model bundle from serialize_model output.
+
+    Any byte string either loads as a model that passes validate() or
+    raises CorruptModel or UnsupportedVersion.
+    """
     head_len = len(MAGIC) + 12
     if len(data) < head_len:
         raise CorruptModel("model header is truncated")
@@ -185,73 +170,23 @@ def deserialize_model(data: bytes) -> ModelBundle:
 
     r = _Reader(payload)
     task = r.string()
-    alphabet = Interner(r.string_list())
-    vocabulary = Interner(r.string_list())
-    n = len(alphabet)
-
-    L = r.u64()
-    n0_i = r.array(np.uint64).astype(np.int64)
-    if n0_i.size != n:
-        raise CorruptModel("initial count vector has the wrong size")
-    n0_ik = _read_int_table(r, 2, np.uint64, int)
-    n_ikjl = _read_int_table(r, 4, np.uint64, int)
-    counts = CountTables.from_raw(n0_i, n0_ik, n_ikjl, L)
-
-    pi = r.array(np.float64)
-    trans = r.array(np.float64)
-    if pi.size != n or trans.size != n * n:
-        raise CorruptModel("hidden-chain tables have the wrong shape")
-    trans = trans.reshape(n, n)
-    support = r.array(np.uint8).astype(bool)
-    if support.size != n:
-        raise CorruptModel("transition support flags have the wrong size")
-    emit = _read_int_table(r, 2, np.float64, float)
-    hmc = HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
-
-    pi2 = _read_int_table(r, 2, np.float64, float)
-    n_trans = r.u64()
-    tkeys = r.array(np.int32)
-    if tkeys.size != n_trans * 2:
-        raise CorruptModel("pairwise transition keys have the wrong size")
-    tkeys = tkeys.reshape(-1, 2)
-    rows = r.array(np.float64)
-    if rows.size != n_trans * n:
-        raise CorruptModel("pairwise transition rows have the wrong shape")
-    rows = rows.reshape(-1, n) if n_trans else rows.reshape(0, n)
-    trans2 = {(int(tkeys[i, 0]), int(tkeys[i, 1])): rows[i].copy()
-              for i in range(n_trans)}
-    emit_flat = _read_int_table(r, 4, np.float64, float)
-    emit2: dict[tuple[int, int, int], dict[int, float]] = {}
-    for (i, k, j, l), p in emit_flat.items():
-        emit2.setdefault((i, k, j), {})[l] = p
-    pmc = PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
-
-    max_len = r.u32()
-    tables = []
-    for _ in range(max_len + 1):
-        pool = r.string_list()
-        n_entries = r.u64()
-        ints = r.array(np.int32)
-        if ints.size != n_entries * 6:
-            raise CorruptModel("feature key array has the wrong size")
-        ints = ints.reshape(-1, 6)
-        probs = r.array(np.float64)
-        if probs.size != n_entries:
-            raise CorruptModel("feature value array has the wrong size")
-        table = {}
-        for row, p in zip(ints, probs):
-            if row[5] >= len(pool):
-                raise CorruptModel("feature suffix index out of range")
-            key = (int(row[0]), int(row[1]), int(row[2]), int(row[3]),
-                   int(row[4]), pool[row[5]])
-            table[key] = float(p)
-        tables.append(table)
+    if task not in TASKS:
+        raise CorruptModel(f"unknown task {task!r}")
+    suffix_max_len = r.u32()
+    if suffix_max_len > MAX_SUFFIX_LEN:
+        raise CorruptModel(f"suffix length {suffix_max_len} exceeds {MAX_SUFFIX_LEN}")
+    alphabet = _read_interner(r, "label")
+    vocabulary = _read_interner(r, "word")
+    if "" in vocabulary:
+        raise CorruptModel("empty word in vocabulary")
+    n, v = len(alphabet), len(vocabulary)
+    n0_ik = _read_count_table(r, (n, v))
+    n_ikjl = _read_count_table(r, (n, v, n, v))
     r.done()
-    features = FeatureEmissionTables(max_len=max_len, tables=tables)
-
-    return ModelBundle(alphabet=alphabet, vocabulary=vocabulary, hmc=hmc,
-                       pmc=pmc, features=features, counts=counts, task=task,
-                       format_version=version)
+    if not n0_ik:
+        raise CorruptModel("model holds no chains")
+    counts = CountTables.from_raw(n, n0_ik, n_ikjl)
+    return bundle_from_counts(alphabet, vocabulary, counts, task, suffix_max_len)
 
 
 def save_model(model: ModelBundle, path):
@@ -268,7 +203,7 @@ def model_stats(model: ModelBundle) -> str:
     """Line-oriented diagnostic dump of counts and table sizes."""
     counts = model.counts
     lines = [
-        f"format-version {model.format_version}",
+        f"format-version {FORMAT_VERSION}",
         f"task {model.task}",
         f"labels {len(model.alphabet)}",
         f"words {len(model.vocabulary)}",
@@ -276,10 +211,10 @@ def model_stats(model: ModelBundle) -> str:
         f"pattern-keys {len(counts.n_ikjl)}",
         f"pattern-total {sum(counts.n_ikjl.values())}",
         f"hmc-emissions {len(model.hmc.emit)}",
-        f"pmc-initial {len(model.pmc.pi2)}",
-        f"pmc-transitions {len(model.pmc.trans2)}",
-        f"pmc-emissions {sum(len(v) for v in model.pmc.emit2.values())}",
-        f"suffix-max-len {model.features.max_len}",
+        f"pmc-initial {len(counts.n0_ik)}",
+        f"pmc-transitions {len(counts.m_ik)}",
+        f"pmc-emissions {len(counts.n_ikjl)}",
+        f"suffix-max-len {model.suffix_max_len}",
     ]
     for m, table in enumerate(model.features.tables):
         lines.append(f"feature-entries-{m} {len(table)}")

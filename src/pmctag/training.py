@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, EmptySentence
-from .features import derive_feature_tables, fit_feature_tables
+from .features import MAX_SUFFIX_LEN, derive_feature_tables
+from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 from .model import (CountTables, HmcParams, Interner, ModelBundle, PmcParams,
                     normalize_counts)
 
@@ -23,23 +24,20 @@ TASKS = ("pos", "chunk", "ner")
 class TrainConfig:
     task: str = "pos"
     suffix_max_len: int = 3
-    tag_column: int = 1
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.suffix_max_len < 0:
-            raise ValueError("suffix_max_len must be >= 0")
+        if not 0 <= self.suffix_max_len <= MAX_SUFFIX_LEN:
+            raise ValueError(f"suffix_max_len must be in 0..{MAX_SUFFIX_LEN}")
 
 
-def _accumulate_raw(corpus, alphabet, vocabulary, n0_i, n0_ik, n_ikjl):
+def _accumulate_raw(corpus, alphabet, vocabulary, n0_ik, n_ikjl):
     for sentence in corpus.sentences:
         if not sentence:
             raise EmptySentence("training corpus contains an empty sentence")
         ids = [(alphabet.intern(t), vocabulary.intern(w)) for w, t in sentence]
-        i0, k0 = ids[0]
-        n0_i[i0] = n0_i.get(i0, 0) + 1
-        key0 = (i0, k0)
+        key0 = ids[0]
         n0_ik[key0] = n0_ik.get(key0, 0) + 1
         for t in range(len(ids) - 1):
             i, k = ids[t]
@@ -59,14 +57,10 @@ def accumulate_counts(corpus, alphabet=None, vocabulary=None):
         raise EmptyCorpus("training corpus has no sentences")
     alphabet = alphabet if alphabet is not None else Interner()
     vocabulary = vocabulary if vocabulary is not None else Interner()
-    n0_i_map: dict[int, int] = {}
     n0_ik: dict[tuple[int, int], int] = {}
     n_ikjl: dict[tuple[int, int, int, int], int] = {}
-    _accumulate_raw(corpus, alphabet, vocabulary, n0_i_map, n0_ik, n_ikjl)
-    n0_i = np.zeros(len(alphabet), dtype=np.int64)
-    for i, c in n0_i_map.items():
-        n0_i[i] = c
-    counts = CountTables.from_raw(n0_i, n0_ik, n_ikjl, L=len(corpus.sentences))
+    _accumulate_raw(corpus, alphabet, vocabulary, n0_ik, n_ikjl)
+    counts = CountTables.from_raw(len(alphabet), n0_ik, n_ikjl)
     return counts, alphabet, vocabulary
 
 
@@ -107,19 +101,21 @@ def fit_pmc(counts: CountTables) -> PmcParams:
     return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
 
 
+def bundle_from_counts(alphabet, vocabulary, counts: CountTables, task: str,
+                       suffix_max_len: int) -> ModelBundle:
+    """The one way to build a bundle: attach the tables derived from counts."""
+    model = ModelBundle(alphabet=alphabet, vocabulary=vocabulary, counts=counts,
+                        task=task, suffix_max_len=suffix_max_len)
+    model.hmc = fit_hmc(counts)
+    model.features = derive_feature_tables(counts, vocabulary, suffix_max_len)
+    return model
+
+
 def train_model(corpus, config: TrainConfig) -> ModelBundle:
     """One pass over the corpus producing counts and all derived tables."""
     counts, alphabet, vocabulary = accumulate_counts(corpus)
-    features = fit_feature_tables(corpus, alphabet, config.suffix_max_len)
-    return ModelBundle(
-        alphabet=alphabet,
-        vocabulary=vocabulary,
-        hmc=fit_hmc(counts),
-        pmc=fit_pmc(counts),
-        features=features,
-        counts=counts,
-        task=config.task,
-    )
+    return bundle_from_counts(alphabet, vocabulary, counts, config.task,
+                              config.suffix_max_len)
 
 
 def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
@@ -133,24 +129,9 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
         raise EmptyCorpus("online update received an empty corpus")
     alphabet = model.alphabet.copy()
     vocabulary = model.vocabulary.copy()
-    old = model.counts
-    n0_i_map = {i: int(c) for i, c in enumerate(old.n0_i) if c}
-    n0_ik = dict(old.n0_ik)
-    n_ikjl = dict(old.n_ikjl)
-    _accumulate_raw(new_corpus, alphabet, vocabulary, n0_i_map, n0_ik, n_ikjl)
-    n0_i = np.zeros(len(alphabet), dtype=np.int64)
-    for i, c in n0_i_map.items():
-        n0_i[i] = c
-    counts = CountTables.from_raw(n0_i, n0_ik, n_ikjl,
-                                  L=old.L + len(new_corpus.sentences))
-    features = derive_feature_tables(counts, vocabulary, model.suffix_max_len)
-    return ModelBundle(
-        alphabet=alphabet,
-        vocabulary=vocabulary,
-        hmc=fit_hmc(counts),
-        pmc=fit_pmc(counts),
-        features=features,
-        counts=counts,
-        task=model.task,
-        format_version=model.format_version,
-    )
+    n0_ik = dict(model.counts.n0_ik)
+    n_ikjl = dict(model.counts.n_ikjl)
+    _accumulate_raw(new_corpus, alphabet, vocabulary, n0_ik, n_ikjl)
+    counts = CountTables.from_raw(len(alphabet), n0_ik, n_ikjl)
+    return bundle_from_counts(alphabet, vocabulary, counts, model.task,
+                              model.suffix_max_len)

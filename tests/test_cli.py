@@ -94,11 +94,11 @@ class TestTag:
             assert got[:3] == src
             assert len(got) == 4
 
-    def test_stdout_and_determinism_across_threads(self, model_path, capsys):
+    def test_stdout_identical_across_runs(self, model_path, capsys):
         code1, out1, _ = run(["tag", "--model", model_path, "--input", TEST],
                              capsys)
-        code2, out2, _ = run(["tag", "--model", model_path, "--input", TEST,
-                              "--threads", "4"], capsys)
+        code2, out2, _ = run(["tag", "--model", model_path, "--input", TEST],
+                             capsys)
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -256,6 +256,26 @@ class TestConfigFile:
                           "--decoder", "mpm", "--report-kv", kv_path], capsys)
         kv = dict(line.split("\t") for line in open(kv_path).read().strip().split("\n"))
         assert kv["decoder"] == "mpm"  # flag wins
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        "{not json",
+        "[1]",
+        '{"instances": "x"}',
+        '{"instances": true}',
+        '{"decoder": 3}',
+    ])
+    def test_bad_config_exits_2_with_one_error_line(self, content, tmp_path,
+                                                    capsys):
+        config = tmp_path / "cfg.json"
+        if content is not None:
+            config.write_text(content)
+        code, out, err = run(["--config", str(config), "verify",
+                              "--instances", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_console_entry_point(tmp_path):

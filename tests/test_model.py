@@ -5,7 +5,7 @@ import pytest
 
 from pmctag.errors import EmptySupport
 from pmctag.model import Interner, normalize_counts
-from pmctag.training import TrainConfig, accumulate_counts, train_model
+from pmctag.training import TrainConfig, accumulate_counts, fit_pmc, train_model
 
 from conftest import corpus_from, random_corpus
 
@@ -97,7 +97,7 @@ class TestCountTables:
 
 def _stochastic_rows_hold(model):
     model.hmc.validate()
-    model.pmc.validate()
+    fit_pmc(model.counts).validate()
     model.features.validate()
 
 

@@ -1,12 +1,20 @@
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmctag.conll import LabeledCorpus
 from pmctag.errors import CorruptModel, UnsupportedVersion
-from pmctag.serialize import deserialize_model, load_model, model_stats, save_model, serialize_model
+from pmctag.serialize import (FORMAT_VERSION, MAGIC, _Writer, deserialize_model,
+                              load_model, model_stats, save_model, serialize_model)
 from pmctag.training import TrainConfig, train_model
 
 from conftest import varied_corpus
+
+HEAD_LEN = len(MAGIC) + 12
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +52,10 @@ def test_reserialization_after_round_trip_is_identical(model):
 
 def test_derived_tables_rederivable_from_stored_counts(model):
     from pmctag.features import derive_feature_tables
-    from pmctag.training import fit_hmc, fit_pmc
+    from pmctag.training import fit_hmc
 
     back = deserialize_model(serialize_model(model))
     assert fit_hmc(back.counts) == back.hmc
-    assert fit_pmc(back.counts) == back.pmc
     assert derive_feature_tables(back.counts, back.vocabulary,
                                  back.suffix_max_len) == back.features
 
@@ -72,6 +79,92 @@ def test_unknown_version(model):
     data[8] = 99  # version field follows the 8-byte magic
     with pytest.raises(UnsupportedVersion):
         deserialize_model(bytes(data))
+
+
+def test_format_v1_rejected(model):
+    data = bytearray(serialize_model(model))
+    data[8:12] = struct.pack("<I", 1)
+    with pytest.raises(UnsupportedVersion):
+        deserialize_model(bytes(data))
+
+
+def _with_fixed_crc(data: bytearray) -> bytes:
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[HEAD_LEN:-4])))
+    return bytes(data)
+
+
+def _encode(task="pos", suffix_max_len=3, labels=("A", "B"), words=("x", "y"),
+            n0_ik=None, n_ikjl=None):
+    """A model file written field by field, bypassing every writer check."""
+    n0_ik = [((0, 0), 1)] if n0_ik is None else n0_ik
+    n_ikjl = [((0, 0, 1, 1), 1)] if n_ikjl is None else n_ikjl
+    w = _Writer()
+    w.string(task)
+    w.u32(suffix_max_len)
+    w.string_list(list(labels))
+    w.string_list(list(words))
+    for width, table in ((2, n0_ik), (4, n_ikjl)):
+        # a list of items keeps duplicates and order as given
+        w.u64(len(table) * width)
+        for key, _ in table:
+            w.raw(struct.pack(f"<{len(key)}I", *key))
+        w.u64(len(table))
+        for _, c in table:
+            w.raw(struct.pack("<Q", c))
+    payload = w.getvalue()
+    return (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def test_handwritten_encoding_loads():
+    model = deserialize_model(_encode())
+    model.validate()
+    # the test writer lays the file out exactly like the real one
+    assert serialize_model(model) == _encode()
+
+
+@pytest.mark.parametrize("fields, reason", [
+    (dict(n0_ik=[((2, 0), 1)]), "unknown label or word"),
+    (dict(n_ikjl=[((0, 0, 1, 2), 1)]), "unknown label or word"),
+    (dict(n_ikjl=[((0, 0xFFFFFFFF, 1, 1), 1)]), "unknown label or word"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 0)]), "zero count"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 2 ** 63)]), "overflow"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 2 ** 62), ((1, 1, 0, 0), 2 ** 62)]), "overflow"),
+    (dict(n_ikjl=[((1, 1, 0, 0), 1), ((0, 0, 1, 1), 1)]), "strictly increasing"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 1), ((0, 0, 1, 1), 1)]), "strictly increasing"),
+    (dict(labels=("A", "A")), "duplicate label"),
+    (dict(words=("x", "x")), "duplicate word"),
+    (dict(words=("x", "")), "empty word"),
+    (dict(task="postag"), "unknown task"),
+    (dict(suffix_max_len=1 << 20), "suffix length"),
+    (dict(n0_ik=[], n_ikjl=[]), "no chains"),
+])
+def test_malformed_fields_rejected(fields, reason):
+    with pytest.raises(CorruptModel, match=reason):
+        deserialize_model(_encode(**fields))
+
+
+@pytest.fixture(scope="module")
+def small_model_bytes():
+    corpus = varied_corpus(random.Random(11), n_sentences=6)
+    return serialize_model(train_model(corpus, TrainConfig(task="chunk")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_single_byte_mutations_load_valid_or_raise(small_model_bytes, data):
+    blob = bytearray(small_model_bytes)
+    pos = data.draw(st.integers(0, len(blob) - 5), label="position")
+    value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]),
+                      label="byte")
+    blob[pos] = value
+    mutated = _with_fixed_crc(blob)
+    try:
+        model = deserialize_model(mutated)
+    except (CorruptModel, UnsupportedVersion):
+        return
+    model.validate()
+    assert serialize_model(model) == mutated
 
 
 def test_bad_magic(model):

@@ -207,7 +207,8 @@ class TestInvariants:
         ref_a = brute_force_tables(corpus)
         ref_b = brute_force_tables(LabeledCorpus(shuffled))
         assert ref_a == ref_b
+        pmc_a, pmc_b = fit_pmc(a.counts), fit_pmc(b.counts)
         for (label, word), c in ref_a["n0_ik"].items():
-            pa = a.pmc.pi2[(a.alphabet.get(label), a.vocabulary.get(word))]
-            pb = b.pmc.pi2[(b.alphabet.get(label), b.vocabulary.get(word))]
+            pa = pmc_a.pi2[(a.alphabet.get(label), a.vocabulary.get(word))]
+            pb = pmc_b.pi2[(b.alphabet.get(label), b.vocabulary.get(word))]
             assert pa == pb == c / ref_a["L"]
