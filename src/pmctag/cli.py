@@ -28,7 +28,6 @@ DEFAULTS = {
     "task": "pos",
     "mode": "pmc",
     "decoder": "mpm",
-    "trigger": "bigram-support",
     "word_column": 0,
     "tag_column": 1,
     "suffix_max_len": 3,
@@ -59,8 +58,6 @@ def _add_corpus_options(p, with_tag=True):
 def _add_decode_options(p):
     p.add_argument("--mode", choices=inference.MODES, default=None)
     p.add_argument("--decoder", choices=inference.DECODERS, default=None)
-    p.add_argument("--downgrade-trigger", dest="trigger",
-                   choices=inference.TRIGGERS, default=None)
 
 
 def build_parser():
@@ -113,8 +110,20 @@ def build_parser():
     return parser
 
 
-def _read_config(path) -> dict:
-    """Option defaults from a JSON object; known keys keep their types."""
+def _string_options(parser, command) -> set[str]:
+    """Destinations of the subcommand's options that take a plain string."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if a.option_strings and a.type is None and a.default is None}
+
+
+def _read_config(path, string_options) -> dict:
+    """Option defaults from a JSON object.
+
+    A key either has a DEFAULTS entry and keeps its type, or names one of
+    string_options and holds a string; any other key is rejected.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             loaded = json.load(fh)
@@ -125,18 +134,25 @@ def _read_config(path) -> dict:
     config = {}
     for key, value in loaded.items():
         key = key.replace("-", "_")
-        if key in DEFAULTS and type(value) is not type(DEFAULTS[key]):
+        if key in DEFAULTS:
+            expected = type(DEFAULTS[key])
+        elif key in string_options:
+            expected = str
+        else:
+            raise FormatError(f"config {path}: unknown key {key!r}")
+        if type(value) is not expected:
             raise FormatError(f"config {path}: {key} must be a "
-                              f"{type(DEFAULTS[key]).__name__}, not {value!r}")
+                              f"{expected.__name__}, not {value!r}")
         config[key] = value
     return config
 
 
-def _effective(args):
+def _effective(args, parser):
     """Merge defaults, the optional config file and explicit flags."""
     merged = dict(DEFAULTS)
     if args.config:
-        merged.update(_read_config(args.config))
+        merged.update(_read_config(args.config,
+                                   _string_options(parser, args.command)))
     for key, value in vars(args).items():
         if key == "config":
             continue
@@ -166,8 +182,7 @@ def _decode_corpus(model: ModelBundle, sentences, opts):
     for idx, words in enumerate(sentences):
         try:
             results.append(inference.decode_sentence(
-                model, words, mode=opts.mode, decoder=opts.decoder,
-                trigger=opts.trigger))
+                model, words, mode=opts.mode, decoder=opts.decoder))
         except DeadEnd as exc:
             results.append(DeadEnd(exc.position, sentence_index=idx))
     failures = [r for r in results if isinstance(r, DeadEnd)]
@@ -241,7 +256,7 @@ def cmd_eval(opts) -> int:
         bits.append(sent_bits)
     report = evaluate_predictions(
         gold, predicted, bits, task=model.task, scheme=opts.scheme,
-        mode=opts.mode, decoder=opts.decoder, trigger=opts.trigger,
+        mode=opts.mode, decoder=opts.decoder,
         downgrade_rate=_downgrade_rate(results),
         failed_sentences=len(failures),
     )
@@ -263,18 +278,10 @@ def cmd_bench(opts) -> int:
     test = _read_corpus(opts, opts.test_corpus) if opts.test_corpus else corpus
     config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     test_words = test.words()
-
-    def decode_all(model):
-        for words in test_words:
-            try:
-                inference.decode_sentence(model, words, mode=opts.mode,
-                                          decoder=opts.decoder, trigger=opts.trigger)
-            except DeadEnd:
-                pass
-
     report = evaluation.benchmark(
         lambda c: train_model(c, config), corpus, opts.repetitions,
-        decode_fn=decode_all, decoded_tokens=test.n_tokens)
+        decode_fn=lambda model: _decode_corpus(model, test_words, opts),
+        decoded_tokens=test.n_tokens)
     sys.stdout.write(report.format())
     return 0
 
@@ -318,9 +325,10 @@ INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](_effective(args))
+        return COMMANDS[args.command](_effective(args, parser))
     except DeadEnd as exc:
         _diag(f"error: {exc}")
         return 1

@@ -135,7 +135,6 @@ class EvalReport:
     task: str
     mode: str = "pmc"
     decoder: str = "mpm"
-    trigger: str = "bigram-support"
     scheme: str | None = None
     sentences: int = 0
     tokens: int = 0
@@ -235,7 +234,6 @@ def _report_rows(report: EvalReport):
         ("task", report.task),
         ("mode", report.mode),
         ("decoder", report.decoder),
-        ("downgrade-trigger", report.trigger),
     ]
     if report.scheme:
         rows.append(("scheme", report.scheme))

@@ -25,7 +25,6 @@ HMC_STEP = "downgraded-hmc"
 PLAIN_HMC = "hmc"
 
 MODES = ("hmc", "pmc")
-TRIGGERS = ("bigram-support", "zero-factor")
 DECODERS = ("mpm", "map")
 
 
@@ -128,81 +127,61 @@ def _pmc_step_factor(index, triples):
     return f
 
 
-def _rescue_annihilated_steps(model, index, sentence, wids, factors):
-    """Downgrade PMC steps whose forward probability would hit zero.
-
-    Two individually supported bigrams need not agree on the label of the
-    word they share, so a sequence of PMC factors can strand the forward
-    recursion even though every factor has positive entries. Whenever a
-    PMC-flagged step annihilates all surviving mass it is replaced by its
-    HMC factor, which is the same approximation the unseen-bigram
-    downgrade applies. Support is tracked as booleans: scaled forward
-    cannot underflow, so positive mass and positive support coincide.
-    """
-    alive = factors.initial > 0
-    for t, step in enumerate(factors.steps):
-        nxt = (alive @ (step > 0)) > 0
-        if not nxt.any() and factors.flags[t + 1] == PMC_STEP:
-            col = _emission_column(model, index, sentence[t + 1], wids[t + 1], t + 1)
-            factors.steps[t] = model.hmc.trans * col[None, :]
-            factors.flags[t + 1] = HMC_STEP
-            nxt = (alive @ (factors.steps[t] > 0)) > 0
-        if not nxt.any():
-            return  # a genuine dead end; the recursions will report it
-        alive = nxt
-
-
-def resolve_factors(model: ModelBundle, sentence, mode="pmc",
-                    trigger="bigram-support") -> FactorProvider:
+def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     """Resolve the factor sequence for one sentence of word strings.
 
     In PMC mode, step t -> t+1 keeps the PMC factor when both words are
     known and the bigram pattern count is positive, and is downgraded to
     the HMC factor otherwise; the initial factor likewise uses the joint
     initial table when the first word has support there. A kept PMC step
-    that would zero out the forward probabilities is downgraded as well.
-    In HMC mode all factors come from the hidden chain directly.
+    that would leave no label with forward support is downgraded as well:
+    two individually supported bigrams need not agree on the label of the
+    word they share, so a run of PMC factors can strand the forward
+    recursion even though every factor has positive entries. Support is
+    tracked as booleans, since scaled forward cannot underflow; once a
+    step leaves no label alive even as an HMC step, the sentence is a
+    genuine dead end that the recursions report. In HMC mode all factors
+    come from the hidden chain directly.
     """
     if not sentence:
         raise EmptySentence("cannot resolve factors for an empty sentence")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if trigger not in TRIGGERS:
-        raise ValueError(f"unknown downgrade trigger {trigger!r}")
     index = decode_index(model)
     hmc = model.hmc
+    pmc = mode == "pmc"
+    hmc_flag = HMC_STEP if pmc else PLAIN_HMC
     wids = [model.vocabulary.get(w) for w in sentence]
-    flags: list[str] = []
 
-    k0 = wids[0]
-    if mode == "pmc" and k0 is not None and k0 in index.pi2_columns:
-        initial = index.pi2_columns[k0]
-        flags.append(PMC_STEP)
+    if pmc and wids[0] in index.pi2_columns:
+        initial = index.pi2_columns[wids[0]]
+        flags = [PMC_STEP]
     else:
-        initial = hmc.pi * _emission_column(model, index, sentence[0], k0, 0)
-        flags.append(HMC_STEP if mode == "pmc" else PLAIN_HMC)
+        initial = hmc.pi * _emission_column(model, index, sentence[0], wids[0], 0)
+        flags = [hmc_flag]
 
+    alive = initial > 0 if pmc else None  # forward support while still checked
     steps: list[np.ndarray] = []
     for t in range(len(sentence) - 1):
-        k, l = wids[t], wids[t + 1]
-        factor = None
-        if mode == "pmc" and k is not None and l is not None:
-            triples = index.pair_labels.get((k, l))
-            if triples:
-                factor = _pmc_step_factor(index, triples)
-                if trigger == "zero-factor" and not factor.any():
-                    factor = None
-        if factor is None:
+        l = wids[t + 1]
+        step = None
+        triples = index.pair_labels.get((wids[t], l)) if pmc else None
+        if triples:
+            step = _pmc_step_factor(index, triples)
+            if alive is not None:
+                nxt = (alive @ (step > 0)) > 0
+                if not nxt.any():
+                    step = None
+        flags.append(hmc_flag if step is None else PMC_STEP)
+        if step is None:
             col = _emission_column(model, index, sentence[t + 1], l, t + 1)
-            factor = hmc.trans * col[None, :]
-            flags.append(HMC_STEP if mode == "pmc" else PLAIN_HMC)
-        else:
-            flags.append(PMC_STEP)
-        steps.append(factor)
-    factors = FactorProvider(initial=initial, steps=steps, flags=flags)
-    if mode == "pmc":
-        _rescue_annihilated_steps(model, index, sentence, wids, factors)
-    return factors
+            step = hmc.trans * col[None, :]
+            if alive is not None:
+                nxt = (alive @ (step > 0)) > 0
+        if alive is not None:
+            alive = nxt if nxt.any() else None
+        steps.append(step)
+    return FactorProvider(initial=initial, steps=steps, flags=flags)
 
 
 def factors_from_pmc(params: PmcParams, n_labels: int, obs) -> FactorProvider:
@@ -323,17 +302,6 @@ def _log(x):
         return np.log(x)
 
 
-def _first_dead_position(factors) -> int:
-    vec = _log(factors.initial)
-    if vec.max() == -np.inf:
-        return 0
-    for t, step in enumerate(factors.steps):
-        vec = (vec[:, None] + _log(step)).max(axis=0)
-        if vec.max() == -np.inf:
-            return t + 1
-    return factors.length - 1
-
-
 def map_path(factors: FactorProvider):
     """Best label sequence under the resolved factors (max-product).
 
@@ -350,7 +318,8 @@ def map_path(factors: FactorProvider):
     head = _log(factors.initial) + suffix[0]
     best = head.max()
     if best == -np.inf:
-        raise DeadEnd(_first_dead_position(factors))
+        forward(factors)  # raises DeadEnd at the first position without mass
+        raise DeadEnd(t_len - 1)
     path = np.empty(t_len, dtype=np.int64)
     path[0] = head.argmax()
     for t in range(t_len - 1):
@@ -375,11 +344,11 @@ class DecodeResult:
         return len(self.flags)
 
 
-def decode_sentence(model: ModelBundle, sentence, mode="pmc", decoder="mpm",
-                    trigger="bigram-support") -> DecodeResult:
+def decode_sentence(model: ModelBundle, sentence, mode="pmc",
+                    decoder="mpm") -> DecodeResult:
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    factors = resolve_factors(model, sentence, mode=mode, trigger=trigger)
+    factors = resolve_factors(model, sentence, mode=mode)
     score = None
     if decoder == "mpm":
         ids = mpm_path(factors)
@@ -389,13 +358,11 @@ def decode_sentence(model: ModelBundle, sentence, mode="pmc", decoder="mpm",
     return DecodeResult(labels=labels, flags=factors.flags, log_score=score)
 
 
-def decode_mpm(model: ModelBundle, sentence, mode="pmc",
-               trigger="bigram-support") -> list[str]:
+def decode_mpm(model: ModelBundle, sentence, mode="pmc") -> list[str]:
     """Marginal-posterior-mode labels for one sentence of word strings."""
-    return decode_sentence(model, sentence, mode, "mpm", trigger).labels
+    return decode_sentence(model, sentence, mode, "mpm").labels
 
 
-def decode_map(model: ModelBundle, sentence, mode="pmc",
-               trigger="bigram-support") -> list[str]:
+def decode_map(model: ModelBundle, sentence, mode="pmc") -> list[str]:
     """Jointly most probable labels (Viterbi) for one sentence."""
-    return decode_sentence(model, sentence, mode, "map", trigger).labels
+    return decode_sentence(model, sentence, mode, "map").labels

@@ -160,7 +160,7 @@ class CountTables:
     n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
     n0_ik chain-initial (label, word) pairs; these two are the model's
     only stored state. Everything else follows by summation: the chain
-    count L and n0_i over n0_ik, n_ikj over l, n_ij over k, m_ik over j
+    count L and n0_i over n0_ik, n_ij over k and l, m_ik over j and l,
     and n_i over j.
     """
 
@@ -168,7 +168,6 @@ class CountTables:
     n_ikjl: dict[tuple[int, int, int, int], int]
     n0_i: np.ndarray = field(repr=False)
     L: int
-    n_ikj: dict[tuple[int, int, int], int] = field(repr=False)
     n_ij: np.ndarray = field(repr=False)
     m_ik: dict[tuple[int, int], int] = field(repr=False)
     n_i: np.ndarray = field(repr=False)
@@ -179,17 +178,14 @@ class CountTables:
         n0_i = np.zeros(n_labels, dtype=np.int64)
         for (i, _), c in n0_ik.items():
             n0_i[i] += c
-        n_ikj: dict[tuple[int, int, int], int] = {}
         n_ij = np.zeros((n_labels, n_labels), dtype=np.int64)
         m_ik: dict[tuple[int, int], int] = {}
         for (i, k, j, l), c in n_ikjl.items():
-            key = (i, k, j)
-            n_ikj[key] = n_ikj.get(key, 0) + c
             n_ij[i, j] += c
             m_ik[(i, k)] = m_ik.get((i, k), 0) + c
         n_i = n_ij.sum(axis=1)
         return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=n0_i, L=sum(n0_ik.values()),
-                   n_ikj=n_ikj, n_ij=n_ij, m_ik=m_ik, n_i=n_i)
+                   n_ij=n_ij, m_ik=m_ik, n_i=n_i)
 
     @property
     def n_labels(self) -> int:
@@ -200,7 +196,7 @@ class CountTables:
         if any(c < 0 for c in self.n_ikjl.values()):
             raise AssertionError("negative pattern count")
         fresh = CountTables.from_raw(self.n_labels, self.n0_ik, self.n_ikjl)
-        if self.n_ikj != fresh.n_ikj or self.m_ik != fresh.m_ik:
+        if self.m_ik != fresh.m_ik:
             raise AssertionError("cached marginals disagree with summation")
         if not np.array_equal(self.n_ij, fresh.n_ij) or not np.array_equal(self.n_i, fresh.n_i):
             raise AssertionError("cached marginals disagree with summation")

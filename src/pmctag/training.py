@@ -87,16 +87,16 @@ def fit_pmc(counts: CountTables) -> PmcParams:
     """Pairwise-chain parameters; keys with zero denominator stay absent."""
     n = counts.n_labels
     pi2 = {key: c / counts.L for key, c in counts.n0_ik.items()}
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (i, k, j, l), c in counts.n_ikjl.items():
+        rows.setdefault((i, k, j), {})[l] = c
     trans2: dict[tuple[int, int], np.ndarray] = {}
-    for (i, k, j), c in counts.n_ikj.items():
+    for (i, k, j), row in rows.items():
         vec = trans2.get((i, k))
         if vec is None:
             vec = np.zeros(n, dtype=np.float64)
             trans2[(i, k)] = vec
-        vec[j] = c / counts.m_ik[(i, k)]
-    rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (i, k, j, l), c in counts.n_ikjl.items():
-        rows.setdefault((i, k, j), {})[l] = c
+        vec[j] = sum(row.values()) / counts.m_ik[(i, k)]
     emit2 = {key: normalize_counts(row) for key, row in rows.items()}
     return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
 

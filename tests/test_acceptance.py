@@ -196,7 +196,7 @@ def test_normalization_invariance():
         assert np.array_equal(mpm_path(factors), plain.argmax(axis=1))
 
     # and on factors resolved from a trained model, mixed pmc/downgraded;
-    # sentences that legitimately dead-end under the static trigger are skipped
+    # sentences that dead-end even after the per-step downgrade are skipped
     corpus = varied_corpus(random.Random(3), n_sentences=120)
     model = train_model(corpus, TrainConfig(task="pos"))
     sentences = [s[:15] for s in varied_corpus(random.Random(4), 20).sentences]

@@ -200,13 +200,11 @@ class TestEval:
         text_path = str(tmp_path / "report.txt")
         code, out, _ = run(["eval", "--model", model_path, "--corpus", TEST,
                             "--tag-column", "2", "--report-text", text_path,
-                            "--decoder", "map", "--downgrade-trigger",
-                            "zero-factor"], capsys)
+                            "--decoder", "map"], capsys)
         assert code == 0
         assert out == ""  # report went to the file
         text = open(text_path).read()
         assert "decoder" in text and "map" in text
-        assert "zero-factor" in text
         assert "unknown-error" in text
 
     def test_eval_deterministic_outputs(self, model_path, tmp_path, capsys):
@@ -243,7 +241,7 @@ class TestVerify:
 class TestConfigFile:
     def test_flags_override_config(self, model_path, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"decoder": "map", "threads": 2}))
+        config.write_text(json.dumps({"decoder": "map"}))
         kv_path = str(tmp_path / "r.kv")
         code, _, _ = run(["--config", str(config), "eval", "--model", model_path,
                           "--corpus", TEST, "--tag-column", "2",
@@ -257,25 +255,45 @@ class TestConfigFile:
         kv = dict(line.split("\t") for line in open(kv_path).read().strip().split("\n"))
         assert kv["decoder"] == "mpm"  # flag wins
 
-    @pytest.mark.parametrize("content", [
-        None,  # missing file
-        "{not json",
-        "[1]",
-        '{"instances": "x"}',
-        '{"instances": true}',
-        '{"decoder": 3}',
-    ])
-    def test_bad_config_exits_2_with_one_error_line(self, content, tmp_path,
-                                                    capsys):
+    def test_string_option_from_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mapping": MAP}))
+        path = str(tmp_path / "pos.pmc")
+        code, _, _ = run(["--config", str(config), "train", "--corpus", TRAIN,
+                          "--model", path, "--task", "pos", "--tag-column", "1"],
+                         capsys)
+        assert code == 0
+        assert set(load_model(path).alphabet.items) <= {"DET", "NOUN", "VERB", "ADV",
+                                                        "ADJ", "PRON", "."}
+
+    BAD_CONFIGS = [
+        ("verify", None),  # missing file
+        ("verify", "{not json"),
+        ("verify", "[1]"),
+        ("verify", '{"instances": "x"}'),
+        ("verify", '{"instances": true}'),
+        ("verify", '{"decoder": 3}'),
+        ("train", '{"mapping": 5}'),  # a str option given a non-string
+        ("train", '{"skip_pattern": 7}'),
+        ("verify", '{"threads": 2}'),  # not an option at all
+    ]
+
+    @pytest.mark.parametrize("command, content", BAD_CONFIGS,
+                             ids=[str(content) for _, content in BAD_CONFIGS])
+    def test_bad_config_exits_2_with_one_error_line(self, command, content,
+                                                    tmp_path, capsys):
         config = tmp_path / "cfg.json"
         if content is not None:
             config.write_text(content)
-        code, out, err = run(["--config", str(config), "verify",
-                              "--instances", "1"], capsys)
+        model = tmp_path / "m.pmc"
+        argv = {"verify": ["verify", "--instances", "1"],
+                "train": ["train", "--corpus", TRAIN, "--model", str(model)]}
+        code, out, err = run(["--config", str(config)] + argv[command], capsys)
         assert code == 2
         assert out == ""
         lines = err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not model.exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -183,7 +183,7 @@ class TestEvaluatePredictions:
             task="ner", mode="pmc", decoder="mpm", downgrade_rate=0.25)
         text = format_report_text(report)
         kv = format_report_kv(report)
-        assert "downgrade-trigger" in text and "f1" in text
+        assert "decoder" in text and "f1" in text
         for line in kv.strip().split("\n"):
             assert len(line.split("\t")) == 2
         assert "downgrade-rate\t0.250000" in kv

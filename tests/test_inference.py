@@ -113,17 +113,19 @@ class TestResolveFactors:
                         for i in range(len(model.alphabet))])
         np.testing.assert_array_equal(factors.steps[0], model.hmc.trans * col)
 
-    def test_triggers_agree_on_trained_models(self, nprng):
-        model = fig3_model()
-        sentences = [["w1", "w2", "w3"], ["w2", "w4", "w5", "w6"], ["w6"],
-                     ["w5", "w1"]]
-        for sent in sentences:
-            a = resolve_factors(model, sent, trigger="bigram-support")
-            b = resolve_factors(model, sent, trigger="zero-factor")
-            assert a.flags == b.flags
-            np.testing.assert_array_equal(a.initial, b.initial)
-            for fa, fb in zip(a.steps, b.steps):
-                np.testing.assert_array_equal(fa, fb)
+    def test_annihilating_pmc_step_downgraded(self):
+        # (a, b) and (b, c) are both supported but disagree on b's label
+        # (Y vs Z), so keeping both PMC steps would strand the forward pass
+        model = train_model(corpus_from(
+            [("a", "X"), ("b", "Y")],
+            [("b", "Z"), ("c", "W"), ("g", "W")],
+            [("d", "Y"), ("e", "W")],
+        ), TrainConfig(task="pos"))
+        sentence = ["a", "b", "c"]
+        factors = resolve_factors(model, sentence)
+        assert factors.flags == [PMC_STEP, PMC_STEP, HMC_STEP]
+        assert decode_mpm(model, sentence) == ["X", "Y", "W"]
+        assert decode_map(model, sentence) == ["X", "Y", "W"]
 
     def test_empty_sentence(self):
         with pytest.raises(EmptySentence):

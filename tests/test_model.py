@@ -67,14 +67,11 @@ class TestCountTables:
         counts, _, _ = accumulate_counts(corpus)
         counts.validate()
         # recompute every marginal independently of from_raw
-        n_ikj = {}
         m_ik = {}
         n_ij = np.zeros_like(counts.n_ij)
         for (i, k, j, l), c in counts.n_ikjl.items():
-            n_ikj[(i, k, j)] = n_ikj.get((i, k, j), 0) + c
             m_ik[(i, k)] = m_ik.get((i, k), 0) + c
             n_ij[i, j] += c
-        assert n_ikj == counts.n_ikj
         assert m_ik == counts.m_ik
         assert np.array_equal(n_ij, counts.n_ij)
         assert np.array_equal(n_ij.sum(axis=1), counts.n_i)
