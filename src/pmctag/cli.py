@@ -110,19 +110,20 @@ def build_parser():
     return parser
 
 
-def _string_options(parser, command) -> set[str]:
-    """Destinations of the subcommand's options that take a plain string."""
+def _options(parser, command) -> list[argparse.Action]:
+    """The option actions of one subcommand."""
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions
-            if a.option_strings and a.type is None and a.default is None}
+    return [a for a in sub.choices[command]._actions if a.option_strings]
 
 
-def _read_config(path, string_options) -> dict:
+def _read_config(path, options) -> dict:
     """Option defaults from a JSON object.
 
-    A key either has a DEFAULTS entry and keeps its type, or names one of
-    string_options and holds a string; any other key is rejected.
+    A key either has a DEFAULTS entry and keeps its type, or names a plain
+    string option of the subcommand (one of `options`) and holds a string;
+    any other key is rejected. A value for an option with choices must be
+    one of them.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -131,6 +132,9 @@ def _read_config(path, string_options) -> dict:
             raise FormatError(f"config {path}: {exc.msg}", line=exc.lineno) from None
     if not isinstance(loaded, dict):
         raise FormatError(f"config {path}: expected a JSON object")
+    string_options = {a.dest for a in options
+                      if a.type is None and a.default is None}
+    choices = {a.dest: a.choices for a in options if a.choices}
     config = {}
     for key, value in loaded.items():
         key = key.replace("-", "_")
@@ -143,6 +147,9 @@ def _read_config(path, string_options) -> dict:
         if type(value) is not expected:
             raise FormatError(f"config {path}: {key} must be a "
                               f"{expected.__name__}, not {value!r}")
+        if key in choices and value not in choices[key]:
+            raise FormatError(f"config {path}: {key} must be one of "
+                              f"{', '.join(choices[key])}, not {value!r}")
         config[key] = value
     return config
 
@@ -151,13 +158,15 @@ def _effective(args, parser):
     """Merge defaults, the optional config file and explicit flags."""
     merged = dict(DEFAULTS)
     if args.config:
-        merged.update(_read_config(args.config,
-                                   _string_options(parser, args.command)))
+        merged.update(_read_config(args.config, _options(parser, args.command)))
     for key, value in vars(args).items():
         if key == "config":
             continue
         if value is not None or key not in merged:
             merged[key] = value
+    for key in ("instances", "repetitions"):
+        if merged[key] < 1:
+            raise FormatError(f"{key} must be at least 1, not {merged[key]}")
     return argparse.Namespace(**merged)
 
 
@@ -293,8 +302,7 @@ def cmd_verify(opts) -> int:
     bad = 0
     for _ in range(opts.instances):
         inst = oracle.TinyInstance.random(rng)
-        factors = inference.factors_from_pmc(inst.to_pmc_params(),
-                                             inst.n_labels, inst.obs)
+        factors = inst.factors()
         post = inference.posterior_marginals(factors)
         ref = oracle.enumerate_posteriors(inst)
         dev = float(np.max(np.abs(post - ref)))

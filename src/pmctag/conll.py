@@ -34,14 +34,19 @@ class LabeledCorpus:
         return [[t for _, t in sent] for sent in self.sentences]
 
 
-def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None):
+def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
+                 tag_column=None):
     """Parse column records: a list of sentences, each a list of column lists.
 
     Lines whose word column matches `skip_pattern` (a regex, fully matched)
-    are dropped, as are lines starting with `comment_prefix`. All retained
-    token lines must have the same column count; violations raise
-    FormatError with the 1-based line number.
+    are dropped, as are lines starting with `comment_prefix`. Every retained
+    token line must have the word column, the tag column when one is given,
+    and the same column count as the others; violations raise FormatError
+    with the 1-based line number. Negative column numbers are rejected.
     """
+    for name, column in (("word", word_column), ("tag", tag_column)):
+        if column is not None and column < 0:
+            raise FormatError(f"{name} column must be 0 or more, not {column}")
     skip = re.compile(skip_pattern) if skip_pattern else None
     sentences = []
     current = []
@@ -62,6 +67,10 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None):
                 line=lineno)
         if skip and skip.fullmatch(cols[word_column]):
             continue
+        if tag_column is not None and tag_column >= len(cols):
+            raise FormatError(
+                f"expected a tag in column {tag_column}, found {len(cols)} columns",
+                line=lineno)
         if expected_cols is None:
             expected_cols = len(cols)
         elif len(cols) != expected_cols:
@@ -78,16 +87,10 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                comment_prefix=None, split=None) -> LabeledCorpus:
     """Read a labeled corpus, taking words and tags from the given columns."""
     records = read_records(stream, word_column=word_column,
-                           skip_pattern=skip_pattern, comment_prefix=comment_prefix)
-    sentences = []
-    for sent in records:
-        pairs = []
-        for cols in sent:
-            if tag_column >= len(cols):
-                raise FormatError(
-                    f"expected a tag in column {tag_column}, found {len(cols)} columns")
-            pairs.append((cols[word_column], cols[tag_column]))
-        sentences.append(pairs)
+                           skip_pattern=skip_pattern, comment_prefix=comment_prefix,
+                           tag_column=tag_column)
+    sentences = [[(cols[word_column], cols[tag_column]) for cols in sent]
+                 for sent in records]
     return LabeledCorpus(sentences=sentences, split=split)
 
 

@@ -22,7 +22,10 @@ class EmptySentence(PmctagError):
 
 
 class FormatError(PmctagError):
-    """Malformed corpus, mapping or config file. Carries the 1-based line number."""
+    """Malformed corpus, mapping or config file, or an option value out of range.
+
+    Carries the 1-based line number when the input is a file.
+    """
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import backoff_level, extract_features
-from .model import HmcParams, ModelBundle, PmcParams
+from .model import HmcParams, ModelBundle
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -182,33 +182,6 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
             alive = nxt if nxt.any() else None
         steps.append(step)
     return FactorProvider(initial=initial, steps=steps, flags=flags)
-
-
-def factors_from_pmc(params: PmcParams, n_labels: int, obs) -> FactorProvider:
-    """Factors straight from raw PMC parameters, with no downgrade.
-
-    Absent keys contribute probability 0. Used for parameter sets that do
-    not come from counts (tiny test instances, embedded HMCs).
-    """
-    if len(obs) == 0:
-        raise EmptySentence("empty observation sequence")
-    n = n_labels
-    initial = np.array([params.pi2.get((i, obs[0]), 0.0) for i in range(n)])
-    steps = []
-    for t in range(len(obs) - 1):
-        k, l = obs[t], obs[t + 1]
-        f = np.zeros((n, n))
-        for i in range(n):
-            row = params.trans2.get((i, k))
-            if row is None:
-                continue
-            for j in range(n):
-                emit = params.emit2.get((i, k, j))
-                if emit:
-                    f[i, j] = row[j] * emit.get(l, 0.0)
-        steps.append(f)
-    return FactorProvider(initial=initial, steps=steps,
-                          flags=[PMC_STEP] * len(obs))
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:

@@ -1,9 +1,11 @@
 """Exhaustive-enumeration references for inference, usable at tiny scale.
 
 The enumerators score every one of the N^T label sequences against dense
-parameter tables and are therefore exact up to float summation. They ship
-with the package (not only the tests) so the CLI can self-check against
-them on demand.
+parameter tables and are therefore exact up to float summation. The
+decoder's factors for the same tables are built straight from the dense
+arrays (`TinyInstance.factors`), and an HMC embeds as a dense instance.
+They ship with the package (not only the tests) so the CLI can self-check
+against them on demand.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DeadEnd
-from .model import HmcParams, PmcParams
+from .errors import DeadEnd, EmptySentence
+from .inference import PMC_STEP, FactorProvider
+from .model import HmcParams
 
 
 @lru_cache(maxsize=None)
@@ -62,22 +65,21 @@ class TinyInstance:
             scores *= self.emit2[seqs[:, t], obs[t], seqs[:, t + 1], obs[t + 1]]
         return seqs, scores
 
-    def to_pmc_params(self) -> PmcParams:
-        """The same tables as sparse PmcParams for the production decoder."""
-        n, m = self.n_labels, self.n_words
-        pi2 = {(i, k): float(self.pi2[i, k])
-               for i in range(n) for k in range(m) if self.pi2[i, k] > 0}
-        trans2 = {(i, k): self.trans2[i, k].astype(float)
-                  for i in range(n) for k in range(m) if self.trans2[i, k].any()}
-        emit2 = {}
-        for i in range(n):
-            for k in range(m):
-                for j in range(n):
-                    row = self.emit2[i, k, j]
-                    if row.any():
-                        emit2[(i, k, j)] = {l: float(row[l])
-                                            for l in range(m) if row[l] > 0}
-        return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
+    def factors(self, obs=None) -> FactorProvider:
+        """Decoder factors for obs (default: self.obs), with no downgrade.
+
+        steps[t][i, j] = trans2[i, k, j] * emit2[i, k, j, l] for the word
+        bigram (k, l) at t -> t + 1; all-zero rows contribute probability 0.
+        """
+        obs = np.asarray(self.obs if obs is None else obs, dtype=np.int64)
+        if obs.size == 0:
+            raise EmptySentence("empty observation sequence")
+        k, l = obs[:-1], obs[1:]
+        # the two index arrays of emit2 are split by a slice, so numpy puts
+        # the position axis first; trans2 keeps the label axis first
+        steps = self.trans2[:, k, :].transpose(1, 0, 2) * self.emit2[:, k, :, l]
+        return FactorProvider(initial=self.pi2[:, obs[0]], steps=list(steps),
+                              flags=[PMC_STEP] * obs.size)
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_max=4, m_max=5, t_max=7) -> "TinyInstance":
@@ -144,36 +146,26 @@ def enumerate_map(instance: TinyInstance):
     return seqs[best].copy(), float(np.log(scores[best]))
 
 
-def embed_hmc_as_pmc(hmc: HmcParams, n_words=None) -> PmcParams:
-    """Express an HMC in PMC form.
+def embed_hmc_as_pmc(hmc: HmcParams, n_words=None) -> TinyInstance:
+    """Express an HMC as a dense PMC instance with no observations.
 
-    pi2(i, k) = pi(i) b_i(k); trans2 rows copy the label transitions for
-    every word; emit2 depends only on the next label. PMC inference on the
-    result reproduces HMC inference.
+    With b the (N, M) emission matrix: pi2 = pi[:, None] * b, trans2[i, k]
+    copies the label transitions for every word, and emit2[i, k, j] = b[j]
+    depends only on the next label. Labels without transition support keep
+    their all-zero trans rows. PMC inference on the result reproduces HMC
+    inference.
     """
     n = hmc.n_labels
     if n_words is None:
         n_words = 1 + max((k for _, k in hmc.emit), default=-1)
-    pi2 = {}
-    trans2 = {}
-    emit_rows: dict[int, dict[int, float]] = {}
+    b = np.zeros((n, n_words))
     for (i, k), p in hmc.emit.items():
-        emit_rows.setdefault(i, {})[k] = p
-    for i in range(n):
-        for k in range(n_words):
-            b = hmc.emit.get((i, k), 0.0)
-            if hmc.pi[i] * b > 0:
-                pi2[(i, k)] = hmc.pi[i] * b
-            if hmc.trans_support[i]:
-                trans2[(i, k)] = hmc.trans[i].copy()
-    emit2 = {}
-    for i in range(n):
-        for k in range(n_words):
-            for j in range(n):
-                row = emit_rows.get(j)
-                if row:
-                    emit2[(i, k, j)] = dict(row)
-    return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
+        b[i, k] = p
+    return TinyInstance(
+        pi2=hmc.pi[:, None] * b,
+        trans2=np.repeat(hmc.trans[:, None, :], n_words, axis=1),
+        emit2=np.broadcast_to(b, (n, n_words, n, n_words)).copy(),
+        obs=[])
 
 
 def random_hmc(rng: np.random.Generator, n_max=4, m_max=5) -> HmcParams:

@@ -21,9 +21,8 @@ from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
 from pmctag.errors import DeadEnd
 from pmctag.evaluation import evaluate_predictions, extract_spans, span_f1
 from pmctag.features import fit_feature_tables
-from pmctag.inference import (decode_sentence, factors_from_hmc,
-                              factors_from_pmc, map_path, mpm_path,
-                              posterior_marginals, resolve_factors)
+from pmctag.inference import (decode_sentence, factors_from_hmc, map_path,
+                              mpm_path, posterior_marginals, resolve_factors)
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
                            enumerate_posteriors, random_hmc)
 from pmctag.training import (TrainConfig, accumulate_counts, fit_hmc, fit_pmc,
@@ -72,7 +71,7 @@ def test_oracle_equivalence_property_suite():
     worst_post = worst_score = 0.0
     for _ in range(1000):
         inst = TinyInstance.random(rng, n_max=4, m_max=5, t_max=7)
-        factors = factors_from_pmc(inst.to_pmc_params(), inst.n_labels, inst.obs)
+        factors = inst.factors()
         post = posterior_marginals(factors)
         ref = enumerate_posteriors(inst)
         worst_post = max(worst_post, float(np.max(np.abs(post - ref))))
@@ -95,7 +94,7 @@ def test_hmc_embedding_equivalence():
         obs = [int(rng.integers(0, n_words))
                for _ in range(int(rng.integers(1, 9)))]
         embedded = embed_hmc_as_pmc(hmc)
-        f_pmc = factors_from_pmc(embedded, hmc.n_labels, obs)
+        f_pmc = embedded.factors(obs)
         f_hmc = factors_from_hmc(hmc, obs)
         assert np.max(np.abs(posterior_marginals(f_pmc)
                              - posterior_marginals(f_hmc))) < 1e-12
@@ -189,7 +188,7 @@ def test_normalization_invariance():
         inst = TinyInstance.random(rng)
         t_len = int(rng.integers(1, 16))
         inst.obs = [int(rng.integers(0, inst.n_words)) for _ in range(t_len)]
-        factors = factors_from_pmc(inst.to_pmc_params(), inst.n_labels, inst.obs)
+        factors = inst.factors()
         scaled = posterior_marginals(factors)
         plain = unscaled_posteriors(factors)
         assert np.max(np.abs(scaled - plain)) < 1e-9

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pmctag import cli
 from pmctag.cli import main
 from pmctag.conll import read_conll
 from pmctag.serialize import load_model
@@ -14,6 +15,10 @@ TRAIN = os.path.join(DATA, "train_chunk.conll")
 TEST = os.path.join(DATA, "test_chunk.conll")
 DET = os.path.join(DATA, "train_det.conll")
 MAP = os.path.join(DATA, "ptb_mini.map")
+
+
+def _no_input_read(*args, **kwargs):
+    raise AssertionError("input read before the options were checked")
 
 
 def run(argv, capsys):
@@ -45,6 +50,15 @@ class TestTrain:
         model = load_model(model_path)
         assert model.task == "chunk"
         model.validate()
+
+    def test_negative_word_column_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "m.pmc"
+        code, out, err = run(["train", "--corpus", TRAIN, "--model", str(model),
+                              "--tag-column", "2", "--word-column", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: word column must be 0 or more, not -1"
+        assert not model.exists()
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         code, _, err = run(["train", "--corpus", str(tmp_path / "nope.conll"),
@@ -230,12 +244,27 @@ class TestBench:
         assert code == 0
         assert "decode-tokens 10" in out
 
+    def test_zero_repetitions_rejected_before_reading(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_conll", _no_input_read)
+        code, out, err = run(["bench", "--corpus", TRAIN, "--repetitions", "0"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: repetitions must be at least 1, not 0"
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(["verify", "--instances", "25", "--seed", "7"], capsys)
         assert code == 0
         assert "failures 0" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-5"])
+    def test_vacuous_instance_count_exits_2(self, instances, capsys):
+        code, out, err = run(["verify", "--instances", instances], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: instances must be at least 1, not {instances}"
 
 
 class TestConfigFile:
@@ -276,18 +305,24 @@ class TestConfigFile:
         ("train", '{"mapping": 5}'),  # a str option given a non-string
         ("train", '{"skip_pattern": 7}'),
         ("verify", '{"threads": 2}'),  # not an option at all
+        ("eval", '{"scheme": "bogus"}'),  # not one of the option's choices
+        ("eval", '{"mode": "bogus"}'),
+        ("verify", '{"instances": 0}'),  # a vacuous run
     ]
 
     @pytest.mark.parametrize("command, content", BAD_CONFIGS,
                              ids=[str(content) for _, content in BAD_CONFIGS])
     def test_bad_config_exits_2_with_one_error_line(self, command, content,
-                                                    tmp_path, capsys):
+                                                    tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_conll", _no_input_read)
+        monkeypatch.setattr(cli, "load_model", _no_input_read)
         config = tmp_path / "cfg.json"
         if content is not None:
             config.write_text(content)
         model = tmp_path / "m.pmc"
-        argv = {"verify": ["verify", "--instances", "1"],
-                "train": ["train", "--corpus", TRAIN, "--model", str(model)]}
+        argv = {"verify": ["verify"],
+                "train": ["train", "--corpus", TRAIN, "--model", str(model)],
+                "eval": ["eval", "--model", str(model), "--corpus", TEST]}
         code, out, err = run(["--config", str(config)] + argv[command], capsys)
         assert code == 2
         assert out == ""

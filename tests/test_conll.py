@@ -33,6 +33,18 @@ class TestReadConll:
             read_conll(StringIO("a X\nb\n"), 0, 1)
         assert err.value.line == 2
 
+    def test_missing_tag_names_line_when_rows_agree(self):
+        with pytest.raises(FormatError) as err:
+            read_conll(StringIO("a\nb\n"), 0, 1)
+        assert err.value.line == 1
+        assert "expected a tag in column 1" in str(err.value)
+
+    @pytest.mark.parametrize("word_column, tag_column", [(-1, 1), (0, -1), (-2, -1)])
+    def test_negative_columns_rejected_before_reading(self, word_column, tag_column):
+        # an empty stream has no line a per-line check could fail on
+        with pytest.raises(FormatError, match="column must be 0 or more"):
+            read_conll(StringIO(""), word_column, tag_column)
+
     def test_missing_word_column(self):
         with pytest.raises(FormatError):
             read_conll(StringIO("a X\n"), 5, 1)

@@ -1,17 +1,18 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from pmctag.errors import DeadEnd, EmptySentence
 from pmctag.inference import (HMC_STEP, PMC_STEP, FactorProvider, backward,
-                              decode_map, decode_mpm, decode_sentence,
-                              factors_from_pmc, forward, map_path, mpm_path,
-                              posterior_marginals, resolve_factors)
+                              decode_map, decode_mpm, decode_sentence, forward,
+                              map_path, mpm_path, posterior_marginals,
+                              decode_index, resolve_factors)
 from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors
-from pmctag.training import TrainConfig, train_model
+from pmctag.training import TrainConfig, fit_pmc, train_model
 
-from conftest import corpus_from
+from conftest import corpus_from, random_corpus, varied_corpus
 
 
 @pytest.fixture
@@ -57,7 +58,7 @@ def brute_beta(inst):
 
 
 def library_factors(inst):
-    return factors_from_pmc(inst.to_pmc_params(), inst.n_labels, inst.obs)
+    return inst.factors()
 
 
 def fig3_model():
@@ -79,6 +80,30 @@ def shape_model():
         [("running", "A"), ("running", "A"), ("jumping", "B")],
     )
     return train_model(corpus, TrainConfig(task="pos"))
+
+
+class TestDecodeIndex:
+    @pytest.mark.parametrize("corpus", [
+        varied_corpus(random.Random(11), n_sentences=120),
+        random_corpus(random.Random(12), n_sentences=200),
+    ], ids=["varied", "random"])
+    def test_pmc_factors_match_estimator(self, corpus):
+        """The decoder's count ratios are the estimator's trans2 * emit2."""
+        model = train_model(corpus, TrainConfig(task="pos"))
+        index = decode_index(model)
+        pmc = fit_pmc(model.counts)
+        expected = {}
+        for (i, k, j), row in pmc.emit2.items():
+            for l, p in row.items():
+                if pmc.trans2[(i, k)][j] * p > 0:
+                    expected[(k, l, i, j)] = pmc.trans2[(i, k)][j] * p
+        got = {(k, l, i, j): p for (k, l), triples in index.pair_labels.items()
+               for i, j, p in triples}
+        assert got.keys() == expected.keys()
+        for key, p in got.items():
+            assert abs(p - expected[key]) <= 1e-15 * expected[key], key
+        for (i, k), p in pmc.pi2.items():
+            assert index.pi2_columns[k][i] == p
 
 
 class TestResolveFactors:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmctag.errors import DeadEnd
-from pmctag.inference import factors_from_hmc, factors_from_pmc, map_path, posterior_marginals
+from pmctag.inference import factors_from_hmc, map_path, posterior_marginals
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
                            enumerate_posteriors, random_hmc)
 
@@ -87,7 +87,7 @@ class TestEmbedding:
     def test_embedded_tables_normalized(self, nprng):
         for _ in range(20):
             pmc = embed_hmc_as_pmc(random_hmc(nprng))
-            pmc.validate()
+            pmc.validate(tol=1e-12)
 
     def test_embedding_values(self, nprng):
         hmc = random_hmc(nprng, n_max=3, m_max=4)
@@ -96,11 +96,11 @@ class TestEmbedding:
         pmc = embed_hmc_as_pmc(hmc)
         for i in range(n):
             for k in range(m):
-                assert pmc.pi2[(i, k)] == hmc.pi[i] * hmc.emit[(i, k)]
-                np.testing.assert_array_equal(pmc.trans2[(i, k)], hmc.trans[i])
+                assert pmc.pi2[i, k] == hmc.pi[i] * hmc.emit[(i, k)]
+                np.testing.assert_array_equal(pmc.trans2[i, k], hmc.trans[i])
                 for j in range(n):
                     for l in range(m):
-                        assert pmc.emit2[(i, k, j)][l] == hmc.emit[(j, l)]
+                        assert pmc.emit2[i, k, j, l] == hmc.emit[(j, l)]
 
     def test_pmc_inference_on_embedding_equals_hmc(self, nprng):
         for _ in range(30):
@@ -108,7 +108,7 @@ class TestEmbedding:
             m = 1 + max(k for _, k in hmc.emit)
             obs = [int(nprng.integers(0, m)) for _ in range(int(nprng.integers(1, 8)))]
             pmc = embed_hmc_as_pmc(hmc)
-            f_pmc = factors_from_pmc(pmc, hmc.n_labels, obs)
+            f_pmc = pmc.factors(obs)
             f_hmc = factors_from_hmc(hmc, obs)
             post_pmc = posterior_marginals(f_pmc)
             post_hmc = posterior_marginals(f_hmc)
@@ -128,7 +128,7 @@ class TestEmbedding:
             emit={(0, 0): 1.0, (1, 1): 1.0},
         )
         pmc = embed_hmc_as_pmc(hmc, n_words=2)
-        f = factors_from_pmc(pmc, 2, [0, 1, 0])
+        f = pmc.factors([0, 1, 0])
         path, _ = map_path(f)
         assert list(path) == [0, 1, 0]
         np.testing.assert_array_equal(posterior_marginals(f),
