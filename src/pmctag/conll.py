@@ -42,12 +42,19 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     are dropped, as are lines starting with `comment_prefix`. Every retained
     token line must have the word column, the tag column when one is given,
     and the same column count as the others; violations raise FormatError
-    with the 1-based line number. Negative column numbers are rejected.
+    with the 1-based line number. Negative column numbers, a tag column
+    equal to the word column and an invalid skip_pattern are rejected
+    before the first line is read.
     """
     for name, column in (("word", word_column), ("tag", tag_column)):
         if column is not None and column < 0:
             raise FormatError(f"{name} column must be 0 or more, not {column}")
-    skip = re.compile(skip_pattern) if skip_pattern else None
+    if tag_column == word_column:
+        raise FormatError(f"tag column and word column are both {word_column}")
+    try:
+        skip = re.compile(skip_pattern) if skip_pattern else None
+    except re.error as exc:
+        raise FormatError(f"invalid skip pattern {skip_pattern!r}: {exc}") from None
     sentences = []
     current = []
     expected_cols = None

@@ -150,8 +150,6 @@ class EvalReport:
     span_counts: tuple[int, int, int] | None = None
     repairs: int = 0
     downgrade_rate: float | None = None
-    train_time: float | None = None
-    decode_time: float | None = None
     failed_sentences: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -261,10 +259,6 @@ def _report_rows(report: EvalReport):
         ]
     if report.downgrade_rate is not None:
         rows.append(("downgrade-rate", report.downgrade_rate))
-    if report.train_time is not None:
-        rows.append(("train-time", report.train_time))
-    if report.decode_time is not None:
-        rows.append(("decode-time", report.decode_time))
     if report.failed_sentences:
         rows.append(("failed-sentences", report.failed_sentences))
     return rows

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import backoff_level, extract_features
-from .model import HmcParams, ModelBundle
+from .model import HmcParams, ModelBundle, count_columns
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -58,39 +58,27 @@ class FactorProvider:
 class DecodeIndex:
     """Read-only lookup structures derived from a trained bundle.
 
-    emission_columns[k] and pi2_columns[k] hold the HMC emission and the
-    PMC initial factor n0_ik / L of word k as vectors over labels.
-    pair_labels maps an observed word bigram (k, l) to the triples
-    (i, j, n_ikjl / m_ik) with a positive pattern count: the non-zero
-    entries of the PMC step factor trans2[i, k][j] * emit2[i, k, j][l],
-    written as the single count ratio that product reduces to.
+    pi2[i, k] is the PMC initial factor n0_ik / L, an (n_labels, n_words)
+    array laid out like hmc.emit; a first word has PMC initial support
+    exactly when its column has a positive entry. pair_labels maps an
+    observed word bigram (k, l) to the triples (i, j, n_ikjl / m_ik) with
+    a positive pattern count: the non-zero entries of the PMC step factor
+    trans2[i, k][j] * emit2[i, k, j][l], written as the single count ratio
+    that product reduces to.
     """
 
     def __init__(self, model: ModelBundle):
-        n = len(model.alphabet)
         counts = model.counts
-        self.n_labels = n
-        self.emission_columns = _columns(model.hmc.emit.items(), n)
-        self.pi2_columns = _columns(
-            ((key, c / counts.L) for key, c in counts.n0_ik.items()), n)
-        m_ik = counts.m_ik
+        self.n_labels = counts.n_labels
+        keys, c = count_columns(counts.n0_ik, 2)
+        self.pi2 = np.zeros(counts.m_ik.shape)
+        self.pi2[tuple(keys)] = c / counts.L
+        self.pi2.setflags(write=False)
+        keys, c = count_columns(counts.n_ikjl, 4)
+        ratios = (c / counts.m_ik[keys[0], keys[1]]).tolist()
         self.pair_labels: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-        for (i, k, j, l), c in counts.n_ikjl.items():
-            self.pair_labels.setdefault((k, l), []).append((i, j, c / m_ik[(i, k)]))
-        self.zero_column = np.zeros(n)
-        self.zero_column.setflags(write=False)
-
-
-def _columns(items, n) -> dict[int, np.ndarray]:
-    """Group ((label, word), value) entries into per-word label vectors."""
-    columns: dict[int, np.ndarray] = {}
-    for (i, k), p in items:
-        col = columns.get(k)
-        if col is None:
-            col = np.zeros(n)
-            columns[k] = col
-        col[i] = p
-    return columns
+        for (i, k, j, l), p in zip(counts.n_ikjl, ratios):
+            self.pair_labels.setdefault((k, l), []).append((i, j, p))
 
 
 def decode_index(model: ModelBundle) -> DecodeIndex:
@@ -114,10 +102,10 @@ def _feature_column(model: ModelBundle, word: str, position: int) -> np.ndarray:
     return col
 
 
-def _emission_column(model, index, word, wid, position):
+def _emission_column(model, word, wid, position):
     if wid is None:
         return _feature_column(model, word, position)
-    return index.emission_columns.get(wid, index.zero_column)
+    return model.hmc.emit[:, wid]
 
 
 def _pmc_step_factor(index, triples):
@@ -153,11 +141,11 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     hmc_flag = HMC_STEP if pmc else PLAIN_HMC
     wids = [model.vocabulary.get(w) for w in sentence]
 
-    if pmc and wids[0] in index.pi2_columns:
-        initial = index.pi2_columns[wids[0]]
+    if pmc and wids[0] is not None and index.pi2[:, wids[0]].any():
+        initial = index.pi2[:, wids[0]]
         flags = [PMC_STEP]
     else:
-        initial = hmc.pi * _emission_column(model, index, sentence[0], wids[0], 0)
+        initial = hmc.pi * _emission_column(model, sentence[0], wids[0], 0)
         flags = [hmc_flag]
 
     alive = initial > 0 if pmc else None  # forward support while still checked
@@ -174,7 +162,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
                     step = None
         flags.append(hmc_flag if step is None else PMC_STEP)
         if step is None:
-            col = _emission_column(model, index, sentence[t + 1], l, t + 1)
+            col = _emission_column(model, sentence[t + 1], l, t + 1)
             step = hmc.trans * col[None, :]
             if alive is not None:
                 nxt = (alive @ (step > 0)) > 0
@@ -188,16 +176,9 @@ def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     """Classic HMC factors for an id-encoded observation sequence."""
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
-    n = params.n_labels
-    cols = []
-    for k in obs:
-        col = np.zeros(n)
-        for i in range(n):
-            col[i] = params.emit.get((i, k), 0.0)
-        cols.append(col)
-    initial = params.pi * cols[0]
-    steps = [params.trans * cols[t + 1][None, :] for t in range(len(obs) - 1)]
-    return FactorProvider(initial=initial, steps=steps,
+    cols = params.emit[:, obs].T  # one emission column per position
+    steps = [params.trans * col[None, :] for col in cols[1:]]
+    return FactorProvider(initial=params.pi * cols[0], steps=steps,
                           flags=[PLAIN_HMC] * len(obs))
 
 

@@ -1,13 +1,17 @@
 """Parameter containers for hidden and pairwise Markov chain models.
 
 All hot-path tables are keyed by dense integer ids produced by interning
-words and labels once at training time. Sparse tables are plain dicts;
-only the label-transition matrix of the hidden chain is dense.
+words and labels once at training time. The raw pattern counts are dicts
+keyed by id tuples; every table derived from them is a dense NumPy array:
+label-by-label tables are (n_labels, n_labels) and label-by-word tables
+are (n_labels, n_words), sized by the vocabulary, so a word without any
+entry has an all-zero column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -77,15 +81,16 @@ class HmcParams:
     """Hidden Markov chain parameters.
 
     pi[i] is the initial label probability, trans[i, j] the label
-    transition probability and emit[(i, k)] the probability of word k
-    under label i. Labels whose transition row has no observations are
-    stored as all-zero rows with trans_support[i] == False.
+    transition probability and emit[i, k] the probability of word k under
+    label i, an (n_labels, n_words) array. Labels whose rows have no
+    observations are stored as all-zero trans and emit rows with
+    trans_support[i] == False.
     """
 
     pi: np.ndarray
     trans: np.ndarray
     trans_support: np.ndarray
-    emit: dict[tuple[int, int], float]
+    emit: np.ndarray
 
     @property
     def n_labels(self) -> int:
@@ -94,19 +99,12 @@ class HmcParams:
     def validate(self, tol=PROB_TOL):
         if abs(self.pi.sum() - 1.0) > tol:
             raise AssertionError(f"pi sums to {self.pi.sum()!r}")
-        for i in range(self.n_labels):
-            row = self.trans[i].sum()
-            if self.trans_support[i]:
-                if abs(row - 1.0) > tol:
-                    raise AssertionError(f"transition row {i} sums to {row!r}")
-            elif row != 0.0:
-                raise AssertionError(f"zero-support row {i} is not all-zero")
-        emit_row = {}
-        for (i, _), p in self.emit.items():
-            emit_row[i] = emit_row.get(i, 0.0) + p
-        for i, total in emit_row.items():
-            if abs(total - 1.0) > tol:
-                raise AssertionError(f"emission row {i} sums to {total!r}")
+        for name, table in (("transition", self.trans), ("emission", self.emit)):
+            rows = table.sum(axis=1)
+            bad = np.where(self.trans_support, np.abs(rows - 1.0) > tol, rows != 0.0)
+            if bad.any():
+                i = int(bad.argmax())
+                raise AssertionError(f"{name} row {i} sums to {rows[i]!r}")
 
     def __eq__(self, other):
         return (
@@ -114,7 +112,7 @@ class HmcParams:
             and np.array_equal(self.pi, other.pi)
             and np.array_equal(self.trans, other.trans)
             and np.array_equal(self.trans_support, other.trans_support)
-            and self.emit == other.emit
+            and np.array_equal(self.emit, other.emit)
         )
 
 
@@ -153,15 +151,36 @@ class PmcParams:
         return all(np.array_equal(v, other.trans2[k]) for k, v in self.trans2.items())
 
 
+def count_columns(table, width):
+    """Key columns and counts of a dict keyed by width-tuples of ids.
+
+    Returns (keys, counts): keys is a (width, len(table)) int64 array
+    whose rows are the key positions, counts the int64 values, both in
+    the dict's iteration order.
+    """
+    n = len(table)
+    keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=width * n)
+    counts = np.fromiter(table.values(), dtype=np.int64, count=n)
+    return keys.reshape(n, width).T, counts
+
+
+def _summed(shape, index, counts) -> np.ndarray:
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, index, counts)
+    return out
+
+
 @dataclass(eq=False)
 class CountTables:
     """Raw pattern counts plus cached marginals.
 
     n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
-    n0_ik chain-initial (label, word) pairs; these two are the model's
-    only stored state. Everything else follows by summation: the chain
-    count L and n0_i over n0_ik, n_ij over k and l, m_ik over j and l,
-    and n_i over j.
+    n0_ik chain-initial (label, word) pairs; these two dicts are the
+    model's only stored state. Everything else follows by summation into
+    dense int64 arrays: the chain count L and n0_i over n0_ik, n_ij over
+    k and l, m_ik over j and l, and n_i over j. m_ik is (n_labels,
+    n_words); a word that never starts a pattern (one seen only at the
+    end of sentences) has an all-zero column.
     """
 
     n0_ik: dict[tuple[int, int], int]
@@ -169,36 +188,34 @@ class CountTables:
     n0_i: np.ndarray = field(repr=False)
     L: int
     n_ij: np.ndarray = field(repr=False)
-    m_ik: dict[tuple[int, int], int] = field(repr=False)
+    m_ik: np.ndarray = field(repr=False)
     n_i: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_raw(cls, n_labels, n0_ik, n_ikjl) -> "CountTables":
+    def from_raw(cls, n_labels, n_words, n0_ik, n_ikjl) -> "CountTables":
         """Build the table set from raw counts, computing all marginals."""
-        n0_i = np.zeros(n_labels, dtype=np.int64)
-        for (i, _), c in n0_ik.items():
-            n0_i[i] += c
-        n_ij = np.zeros((n_labels, n_labels), dtype=np.int64)
-        m_ik: dict[tuple[int, int], int] = {}
-        for (i, k, j, l), c in n_ikjl.items():
-            n_ij[i, j] += c
-            m_ik[(i, k)] = m_ik.get((i, k), 0) + c
-        n_i = n_ij.sum(axis=1)
-        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=n0_i, L=sum(n0_ik.values()),
-                   n_ij=n_ij, m_ik=m_ik, n_i=n_i)
+        (i0, _), c0 = count_columns(n0_ik, 2)
+        (i, k, j, _), c = count_columns(n_ikjl, 4)
+        n_ij = _summed((n_labels, n_labels), (i, j), c)
+        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=_summed(n_labels, i0, c0),
+                   L=sum(n0_ik.values()), n_ij=n_ij,
+                   m_ik=_summed((n_labels, n_words), (i, k), c), n_i=n_ij.sum(axis=1))
 
     @property
     def n_labels(self) -> int:
         return self.n0_i.shape[0]
 
+    @property
+    def n_words(self) -> int:
+        return self.m_ik.shape[1]
+
     def validate(self):
         """Recompute every marginal by exhaustive summation and compare."""
         if any(c < 0 for c in self.n_ikjl.values()):
             raise AssertionError("negative pattern count")
-        fresh = CountTables.from_raw(self.n_labels, self.n0_ik, self.n_ikjl)
-        if self.m_ik != fresh.m_ik:
-            raise AssertionError("cached marginals disagree with summation")
-        if not np.array_equal(self.n_ij, fresh.n_ij) or not np.array_equal(self.n_i, fresh.n_i):
+        fresh = CountTables.from_raw(self.n_labels, self.n_words, self.n0_ik, self.n_ikjl)
+        if not all(np.array_equal(getattr(self, name), getattr(fresh, name))
+                   for name in ("n_ij", "m_ik", "n_i")):
             raise AssertionError("cached marginals disagree with summation")
         if not np.array_equal(self.n0_i, fresh.n0_i) or self.L != fresh.L:
             raise AssertionError("initial counts disagree with summation")
@@ -220,8 +237,9 @@ class ModelBundle:
     state; hmc and features are derived from them, and the PMC factors are
     count ratios the decoder reads from counts directly. Build bundles with
     training.bundle_from_counts, which attaches the derived tables.
-    Immutable after training: share freely across concurrent decoders.
-    Online updates build a new bundle rather than mutating in place.
+    Training never changes a bundle: online updates build a new one. The
+    first decode stores the decoder's lookup tables in _decode_cache
+    (inference.decode_index), the one attribute set after construction.
     """
 
     alphabet: Interner
@@ -237,8 +255,8 @@ class ModelBundle:
         self.hmc.validate()
         self.counts.validate()
         self.features.validate()
-        if self.counts.n_labels != len(self.alphabet):
-            raise AssertionError("count tables and alphabet disagree on label count")
+        if self.counts.m_ik.shape != (len(self.alphabet), len(self.vocabulary)):
+            raise AssertionError("count tables disagree with the alphabet or vocabulary size")
 
     def __eq__(self, other):
         return (

@@ -146,25 +146,21 @@ def enumerate_map(instance: TinyInstance):
     return seqs[best].copy(), float(np.log(scores[best]))
 
 
-def embed_hmc_as_pmc(hmc: HmcParams, n_words=None) -> TinyInstance:
+def embed_hmc_as_pmc(hmc: HmcParams) -> TinyInstance:
     """Express an HMC as a dense PMC instance with no observations.
 
-    With b the (N, M) emission matrix: pi2 = pi[:, None] * b, trans2[i, k]
-    copies the label transitions for every word, and emit2[i, k, j] = b[j]
-    depends only on the next label. Labels without transition support keep
-    their all-zero trans rows. PMC inference on the result reproduces HMC
-    inference.
+    With b = hmc.emit, the (N, M) emission matrix: pi2 = pi[:, None] * b,
+    trans2[i, k] copies the label transitions for every word, and
+    emit2[i, k, j] = b[j] depends only on the next label. Labels without
+    support keep their all-zero trans and emission rows. PMC inference on
+    the result reproduces HMC inference.
     """
-    n = hmc.n_labels
-    if n_words is None:
-        n_words = 1 + max((k for _, k in hmc.emit), default=-1)
-    b = np.zeros((n, n_words))
-    for (i, k), p in hmc.emit.items():
-        b[i, k] = p
+    b = hmc.emit
+    n, m = b.shape
     return TinyInstance(
         pi2=hmc.pi[:, None] * b,
-        trans2=np.repeat(hmc.trans[:, None, :], n_words, axis=1),
-        emit2=np.broadcast_to(b, (n, n_words, n, n_words)).copy(),
+        trans2=np.repeat(hmc.trans[:, None, :], m, axis=1),
+        emit2=np.broadcast_to(b, (n, m, n, m)).copy(),
         obs=[])
 
 
@@ -176,8 +172,7 @@ def random_hmc(rng: np.random.Generator, n_max=4, m_max=5) -> HmcParams:
     pi /= pi.sum()
     trans = rng.random((n, n)) + 0.05
     trans /= trans.sum(axis=1, keepdims=True)
-    emit_dense = rng.random((n, m)) + 0.05
-    emit_dense /= emit_dense.sum(axis=1, keepdims=True)
-    emit = {(i, k): float(emit_dense[i, k]) for i in range(n) for k in range(m)}
+    emit = rng.random((n, m)) + 0.05
+    emit /= emit.sum(axis=1, keepdims=True)
     return HmcParams(pi=pi, trans=trans,
                      trans_support=np.ones(n, dtype=bool), emit=emit)

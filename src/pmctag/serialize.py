@@ -185,7 +185,7 @@ def deserialize_model(data: bytes) -> ModelBundle:
     r.done()
     if not n0_ik:
         raise CorruptModel("model holds no chains")
-    counts = CountTables.from_raw(n, n0_ik, n_ikjl)
+    counts = CountTables.from_raw(n, v, n0_ik, n_ikjl)
     return bundle_from_counts(alphabet, vocabulary, counts, task, suffix_max_len)
 
 
@@ -210,9 +210,9 @@ def model_stats(model: ModelBundle) -> str:
         f"chains {counts.L}",
         f"pattern-keys {len(counts.n_ikjl)}",
         f"pattern-total {sum(counts.n_ikjl.values())}",
-        f"hmc-emissions {len(model.hmc.emit)}",
+        f"hmc-emissions {np.count_nonzero(model.hmc.emit)}",
         f"pmc-initial {len(counts.n0_ik)}",
-        f"pmc-transitions {len(counts.m_ik)}",
+        f"pmc-transitions {np.count_nonzero(counts.m_ik)}",
         f"pmc-emissions {len(counts.n_ikjl)}",
         f"suffix-max-len {model.suffix_max_len}",
     ]

@@ -60,26 +60,22 @@ def accumulate_counts(corpus, alphabet=None, vocabulary=None):
     n0_ik: dict[tuple[int, int], int] = {}
     n_ikjl: dict[tuple[int, int, int, int], int] = {}
     _accumulate_raw(corpus, alphabet, vocabulary, n0_ik, n_ikjl)
-    counts = CountTables.from_raw(len(alphabet), n0_ik, n_ikjl)
+    counts = CountTables.from_raw(len(alphabet), len(vocabulary), n0_ik, n_ikjl)
     return counts, alphabet, vocabulary
 
 
 def fit_hmc(counts: CountTables) -> HmcParams:
     """Hidden-chain parameters as empirical frequencies of the counts.
 
-    pi(i) = n0_i / L, trans[i, j] = n_ij / n_i, emit[(i, k)] = m_ik / n_i.
-    Labels with n_i = 0 keep an all-zero transition row, flagged in
-    trans_support, and no emission entries.
+    pi(i) = n0_i / L, trans[i, j] = n_ij / n_i, emit[i, k] = m_ik / n_i.
+    Labels with n_i = 0 keep all-zero transition and emission rows,
+    flagged in trans_support.
     """
-    n = counts.n_labels
     pi = counts.n0_i.astype(np.float64) / counts.L
     support = counts.n_i > 0
-    trans = np.zeros((n, n), dtype=np.float64)
-    rows = counts.n_ij[support].astype(np.float64)
-    trans[support] = rows / counts.n_i[support, None]
-    emit = {}
-    for (i, k), c in counts.m_ik.items():
-        emit[(i, k)] = c / counts.n_i[i]
+    trans, emit = (np.divide(table, counts.n_i[:, None], out=np.zeros(table.shape),
+                             where=support[:, None])
+                   for table in (counts.n_ij, counts.m_ik))
     return HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
 
 
@@ -96,7 +92,7 @@ def fit_pmc(counts: CountTables) -> PmcParams:
         if vec is None:
             vec = np.zeros(n, dtype=np.float64)
             trans2[(i, k)] = vec
-        vec[j] = sum(row.values()) / counts.m_ik[(i, k)]
+        vec[j] = sum(row.values()) / counts.m_ik[i, k]
     emit2 = {key: normalize_counts(row) for key, row in rows.items()}
     return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
 
@@ -132,6 +128,6 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
     n0_ik = dict(model.counts.n0_ik)
     n_ikjl = dict(model.counts.n_ikjl)
     _accumulate_raw(new_corpus, alphabet, vocabulary, n0_ik, n_ikjl)
-    counts = CountTables.from_raw(len(alphabet), n0_ik, n_ikjl)
+    counts = CountTables.from_raw(len(alphabet), len(vocabulary), n0_ik, n_ikjl)
     return bundle_from_counts(alphabet, vocabulary, counts, model.task,
                               model.suffix_max_len)

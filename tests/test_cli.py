@@ -60,6 +60,20 @@ class TestTrain:
         assert err.strip() == "error: word column must be 0 or more, not -1"
         assert not model.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--skip-pattern", "("], "error: invalid skip pattern '('"),
+        (["--word-column", "2"], "error: tag column and word column are both 2"),
+    ], ids=["skip-pattern", "same-column"])
+    def test_bad_reader_option_exits_2(self, flags, message, tmp_path, capsys):
+        model = tmp_path / "m.pmc"
+        code, out, err = run(["train", "--corpus", TRAIN, "--model", str(model),
+                              "--tag-column", "2"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(message)
+        assert not model.exists()
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         code, _, err = run(["train", "--corpus", str(tmp_path / "nope.conll"),
                             "--model", str(tmp_path / "m.pmc")], capsys)

@@ -39,11 +39,21 @@ class TestReadConll:
         assert err.value.line == 1
         assert "expected a tag in column 1" in str(err.value)
 
-    @pytest.mark.parametrize("word_column, tag_column", [(-1, 1), (0, -1), (-2, -1)])
-    def test_negative_columns_rejected_before_reading(self, word_column, tag_column):
+    @pytest.mark.parametrize("word_column, tag_column, message", [
+        pytest.param(-1, 1, "column must be 0 or more", id="-1-1"),
+        pytest.param(0, -1, "column must be 0 or more", id="0--1"),
+        pytest.param(-2, -1, "column must be 0 or more", id="-2--1"),
+        pytest.param(2, 2, "tag column and word column are both 2", id="2-2"),
+    ])
+    def test_negative_columns_rejected_before_reading(self, word_column, tag_column,
+                                                      message):
         # an empty stream has no line a per-line check could fail on
-        with pytest.raises(FormatError, match="column must be 0 or more"):
+        with pytest.raises(FormatError, match=message):
             read_conll(StringIO(""), word_column, tag_column)
+
+    def test_invalid_skip_pattern_rejected_before_reading(self):
+        with pytest.raises(FormatError, match="invalid skip pattern '\\('"):
+            read_records(StringIO(""), 0, skip_pattern="(")
 
     def test_missing_word_column(self):
         with pytest.raises(FormatError):

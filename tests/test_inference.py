@@ -103,7 +103,30 @@ class TestDecodeIndex:
         for key, p in got.items():
             assert abs(p - expected[key]) <= 1e-15 * expected[key], key
         for (i, k), p in pmc.pi2.items():
-            assert index.pi2_columns[k][i] == p
+            assert index.pi2[i, k] == p
+
+
+class TestDenseLayout:
+    def test_sentence_final_word_has_zero_column(self):
+        # z ends the last sentence and occurs nowhere else: it starts no
+        # pattern, and interned last it has the largest word id
+        model = train_model(corpus_from(
+            [("a", "X"), ("b", "Y")],
+            [("b", "Y"), ("a", "X"), ("z", "Y")],
+        ), TrainConfig(task="pos"))
+        z = model.vocabulary.get("z")
+        assert z == len(model.vocabulary) - 1
+        shape = (len(model.alphabet), len(model.vocabulary))
+        assert model.hmc.emit.shape == model.counts.m_ik.shape == shape
+        assert decode_index(model).pi2.shape == shape
+        assert not model.hmc.emit[:, z].any()
+        for decoder in ("mpm", "map"):
+            with pytest.raises(DeadEnd) as err:
+                decode_sentence(model, ["a", "z"], mode="hmc", decoder=decoder)
+            assert err.value.position == 1
+            result = decode_sentence(model, ["a", "z"], mode="pmc", decoder=decoder)
+            assert result.flags == [PMC_STEP, PMC_STEP]
+            assert result.labels == ["X", "Y"]
 
 
 class TestResolveFactors:
@@ -134,8 +157,7 @@ class TestResolveFactors:
         model = fig3_model()
         factors = resolve_factors(model, ["w1", "w2"], mode="hmc")
         assert factors.downgraded == 0
-        col = np.array([model.hmc.emit.get((i, model.vocabulary.get("w2")), 0.0)
-                        for i in range(len(model.alphabet))])
+        col = model.hmc.emit[:, model.vocabulary.get("w2")]
         np.testing.assert_array_equal(factors.steps[0], model.hmc.trans * col)
 
     def test_annihilating_pmc_step_downgraded(self):

@@ -67,12 +67,12 @@ class TestCountTables:
         counts, _, _ = accumulate_counts(corpus)
         counts.validate()
         # recompute every marginal independently of from_raw
-        m_ik = {}
+        m_ik = np.zeros_like(counts.m_ik)
         n_ij = np.zeros_like(counts.n_ij)
         for (i, k, j, l), c in counts.n_ikjl.items():
-            m_ik[(i, k)] = m_ik.get((i, k), 0) + c
+            m_ik[i, k] += c
             n_ij[i, j] += c
-        assert m_ik == counts.m_ik
+        assert np.array_equal(m_ik, counts.m_ik)
         assert np.array_equal(n_ij, counts.n_ij)
         assert np.array_equal(n_ij.sum(axis=1), counts.n_i)
         assert counts.n0_i.sum() == counts.L == len(corpus.sentences)

@@ -92,20 +92,20 @@ class TestEmbedding:
     def test_embedding_values(self, nprng):
         hmc = random_hmc(nprng, n_max=3, m_max=4)
         n = hmc.n_labels
-        m = 1 + max(k for _, k in hmc.emit)
+        m = hmc.emit.shape[1]
         pmc = embed_hmc_as_pmc(hmc)
         for i in range(n):
             for k in range(m):
-                assert pmc.pi2[i, k] == hmc.pi[i] * hmc.emit[(i, k)]
+                assert pmc.pi2[i, k] == hmc.pi[i] * hmc.emit[i, k]
                 np.testing.assert_array_equal(pmc.trans2[i, k], hmc.trans[i])
                 for j in range(n):
                     for l in range(m):
-                        assert pmc.emit2[i, k, j, l] == hmc.emit[(j, l)]
+                        assert pmc.emit2[i, k, j, l] == hmc.emit[j, l]
 
     def test_pmc_inference_on_embedding_equals_hmc(self, nprng):
         for _ in range(30):
             hmc = random_hmc(nprng)
-            m = 1 + max(k for _, k in hmc.emit)
+            m = hmc.emit.shape[1]
             obs = [int(nprng.integers(0, m)) for _ in range(int(nprng.integers(1, 8)))]
             pmc = embed_hmc_as_pmc(hmc)
             f_pmc = pmc.factors(obs)
@@ -125,9 +125,9 @@ class TestEmbedding:
             pi=np.array([1.0, 0.0]),
             trans=np.array([[0.0, 1.0], [1.0, 0.0]]),
             trans_support=np.array([True, True]),
-            emit={(0, 0): 1.0, (1, 1): 1.0},
+            emit=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
-        pmc = embed_hmc_as_pmc(hmc, n_words=2)
+        pmc = embed_hmc_as_pmc(hmc)
         f = pmc.factors([0, 1, 0])
         path, _ = map_path(f)
         assert list(path) == [0, 1, 0]

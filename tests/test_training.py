@@ -74,7 +74,9 @@ class TestFitHmc:
         assert hmc.pi[a] == 1.0 and hmc.pi[b] == 0.0
         assert hmc.trans[a, b] == 1.0 and hmc.trans[b, a] == 1.0
         # only non-final occurrences feed emissions: one for each of w1, w2
-        assert hmc.emit == {(a, w1): 1.0, (b, w2): 1.0}
+        expected = np.zeros((len(alphabet), len(vocab)))
+        expected[a, w1] = expected[b, w2] = 1.0
+        np.testing.assert_array_equal(hmc.emit, expected)
 
     def test_against_brute_force_counter(self, rng):
         corpus = random_corpus(rng, n_sentences=120)
@@ -90,8 +92,8 @@ class TestFitHmc:
             assert bool(hmc.trans_support[i]) == (n_i > 0)
         for (label, word), c in ref["m_ik"].items():
             i, k = alphabet.get(label), vocab.get(word)
-            assert hmc.emit[(i, k)] == c / ref["n_i"][label]
-        assert len(hmc.emit) == len(ref["m_ik"])
+            assert hmc.emit[i, k] == c / ref["n_i"][label]
+        assert np.count_nonzero(hmc.emit) == len(ref["m_ik"])
 
     def test_uniform_corpus_gives_uniform_rows(self):
         # every (label, word) -> (label, word) pattern equally frequent
@@ -107,7 +109,7 @@ class TestFitHmc:
         hmc = fit_hmc(counts)
         assert np.allclose(hmc.pi, 0.5)
         assert np.allclose(hmc.trans, 0.5)
-        assert all(p == 0.5 for p in hmc.emit.values())
+        assert np.all(hmc.emit == 0.5)
 
 
 class TestFitPmc:
@@ -192,8 +194,8 @@ class TestInvariants:
         corpus = random_corpus(rng, n_sentences=30)
         counts, _, _ = accumulate_counts(corpus)
         hmc, pmc = fit_hmc(counts), fit_pmc(counts)
-        for (i, k), p in hmc.emit.items():
-            assert p == counts.m_ik[(i, k)] / counts.n_i[i]
+        for i, k in zip(*np.nonzero(hmc.emit)):
+            assert hmc.emit[i, k] == counts.m_ik[i, k] / counts.n_i[i]
         for key, p in pmc.pi2.items():
             assert p == counts.n0_ik[key] / counts.L
 
