@@ -11,6 +11,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -154,6 +155,18 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _split_spans(span_lists, unknown_before):
+    """(known, unknown) per-sentence span lists; a span is unknown when it
+    holds an unknown token."""
+    known, unknown = [], []
+    for spans, before in zip(span_lists, unknown_before):
+        known.append([])
+        unknown.append([])
+        for s in spans:
+            (unknown if before[s.end + 1] > before[s.start] else known)[-1].append(s)
+    return known, unknown
+
+
 def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
                          scheme=None, **report_fields) -> EvalReport:
     """Score per-sentence predictions against gold labels.
@@ -198,21 +211,14 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     report.span_counts = counts
     report.repairs = repairs
 
-    def restrict(span_lists, bits, want_unknown):
-        out = []
-        for spans, sent_bits in zip(span_lists, bits):
-            keep = [s for s in spans
-                    if any(not sent_bits[i] for i in range(s.start, s.end + 1)) == want_unknown]
-            out.append(keep)
-        return out
-
     if report.unknown_tokens:
-        _, _, report.known_f1 = span_f1(
-            restrict(gold_spans, known_bits, False),
-            restrict(pred_spans, known_bits, False))
-        _, _, report.unknown_f1 = span_f1(
-            restrict(gold_spans, known_bits, True),
-            restrict(pred_spans, known_bits, True))
+        # unknown_before[p]: unknown tokens among the sentence's first p tokens
+        unknown_before = [list(accumulate((not b for b in bits), initial=0))
+                          for bits in known_bits]
+        (known_gold, unknown_gold), (known_pred, unknown_pred) = (
+            _split_spans(spans, unknown_before) for spans in (gold_spans, pred_spans))
+        _, _, report.known_f1 = span_f1(known_gold, known_pred)
+        _, _, report.unknown_f1 = span_f1(unknown_gold, unknown_pred)
         report.notes.append(UNKNOWN_SPAN_NOTE)
     else:
         report.known_f1 = report.f1

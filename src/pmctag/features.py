@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, EmptyToken
+import numpy as np
 
-# Feature tuple keys are (label, cap, hyphen, first, digit, suffix).
-FeatureKey = tuple[int, int, int, int, int, str]
+from .errors import EmptyCorpus, EmptyToken
+from .model import count_columns, summed
+
+# Label-free feature tuples are (cap, hyphen, first, digit, suffix).
+FeatureTuple = tuple[int, int, int, int, str]
 
 # Longer suffixes are whole words for almost every token; the bound also
 # keeps a corrupt model file from asking for millions of levels.
@@ -58,73 +61,97 @@ def extract_features(word: str, position: int, m: int) -> WordFeatures:
 class FeatureEmissionTables:
     """Per-level empirical feature-tuple probabilities given the label.
 
-    tables[m] maps (label, cap, hyphen, first, digit, suffix_m) to its
-    conditional frequency. suffix_support[m] is the set of suffixes seen
-    at level m; it decides the back-off level for a word and is derived
-    from the table keys (every observed tuple has positive probability).
+    tuple_ids[m] maps a label-free tuple (cap, hyphen, first, digit,
+    suffix_m) to its row in tables[m], a float (n_tuples_m, n_labels)
+    array whose entry [r, i] is the conditional frequency of tuple r
+    given label i. Rows follow sorted tuple order, and only tuples with
+    a positive count get one, so an unknown word's emission column is one
+    row read. suffix_support[m] is the set of suffixes seen at level m;
+    it decides the back-off level for a word and is derived from the
+    tuple keys.
     """
 
     max_len: int
-    tables: list[dict[FeatureKey, float]]
+    tuple_ids: list[dict[FeatureTuple, int]]
+    tables: list[np.ndarray]
     suffix_support: list[set[str]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.suffix_support is None:
-            self.suffix_support = [
-                {key[5] for key in table} for table in self.tables
-            ]
+            self.suffix_support = [{key[4] for key in ids} for ids in self.tuple_ids]
+
+    @property
+    def n_labels(self) -> int:
+        return self.tables[0].shape[1]
 
     def validate(self, tol=1e-12):
         if len(self.tables) != self.max_len + 1:
             raise AssertionError("one table per suffix length expected")
         for m, table in enumerate(self.tables):
-            per_label: dict[int, float] = {}
-            for key, p in table.items():
-                per_label[key[0]] = per_label.get(key[0], 0.0) + p
-            for label, total in per_label.items():
-                if abs(total - 1.0) > tol:
-                    raise AssertionError(
-                        f"level {m} tuples for label {label} sum to {total!r}")
+            totals = table.sum(axis=0)
+            bad = table.any(axis=0) & (np.abs(totals - 1.0) > tol)
+            if bad.any():
+                label = int(bad.argmax())
+                raise AssertionError(
+                    f"level {m} tuples for label {label} sum to {totals[label]!r}")
 
     def __eq__(self, other):
         return (
             isinstance(other, FeatureEmissionTables)
             and self.max_len == other.max_len
-            and self.tables == other.tables
+            and self.tuple_ids == other.tuple_ids
+            and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
         )
 
 
-def _tables_from_tuple_counts(tuple_counts, label_totals, max_len):
-    tables = []
-    for m in range(max_len + 1):
-        table = {}
-        for key, c in tuple_counts[m].items():
-            table[key] = c / label_totals[key[0]]
-        tables.append(table)
-    return FeatureEmissionTables(max_len=max_len, tables=tables)
+def _tables_from_counts(tuple_ids, tuple_counts, label_totals, max_len):
+    """Divide per-level (n_tuples, n_labels) int64 counts by the label totals.
+
+    Both operands are integers below 2**53, so each ratio is rounded once,
+    exactly like a Python int division. Labels without a token keep zero
+    columns.
+    """
+    tables = [np.divide(counts, label_totals, out=np.zeros(counts.shape),
+                        where=label_totals > 0)
+              for counts in tuple_counts]
+    return FeatureEmissionTables(max_len=max_len, tuple_ids=tuple_ids, tables=tables)
+
+
+def _row_ids(tuples) -> dict[FeatureTuple, int]:
+    """Row of each distinct tuple, in sorted tuple order."""
+    return {key: r for r, key in enumerate(sorted(set(tuples)))}
 
 
 def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmissionTables:
     """Estimate the per-level feature tables by walking a labeled corpus.
 
     Counts are integers accumulated over all tokens and divided once per
-    key, so the result is independent of sentence order. Training uses
+    entry, so the result is independent of sentence order. Training uses
     derive_feature_tables; this walk is the reference it is tested against.
     """
     if not corpus.sentences:
         raise EmptyCorpus("cannot fit feature tables on an empty corpus")
-    tuple_counts = [dict() for _ in range(suffix_max_len + 1)]
-    label_totals: dict[int, int] = {}
+    keyed = [dict() for _ in range(suffix_max_len + 1)]  # (tuple, label) -> count
     for sentence in corpus.sentences:
         for pos, (word, label) in enumerate(sentence):
             i = alphabet.intern(label)
-            label_totals[i] = label_totals.get(i, 0) + 1
             for m in range(suffix_max_len + 1):
                 f = extract_features(word, pos, m)
-                key = (i, f.cap, f.hyphen, f.first, f.digit, f.suffix)
-                counts = tuple_counts[m]
+                key = ((f.cap, f.hyphen, f.first, f.digit, f.suffix), i)
+                counts = keyed[m]
                 counts[key] = counts.get(key, 0) + 1
-    return _tables_from_tuple_counts(tuple_counts, label_totals, suffix_max_len)
+    n_labels = len(alphabet)
+    tuple_ids, tuple_counts = [], []
+    for counts_m in keyed:
+        ids = _row_ids(key for key, _ in counts_m)
+        counts = np.zeros((len(ids), n_labels), dtype=np.int64)
+        for (key, i), c in counts_m.items():
+            counts[ids[key], i] = c
+        tuple_ids.append(ids)
+        tuple_counts.append(counts)
+    # every token has exactly one tuple per level
+    label_totals = tuple_counts[0].sum(axis=0)
+    return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
 
 
 def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmissionTables:
@@ -133,38 +160,38 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmi
     A token occurrence of (label i, word k) is chain-initial n0_ik times
     and non-initial as often as (i, k) appears as the second element of an
     adjacent pattern; only the first-word bit depends on that split, the
-    other features are functions of the word string. Reproduces
+    other features are functions of the word string. Each word's two
+    tuples (first and non-first) get their row ids once per level, and the
+    (label, word) counts are added into those rows. Reproduces
     fit_feature_tables exactly because both routes divide the same
     integer counts.
     """
-    second_occ: dict[tuple[int, int], int] = {}
-    for (_, _, j, l), c in counts.n_ikjl.items():
-        second_occ[(j, l)] = second_occ.get((j, l), 0) + c
-    occ: dict[tuple[int, int], tuple[int, int]] = {}
-    for key, c in counts.n0_ik.items():
-        occ[key] = (c, second_occ.get(key, 0))
-    for key, c in second_occ.items():
-        if key not in occ:
-            occ[key] = (0, c)
-
-    tuple_counts = [dict() for _ in range(suffix_max_len + 1)]
-    label_totals: dict[int, int] = {}
-    for (i, k), (first_c, rest_c) in occ.items():
-        word = vocabulary[k]
-        label_totals[i] = label_totals.get(i, 0) + first_c + rest_c
-        f = extract_features(word, 1, 0)
-        for m in range(suffix_max_len + 1):
-            suffix = word_suffix(word, m)
-            counts_m = tuple_counts[m]
-            if first_c:
-                key = (i, f.cap, f.hyphen, 1, f.digit, suffix)
-                counts_m[key] = counts_m.get(key, 0) + first_c
-            if rest_c:
-                key = (i, f.cap, f.hyphen, 0, f.digit, suffix)
-                counts_m[key] = counts_m.get(key, 0) + rest_c
-    if not label_totals:
+    shape = (counts.n_labels, len(vocabulary))
+    (i0, k0), c0 = count_columns(counts.n0_ik, 2)
+    (_, _, j, l), c = count_columns(counts.n_ikjl, 4)
+    first = summed(shape, (i0, k0), c0)
+    rest = summed(shape, (j, l), c)
+    label_totals = first.sum(axis=1) + rest.sum(axis=1)
+    if not label_totals.any():
         raise EmptyCorpus("count tables carry no token occurrences")
-    return _tables_from_tuple_counts(tuple_counts, label_totals, suffix_max_len)
+
+    words = list(vocabulary)
+    shapes = [extract_features(word, 1, 0) for word in words]
+    first_words = np.flatnonzero(first.any(axis=0))
+    rest_words = np.flatnonzero(rest.any(axis=0))
+    # one row per occurring (word, first bit): the word's counts by label
+    occurrences = np.vstack([first[:, first_words].T, rest[:, rest_words].T])
+    kinds = [(k, 1) for k in first_words.tolist()] + [(k, 0) for k in rest_words.tolist()]
+    tuple_ids, tuple_counts = [], []
+    for m in range(suffix_max_len + 1):
+        suffixes = [word_suffix(word, m) for word in words]
+        keys = [(shapes[k].cap, shapes[k].hyphen, bit, shapes[k].digit, suffixes[k])
+                for k, bit in kinds]
+        ids = _row_ids(keys)
+        rows = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+        tuple_ids.append(ids)
+        tuple_counts.append(summed((len(ids), shape[0]), rows, occurrences))
+    return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
 
 
 def backoff_level(tables: FeatureEmissionTables, word: str) -> int:
@@ -179,15 +206,22 @@ def backoff_level(tables: FeatureEmissionTables, word: str) -> int:
     return 0
 
 
-def feature_emission_prob(tables: FeatureEmissionTables, label: int,
-                          word: str, position: int) -> float:
-    """Back-off feature probability of `word` under `label`.
+def feature_column(tables: FeatureEmissionTables, word: str, position: int) -> np.ndarray:
+    """Back-off feature probabilities of `word` under every label.
 
     The level is a property of the word alone, so every label scores one
-    token at the same level. Returns 0.0 when the tuple is unseen even at
-    the chosen level.
+    token at the same level, from one row of that level's table. A tuple
+    unseen even at the chosen level gives a zero column.
     """
     m = backoff_level(tables, word)
     f = extract_features(word, position, m)
-    key = (label, f.cap, f.hyphen, f.first, f.digit, f.suffix)
-    return tables.tables[m].get(key, 0.0)
+    row = tables.tuple_ids[m].get((f.cap, f.hyphen, f.first, f.digit, f.suffix))
+    if row is None:
+        return np.zeros(tables.n_labels)
+    return tables.tables[m][row]
+
+
+def feature_emission_prob(tables: FeatureEmissionTables, label: int,
+                          word: str, position: int) -> float:
+    """Back-off feature probability of `word` under `label`."""
+    return float(feature_column(tables, word, position)[label])

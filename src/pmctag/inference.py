@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadEnd, EmptySentence
-from .features import backoff_level, extract_features
+from .features import feature_column
 from .model import HmcParams, ModelBundle, count_columns
 
 PMC_STEP = "pmc"
@@ -32,14 +32,14 @@ DECODERS = ("mpm", "map")
 class FactorProvider:
     """Resolved per-sentence factors.
 
-    initial[i] is the factor over the first label; steps[t][i, j] is the
-    transition-emission factor from label i at position t to label j at
-    position t + 1. flags record which regime produced each factor, the
-    initial resolution first.
+    initial[i] is the factor over the first label; steps is a (T-1, N, N)
+    array whose steps[t, i, j] is the transition-emission factor from
+    label i at position t to label j at position t + 1. flags record which
+    regime produced each factor, the initial resolution first.
     """
 
     initial: np.ndarray
-    steps: list[np.ndarray]
+    steps: np.ndarray
     flags: list[str]
 
     @property
@@ -60,25 +60,57 @@ class DecodeIndex:
 
     pi2[i, k] is the PMC initial factor n0_ik / L, an (n_labels, n_words)
     array laid out like hmc.emit; a first word has PMC initial support
-    exactly when its column has a positive entry. pair_labels maps an
-    observed word bigram (k, l) to the triples (i, j, n_ikjl / m_ik) with
-    a positive pattern count: the non-zero entries of the PMC step factor
-    trans2[i, k][j] * emit2[i, k, j][l], written as the single count ratio
-    that product reduces to.
+    exactly when its column has a positive entry.
+
+    The PMC step factors form a CSR (compressed sparse row) index keyed by
+    the word bigram code k * n_words + l. codes holds the distinct codes
+    of the bigrams with a positive pattern count, in increasing order,
+    followed by one sentinel above every code; the triples of codes[u]
+    are the entries offsets[u]:offsets[u + 1] of i, j and ratios. A
+    triple (i, j, n_ikjl / m_ik) is a non-zero entry of the PMC step
+    factor trans2[i, k][j] * emit2[i, k, j][l], written as the single
+    count ratio that product reduces to.
     """
 
     def __init__(self, model: ModelBundle):
         counts = model.counts
-        self.n_labels = counts.n_labels
+        self.n_words = counts.n_words
         keys, c = count_columns(counts.n0_ik, 2)
         self.pi2 = np.zeros(counts.m_ik.shape)
         self.pi2[tuple(keys)] = c / counts.L
-        self.pi2.setflags(write=False)
-        keys, c = count_columns(counts.n_ikjl, 4)
-        ratios = (c / counts.m_ik[keys[0], keys[1]]).tolist()
-        self.pair_labels: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-        for (i, k, j, l), p in zip(counts.n_ikjl, ratios):
-            self.pair_labels.setdefault((k, l), []).append((i, j, p))
+        (i, k, j, l), c = count_columns(counts.n_ikjl, 4)
+        code = k * self.n_words + l
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        self.codes = np.append(code[starts], np.iinfo(np.int64).max)
+        self.offsets = np.append(starts, code.size)
+        # int32 halves their size; a model with 2**31 labels could not hold
+        # even one N x N step
+        self.i, self.j = i[order].astype(np.int32), j[order].astype(np.int32)
+        self.ratios = (c / counts.m_ik[i, k])[order]
+        for table in (self.pi2, self.codes, self.offsets, self.i, self.j, self.ratios):
+            table.setflags(write=False)
+
+    def bigram_slots(self, wids) -> np.ndarray:
+        """Position in codes of each adjacent word pair, -1 without support.
+
+        wids holds one vocabulary id per word, -1 for an unknown word.
+        """
+        k, l = wids[:-1], wids[1:]
+        code = np.where((k >= 0) & (l >= 0), k * self.n_words + l, -1)
+        slots = np.searchsorted(self.codes, code)
+        return np.where(self.codes[slots] == code, slots, -1)
+
+    def write_pmc_steps(self, steps, slots):
+        """Overwrite steps[t] with the PMC factor of bigram slots[t] >= 0."""
+        at = np.flatnonzero(slots >= 0)
+        lo = self.offsets[slots[at]]
+        sizes = self.offsets[slots[at] + 1] - lo
+        # triple positions: the slices lo[s]:lo[s] + sizes[s], concatenated
+        pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        steps[at] = 0.0
+        steps[np.repeat(at, sizes), self.i[pos], self.j[pos]] = self.ratios[pos]
 
 
 def decode_index(model: ModelBundle) -> DecodeIndex:
@@ -89,30 +121,23 @@ def decode_index(model: ModelBundle) -> DecodeIndex:
     return index
 
 
-def _feature_column(model: ModelBundle, word: str, position: int) -> np.ndarray:
-    """Feature-model emission vector for a word outside the vocabulary."""
-    tables = model.features
-    m = backoff_level(tables, word)
-    f = extract_features(word, position, m)
-    table = tables.tables[m]
-    n = len(model.alphabet)
-    col = np.zeros(n)
-    for i in range(n):
-        col[i] = table.get((i, f.cap, f.hyphen, f.first, f.digit, f.suffix), 0.0)
-    return col
+def _emission_columns(model, sentence, wids) -> np.ndarray:
+    """(T, N) emission columns: hmc.emit for known words, features otherwise."""
+    cols = model.hmc.emit[:, wids].T
+    for t in np.flatnonzero(wids < 0).tolist():
+        cols[t] = feature_column(model.features, sentence[t], t)
+    return cols
 
 
-def _emission_column(model, word, wid, position):
-    if wid is None:
-        return _feature_column(model, word, position)
-    return model.hmc.emit[:, wid]
+def _support(alive, step):
+    """0/1 vector of the labels reachable through `step` from `alive`, or
+    None when there is none.
 
-
-def _pmc_step_factor(index, triples):
-    f = np.zeros((index.n_labels, index.n_labels))
-    for i, j, p in triples:
-        f[i, j] = p
-    return f
+    alive is a 0/1 vector and factors are non-negative, so the product is
+    positive exactly where some alive label has a positive entry.
+    """
+    reached = np.sign(np.dot(alive, step))
+    return reached if np.count_nonzero(reached) else None
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
@@ -126,49 +151,46 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     two individually supported bigrams need not agree on the label of the
     word they share, so a run of PMC factors can strand the forward
     recursion even though every factor has positive entries. Support is
-    tracked as booleans, since scaled forward cannot underflow; once a
+    tracked as 0/1 vectors, since scaled forward cannot underflow; once a
     step leaves no label alive even as an HMC step, the sentence is a
     genuine dead end that the recursions report. In HMC mode all factors
-    come from the hidden chain directly.
+    come from the hidden chain directly. Every step is written into one
+    (T-1, N, N) stack.
     """
     if not sentence:
         raise EmptySentence("cannot resolve factors for an empty sentence")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    index = decode_index(model)
     hmc = model.hmc
-    pmc = mode == "pmc"
-    hmc_flag = HMC_STEP if pmc else PLAIN_HMC
-    wids = [model.vocabulary.get(w) for w in sentence]
+    vocabulary = model.vocabulary.index
+    wids = np.array([vocabulary.get(w, -1) for w in sentence])
+    cols = _emission_columns(model, sentence, wids)
+    steps = hmc.trans * cols[1:, None, :]
+    if mode == "hmc":
+        return FactorProvider(initial=hmc.pi * cols[0], steps=steps,
+                              flags=[PLAIN_HMC] * len(sentence))
 
-    if pmc and wids[0] is not None and index.pi2[:, wids[0]].any():
+    index = decode_index(model)
+    if wids[0] >= 0 and index.pi2[:, wids[0]].any():
         initial = index.pi2[:, wids[0]]
         flags = [PMC_STEP]
     else:
-        initial = hmc.pi * _emission_column(model, sentence[0], wids[0], 0)
-        flags = [hmc_flag]
+        initial = hmc.pi * cols[0]
+        flags = [HMC_STEP]
+    slots = index.bigram_slots(wids)
+    index.write_pmc_steps(steps, slots)
+    flags += [PMC_STEP if u >= 0 else HMC_STEP for u in slots.tolist()]
 
-    alive = initial > 0 if pmc else None  # forward support while still checked
-    steps: list[np.ndarray] = []
-    for t in range(len(sentence) - 1):
-        l = wids[t + 1]
-        step = None
-        triples = index.pair_labels.get((wids[t], l)) if pmc else None
-        if triples:
-            step = _pmc_step_factor(index, triples)
-            if alive is not None:
-                nxt = (alive @ (step > 0)) > 0
-                if not nxt.any():
-                    step = None
-        flags.append(hmc_flag if step is None else PMC_STEP)
-        if step is None:
-            col = _emission_column(model, sentence[t + 1], l, t + 1)
-            step = hmc.trans * col[None, :]
-            if alive is not None:
-                nxt = (alive @ (step > 0)) > 0
-        if alive is not None:
-            alive = nxt if nxt.any() else None
-        steps.append(step)
+    alive = np.sign(initial)  # forward support, checked until a dead end
+    for t, step in enumerate(steps):
+        reached = _support(alive, step)
+        if reached is None and flags[t + 1] == PMC_STEP:
+            np.multiply(hmc.trans, cols[t + 1], out=step)
+            flags[t + 1] = HMC_STEP
+            reached = _support(alive, step)
+        if reached is None:
+            break
+        alive = reached
     return FactorProvider(initial=initial, steps=steps, flags=flags)
 
 
@@ -177,8 +199,8 @@ def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
     cols = params.emit[:, obs].T  # one emission column per position
-    steps = [params.trans * col[None, :] for col in cols[1:]]
-    return FactorProvider(initial=params.pi * cols[0], steps=steps,
+    return FactorProvider(initial=params.pi * cols[0],
+                          steps=params.trans * cols[1:, None, :],
                           flags=[PLAIN_HMC] * len(obs))
 
 
@@ -251,9 +273,18 @@ def mpm_path(factors: FactorProvider) -> np.ndarray:
     return posterior_marginals(factors).argmax(axis=1)
 
 
-def _log(x):
-    with np.errstate(divide="ignore"):
-        return np.log(x)
+# Log score of a zero factor. np.log can be several times slower on zeros
+# than on positive numbers, so zeros get this finite stand-in, not -inf:
+# any path through one scores below _LOG_ZERO / 2, any other path above it
+# (a step adds at least log(5e-324) > -745).
+_LOG_ZERO = -1e300
+
+
+def _log(x) -> np.ndarray:
+    zero = x == 0
+    out = np.log(x + zero)  # log 1 = 0 where x is 0
+    out += zero * _LOG_ZERO
+    return out
 
 
 def map_path(factors: FactorProvider):
@@ -264,20 +295,23 @@ def map_path(factors: FactorProvider):
     by maximizing suffix scores first and reconstructing front to back
     with argmax ties resolved to the lowest id.
     """
-    t_len, n = factors.length, factors.n_labels
-    log_steps = [_log(s) for s in factors.steps]
-    suffix = np.zeros((t_len, n))
+    t_len = factors.length
+    # scores[t, i, j]: log step t plus the best suffix score from j at t + 1
+    scores = _log(np.asarray(factors.steps))
+    head = _log(factors.initial)
+    suffix = 0.0
     for t in range(t_len - 2, -1, -1):
-        suffix[t] = (log_steps[t] + suffix[t + 1][None, :]).max(axis=1)
-    head = _log(factors.initial) + suffix[0]
+        scores[t] += suffix
+        suffix = scores[t].max(axis=1)
+    head += suffix
     best = head.max()
-    if best == -np.inf:
+    if best < _LOG_ZERO / 2:
         forward(factors)  # raises DeadEnd at the first position without mass
         raise DeadEnd(t_len - 1)
     path = np.empty(t_len, dtype=np.int64)
     path[0] = head.argmax()
     for t in range(t_len - 1):
-        path[t + 1] = (log_steps[t][path[t]] + suffix[t + 1]).argmax()
+        path[t + 1] = scores[t, path[t]].argmax()
     return path, float(best)
 
 

@@ -164,7 +164,8 @@ def count_columns(table, width):
     return keys.reshape(n, width).T, counts
 
 
-def _summed(shape, index, counts) -> np.ndarray:
+def summed(shape, index, counts) -> np.ndarray:
+    """int64 array of `shape` with counts added at index; repeats add up."""
     out = np.zeros(shape, dtype=np.int64)
     np.add.at(out, index, counts)
     return out
@@ -196,10 +197,10 @@ class CountTables:
         """Build the table set from raw counts, computing all marginals."""
         (i0, _), c0 = count_columns(n0_ik, 2)
         (i, k, j, _), c = count_columns(n_ikjl, 4)
-        n_ij = _summed((n_labels, n_labels), (i, j), c)
-        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=_summed(n_labels, i0, c0),
+        n_ij = summed((n_labels, n_labels), (i, j), c)
+        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=summed(n_labels, i0, c0),
                    L=sum(n0_ik.values()), n_ij=n_ij,
-                   m_ik=_summed((n_labels, n_words), (i, k), c), n_i=n_ij.sum(axis=1))
+                   m_ik=summed((n_labels, n_words), (i, k), c), n_i=n_ij.sum(axis=1))
 
     @property
     def n_labels(self) -> int:

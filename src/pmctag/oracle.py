@@ -68,7 +68,7 @@ class TinyInstance:
     def factors(self, obs=None) -> FactorProvider:
         """Decoder factors for obs (default: self.obs), with no downgrade.
 
-        steps[t][i, j] = trans2[i, k, j] * emit2[i, k, j, l] for the word
+        steps[t, i, j] = trans2[i, k, j] * emit2[i, k, j, l] for the word
         bigram (k, l) at t -> t + 1; all-zero rows contribute probability 0.
         """
         obs = np.asarray(self.obs if obs is None else obs, dtype=np.int64)
@@ -78,7 +78,7 @@ class TinyInstance:
         # the two index arrays of emit2 are split by a slice, so numpy puts
         # the position axis first; trans2 keeps the label axis first
         steps = self.trans2[:, k, :].transpose(1, 0, 2) * self.emit2[:, k, :, l]
-        return FactorProvider(initial=self.pi2[:, obs[0]], steps=list(steps),
+        return FactorProvider(initial=self.pi2[:, obs[0]], steps=steps,
                               flags=[PMC_STEP] * obs.size)
 
     @classmethod

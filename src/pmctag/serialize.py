@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CorruptModel, UnsupportedVersion
 from .features import MAX_SUFFIX_LEN
-from .model import CountTables, Interner, ModelBundle
+from .model import CountTables, Interner, ModelBundle, count_columns
 from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
@@ -98,10 +98,10 @@ class _Reader:
 
 
 def _write_count_table(w, table, key_width):
-    items = sorted(table.items())
-    w.array(np.array([k for k, _ in items], dtype=np.uint32).reshape(-1, key_width),
-            np.uint32)
-    w.array(np.array([v for _, v in items], dtype=np.uint64), np.uint64)
+    keys, counts = count_columns(table, key_width)
+    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last row
+    w.array(keys[:, order].T, np.uint32)
+    w.array(counts[order], np.uint64)
 
 
 def _read_count_table(r, id_limits):
@@ -116,9 +116,12 @@ def _read_count_table(r, id_limits):
         raise CorruptModel("count key refers to an unknown label or word")
     if (values == 0).any():
         raise CorruptModel("zero count stored")
-    key_list = list(map(tuple, keys.tolist()))
-    if any(a >= b for a, b in zip(key_list, key_list[1:])):
+    step = np.diff(keys.astype(np.int64), axis=0)
+    # a row follows its predecessor when their first differing column grows
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    if (lead <= 0).any():
         raise CorruptModel("count keys are not strictly increasing")
+    key_list = list(map(tuple, keys.tolist()))
     counts = values.tolist()
     if sum(counts) >= 2 ** 63:
         raise CorruptModel("counts overflow a signed 64-bit total")
@@ -217,5 +220,5 @@ def model_stats(model: ModelBundle) -> str:
         f"suffix-max-len {model.suffix_max_len}",
     ]
     for m, table in enumerate(model.features.tables):
-        lines.append(f"feature-entries-{m} {len(table)}")
+        lines.append(f"feature-entries-{m} {np.count_nonzero(table)}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from pmctag.errors import EmptyCorpus, EmptyToken
 from pmctag.features import (backoff_level, derive_feature_tables,
-                             extract_features, feature_emission_prob,
+                             extract_features, feature_column,
+                             feature_emission_prob,
                              fit_feature_tables, word_suffix)
 from pmctag.model import Interner
 from pmctag.training import accumulate_counts
@@ -27,6 +29,11 @@ def brute_force_feature_tables(corpus, max_len):
                 key = (label, cap, hyp, first, dig, sfx)
                 tuples[m][key] = tuples[m].get(key, 0) + 1
     return tuples, totals
+
+
+def prob(tables, m, label, key):
+    """Level-m probability of the label-free tuple `key` under `label`."""
+    return tables.tables[m][tables.tuple_ids[m][key], label]
 
 
 class TestExtractFeatures:
@@ -64,16 +71,19 @@ class TestFitFeatureTables:
         alphabet = Interner()
         tables = fit_feature_tables(corpus_from([("John", "NOUN")]), alphabet, 3)
         noun = alphabet.get("NOUN")
-        assert tables.tables[3] == {(noun, 1, 0, 1, 0, "ohn"): 1.0}
-        assert tables.tables[0] == {(noun, 1, 0, 1, 0, ""): 1.0}
+        assert noun == 0
+        assert tables.tuple_ids[3] == {(1, 0, 1, 0, "ohn"): 0}
+        assert tables.tables[3].tolist() == [[1.0]]
+        assert tables.tuple_ids[0] == {(1, 0, 1, 0, ""): 0}
+        assert tables.tables[0].tolist() == [[1.0]]
 
     def test_two_tokens_same_label_split_half(self):
         alphabet = Interner()
         corpus = corpus_from([("John", "NOUN"), ("car", "NOUN")])
         tables = fit_feature_tables(corpus, alphabet, 3)
         noun = alphabet.get("NOUN")
-        assert tables.tables[3][(noun, 1, 0, 1, 0, "ohn")] == 0.5
-        assert tables.tables[3][(noun, 0, 0, 0, 0, "car")] == 0.5
+        assert prob(tables, 3, noun, (1, 0, 1, 0, "ohn")) == 0.5
+        assert prob(tables, 3, noun, (0, 0, 0, 0, "car")) == 0.5
 
     def test_against_brute_force_counter(self, rng):
         corpus = varied_corpus(rng, n_sentences=70)
@@ -81,10 +91,10 @@ class TestFitFeatureTables:
         tables = fit_feature_tables(corpus, alphabet, 3)
         ref_tuples, ref_totals = brute_force_feature_tables(corpus, 3)
         for m in range(4):
-            assert len(tables.tables[m]) == len(ref_tuples[m])
+            assert np.count_nonzero(tables.tables[m]) == len(ref_tuples[m])
             for (label, *rest), c in ref_tuples[m].items():
-                key = (alphabet.get(label), *rest)
-                assert tables.tables[m][key] == c / ref_totals[label]
+                assert prob(tables, m, alphabet.get(label), tuple(rest)) == \
+                    c / ref_totals[label]
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -119,7 +129,7 @@ class TestFeatureEmissionProb:
         # unknown word with a seen 3-suffix scores straight from level 3
         assert backoff_level(tables, "Vannes") == 3
         p = feature_emission_prob(tables, noun, "Vannes", 1)
-        assert p == tables.tables[3][(noun, 1, 0, 0, 0, "nes")]
+        assert p == prob(tables, 3, noun, (1, 0, 0, 0, "nes"))
         assert p == 1.0
 
     def test_backoff_chain_to_level_1(self, tables):
@@ -127,7 +137,7 @@ class TestFeatureEmissionProb:
         # "zzk" and "zk" unseen, "k" seen via "walk"
         assert backoff_level(tables, "buzzk") == 1
         p = feature_emission_prob(tables, verb, "buzzk", 2)
-        assert p == tables.tables[1][(verb, 0, 0, 0, 0, "k")]
+        assert p == prob(tables, 1, verb, (0, 0, 0, 0, "k"))
         assert p == 0.5
 
     def test_exhausted_backoff_returns_zero(self, tables):
@@ -144,8 +154,9 @@ class TestFeatureEmissionProb:
             p = feature_emission_prob(tables, label, "Vannes", 1)
             key_level = level
             f = extract_features("Vannes", 1, key_level)
-            expect = tables.tables[key_level].get(
-                (label, f.cap, f.hyphen, f.first, f.digit, f.suffix), 0.0)
+            row = tables.tuple_ids[key_level].get(
+                (f.cap, f.hyphen, f.first, f.digit, f.suffix))
+            expect = 0.0 if row is None else tables.tables[key_level][row, label]
             assert p == expect
 
     def test_suffix_max_len_zero_ignores_suffix(self):
@@ -155,6 +166,35 @@ class TestFeatureEmissionProb:
         x = alphabet.get("X")
         assert feature_emission_prob(tables, x, "gamma", 1) == \
             feature_emission_prob(tables, x, "different", 1) == 0.5
+
+
+@pytest.mark.parametrize("route", ["fit", "derive"])
+def test_unknown_word_column_matches_brute_force(rng, route):
+    corpus = varied_corpus(rng, n_sentences=90)
+    counts, alphabet, vocab = accumulate_counts(corpus)
+    if route == "fit":
+        tables = fit_feature_tables(corpus, alphabet, 3)
+    else:
+        tables = derive_feature_tables(counts, vocab, 3)
+    ref_tuples, ref_totals = brute_force_feature_tables(corpus, 3)
+    words = ["Zohn", "re-house", "A12", "qq", "xylophone", "Blue-12"]
+    seen_levels = set()
+    for word in words:
+        assert word not in vocab
+        for pos in (0, 3):
+            m = backoff_level(tables, word)
+            seen_levels.add(m)
+            col = feature_column(tables, word, pos)
+            assert col.shape == (len(alphabet),)
+            cap = 1 if word[0].isupper() else 0
+            hyp = 1 if "-" in word else 0
+            dig = 1 if any(c.isdecimal() for c in word) else 0
+            sfx = word[len(word) - min(m, len(word)):]
+            for label, i in alphabet.index.items():
+                key = (label, cap, hyp, 1 if pos == 0 else 0, dig, sfx)
+                assert col[i] == ref_tuples[m].get(key, 0) / ref_totals[label]
+                assert feature_emission_prob(tables, i, word, pos) == col[i]
+    assert len(seen_levels) > 1
 
 
 def test_backoff_monotone_largest_supported_level(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pmctag.errors import DeadEnd, EmptySentence
+from pmctag.features import feature_column
 from pmctag.inference import (HMC_STEP, PMC_STEP, FactorProvider, backward,
                               decode_map, decode_mpm, decode_sentence, forward,
                               map_path, mpm_path, posterior_marginals,
@@ -97,8 +98,11 @@ class TestDecodeIndex:
             for l, p in row.items():
                 if pmc.trans2[(i, k)][j] * p > 0:
                     expected[(k, l, i, j)] = pmc.trans2[(i, k)][j] * p
-        got = {(k, l, i, j): p for (k, l), triples in index.pair_labels.items()
-               for i, j, p in triples}
+        got = {}
+        for u, code in enumerate(index.codes[:-1].tolist()):
+            k, l = divmod(code, index.n_words)
+            for t in range(index.offsets[u], index.offsets[u + 1]):
+                got[(k, l, int(index.i[t]), int(index.j[t]))] = index.ratios[t]
         assert got.keys() == expected.keys()
         for key, p in got.items():
             assert abs(p - expected[key]) <= 1e-15 * expected[key], key
@@ -173,6 +177,45 @@ class TestResolveFactors:
         assert factors.flags == [PMC_STEP, PMC_STEP, HMC_STEP]
         assert decode_mpm(model, sentence) == ["X", "Y", "W"]
         assert decode_map(model, sentence) == ["X", "Y", "W"]
+
+    def test_stack_matches_per_step_references(self):
+        # a b: PMC; b c: supported but annihilating (b is Y after a, Z
+        # before c), downgraded; c e: unseen bigram of known words; e qux:
+        # unknown word scored by the feature model
+        model = train_model(corpus_from(
+            [("a", "X"), ("b", "Y")],
+            [("b", "Z"), ("c", "W"), ("g", "W")],
+            [("d", "Y"), ("e", "W")],
+        ), TrainConfig(task="pos"))
+        sentence = ["a", "b", "c", "e", "qux"]
+        factors = resolve_factors(model, sentence)
+        assert factors.flags == [PMC_STEP, PMC_STEP, HMC_STEP, HMC_STEP, HMC_STEP]
+        counts, hmc, vocab = model.counts, model.hmc, model.vocabulary
+        n = len(model.alphabet)
+        assert isinstance(factors.steps, np.ndarray)
+        assert factors.steps.shape == (len(sentence) - 1, n, n)
+        a = vocab.get("a")
+        pi2 = np.zeros(n)
+        for (i, k), c in counts.n0_ik.items():
+            if k == a:
+                pi2[i] = c / counts.L
+        assert factors.initial.tobytes() == pi2.tobytes()
+
+        pmc = fit_pmc(counts)
+        k, l = vocab.get("a"), vocab.get("b")
+        ratios = np.zeros((n, n))
+        for (i, k2, j, l2), c in counts.n_ikjl.items():
+            if (k2, l2) == (k, l):
+                ratios[i, j] = c / counts.m_ik[i, k]
+                estimate = pmc.trans2[(i, k)][j] * pmc.emit2[(i, k, j)][l]
+                assert abs(ratios[i, j] - estimate) <= 1e-15 * estimate
+        assert factors.steps[0].tobytes() == ratios.tobytes()
+
+        cols = [hmc.emit[:, vocab.get(w)] for w in ("c", "e")]
+        cols.append(feature_column(model.features, "qux", 4))
+        assert cols[2].any()
+        for t, col in enumerate(cols, start=1):
+            assert factors.steps[t].tobytes() == (hmc.trans * col[None, :]).tobytes()
 
     def test_empty_sentence(self):
         with pytest.raises(EmptySentence):
