@@ -12,8 +12,8 @@ from .features import (FeatureEmissionTables, WordFeatures, extract_features,
 from .inference import (FactorProvider, backward, decode_map, decode_mpm,
                         decode_sentence, forward, posterior_marginals,
                         resolve_factors)
-from .model import (CountTables, HmcParams, Interner, ModelBundle, PmcParams,
-                    normalize_counts)
+from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
+                    PmcParams, normalize_counts)
 from .oracle import TinyInstance, embed_hmc_as_pmc, enumerate_map, enumerate_posteriors
 from .serialize import (deserialize_model, load_model, model_stats, save_model,
                         serialize_model)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCorpus, EmptyToken
-from .model import count_columns, summed
+from .model import summed
 
 # Label-free feature tuples are (cap, hyphen, first, digit, suffix).
 FeatureTuple = tuple[int, int, int, int, str]
@@ -167,10 +167,8 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmi
     integer counts.
     """
     shape = (counts.n_labels, len(vocabulary))
-    (i0, k0), c0 = count_columns(counts.n0_ik, 2)
-    (_, _, j, l), c = count_columns(counts.n_ikjl, 4)
-    first = summed(shape, (i0, k0), c0)
-    rest = summed(shape, (j, l), c)
+    first = summed(shape, tuple(counts.n0_ik.keys.T), counts.n0_ik.counts)
+    rest = summed(shape, tuple(counts.n_ikjl.keys[:, 2:].T), counts.n_ikjl.counts)
     label_totals = first.sum(axis=1) + rest.sum(axis=1)
     if not label_totals.any():
         raise EmptyCorpus("count tables carry no token occurrences")

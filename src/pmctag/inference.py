@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import feature_column
-from .model import HmcParams, ModelBundle, count_columns
+from .model import HmcParams, ModelBundle
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -75,10 +75,10 @@ class DecodeIndex:
     def __init__(self, model: ModelBundle):
         counts = model.counts
         self.n_words = counts.n_words
-        keys, c = count_columns(counts.n0_ik, 2)
         self.pi2 = np.zeros(counts.m_ik.shape)
-        self.pi2[tuple(keys)] = c / counts.L
-        (i, k, j, l), c = count_columns(counts.n_ikjl, 4)
+        self.pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
+        i, k, j, l = counts.n_ikjl.keys.T
+        c = counts.n_ikjl.counts
         code = k * self.n_words + l
         order = np.argsort(code, kind="stable")
         code = code[order]

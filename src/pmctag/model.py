@@ -1,8 +1,9 @@
 """Parameter containers for hidden and pairwise Markov chain models.
 
 All hot-path tables are keyed by dense integer ids produced by interning
-words and labels once at training time. The raw pattern counts are dicts
-keyed by id tuples; every table derived from them is a dense NumPy array:
+words and labels once at training time. The raw pattern counts are
+CountTables: sorted rows of id tuples with their counts, the layout of
+the model file. Every table derived from them is a dense NumPy array:
 label-by-label tables are (n_labels, n_labels) and label-by-word tables
 are (n_labels, n_words), sized by the vocabulary, so a word without any
 entry has an all-zero column.
@@ -11,7 +12,6 @@ entry has an all-zero column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -151,17 +151,42 @@ class PmcParams:
         return all(np.array_equal(v, other.trans2[k]) for k, v in self.trans2.items())
 
 
-def count_columns(table, width):
-    """Key columns and counts of a dict keyed by width-tuples of ids.
+def rows_increase(keys) -> bool:
+    """True when every row of a 2-d signed int array is above the one before."""
+    step = np.diff(keys, axis=0)
+    # a row follows its predecessor when their first differing column grows
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    return bool((lead > 0).all())
 
-    Returns (keys, counts): keys is a (width, len(table)) int64 array
-    whose rows are the key positions, counts the int64 values, both in
-    the dict's iteration order.
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Pattern counts as sorted key rows, the layout of the model file.
+
+    keys is an (n, width) int64 array of id tuples whose rows strictly
+    increase; counts holds the matching positive int64 counts. Both
+    arrays are read-only.
     """
-    n = len(table)
-    keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=width * n)
-    counts = np.fromiter(table.values(), dtype=np.int64, count=n)
-    return keys.reshape(n, width).T, counts
+
+    keys: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        self.keys.setflags(write=False)
+        self.counts.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def values(self) -> np.ndarray:
+        return self.counts
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CountTable)
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.counts, other.counts)
+        )
 
 
 def summed(shape, index, counts) -> np.ndarray:
@@ -176,16 +201,17 @@ class CountTables:
     """Raw pattern counts plus cached marginals.
 
     n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
-    n0_ik chain-initial (label, word) pairs; these two dicts are the
-    model's only stored state. Everything else follows by summation into
-    dense int64 arrays: the chain count L and n0_i over n0_ik, n_ij over
-    k and l, m_ik over j and l, and n_i over j. m_ik is (n_labels,
-    n_words); a word that never starts a pattern (one seen only at the
-    end of sentences) has an all-zero column.
+    n0_ik chain-initial (label, word) pairs, as CountTable key rows
+    (i, k, j, l) and (i, k); these two tables are the model's only stored
+    state. Everything else follows by summation into dense int64 arrays:
+    the chain count L and n0_i over n0_ik, n_ij over k and l, m_ik over j
+    and l, and n_i over j. m_ik is (n_labels, n_words); a word that never
+    starts a pattern (one seen only at the end of sentences) has an
+    all-zero column.
     """
 
-    n0_ik: dict[tuple[int, int], int]
-    n_ikjl: dict[tuple[int, int, int, int], int]
+    n0_ik: CountTable
+    n_ikjl: CountTable
     n0_i: np.ndarray = field(repr=False)
     L: int
     n_ij: np.ndarray = field(repr=False)
@@ -194,12 +220,13 @@ class CountTables:
 
     @classmethod
     def from_raw(cls, n_labels, n_words, n0_ik, n_ikjl) -> "CountTables":
-        """Build the table set from raw counts, computing all marginals."""
-        (i0, _), c0 = count_columns(n0_ik, 2)
-        (i, k, j, _), c = count_columns(n_ikjl, 4)
+        """Build the table set from the two count tables, computing all marginals."""
+        i, k, j, _ = n_ikjl.keys.T
+        c = n_ikjl.counts
         n_ij = summed((n_labels, n_labels), (i, j), c)
-        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl, n0_i=summed(n_labels, i0, c0),
-                   L=sum(n0_ik.values()), n_ij=n_ij,
+        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl,
+                   n0_i=summed(n_labels, n0_ik.keys[:, 0], n0_ik.counts),
+                   L=int(n0_ik.counts.sum()), n_ij=n_ij,
                    m_ik=summed((n_labels, n_words), (i, k), c), n_i=n_ij.sum(axis=1))
 
     @property
@@ -211,9 +238,10 @@ class CountTables:
         return self.m_ik.shape[1]
 
     def validate(self):
-        """Recompute every marginal by exhaustive summation and compare."""
-        if any(c < 0 for c in self.n_ikjl.values()):
-            raise AssertionError("negative pattern count")
+        """Check the key order and recompute every marginal by summation."""
+        for table in (self.n0_ik, self.n_ikjl):
+            if not ((table.counts > 0).all() and rows_increase(table.keys)):
+                raise AssertionError("count table is not sorted positive counts")
         fresh = CountTables.from_raw(self.n_labels, self.n_words, self.n0_ik, self.n_ikjl)
         if not all(np.array_equal(getattr(self, name), getattr(fresh, name))
                    for name in ("n_ij", "m_ik", "n_i")):
@@ -234,9 +262,10 @@ class CountTables:
 class ModelBundle:
     """A trained PMC with its fallback HMC and feature model.
 
-    Only the interners, the raw counts, the task and the suffix length are
-    state; hmc and features are derived from them, and the PMC factors are
-    count ratios the decoder reads from counts directly. Build bundles with
+    Only the interners, the two count tables, the task and the suffix
+    length are state; hmc and features are derived from them, and the PMC
+    factors are count ratios the decoder reads from the count tables'
+    key columns directly. Build bundles with
     training.bundle_from_counts, which attaches the derived tables.
     Training never changes a bundle: online updates build a new one. The
     first decode stores the decoder's lookup tables in _decode_cache

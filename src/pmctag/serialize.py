@@ -3,11 +3,13 @@
 A model file stores only what cannot be derived: the task, the suffix
 length, the label and word interners and the two raw count tables n0_ik
 and n_ikjl. Every probability table is rederived on load, so a file
-cannot carry tables that disagree with its counts. Count tables are
-written in strictly increasing key order with positive counts, so a
-model serializes to exactly one byte string; the reader rejects anything
-else. A CRC32 trailer guards against corruption; ids are stored as
-little-endian uint32, counts as uint64.
+cannot carry tables that disagree with its counts. A count table is
+stored as its CountTable arrays: the key rows in strictly increasing
+order, then the positive counts. Writing is an array dump, and a model
+serializes to exactly one byte string; the reader checks the arrays,
+rejects anything else and hands them out as they are. A CRC32 trailer
+guards against corruption; ids are stored as little-endian uint32,
+counts as uint64.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import CorruptModel, UnsupportedVersion
 from .features import MAX_SUFFIX_LEN
-from .model import CountTables, Interner, ModelBundle, count_columns
+from .model import CountTable, CountTables, Interner, ModelBundle, rows_increase
 from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
@@ -90,21 +92,19 @@ class _Reader:
     def array(self, dtype) -> np.ndarray:
         n = self.u64()
         itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self._take(n * itemsize), dtype=dtype).copy()
+        return np.frombuffer(self._take(n * itemsize), dtype=dtype)
 
     def done(self):
         if self.pos != len(self.data):
             raise CorruptModel("trailing bytes after model payload")
 
 
-def _write_count_table(w, table, key_width):
-    keys, counts = count_columns(table, key_width)
-    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last row
-    w.array(keys[:, order].T, np.uint32)
-    w.array(counts[order], np.uint64)
+def _write_count_table(w, table: CountTable):
+    w.array(table.keys, np.uint32)
+    w.array(table.counts, np.uint64)
 
 
-def _read_count_table(r, id_limits):
+def _read_count_table(r, id_limits) -> CountTable:
     """Read a count table whose key columns are bounded by id_limits."""
     width = len(id_limits)
     keys = r.array(np.uint32)
@@ -116,16 +116,14 @@ def _read_count_table(r, id_limits):
         raise CorruptModel("count key refers to an unknown label or word")
     if (values == 0).any():
         raise CorruptModel("zero count stored")
-    step = np.diff(keys.astype(np.int64), axis=0)
-    # a row follows its predecessor when their first differing column grows
-    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-    if (lead <= 0).any():
+    keys = keys.astype(np.int64)
+    if not rows_increase(keys):
         raise CorruptModel("count keys are not strictly increasing")
-    key_list = list(map(tuple, keys.tolist()))
-    counts = values.tolist()
-    if sum(counts) >= 2 ** 63:
+    # exact: neither 32-bit half of the counts can overflow its uint64 sum
+    total = (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+    if total >= 2 ** 63:
         raise CorruptModel("counts overflow a signed 64-bit total")
-    return dict(zip(key_list, counts))
+    return CountTable(keys, values.astype(np.int64))
 
 
 def _read_interner(r, what) -> Interner:
@@ -143,8 +141,8 @@ def serialize_model(model: ModelBundle) -> bytes:
     w.u32(model.suffix_max_len)
     w.string_list(model.alphabet.items)
     w.string_list(model.vocabulary.items)
-    _write_count_table(w, model.counts.n0_ik, 2)
-    _write_count_table(w, model.counts.n_ikjl, 4)
+    _write_count_table(w, model.counts.n0_ik)
+    _write_count_table(w, model.counts.n_ikjl)
     payload = w.getvalue()
     header = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload))
     return header + payload + struct.pack("<I", zlib.crc32(payload))
@@ -212,7 +210,7 @@ def model_stats(model: ModelBundle) -> str:
         f"words {len(model.vocabulary)}",
         f"chains {counts.L}",
         f"pattern-keys {len(counts.n_ikjl)}",
-        f"pattern-total {sum(counts.n_ikjl.values())}",
+        f"pattern-total {int(counts.n_ikjl.counts.sum())}",
         f"hmc-emissions {np.count_nonzero(model.hmc.emit)}",
         f"pmc-initial {len(counts.n0_ik)}",
         f"pmc-transitions {np.count_nonzero(counts.m_ik)}",

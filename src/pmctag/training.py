@@ -8,14 +8,16 @@ per-step downgrade, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
-from .model import (CountTables, HmcParams, Interner, ModelBundle, PmcParams,
-                    normalize_counts)
+from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
+                    PmcParams, normalize_counts)
 
 TASKS = ("pos", "chunk", "ner")
 
@@ -32,36 +34,63 @@ class TrainConfig:
             raise ValueError(f"suffix_max_len must be in 0..{MAX_SUFFIX_LEN}")
 
 
-def _accumulate_raw(corpus, alphabet, vocabulary, n0_ik, n_ikjl):
-    for sentence in corpus.sentences:
-        if not sentence:
-            raise EmptySentence("training corpus contains an empty sentence")
-        ids = [(alphabet.intern(t), vocabulary.intern(w)) for w, t in sentence]
-        key0 = ids[0]
-        n0_ik[key0] = n0_ik.get(key0, 0) + 1
-        for t in range(len(ids) - 1):
-            i, k = ids[t]
-            j, l = ids[t + 1]
-            key = (i, k, j, l)
-            n_ikjl[key] = n_ikjl.get(key, 0) + 1
+def _tally(columns, n_words, base=None) -> CountTable:
+    """Count equal tuples of token codes into a CountTable.
 
-
-def accumulate_counts(corpus, alphabet=None, vocabulary=None):
-    """Count every adjacent (label, word, label, word) pattern in the corpus.
-
-    Returns (CountTables, alphabet, vocabulary); the interners are created
-    here unless existing ones are passed in, in which case they are
-    extended append-only.
+    columns holds one int64 array per tuple position; a token code is
+    label * n_words + word, so sorting tuples of codes sorts their
+    (label, word, ...) keys. The rows of `base`, a table over ids below
+    n_words, are added with their counts.
     """
-    if not corpus.sentences:
+    weights = np.ones(len(columns[0]), dtype=np.int64)
+    if base is not None:
+        ids = base.keys.T
+        columns = [np.concatenate((ids[2 * p] * n_words + ids[2 * p + 1], c))
+                   for p, c in enumerate(columns)]
+        weights = np.concatenate((base.counts, weights))
+    order = np.lexsort(columns[::-1])  # lexsort's primary key is its last array
+    columns = [c[order] for c in columns]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    keys = np.column_stack([part for c in columns for part in divmod(c[starts], n_words)])
+    return CountTable(keys, np.add.reduceat(weights[order], starts))
+
+
+def accumulate_counts(corpus, base: ModelBundle | None = None):
+    """Count every chain start and adjacent (label, word, label, word) pattern.
+
+    Returns (CountTables, alphabet, vocabulary). With a `base` model, its
+    interners are copied and extended append-only and its counts are
+    added in, so an online update goes through the same tally as training
+    from scratch. Patterns never cross a sentence boundary.
+    """
+    sentences = corpus.sentences
+    if not sentences:
         raise EmptyCorpus("training corpus has no sentences")
-    alphabet = alphabet if alphabet is not None else Interner()
-    vocabulary = vocabulary if vocabulary is not None else Interner()
-    n0_ik: dict[tuple[int, int], int] = {}
-    n_ikjl: dict[tuple[int, int, int, int], int] = {}
-    _accumulate_raw(corpus, alphabet, vocabulary, n0_ik, n_ikjl)
-    counts = CountTables.from_raw(len(alphabet), len(vocabulary), n0_ik, n_ikjl)
-    return counts, alphabet, vocabulary
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    if not lengths.all():
+        raise EmptySentence("training corpus contains an empty sentence")
+    alphabet = base.alphabet.copy() if base else Interner()
+    vocabulary = base.vocabulary.copy() if base else Interner()
+
+    def ids(interner, field):
+        tokens = map(itemgetter(field), chain.from_iterable(sentences))
+        return np.fromiter(map(interner.intern, tokens), dtype=np.int64, count=lengths.sum())
+
+    code = ids(vocabulary, 0)
+    n_words = len(vocabulary)
+    code += ids(alphabet, 1) * n_words
+    starts = np.cumsum(lengths) - lengths
+    follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
+    follows[starts] = False
+    n0_ik = _tally([code[starts]], n_words, base and base.counts.n0_ik)
+    # passed without a name, so the tally can drop the unsorted codes
+    n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_words,
+                    base and base.counts.n_ikjl)
+    return CountTables.from_raw(len(alphabet), n_words, n0_ik, n_ikjl), alphabet, vocabulary
 
 
 def fit_hmc(counts: CountTables) -> HmcParams:
@@ -82,9 +111,11 @@ def fit_hmc(counts: CountTables) -> HmcParams:
 def fit_pmc(counts: CountTables) -> PmcParams:
     """Pairwise-chain parameters; keys with zero denominator stay absent."""
     n = counts.n_labels
-    pi2 = {key: c / counts.L for key, c in counts.n0_ik.items()}
+    n0_ik, n_ikjl = counts.n0_ik, counts.n_ikjl
+    pi2 = {(i, k): c / counts.L
+           for (i, k), c in zip(n0_ik.keys.tolist(), n0_ik.counts.tolist())}
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (i, k, j, l), c in counts.n_ikjl.items():
+    for (i, k, j, l), c in zip(n_ikjl.keys.tolist(), n_ikjl.counts.tolist()):
         rows.setdefault((i, k, j), {})[l] = c
     trans2: dict[tuple[int, int], np.ndarray] = {}
     for (i, k, j), row in rows.items():
@@ -118,16 +149,11 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
     """Fold new chains into the counts and rederive every table.
 
     The result equals training from scratch on the concatenated corpus:
-    interning is append-only, counts are merged integers, and parameters
-    are single divisions of those integers.
+    interning is append-only, counts are integers summed by the same
+    tally, and parameters are single divisions of those integers.
     """
     if not new_corpus.sentences:
         raise EmptyCorpus("online update received an empty corpus")
-    alphabet = model.alphabet.copy()
-    vocabulary = model.vocabulary.copy()
-    n0_ik = dict(model.counts.n0_ik)
-    n_ikjl = dict(model.counts.n_ikjl)
-    _accumulate_raw(new_corpus, alphabet, vocabulary, n0_ik, n_ikjl)
-    counts = CountTables.from_raw(len(alphabet), len(vocabulary), n0_ik, n_ikjl)
+    counts, alphabet, vocabulary = accumulate_counts(new_corpus, base=model)
     return bundle_from_counts(alphabet, vocabulary, counts, model.task,
                               model.suffix_max_len)

@@ -196,7 +196,7 @@ class TestResolveFactors:
         assert factors.steps.shape == (len(sentence) - 1, n, n)
         a = vocab.get("a")
         pi2 = np.zeros(n)
-        for (i, k), c in counts.n0_ik.items():
+        for (i, k), c in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist()):
             if k == a:
                 pi2[i] = c / counts.L
         assert factors.initial.tobytes() == pi2.tobytes()
@@ -204,7 +204,8 @@ class TestResolveFactors:
         pmc = fit_pmc(counts)
         k, l = vocab.get("a"), vocab.get("b")
         ratios = np.zeros((n, n))
-        for (i, k2, j, l2), c in counts.n_ikjl.items():
+        for (i, k2, j, l2), c in zip(counts.n_ikjl.keys.tolist(),
+                                     counts.n_ikjl.counts.tolist()):
             if (k2, l2) == (k, l):
                 ratios[i, j] = c / counts.m_ik[i, k]
                 estimate = pmc.trans2[(i, k)][j] * pmc.emit2[(i, k, j)][l]

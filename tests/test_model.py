@@ -69,7 +69,7 @@ class TestCountTables:
         # recompute every marginal independently of from_raw
         m_ik = np.zeros_like(counts.m_ik)
         n_ij = np.zeros_like(counts.n_ij)
-        for (i, k, j, l), c in counts.n_ikjl.items():
+        for (i, k, j, l), c in zip(counts.n_ikjl.keys.tolist(), counts.n_ikjl.counts.tolist()):
             m_ik[i, k] += c
             n_ij[i, j] += c
         assert np.array_equal(m_ik, counts.m_ik)
@@ -87,9 +87,11 @@ class TestCountTables:
         counts, alphabet, vocab = accumulate_counts(corpus)
         a, b = alphabet.get("A"), alphabet.get("B")
         w1, w2 = vocab.get("w1"), vocab.get("w2")
-        assert counts.n_ikjl == {(a, w1, b, w2): 1, (b, w2, a, w1): 1}
+        assert counts.n_ikjl.keys.tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
+        assert counts.n_ikjl.counts.tolist() == [1, 1]
         assert counts.n0_i[a] == 1 and counts.L == 1
-        assert counts.n0_ik == {(a, w1): 1}
+        assert counts.n0_ik.keys.tolist() == [[a, w1]]
+        assert counts.n0_ik.counts.tolist() == [1]
 
 
 def _stochastic_rows_hold(model):

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmctag.errors import EmptyCorpus
 from pmctag.conll import LabeledCorpus
+from pmctag.serialize import serialize_model
 from pmctag.training import (TrainConfig, accumulate_counts, fit_hmc, fit_pmc,
                              train_model, update_online)
 
@@ -41,7 +44,8 @@ class TestAccumulateCounts:
         counts, alphabet, vocab = accumulate_counts(corpus)
         a, b = alphabet.get("A"), alphabet.get("B")
         w1, w2 = vocab.get("w1"), vocab.get("w2")
-        assert counts.n_ikjl == {(a, w1, b, w2): 1, (b, w2, a, w1): 1}
+        assert counts.n_ikjl.keys.tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
+        assert counts.n_ikjl.counts.tolist() == [1, 1]
         assert list(counts.n0_i) == [1, 0]
         assert counts.L == 1
 
@@ -50,18 +54,64 @@ class TestAccumulateCounts:
         once, _, _ = accumulate_counts(corpus_from(sent))
         twice, _, _ = accumulate_counts(corpus_from(sent, sent))
         assert twice.L == 2 * once.L
-        assert twice.n_ikjl == {k: 2 * v for k, v in once.n_ikjl.items()}
+        np.testing.assert_array_equal(twice.n_ikjl.keys, once.n_ikjl.keys)
+        np.testing.assert_array_equal(twice.n_ikjl.counts, 2 * once.n_ikjl.counts)
         assert np.array_equal(twice.n0_i, 2 * once.n0_i)
 
     def test_length_one_chain_has_no_pairs(self):
         counts, alphabet, vocab = accumulate_counts(corpus_from([("w1", "A")]))
-        assert counts.n_ikjl == {}
-        assert counts.n0_ik == {(alphabet.get("A"), vocab.get("w1")): 1}
+        assert counts.n_ikjl.keys.shape == (0, 4) and len(counts.n_ikjl) == 0
+        assert counts.n0_ik.keys.tolist() == [[alphabet.get("A"), vocab.get("w1")]]
+        assert counts.n0_ik.counts.tolist() == [1]
         assert counts.n_i.sum() == 0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             accumulate_counts(LabeledCorpus(sentences=[]))
+
+
+def _sentences(words, labels):
+    token = st.tuples(st.sampled_from(words), st.sampled_from(labels))
+    return st.lists(st.lists(token, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+def assert_sorted_positive(table, width):
+    assert table.keys.dtype == np.int64 and table.counts.dtype == np.int64
+    assert table.keys.shape == (len(table.counts), width)
+    rows = table.keys.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert (table.counts > 0).all()
+
+
+def assert_counts_match_brute_force(model, corpus):
+    ref = brute_force_tables(corpus)
+    counts, labels, words = model.counts, model.alphabet, model.vocabulary
+    assert_sorted_positive(counts.n0_ik, 2)
+    assert_sorted_positive(counts.n_ikjl, 4)
+    n0_ik = {(labels[i], words[k]): c for (i, k), c
+             in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist())}
+    quad = {(labels[i], words[k], labels[j], words[l]): c for (i, k, j, l), c
+            in zip(counts.n_ikjl.keys.tolist(), counts.n_ikjl.counts.tolist())}
+    assert n0_ik == ref["n0_ik"]
+    assert quad == ref["quad"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=_sentences(["a", "b", "c"], ["X", "Y"]),
+       delta=_sentences(["a", "b", "c", "d", "e"], ["X", "Y", "Z"]),
+       at=st.integers(0, 5))
+def test_tally_sorted_exact_and_online_equals_batch(base, delta, at):
+    # the delta always brings a new word and a new label
+    delta.insert(min(at, len(delta)), [("d", "Z")])
+    sentences = base + delta
+    config = TrainConfig(task="pos")
+    batch = train_model(LabeledCorpus(sentences), config)
+    assert_counts_match_brute_force(batch, LabeledCorpus(sentences))
+    for cut in range(1, len(sentences)):
+        updated = update_online(train_model(LabeledCorpus(sentences[:cut]), config),
+                                LabeledCorpus(sentences[cut:]))
+        assert_counts_match_brute_force(updated, LabeledCorpus(sentences))
+        assert serialize_model(updated) == serialize_model(batch)
 
 
 class TestFitHmc:
@@ -178,8 +228,6 @@ class TestUpdateOnline:
         assert list(model.vocabulary.items) == old_items
 
     def test_serialized_bytes_match_batch(self, rng):
-        from pmctag.serialize import serialize_model
-
         corpus = varied_corpus(rng, n_sentences=40)
         config = TrainConfig(task="ner")
         d1 = LabeledCorpus(corpus.sentences[:17])
@@ -196,8 +244,9 @@ class TestInvariants:
         hmc, pmc = fit_hmc(counts), fit_pmc(counts)
         for i, k in zip(*np.nonzero(hmc.emit)):
             assert hmc.emit[i, k] == counts.m_ik[i, k] / counts.n_i[i]
-        for key, p in pmc.pi2.items():
-            assert p == counts.n0_ik[key] / counts.L
+        assert len(pmc.pi2) == len(counts.n0_ik)
+        for (i, k), c in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist()):
+            assert pmc.pi2[(i, k)] == c / counts.L
 
     def test_permutation_invariance(self, rng):
         corpus = varied_corpus(rng, n_sentences=50)
