@@ -328,8 +328,7 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                ValueError, PmctagError)
+INPUT_ERRORS = (OSError, ValueError, PmctagError)
 
 
 def main(argv=None) -> int:

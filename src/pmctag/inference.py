@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import feature_column
-from .model import HmcParams, ModelBundle
+from .model import CountTables, HmcParams, ModelBundle
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -56,7 +56,10 @@ class FactorProvider:
 
 
 class DecodeIndex:
-    """Read-only lookup structures derived from a trained bundle.
+    """Read-only lookup tables of the PMC factors, derived from the counts.
+
+    training.bundle_from_counts builds one with every bundle, as its
+    index field, so decoding only reads it.
 
     pi2[i, k] is the PMC initial factor n0_ik / L, an (n_labels, n_words)
     array laid out like hmc.emit; a first word has PMC initial support
@@ -72,8 +75,7 @@ class DecodeIndex:
     count ratio that product reduces to.
     """
 
-    def __init__(self, model: ModelBundle):
-        counts = model.counts
+    def __init__(self, counts: CountTables):
         self.n_words = counts.n_words
         self.pi2 = np.zeros(counts.m_ik.shape)
         self.pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
@@ -114,11 +116,8 @@ class DecodeIndex:
 
 
 def decode_index(model: ModelBundle) -> DecodeIndex:
-    index = model._decode_cache
-    if index is None:
-        index = DecodeIndex(model)
-        model._decode_cache = index
-    return index
+    """The bundle's decode index; perfbench/run.py reads it through this name."""
+    return model.index
 
 
 def _emission_columns(model, sentence, wids) -> np.ndarray:
@@ -127,6 +126,12 @@ def _emission_columns(model, sentence, wids) -> np.ndarray:
     for t in np.flatnonzero(wids < 0).tolist():
         cols[t] = feature_column(model.features, sentence[t], t)
     return cols
+
+
+def _hmc_factors(hmc: HmcParams, cols) -> FactorProvider:
+    """HMC factors for the (T, N) emission columns of a sentence."""
+    return FactorProvider(initial=hmc.pi * cols[0], steps=hmc.trans * cols[1:, None, :],
+                          flags=[PLAIN_HMC] * len(cols))
 
 
 def _support(alive, step):
@@ -165,17 +170,16 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     vocabulary = model.vocabulary.index
     wids = np.array([vocabulary.get(w, -1) for w in sentence])
     cols = _emission_columns(model, sentence, wids)
-    steps = hmc.trans * cols[1:, None, :]
+    factors = _hmc_factors(hmc, cols)
     if mode == "hmc":
-        return FactorProvider(initial=hmc.pi * cols[0], steps=steps,
-                              flags=[PLAIN_HMC] * len(sentence))
+        return factors
 
-    index = decode_index(model)
+    index, steps = model.index, factors.steps
     if wids[0] >= 0 and index.pi2[:, wids[0]].any():
         initial = index.pi2[:, wids[0]]
         flags = [PMC_STEP]
     else:
-        initial = hmc.pi * cols[0]
+        initial = factors.initial
         flags = [HMC_STEP]
     slots = index.bigram_slots(wids)
     index.write_pmc_steps(steps, slots)
@@ -198,10 +202,7 @@ def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     """Classic HMC factors for an id-encoded observation sequence."""
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
-    cols = params.emit[:, obs].T  # one emission column per position
-    return FactorProvider(initial=params.pi * cols[0],
-                          steps=params.trans * cols[1:, None, :],
-                          flags=[PLAIN_HMC] * len(obs))
+    return _hmc_factors(params, params.emit[:, obs].T)
 
 
 def forward(factors: FactorProvider):

@@ -141,15 +141,6 @@ class PmcParams:
             if abs(s - 1.0) > tol:
                 raise AssertionError(f"emit2[{key}] sums to {s!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, PmcParams):
-            return NotImplemented
-        if self.pi2 != other.pi2 or self.emit2 != other.emit2:
-            return False
-        if self.trans2.keys() != other.trans2.keys():
-            return False
-        return all(np.array_equal(v, other.trans2[k]) for k, v in self.trans2.items())
-
 
 def rows_increase(keys) -> bool:
     """True when every row of a 2-d signed int array is above the one before."""
@@ -258,18 +249,16 @@ class CountTables:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """A trained PMC with its fallback HMC and feature model.
+    """A trained PMC with its fallback HMC, feature model and decode index.
 
     Only the interners, the two count tables, the task and the suffix
-    length are state; hmc and features are derived from them, and the PMC
-    factors are count ratios the decoder reads from the count tables'
-    key columns directly. Build bundles with
-    training.bundle_from_counts, which attaches the derived tables.
-    Training never changes a bundle: online updates build a new one. The
-    first decode stores the decoder's lookup tables in _decode_cache
-    (inference.decode_index), the one attribute set after construction.
+    length are state; hmc, features and index are derived from them, and
+    the PMC factors are count ratios the decoder reads from the index.
+    Build bundles with training.bundle_from_counts, which derives every
+    table. A bundle is immutable: no field can be reassigned, decoding
+    only reads it, and online updates build a new one.
     """
 
     alphabet: Interner
@@ -277,9 +266,9 @@ class ModelBundle:
     counts: CountTables
     task: str
     suffix_max_len: int
-    hmc: HmcParams = field(init=False, repr=False)
-    features: "FeatureEmissionTables" = field(init=False, repr=False)  # noqa: F821 - defined in features.py
-    _decode_cache: object = field(default=None, init=False, repr=False)
+    hmc: HmcParams = field(repr=False)
+    features: "FeatureEmissionTables" = field(repr=False)  # noqa: F821 - defined in features.py
+    index: "DecodeIndex" = field(repr=False)  # noqa: F821 - defined in inference.py
 
     def validate(self):
         self.hmc.validate()

@@ -13,6 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import inference
 from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
@@ -130,12 +131,12 @@ def fit_pmc(counts: CountTables) -> PmcParams:
 
 def bundle_from_counts(alphabet, vocabulary, counts: CountTables, task: str,
                        suffix_max_len: int) -> ModelBundle:
-    """The one way to build a bundle: attach the tables derived from counts."""
-    model = ModelBundle(alphabet=alphabet, vocabulary=vocabulary, counts=counts,
-                        task=task, suffix_max_len=suffix_max_len)
-    model.hmc = fit_hmc(counts)
-    model.features = derive_feature_tables(counts, vocabulary, suffix_max_len)
-    return model
+    """The one way to build a bundle: derive every table from the counts."""
+    # the index is looked up on the module, where perfbench/tracing.py wraps it
+    return ModelBundle(alphabet=alphabet, vocabulary=vocabulary, counts=counts,
+                       task=task, suffix_max_len=suffix_max_len, hmc=fit_hmc(counts),
+                       features=derive_feature_tables(counts, vocabulary, suffix_max_len),
+                       index=inference.DecodeIndex(counts))
 
 
 def train_model(corpus, config: TrainConfig) -> ModelBundle:

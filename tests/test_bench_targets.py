@@ -32,12 +32,39 @@ def test_trace_target_exists(module, attr):
     assert hasattr(module, attr), f"{module.__name__}.{attr} is gone"
 
 
-def test_model_attributes_read_outside_the_tracer(tmp_path):
+@pytest.fixture
+def tiny(tmp_path):
+    """Training and test sentences of a tiny benchmark world, and the saved model."""
     world = synth.World(n_labels=4, groups=2, bio=True)
     train = synth.sample_sentences(world, synth.make_rng(1, "train"), 60)
     test = synth.sample_sentences(world, synth.make_rng(1, "test"), 20, oov_share=0.2)
     path = tmp_path / "model.pmc"
     save_model(train_model(LabeledCorpus(train), TrainConfig(task="chunk")), path)
+    return train, test, path
+
+
+def test_index_span_is_recorded_once_while_loading(tiny):
+    """The span inference.decode_index wraps inference.DecodeIndex, so it
+    reads 0 if the bundle build stops looking the class up on its module,
+    and shows up under decoding if the index is built lazily again."""
+    _, test, path = tiny
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        model = load_model(path)
+        for decoder in ("mpm", "map"):
+            for sent in test:
+                try:
+                    decode_sentence(model, [w for w, _ in sent], decoder=decoder)
+                except DeadEnd:
+                    pass
+    built = [span for span in tracer.spans if span.name == "inference.decode_index"]
+    assert len(built) == 1
+    assert tracer.spans[built[0].parent].name == "serialize.deserialize_model"
+    assert any(span.name == "inference.resolve_factors" for span in tracer.spans)
+
+
+def test_model_attributes_read_outside_the_tracer(tiny):
+    train, test, path = tiny
     model = load_model(path)
 
     counts = model.counts
@@ -46,7 +73,7 @@ def test_model_attributes_read_outside_the_tracer(tmp_path):
     assert set(model.vocabulary) == {w for s in train for w, _ in s}
     assert set(model.alphabet) == {t for s in train for _, t in s}
 
-    decode_index(model)
+    assert decode_index(model) is model.index
     test_words = [[w for w, _ in s] for s in test]
     oov = [w for words in test_words for w in words if w not in model.vocabulary]
     assert oov

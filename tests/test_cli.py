@@ -122,6 +122,15 @@ class TestTag:
             assert got[:3] == src
             assert len(got) == 4
 
+    @pytest.mark.parametrize("model", [os.path.join(TRAIN, "m.pmc"), "m" * 300],
+                             ids=["under-a-file", "name-too-long"])
+    def test_unopenable_model_exits_2(self, model, capsys):
+        code, out, err = run(["tag", "--model", model, "--input", TEST], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_stdout_identical_across_runs(self, model_path, capsys):
         code1, out1, _ = run(["tag", "--model", model_path, "--input", TEST],
                              capsys)

@@ -9,7 +9,7 @@ from pmctag.features import feature_column
 from pmctag.inference import (HMC_STEP, PMC_STEP, FactorProvider, backward,
                               decode_map, decode_mpm, decode_sentence, forward,
                               map_path, mpm_path, posterior_marginals,
-                              decode_index, resolve_factors)
+                              resolve_factors)
 from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors
 from pmctag.training import TrainConfig, fit_pmc, train_model
 
@@ -91,7 +91,7 @@ class TestDecodeIndex:
     def test_pmc_factors_match_estimator(self, corpus):
         """The decoder's count ratios are the estimator's trans2 * emit2."""
         model = train_model(corpus, TrainConfig(task="pos"))
-        index = decode_index(model)
+        index = model.index
         pmc = fit_pmc(model.counts)
         expected = {}
         for (i, k, j), row in pmc.emit2.items():
@@ -122,7 +122,7 @@ class TestDenseLayout:
         assert z == len(model.vocabulary) - 1
         shape = (len(model.alphabet), len(model.vocabulary))
         assert model.hmc.emit.shape == model.counts.m_ik.shape == shape
-        assert decode_index(model).pi2.shape == shape
+        assert model.index.pi2.shape == shape
         assert not model.hmc.emit[:, z].any()
         for decoder in ("mpm", "map"):
             with pytest.raises(DeadEnd) as err:

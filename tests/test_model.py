@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from pmctag.errors import EmptySupport
-from pmctag.model import Interner, normalize_counts
-from pmctag.training import TrainConfig, accumulate_counts, fit_pmc, train_model
+from pmctag.errors import DeadEnd, EmptySupport
+from pmctag.inference import DecodeIndex, decode_sentence
+from pmctag.model import Interner, ModelBundle, normalize_counts
+from pmctag.serialize import load_model, save_model
+from pmctag.training import (TrainConfig, accumulate_counts, fit_pmc, train_model,
+                             update_online)
 
 from conftest import corpus_from, random_corpus
 
@@ -92,6 +96,34 @@ class TestCountTables:
         assert counts.n0_i[a] == 1 and counts.L == 1
         assert counts.n0_ik.keys.tolist() == [[a, w1]]
         assert counts.n0_ik.counts.tolist() == [1]
+
+
+class TestModelBundle:
+    @pytest.fixture
+    def bundles(self, rng, tmp_path):
+        trained = train_model(random_corpus(rng, n_sentences=40), TrainConfig(task="pos"))
+        updated = update_online(trained, random_corpus(rng, n_sentences=10, n_words=10))
+        save_model(updated, tmp_path / "m.pmc")
+        return [trained, updated, load_model(tmp_path / "m.pmc")]
+
+    def test_no_field_can_be_reassigned(self, bundles):
+        for model in bundles:
+            for f in dataclasses.fields(ModelBundle):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(model, f.name, getattr(model, f.name))
+
+    def test_decoding_leaves_the_index_in_place(self, bundles, rng):
+        for model in bundles:
+            index = model.index
+            assert isinstance(index, DecodeIndex)
+            for mode in ("hmc", "pmc"):
+                for decoder in ("mpm", "map"):
+                    for sent in random_corpus(rng, n_sentences=5, n_words=10).sentences:
+                        try:
+                            decode_sentence(model, [w for w, _ in sent], mode, decoder)
+                        except DeadEnd:
+                            pass
+            assert model.index is index
 
 
 def _stochastic_rows_hold(model):
