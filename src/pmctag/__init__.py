@@ -5,8 +5,8 @@ from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
 from .errors import (CorruptModel, DeadEnd, EmptyCorpus, EmptySentence,
                      EmptySupport, EmptyToken, FormatError, PmctagError,
                      ShapeError, UnknownTag, UnsupportedVersion)
-from .evaluation import (EvalReport, Span, benchmark, evaluate_predictions,
-                         extract_spans, span_f1, token_accuracy)
+from .evaluation import (EvalReport, Span, evaluate_predictions, extract_spans,
+                         span_f1, token_accuracy)
 from .features import (FeatureEmissionTables, WordFeatures, extract_features,
                        feature_emission_prob, fit_feature_tables)
 from .inference import (FactorProvider, backward, decode_map, decode_mpm,

@@ -1,4 +1,4 @@
-"""Command-line entry point: train, tag, eval, bench and verify.
+"""Command-line entry point: train, tag, eval and verify.
 
 Data goes to stdout or the requested output files; diagnostics (timings,
 downgrade rates, per-sentence failures) go to stderr so piped workflows
@@ -31,7 +31,6 @@ DEFAULTS = {
     "word_column": 0,
     "tag_column": 1,
     "suffix_max_len": 3,
-    "repetitions": 3,
     "instances": 200,
     "seed": 12345,
 }
@@ -91,16 +90,6 @@ def build_parser():
                    help="span scheme; defaults by task (chunk/ner: bio)")
     p.add_argument("--report-text", default=None, help="default: stdout")
     p.add_argument("--report-kv", default=None)
-    _add_corpus_options(p)
-    _add_decode_options(p)
-
-    p = sub.add_parser("bench", help="time training and decoding")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--test-corpus", default=None,
-                   help="corpus to decode; default: the training corpus")
-    p.add_argument("--task", choices=("pos", "chunk", "ner"), default=None)
-    p.add_argument("--suffix-max-len", type=int, default=None)
-    p.add_argument("--repetitions", type=int, default=None)
     _add_corpus_options(p)
     _add_decode_options(p)
 
@@ -164,9 +153,8 @@ def _effective(args, parser):
             continue
         if value is not None or key not in merged:
             merged[key] = value
-    for key in ("instances", "repetitions"):
-        if merged[key] < 1:
-            raise FormatError(f"{key} must be at least 1, not {merged[key]}")
+    if merged["instances"] < 1:
+        raise FormatError(f"instances must be at least 1, not {merged['instances']}")
     return argparse.Namespace(**merged)
 
 
@@ -282,19 +270,6 @@ def cmd_eval(opts) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(opts) -> int:
-    corpus = _read_corpus(opts, opts.corpus)
-    test = _read_corpus(opts, opts.test_corpus) if opts.test_corpus else corpus
-    config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
-    test_words = test.words()
-    report = evaluation.benchmark(
-        lambda c: train_model(c, config), corpus, opts.repetitions,
-        decode_fn=lambda model: _decode_corpus(model, test_words, opts),
-        decoded_tokens=test.n_tokens)
-    sys.stdout.write(report.format())
-    return 0
-
-
 def cmd_verify(opts) -> int:
     rng = np.random.default_rng(opts.seed)
     worst_post = 0.0
@@ -324,7 +299,6 @@ COMMANDS = {
     "train": cmd_train,
     "tag": cmd_tag,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "verify": cmd_verify,
 }
 

@@ -15,10 +15,9 @@ from .errors import FormatError, UnknownTag
 
 @dataclass
 class LabeledCorpus:
-    """Sentences of (word, label) pairs with an optional split name."""
+    """Sentences of (word, label) pairs."""
 
     sentences: list[list[tuple[str, str]]]
-    split: str | None = None
 
     def __len__(self):
         return len(self.sentences)
@@ -29,9 +28,6 @@ class LabeledCorpus:
 
     def words(self) -> list[list[str]]:
         return [[w for w, _ in sent] for sent in self.sentences]
-
-    def labels(self) -> list[list[str]]:
-        return [[t for _, t in sent] for sent in self.sentences]
 
 
 def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
@@ -91,14 +87,14 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
 
 
 def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
-               comment_prefix=None, split=None) -> LabeledCorpus:
+               comment_prefix=None) -> LabeledCorpus:
     """Read a labeled corpus, taking words and tags from the given columns."""
     records = read_records(stream, word_column=word_column,
                            skip_pattern=skip_pattern, comment_prefix=comment_prefix,
                            tag_column=tag_column)
     sentences = [[(cols[word_column], cols[tag_column]) for cols in sent]
                  for sent in records]
-    return LabeledCorpus(sentences=sentences, split=split)
+    return LabeledCorpus(sentences=sentences)
 
 
 def write_conll(sentences, stream):
@@ -142,7 +138,7 @@ def apply_mapping(corpus: LabeledCorpus, mapping: dict[str, str]) -> LabeledCorp
     if missing:
         raise UnknownTag(missing)
     sentences = [[(w, mapping[t]) for w, t in sent] for sent in corpus.sentences]
-    return LabeledCorpus(sentences=sentences, split=corpus.split)
+    return LabeledCorpus(sentences=sentences)
 
 
 def mark_known(corpus: LabeledCorpus, vocabulary) -> list[list[bool]]:

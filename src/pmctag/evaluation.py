@@ -1,4 +1,4 @@
-"""Token accuracy, span F1 and timing reports.
+"""Token accuracy and span F1 reports.
 
 Span extraction follows the official CoNLL scoring conventions: a dangling
 I-X (after O, a different type, or the sentence start) opens a new span
@@ -8,8 +8,6 @@ driven elsewhere and its diagnostics are passed in.
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -278,78 +276,3 @@ def format_report_text(report: EvalReport) -> str:
 
 def format_report_kv(report: EvalReport) -> str:
     return "\n".join(f"{k}\t{_fmt(v)}" for k, v in _report_rows(report)) + "\n"
-
-
-@dataclass
-class BenchReport:
-    """Wall-clock samples for training and optional decoding runs."""
-
-    sentences: int
-    tokens: int
-    train_samples: list[float]
-    decode_samples: list[float] | None = None
-    decoded_tokens: int = 0
-
-    @property
-    def train_median(self) -> float:
-        return statistics.median(self.train_samples)
-
-    @property
-    def train_spread(self) -> tuple[float, float]:
-        return min(self.train_samples), max(self.train_samples)
-
-    @property
-    def decode_median(self) -> float | None:
-        return statistics.median(self.decode_samples) if self.decode_samples else None
-
-    @property
-    def tokens_per_second(self) -> float | None:
-        median = self.decode_median
-        if not median or not self.decoded_tokens:
-            return None
-        return self.decoded_tokens / median
-
-    def format(self) -> str:
-        lo, hi = self.train_spread
-        lines = [
-            f"sentences {self.sentences}",
-            f"tokens {self.tokens}",
-            f"train-repetitions {len(self.train_samples)}",
-            f"train-median-s {self.train_median:.4f}",
-            f"train-min-s {lo:.4f}",
-            f"train-max-s {hi:.4f}",
-        ]
-        if self.decode_samples:
-            dlo, dhi = min(self.decode_samples), max(self.decode_samples)
-            lines += [
-                f"decode-median-s {self.decode_median:.4f}",
-                f"decode-min-s {dlo:.4f}",
-                f"decode-max-s {dhi:.4f}",
-                f"decode-tokens {self.decoded_tokens}",
-                f"decode-tokens-per-s {self.tokens_per_second:.1f}",
-            ]
-        return "\n".join(lines) + "\n"
-
-
-def benchmark(train_fn, corpus, repetitions, decode_fn=None,
-              decoded_tokens=0) -> BenchReport:
-    """Time `train_fn(corpus)` and optionally `decode_fn(model)` per run."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    train_samples = []
-    decode_samples = [] if decode_fn else None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        model = train_fn(corpus)
-        train_samples.append(time.perf_counter() - t0)
-        if decode_fn:
-            t0 = time.perf_counter()
-            decode_fn(model)
-            decode_samples.append(time.perf_counter() - t0)
-    return BenchReport(
-        sentences=len(corpus.sentences),
-        tokens=corpus.n_tokens,
-        train_samples=train_samples,
-        decode_samples=decode_samples,
-        decoded_tokens=decoded_tokens,
-    )

@@ -10,22 +10,21 @@ longest level whose suffix was seen in training and backs off otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyCorpus, EmptyToken
 from .model import summed
 
-# Label-free feature tuples are (cap, hyphen, first, digit, suffix).
-FeatureTuple = tuple[int, int, int, int, str]
-
 # Longer suffixes are whole words for almost every token; the bound also
 # keeps a corrupt model file from asking for millions of levels.
 MAX_SUFFIX_LEN = 16
 
 
-@dataclass(frozen=True)
-class WordFeatures:
+class WordFeatures(NamedTuple):
+    """The label-free feature tuple of a word; it keys the feature tables."""
+
     cap: int
     hyphen: int
     first: int
@@ -66,17 +65,19 @@ class FeatureEmissionTables:
     array whose entry [r, i] is the conditional frequency of tuple r
     given label i. Rows follow sorted tuple order, and only tuples with
     a positive count get one, so an unknown word's emission column is one
-    row read. suffix_support[m] is the set of suffixes seen at level m;
-    it decides the back-off level for a word and is derived from the
-    tuple keys.
+    row read; the arrays are read-only. suffix_support[m] is the set of
+    suffixes seen at level m; it decides the back-off level for a word and
+    is derived from the tuple keys.
     """
 
     max_len: int
-    tuple_ids: list[dict[FeatureTuple, int]]
+    tuple_ids: list[dict[WordFeatures, int]]
     tables: list[np.ndarray]
     suffix_support: list[set[str]] = field(default=None, repr=False)
 
     def __post_init__(self):
+        for table in self.tables:
+            table.setflags(write=False)
         if self.suffix_support is None:
             self.suffix_support = [{key[4] for key in ids} for ids in self.tuple_ids]
 
@@ -117,7 +118,7 @@ def _tables_from_counts(tuple_ids, tuple_counts, label_totals, max_len):
     return FeatureEmissionTables(max_len=max_len, tuple_ids=tuple_ids, tables=tables)
 
 
-def _row_ids(tuples) -> dict[FeatureTuple, int]:
+def _row_ids(tuples) -> dict[WordFeatures, int]:
     """Row of each distinct tuple, in sorted tuple order."""
     return {key: r for r, key in enumerate(sorted(set(tuples)))}
 
@@ -136,8 +137,7 @@ def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmission
         for pos, (word, label) in enumerate(sentence):
             i = alphabet.intern(label)
             for m in range(suffix_max_len + 1):
-                f = extract_features(word, pos, m)
-                key = ((f.cap, f.hyphen, f.first, f.digit, f.suffix), i)
+                key = (extract_features(word, pos, m), i)
                 counts = keyed[m]
                 counts[key] = counts.get(key, 0) + 1
     n_labels = len(alphabet)
@@ -212,8 +212,7 @@ def feature_column(tables: FeatureEmissionTables, word: str, position: int) -> n
     unseen even at the chosen level gives a zero column.
     """
     m = backoff_level(tables, word)
-    f = extract_features(word, position, m)
-    row = tables.tuple_ids[m].get((f.cap, f.hyphen, f.first, f.digit, f.suffix))
+    row = tables.tuple_ids[m].get(extract_features(word, position, m))
     if row is None:
         return np.zeros(tables.n_labels)
     return tables.tables[m][row]

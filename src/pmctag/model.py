@@ -84,13 +84,17 @@ class HmcParams:
     transition probability and emit[i, k] the probability of word k under
     label i, an (n_labels, n_words) array. Labels whose rows have no
     observations are stored as all-zero trans and emit rows with
-    trans_support[i] == False.
+    trans_support[i] == False. All four arrays are read-only.
     """
 
     pi: np.ndarray
     trans: np.ndarray
     trans_support: np.ndarray
     emit: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.pi, self.trans, self.trans_support, self.emit):
+            table.setflags(write=False)
 
     @property
     def n_labels(self) -> int:

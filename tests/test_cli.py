@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ TRAIN = os.path.join(DATA, "train_chunk.conll")
 TEST = os.path.join(DATA, "test_chunk.conll")
 DET = os.path.join(DATA, "train_det.conll")
 MAP = os.path.join(DATA, "ptb_mini.map")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _no_input_read(*args, **kwargs):
@@ -252,30 +254,6 @@ class TestEval:
         assert open(paths[0]).read() == open(paths[1]).read()
 
 
-class TestBench:
-    def test_minimal_run(self, capsys):
-        code, out, _ = run(["bench", "--corpus", TRAIN, "--task", "chunk",
-                            "--tag-column", "2", "--repetitions", "1"], capsys)
-        assert code == 0
-        assert "train-median-s" in out
-        assert "decode-tokens-per-s" in out
-
-    def test_test_corpus_flag(self, capsys):
-        code, out, _ = run(["bench", "--corpus", TRAIN, "--test-corpus", TEST,
-                            "--task", "chunk", "--tag-column", "2",
-                            "--repetitions", "2"], capsys)
-        assert code == 0
-        assert "decode-tokens 10" in out
-
-    def test_zero_repetitions_rejected_before_reading(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "read_conll", _no_input_read)
-        code, out, err = run(["bench", "--corpus", TRAIN, "--repetitions", "0"],
-                             capsys)
-        assert code == 2
-        assert out == ""
-        assert err.strip() == "error: repetitions must be at least 1, not 0"
-
-
 class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(["verify", "--instances", "25", "--seed", "7"], capsys)
@@ -331,6 +309,7 @@ class TestConfigFile:
         ("eval", '{"scheme": "bogus"}'),  # not one of the option's choices
         ("eval", '{"mode": "bogus"}'),
         ("verify", '{"instances": 0}'),  # a vacuous run
+        ("verify", '{"repetitions": 3}'),  # an option of no subcommand
     ]
 
     @pytest.mark.parametrize("command, content", BAD_CONFIGS,
@@ -361,3 +340,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "failures 0" in proc.stdout
+
+
+def readme_commands():
+    """Argument lists of the `pmctag` lines in README's command-line block."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("pmctag ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pmctag {shlex.join(argv)}")

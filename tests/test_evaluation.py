@@ -3,12 +3,10 @@ import os
 
 import pytest
 
-from pmctag.conll import LabeledCorpus
 from pmctag.errors import ShapeError
-from pmctag.evaluation import (Span, benchmark, evaluate_predictions,
-                               extract_spans, extract_spans_counted,
-                               format_report_kv, format_report_text,
-                               span_f1, token_accuracy)
+from pmctag.evaluation import (Span, evaluate_predictions, extract_spans,
+                               extract_spans_counted, format_report_kv,
+                               format_report_text, span_f1, token_accuracy)
 
 from conlleval_reference import score_sentences
 
@@ -187,28 +185,3 @@ class TestEvaluatePredictions:
         for line in kv.strip().split("\n"):
             assert len(line.split("\t")) == 2
         assert "downgrade-rate\t0.250000" in kv
-
-
-class TestBenchmark:
-    def test_three_repetitions_reported(self):
-        corpus = LabeledCorpus([[("a", "A")], [("b", "B")]])
-        calls = []
-        report = benchmark(lambda c: calls.append(1), corpus, repetitions=3)
-        assert len(calls) == 3
-        assert len(report.train_samples) == 3
-        assert report.train_median >= 0
-        lo, hi = report.train_spread
-        assert lo <= report.train_median <= hi
-        assert report.sentences == 2 and report.tokens == 2
-
-    def test_decode_timing_and_throughput(self):
-        corpus = LabeledCorpus([[("a", "A"), ("b", "B")]])
-        report = benchmark(lambda c: "model", corpus, 2,
-                           decode_fn=lambda m: None, decoded_tokens=100)
-        assert len(report.decode_samples) == 2
-        assert report.tokens_per_second > 0
-        assert "decode-tokens-per-s" in report.format()
-
-    def test_invalid_repetitions(self):
-        with pytest.raises(ValueError):
-            benchmark(lambda c: None, LabeledCorpus([[("a", "A")]]), 0)

@@ -112,6 +112,15 @@ class TestModelBundle:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(model, f.name, getattr(model, f.name))
 
+    def test_derived_arrays_are_read_only(self, bundles):
+        for model in bundles:
+            hmc = model.hmc
+            arrays = [hmc.pi, hmc.trans, hmc.trans_support, hmc.emit,
+                      *model.features.tables]
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
+
     def test_decoding_leaves_the_index_in_place(self, bundles, rng):
         for model in bundles:
             index = model.index
