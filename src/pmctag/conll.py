@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .errors import FormatError, UnknownTag
 
@@ -30,6 +33,81 @@ class LabeledCorpus:
         return [[w for w, _ in sent] for sent in self.sentences]
 
 
+def _dropped(line, word_column, skip, comment_prefix) -> bool:
+    """True for a comment line or a token line whose word matches `skip`.
+
+    A line too short for the word column is kept, so the parse reports it.
+    """
+    stripped = line.strip()
+    if not stripped:
+        return False
+    if comment_prefix and stripped.startswith(comment_prefix):
+        return True
+    if skip is None:
+        return False
+    cols = stripped.split()
+    return word_column < len(cols) and skip.fullmatch(cols[word_column]) is not None
+
+
+def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
+    """Split a stream's text into tokens and sentence lengths.
+
+    Returns (flat, width, lengths): every token of the kept lines in
+    order, the column count shared by every token line and the number of
+    token lines of each sentence. A line ends at each newline character
+    and nowhere else; it is blank when it holds only whitespace (anything
+    str.split splits on), and blank lines end sentences. The tokens of the
+    whole text are the tokens of its lines, since a newline is whitespace.
+    Bad options raise FormatError before the stream is read; a token line
+    that is too short or ragged raises it with the line's number.
+    """
+    for name, column in (("word", word_column), ("tag", tag_column)):
+        if column is not None and column < 0:
+            raise FormatError(f"{name} column must be 0 or more, not {column}")
+    if tag_column == word_column:
+        raise FormatError(f"tag column and word column are both {word_column}")
+    try:
+        skip = re.compile(skip_pattern) if skip_pattern else None
+    except re.error as exc:
+        raise FormatError(f"invalid skip pattern {skip_pattern!r}: {exc}") from None
+    text = stream.read()
+    lines = text.split("\n")
+    kept = None  # original 0-based index of each kept line, when lines are dropped
+    if skip or comment_prefix:
+        kept = [n for n, line in enumerate(lines)
+                if not _dropped(line, word_column, skip, comment_prefix)]
+        lines = [lines[n] for n in kept]
+        text = "\n".join(lines)
+    widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    del lines
+    token = widths > 0
+    if not token.any():
+        return [], 1, []  # any positive width slices an empty token list
+    width = int(widths[token.argmax()])
+    need = max(word_column, -1 if tag_column is None else tag_column) + 1
+    bad = token & ((widths != width) | (width < need))
+    if bad.any():
+        first = int(bad.argmax())
+        raise _row_error(int(widths[first]), width, word_column, tag_column,
+                         (kept[first] if kept is not None else first) + 1)
+    # sentences are the runs of token lines
+    edges = np.diff(token.astype(np.int8), prepend=0, append=0)
+    lengths = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
+    return text.split(), width, lengths.tolist()
+
+
+def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
+    """The error of a token line that is too short or has not `width` columns."""
+    if n_cols <= word_column:
+        return FormatError(
+            f"expected a word in column {word_column}, found {n_cols} columns", line=line)
+    if tag_column is not None and n_cols <= tag_column:
+        return FormatError(
+            f"expected a tag in column {tag_column}, found {n_cols} columns", line=line)
+    return FormatError(
+        f"ragged row: {n_cols} columns where previous lines had {width}", line=line)
+
+
 def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
                  tag_column=None):
     """Parse column records: a list of sentences, each a list of column lists.
@@ -42,59 +120,23 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     equal to the word column and an invalid skip_pattern are rejected
     before the first line is read.
     """
-    for name, column in (("word", word_column), ("tag", tag_column)):
-        if column is not None and column < 0:
-            raise FormatError(f"{name} column must be 0 or more, not {column}")
-    if tag_column == word_column:
-        raise FormatError(f"tag column and word column are both {word_column}")
-    try:
-        skip = re.compile(skip_pattern) if skip_pattern else None
-    except re.error as exc:
-        raise FormatError(f"invalid skip pattern {skip_pattern!r}: {exc}") from None
-    sentences = []
-    current = []
-    expected_cols = None
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped:
-            if current:
-                sentences.append(current)
-            current = []
-            continue
-        if comment_prefix and stripped.startswith(comment_prefix):
-            continue
-        cols = stripped.split()
-        if word_column >= len(cols):
-            raise FormatError(
-                f"expected a word in column {word_column}, found {len(cols)} columns",
-                line=lineno)
-        if skip and skip.fullmatch(cols[word_column]):
-            continue
-        if tag_column is not None and tag_column >= len(cols):
-            raise FormatError(
-                f"expected a tag in column {tag_column}, found {len(cols)} columns",
-                line=lineno)
-        if expected_cols is None:
-            expected_cols = len(cols)
-        elif len(cols) != expected_cols:
-            raise FormatError(
-                f"ragged row: {len(cols)} columns where previous lines had {expected_cols}",
-                line=lineno)
-        current.append(cols)
-    if current:
-        sentences.append(current)
-    return sentences
+    flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
+                                  comment_prefix)
+    rows = (flat[r:r + width] for r in range(0, len(flat), width))
+    return [list(islice(rows, n)) for n in lengths]
 
 
 def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                comment_prefix=None) -> LabeledCorpus:
-    """Read a labeled corpus, taking words and tags from the given columns."""
-    records = read_records(stream, word_column=word_column,
-                           skip_pattern=skip_pattern, comment_prefix=comment_prefix,
-                           tag_column=tag_column)
-    sentences = [[(cols[word_column], cols[tag_column]) for cols in sent]
-                 for sent in records]
-    return LabeledCorpus(sentences=sentences)
+    """Read a labeled corpus, taking words and tags from the given columns.
+
+    Reads the same lines as read_records and raises the same errors.
+    """
+    flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
+                                  comment_prefix)
+    pairs = zip(flat[word_column::width], flat[tag_column::width])
+    del flat  # the two slices hold every token the sentences need
+    return LabeledCorpus(sentences=[list(islice(pairs, n)) for n in lengths])
 
 
 def write_conll(sentences, stream):

@@ -9,7 +9,10 @@ longest level whose suffix was seen in training and backs off otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +59,7 @@ def extract_features(word: str, position: int, m: int) -> WordFeatures:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FeatureEmissionTables:
     """Per-level empirical feature-tuple probabilities given the label.
 
@@ -65,21 +68,26 @@ class FeatureEmissionTables:
     array whose entry [r, i] is the conditional frequency of tuple r
     given label i. Rows follow sorted tuple order, and only tuples with
     a positive count get one, so an unknown word's emission column is one
-    row read; the arrays are read-only. suffix_support[m] is the set of
-    suffixes seen at level m; it decides the back-off level for a word and
-    is derived from the tuple keys.
+    row read. suffix_support[m] is the set of suffixes seen at level m; it
+    decides the back-off level for a word and is derived from the tuple
+    keys. Nothing can be changed: the fields cannot be reassigned, the
+    per-level sequences are tuples, each tuple_ids[m] is a read-only
+    mapping, each suffix_support[m] a frozenset and each array read-only.
     """
 
     max_len: int
-    tuple_ids: list[dict[WordFeatures, int]]
-    tables: list[np.ndarray]
-    suffix_support: list[set[str]] = field(default=None, repr=False)
+    tuple_ids: tuple[Mapping[WordFeatures, int], ...]
+    tables: tuple[np.ndarray, ...]
+    suffix_support: tuple[frozenset[str], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for table in self.tables:
             table.setflags(write=False)
-        if self.suffix_support is None:
-            self.suffix_support = [{key[4] for key in ids} for ids in self.tuple_ids]
+        set_field = partial(object.__setattr__, self)  # the dataclass is frozen
+        set_field("tables", tuple(self.tables))
+        set_field("tuple_ids", tuple(map(MappingProxyType, self.tuple_ids)))
+        set_field("suffix_support",
+                  tuple(frozenset(key[4] for key in ids) for ids in self.tuple_ids))
 
     @property
     def n_labels(self) -> int:

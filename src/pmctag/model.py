@@ -12,6 +12,7 @@ entry has an all-zero column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,21 +22,42 @@ PROB_TOL = 1e-12
 
 
 class Interner:
-    """Append-only bijection between strings and contiguous integer ids."""
+    """Bijection between strings and contiguous integer ids, append-only.
+
+    A model bundle freezes its interners: items becomes a tuple, index a
+    read-only mapping, and intern and intern_all raise TypeError. copy()
+    gives an appendable interner with the same ids.
+    """
 
     def __init__(self, items=()):
         self.items: list[str] = []
         self.index: dict[str, int] = {}
-        for item in items:
-            self.intern(item)
+        self.frozen = False
+        self.intern_all(items)
 
     def intern(self, item: str) -> int:
-        idx = self.index.get(item)
-        if idx is None:
-            idx = len(self.items)
-            self.items.append(item)
-            self.index[item] = idx
-        return idx
+        return int(self.intern_all((item,))[0])
+
+    def intern_all(self, tokens) -> np.ndarray:
+        """int64 ids of a sequence of tokens, interning new ones in order.
+
+        New items get ids in the order of their first occurrence, so
+        interning tokens one by one gives the same ids.
+        """
+        if self.frozen:
+            raise TypeError("a frozen interner cannot intern; extend a copy()")
+        index, n = self.index, len(self.items)
+        fresh = [item for item in dict.fromkeys(tokens) if item not in index]
+        index.update(zip(fresh, range(n, n + len(fresh))))
+        self.items.extend(fresh)
+        return np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
+                           count=len(tokens))
+
+    def freeze(self):
+        """Make the interner read-only; ids stay as they are."""
+        self.items = tuple(self.items)
+        self.index = MappingProxyType(self.index)
+        self.frozen = True
 
     def get(self, item: str):
         """Id of `item`, or None if it was never interned."""
@@ -57,7 +79,7 @@ class Interner:
         return iter(self.items)
 
     def __eq__(self, other):
-        return isinstance(other, Interner) and self.items == other.items
+        return isinstance(other, Interner) and tuple(self.items) == tuple(other.items)
 
     def __repr__(self):
         return f"Interner({len(self.items)} items)"
@@ -76,7 +98,7 @@ def normalize_counts(counts) -> dict:
     return {k: v / total for k, v in counts.items()}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HmcParams:
     """Hidden Markov chain parameters.
 
@@ -84,7 +106,8 @@ class HmcParams:
     transition probability and emit[i, k] the probability of word k under
     label i, an (n_labels, n_words) array. Labels whose rows have no
     observations are stored as all-zero trans and emit rows with
-    trans_support[i] == False. All four arrays are read-only.
+    trans_support[i] == False. No field can be reassigned, and all four
+    arrays are read-only.
     """
 
     pi: np.ndarray
@@ -191,7 +214,7 @@ def summed(shape, index, counts) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CountTables:
     """Raw pattern counts plus cached marginals.
 
@@ -202,7 +225,8 @@ class CountTables:
     the chain count L and n0_i over n0_ik, n_ij over k and l, m_ik over j
     and l, and n_i over j. m_ik is (n_labels, n_words); a word that never
     starts a pattern (one seen only at the end of sentences) has an
-    all-zero column.
+    all-zero column. No field can be reassigned and the marginal arrays
+    are read-only.
     """
 
     n0_ik: CountTable
@@ -212,6 +236,10 @@ class CountTables:
     n_ij: np.ndarray = field(repr=False)
     m_ik: np.ndarray = field(repr=False)
     n_i: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for table in (self.n0_i, self.n_ij, self.m_ik, self.n_i):
+            table.setflags(write=False)
 
     @classmethod
     def from_raw(cls, n_labels, n_words, n0_ik, n_ikjl) -> "CountTables":
@@ -261,8 +289,9 @@ class ModelBundle:
     length are state; hmc, features and index are derived from them, and
     the PMC factors are count ratios the decoder reads from the index.
     Build bundles with training.bundle_from_counts, which derives every
-    table. A bundle is immutable: no field can be reassigned, decoding
-    only reads it, and online updates build a new one.
+    table. A bundle is immutable: no field can be reassigned, its
+    interners are frozen when it is built, decoding only reads it, and
+    online updates build a new one.
     """
 
     alphabet: Interner
@@ -273,6 +302,10 @@ class ModelBundle:
     hmc: HmcParams = field(repr=False)
     features: "FeatureEmissionTables" = field(repr=False)  # noqa: F821 - defined in features.py
     index: "DecodeIndex" = field(repr=False)  # noqa: F821 - defined in inference.py
+
+    def __post_init__(self):
+        self.alphabet.freeze()
+        self.vocabulary.freeze()
 
     def validate(self):
         self.hmc.validate()

@@ -76,14 +76,13 @@ def accumulate_counts(corpus, base: ModelBundle | None = None):
         raise EmptySentence("training corpus contains an empty sentence")
     alphabet = base.alphabet.copy() if base else Interner()
     vocabulary = base.vocabulary.copy() if base else Interner()
-
-    def ids(interner, field):
-        tokens = map(itemgetter(field), chain.from_iterable(sentences))
-        return np.fromiter(map(interner.intern, tokens), dtype=np.int64, count=lengths.sum())
-
-    code = ids(vocabulary, 0)
+    # one list per column: unpacking zip(*tokens) makes an iterator per token
+    words, labels = (list(map(itemgetter(field), chain.from_iterable(sentences)))
+                     for field in (0, 1))
+    code = vocabulary.intern_all(words)
     n_words = len(vocabulary)
-    code += ids(alphabet, 1) * n_words
+    code += alphabet.intern_all(labels) * n_words
+    del words, labels
     starts = np.cumsum(lengths) - lengths
     follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
     follows[starts] = False

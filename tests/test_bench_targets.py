@@ -3,10 +3,12 @@
 perfbench/tracing.py lists (module, attribute, span) targets. Renaming or
 deleting one of those attributes breaks `perfbench/run.py --trace 1`, so
 the names are checked here, where every test run sees them. perfbench/run.py
-also reads a loaded model and its decodes directly; the last test uses
-exactly those attributes on a tiny model from the benchmark's generator.
+also reads a loaded model and its decodes directly, and the corpus
+readers' row types; the tests after the first use exactly those
+attributes on a tiny model from the benchmark's generator.
 """
 
+import io
 import os
 import sys
 
@@ -17,12 +19,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import synth  # noqa: E402
 import tracing  # noqa: E402
 
-from pmctag.conll import LabeledCorpus, mark_known  # noqa: E402
+from pmctag.conll import LabeledCorpus, mark_known, read_conll, read_records  # noqa: E402
 from pmctag.errors import DeadEnd  # noqa: E402
 from pmctag.evaluation import evaluate_predictions  # noqa: E402
 from pmctag.features import backoff_level  # noqa: E402
 from pmctag.inference import HMC_STEP, PMC_STEP, decode_index, decode_sentence  # noqa: E402
-from pmctag.serialize import load_model, save_model  # noqa: E402
+from pmctag.serialize import load_model, save_model, serialize_model  # noqa: E402
 from pmctag.training import TrainConfig, train_model  # noqa: E402
 
 
@@ -98,3 +100,24 @@ def test_model_attributes_read_outside_the_tracer(tiny):
                                       scheme="bio", decoder=decoder,
                                       failed_sentences=len(test) - len(gold))
         assert 0 <= report.overall_error <= 1 and 0 <= report.f1 <= 1
+
+
+def test_reader_row_types_match_the_benchmark_checks(tiny):
+    """run.py check_tagged compares read_records rows with [word, label]
+    lists by !=, so tuple rows would fail every tagged check; set_up
+    trains from LabeledCorpus(sentences of (word, label) tuples), which
+    must give the bytes the CLI gets from the same text."""
+    train, _, _ = tiny
+    text = synth.conll_text(train)
+    records = read_records(io.StringIO(text))
+    assert all(type(row) is list for sent in records for row in sent)
+    expected = [[[w, t] for w, t in sent] for sent in train]
+    assert not any(got != want for got, want in zip(records, expected))
+    assert len(records) == len(expected)
+
+    corpus = read_conll(io.StringIO(text))
+    assert all(type(pair) is tuple for sent in corpus.sentences for pair in sent)
+    assert corpus.sentences == train
+    config = TrainConfig(task="chunk")
+    assert serialize_model(train_model(LabeledCorpus(train), config)) == \
+        serialize_model(train_model(corpus, config))

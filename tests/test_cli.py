@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmctag import cli
 from pmctag.cli import main
@@ -331,6 +335,49 @@ class TestConfigFile:
         lines = err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not model.exists()
+
+
+# byte pieces of corpus files: invalid UTF-8, NULs, lone carriage returns,
+# Unicode line separators, very wide and empty rows
+CORPUS_PIECES = [b"a", b"B", b"X", b"The", b" ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n",
+                 b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x80\xa8", b"\xc2\x85",
+                 b"\x1c", b"#", b"a X\n", b"The DT B-NP\n", b"dog NN\n", b" ".join([b"w"] * 500)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A temporary directory holding a chunk model trained on tests/data."""
+    path = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", "--corpus", TRAIN, "--model", str(path / "m.pmc"),
+                     "--task", "chunk", "--tag-column", "2"]) == 0
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.one_of(
+    st.lists(st.sampled_from(CORPUS_PIECES), max_size=30).map(b"".join),
+    st.binary(max_size=60)))
+def test_input_bytes_never_crash_the_cli(fuzz_dir, content):
+    corpus, model = fuzz_dir / "corpus.conll", str(fuzz_dir / "m.pmc")
+    corpus.write_bytes(content)
+    out = str(fuzz_dir / "out.txt")
+    commands = [
+        ["train", "--corpus", str(corpus), "--model", str(fuzz_dir / "new.pmc")],
+        ["tag", "--model", model, "--input", str(corpus), "--output", out],
+        ["eval", "--model", model, "--corpus", str(corpus), "--report-text", out],
+        # the same bytes as a tag mapping file
+        ["train", "--corpus", TRAIN, "--tag-column", "1", "--mapping", str(corpus),
+         "--model", str(fuzz_dir / "new.pmc")],
+    ]
+    for argv in commands:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2), argv
+        assert sum(line.startswith("error:") for line in lines) <= 1, lines
+        assert not any("Traceback" in line for line in lines), lines
 
 
 def test_console_entry_point(tmp_path):

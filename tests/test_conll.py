@@ -1,7 +1,10 @@
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conll_reference
 from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                           read_records, read_tag_mapping, write_conll)
 from pmctag.errors import FormatError, UnknownTag
@@ -149,3 +152,122 @@ class TestMarkKnown:
         vocab = Interner(["a"])
         corpus = LabeledCorpus([[("a", "X"), ("b", "Y"), ("a", "Z")]])
         assert mark_known(corpus, vocab) == [[True, False, True]]
+
+
+# str.split separators beyond space and tab; str.splitlines would also
+# break lines at \x1c, \x1d, \x85 and \u2028, the reader must not
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\xa0", "\u2028", "\u3000"]
+TOKENS = ["a", "B", "x1", "#", "#c", "-DOCSTART-", "\xe9", "ab-c", "\x00"]
+STREAMS = {
+    "string": StringIO,
+    # what open(path, encoding="utf-8") gives: universal newlines
+    "file": lambda text: TextIOWrapper(BytesIO(text.encode("utf-8")), encoding="utf-8"),
+}
+
+
+@st.composite
+def _line(draw):
+    """One line of mostly well-formed columns, with odd whitespace around them."""
+    space = st.text(st.sampled_from(SPACES), max_size=2)
+    if draw(st.booleans()):
+        return draw(space)  # empty or whitespace-only
+    cols = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4))
+    seps = [draw(st.text(st.sampled_from(SPACES), min_size=1, max_size=2))
+            for _ in cols[1:]]
+    body = cols[0] + "".join(sep + col for sep, col in zip(seps, cols[1:]))
+    return draw(space) + body + draw(space)
+
+
+@st.composite
+def _corpus_text(draw):
+    """Lines with LF or CRLF ends and an optional final newline, or raw noise."""
+    if draw(st.integers(0, 3)) == 0:
+        pieces = ["a", "B", "#", " ", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\n", "\r",
+                  "\r\n", "-DOCSTART-"]
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=40)))
+    lines = draw(st.lists(_line(), max_size=12))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, stream, **options):
+    """The sentences read, or the FormatError's message and line."""
+    try:
+        result = read(stream, **options)
+    except FormatError as exc:
+        return "error", str(exc), exc.line
+    return getattr(result, "sentences", result)
+
+
+_columns = st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 3))) \
+    .filter(lambda wt: wt[0] != wt[1])
+
+
+EDGE_TEXTS = [
+    "# \n", "#\t\na X\n", "a X\x1cb Y\n", "a X\x85\n", "a\u2028X\n", "a X\r\nb Y\r\n",
+    "a X\rb Y\n", "\n\n a X \n \t \n\nb Y", "a X\n\x0b\nb Y", "a X\nb\n", "a\nb X\n",
+    "-DOCSTART- X\n\na X Y\n", "#c d\na X\n", "a X Y\nb X\n", "\x00 X\n", "",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_reader_matches_line_loop_on_edge_cases(text):
+    for word_column in (0, 1):
+        for tag_column in {None, 1, 2} - {word_column}:
+            for comment_prefix in (None, "#", "# "):
+                for skip_pattern in (None, "-DOCSTART-", "[A-Z].*"):
+                    options = dict(word_column=word_column, tag_column=tag_column,
+                                   comment_prefix=comment_prefix,
+                                   skip_pattern=skip_pattern)
+                    for make in STREAMS.values():
+                        assert _outcome(read_records, make(text), **options) == \
+                            _outcome(conll_reference.read_records, make(text), **options)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_corpus_text(), columns=_columns,
+       comment_prefix=st.sampled_from([None, "#", "# "]),
+       skip_pattern=st.sampled_from([None, "-DOCSTART-", "[A-Z].*"]),
+       stream=st.sampled_from(sorted(STREAMS)))
+def test_reader_matches_line_loop(text, columns, comment_prefix, skip_pattern, stream):
+    word_column, tag_column = columns
+    options = dict(word_column=word_column, comment_prefix=comment_prefix,
+                   skip_pattern=skip_pattern)
+    make = STREAMS[stream]
+    assert _outcome(read_records, make(text), tag_column=tag_column, **options) == \
+        _outcome(conll_reference.read_records, make(text), tag_column=tag_column,
+                 **options)
+    if tag_column is not None:
+        got = _outcome(read_conll, make(text), tag_column=tag_column, **options)
+        assert got == _outcome(conll_reference.read_conll, make(text),
+                               tag_column=tag_column, **options)
+        if got and got[0] != "error":
+            assert all(type(pair) is tuple for sent in got for pair in sent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_corpus_text(), stream=st.sampled_from(sorted(STREAMS)))
+def test_read_write_read_round_trip(text, stream):
+    try:
+        records = read_records(STREAMS[stream](text))
+    except FormatError:
+        return
+    out = StringIO()
+    write_conll(records, out)
+    assert read_records(StringIO(out.getvalue())) == records
+
+
+_token = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4) \
+    .filter(lambda t: t.split() == [t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences=st.lists(st.lists(st.tuples(_token, _token), min_size=1, max_size=5),
+                          max_size=5))
+def test_any_corpus_of_whitespace_free_tokens_round_trips(sentences):
+    out = StringIO()
+    write_conll(LabeledCorpus(sentences), out)
+    for make in STREAMS.values():
+        assert read_conll(make(out.getvalue())).sentences == sentences

@@ -1,17 +1,21 @@
 import dataclasses
+import os
 import random
 
 import numpy as np
 import pytest
 
+from pmctag.conll import read_conll
 from pmctag.errors import DeadEnd, EmptySupport
-from pmctag.inference import DecodeIndex, decode_sentence
+from pmctag.inference import HMC_STEP, PMC_STEP, DecodeIndex, decode_sentence
 from pmctag.model import Interner, ModelBundle, normalize_counts
 from pmctag.serialize import load_model, save_model
 from pmctag.training import (TrainConfig, accumulate_counts, fit_pmc, train_model,
                              update_online)
 
 from conftest import corpus_from, random_corpus
+
+TRAIN = os.path.join(os.path.dirname(__file__), "data", "train_chunk.conll")
 
 
 class TestInterner:
@@ -36,6 +40,30 @@ class TestInterner:
         cp = it.copy()
         cp.intern("y")
         assert len(it) == 1 and len(cp) == 2
+
+    def test_intern_all_gives_ids_in_first_occurrence_order(self, rng):
+        tokens = [rng.choice("abcdefg") for _ in range(50)]
+        seen = {"c": 0}
+        ids = [seen.setdefault(t, len(seen)) for t in tokens]  # one token at a time
+        it = Interner(["c"])
+        assert it.intern_all(tokens).tolist() == ids
+        assert it.items == list(seen) and it.index == seen
+        assert it.intern_all([]).tolist() == []
+
+    def test_frozen_interner_refuses_writes(self):
+        it = Interner(["x", "y"])
+        it.freeze()
+        for write in (lambda: it.intern("x"), lambda: it.intern("z"),
+                      lambda: it.intern_all(["z"])):
+            with pytest.raises(TypeError):
+                write()
+        with pytest.raises(TypeError):
+            it.index["z"] = 2
+        with pytest.raises(AttributeError):
+            it.items.append("z")
+        assert it.get("y") == 1 and "z" not in it and it == Interner(["x", "y"])
+        cp = it.copy()
+        assert cp.intern("z") == 2 and len(it) == 2
 
 
 class TestNormalizeCounts:
@@ -115,11 +143,59 @@ class TestModelBundle:
     def test_derived_arrays_are_read_only(self, bundles):
         for model in bundles:
             hmc = model.hmc
+            counts = model.counts
             arrays = [hmc.pi, hmc.trans, hmc.trans_support, hmc.emit,
-                      *model.features.tables]
+                      *model.features.tables, counts.n0_i, counts.n_ij, counts.m_ik,
+                      counts.n_i]
             for array in arrays:
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
+
+    def test_nested_state_refuses_writes(self, bundles):
+        for model in bundles:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.hmc.emit = np.ones_like(model.hmc.emit)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.counts.L = 0
+            features = model.features
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                features.tables = features.tables
+            for m in range(features.max_len + 1):
+                with pytest.raises(TypeError):
+                    features.tuple_ids[m][next(iter(features.tuple_ids[m]))] = 0
+                with pytest.raises(AttributeError):
+                    features.suffix_support[m].add("zz")
+            with pytest.raises(TypeError):
+                features.tuple_ids[0] = {}
+            for interner in (model.alphabet, model.vocabulary):
+                with pytest.raises(TypeError):
+                    interner.intern("Qqq")
+                with pytest.raises(TypeError):
+                    interner.intern_all(["Qqq"])
+
+    def test_refused_intern_leaves_unknown_words_unknown(self):
+        with open(TRAIN, encoding="utf-8") as fh:
+            model = train_model(read_conll(fh, 0, 1), TrainConfig(task="pos"))
+
+        def outcome(words):
+            try:
+                result = decode_sentence(model, words)
+            except DeadEnd as exc:
+                return "dead end", exc.position
+            return result.labels, result.flags
+
+        before = [outcome(["The", word]) for word in ("Qqq", "qqq")]
+        with pytest.raises(TypeError):
+            model.vocabulary.intern("Qqq")
+        with pytest.raises(TypeError):
+            model.vocabulary.index["Qqq"] = len(model.vocabulary)
+        assert "Qqq" not in model.vocabulary
+        # the capitalised tuple was never seen after the first word
+        assert outcome(["The", "Qqq"]) == before[0] == ("dead end", 1)
+        assert outcome(["The", "qqq"]) == before[1] == (["DT", "NN"], [PMC_STEP, HMC_STEP])
+        # the online update extends a copy, not the bundle's interner
+        updated = update_online(model, corpus_from([("Qqq", "NN")]))
+        assert "Qqq" in updated.vocabulary and "Qqq" not in model.vocabulary
 
     def test_decoding_leaves_the_index_in_place(self, bundles, rng):
         for model in bundles:

@@ -222,7 +222,7 @@ class TestUpdateOnline:
         delta = corpus_from([("zzz-new", "L0"), ("w0", "L1")])
         updated = update_online(model, delta)
         assert len(updated.vocabulary) == len(old_items) + 1
-        assert updated.vocabulary.items[:len(old_items)] == old_items
+        assert list(updated.vocabulary.items[:len(old_items)]) == old_items
         assert updated.vocabulary.get("zzz-new") == len(old_items)
         # original model untouched
         assert list(model.vocabulary.items) == old_items
