@@ -199,6 +199,7 @@ def cmd_train(opts) -> int:
     config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     t0 = time.perf_counter()
     model = train_model(corpus, config)
+    del corpus  # free its columns before the extra corpora are read
     for path in opts.extra_corpus:
         model = update_online(model, _read_corpus(opts, path))
     elapsed = time.perf_counter() - t0
@@ -239,16 +240,17 @@ def cmd_eval(opts) -> int:
     corpus = _read_corpus(opts, opts.corpus)
     known_bits = mark_known(corpus, model.vocabulary)
     t0 = time.perf_counter()
-    results, failures = _decode_corpus(model, corpus.words(), opts)
+    results, failures = _decode_corpus(model, corpus.per_sentence(corpus.words), opts)
     decode_time = time.perf_counter() - t0
 
     gold, predicted, bits = [], [], []
-    for sent, result, sent_bits in zip(corpus.sentences, results, known_bits):
+    for tags, result, sent_bits in zip(corpus.per_sentence(corpus.tags), results,
+                                       known_bits):
         if isinstance(result, DeadEnd):
             _diag(f"sentence {result.sentence_index}: dead end at position "
                   f"{result.position}; excluded from metrics")
             continue
-        gold.append([t for _, t in sent])
+        gold.append(tags)
         predicted.append(result.labels)
         bits.append(sent_bits)
     report = evaluate_predictions(

@@ -8,29 +8,59 @@ raw orthography.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import FormatError, UnknownTag
 
 
-@dataclass
 class LabeledCorpus:
-    """Sentences of (word, label) pairs."""
+    """Sentences of (word, label) pairs, held as two flat token columns.
 
-    sentences: list[list[tuple[str, str]]]
+    words and tags hold every token's word and label in corpus order, and
+    lengths (int64) the token count of each sentence. LabeledCorpus(sentences)
+    flattens a sequence of sentences of (word, label) pairs once;
+    from_columns takes the columns as they are, so readers and mappings
+    build no per-token objects. The columns are not meant to be changed.
+    """
+
+    __slots__ = ("words", "tags", "lengths")
+
+    def __init__(self, sentences):
+        self.words, self.tags = (list(map(itemgetter(field), chain.from_iterable(sentences)))
+                                 for field in (0, 1))
+        self.lengths = np.fromiter(map(len, sentences), dtype=np.int64,
+                                   count=len(sentences))
+
+    @classmethod
+    def from_columns(cls, words, tags, lengths) -> "LabeledCorpus":
+        """A corpus over the given columns; their sizes must agree."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if not len(words) == len(tags) == lengths.sum():
+            raise ValueError(f"{len(words)} words and {len(tags)} tags for "
+                             f"sentences of {lengths.sum()} tokens")
+        corpus = cls.__new__(cls)
+        corpus.words, corpus.tags, corpus.lengths = words, tags, lengths
+        return corpus
 
     def __len__(self):
-        return len(self.sentences)
+        return len(self.lengths)
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return len(self.words)
 
-    def words(self) -> list[list[str]]:
-        return [[w for w, _ in sent] for sent in self.sentences]
+    def per_sentence(self, column) -> list[list]:
+        """Cut an iterable of one item per token into per-sentence lists."""
+        items = iter(column)
+        return [list(islice(items, n)) for n in self.lengths.tolist()]
+
+    @property
+    def sentences(self) -> list[list[tuple[str, str]]]:
+        """The (word, label) tuple lists of the sentences, built on each access."""
+        return self.per_sentence(zip(self.words, self.tags))
 
 
 def _dropped(line, word_column, skip, comment_prefix) -> bool:
@@ -53,13 +83,14 @@ def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
     """Split a stream's text into tokens and sentence lengths.
 
     Returns (flat, width, lengths): every token of the kept lines in
-    order, the column count shared by every token line and the number of
-    token lines of each sentence. A line ends at each newline character
-    and nowhere else; it is blank when it holds only whitespace (anything
-    str.split splits on), and blank lines end sentences. The tokens of the
-    whole text are the tokens of its lines, since a newline is whitespace.
-    Bad options raise FormatError before the stream is read; a token line
-    that is too short or ragged raises it with the line's number.
+    order, the column count shared by every token line and the int64
+    array of the number of token lines of each sentence. A line ends at
+    each newline character and nowhere else; it is blank when it holds
+    only whitespace (anything str.split splits on), and blank lines end
+    sentences. The tokens of the whole text are the tokens of its lines,
+    since a newline is whitespace. Bad options raise FormatError before
+    the stream is read; a token line that is too short or ragged raises
+    it with the line's number.
     """
     for name, column in (("word", word_column), ("tag", tag_column)):
         if column is not None and column < 0:
@@ -82,7 +113,7 @@ def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
     del lines
     token = widths > 0
     if not token.any():
-        return [], 1, []  # any positive width slices an empty token list
+        return [], 1, np.zeros(0, dtype=np.int64)  # any positive width slices no tokens
     width = int(widths[token.argmax()])
     need = max(word_column, -1 if tag_column is None else tag_column) + 1
     bad = token & ((widths != width) | (width < need))
@@ -93,7 +124,7 @@ def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
     # sentences are the runs of token lines
     edges = np.diff(token.astype(np.int8), prepend=0, append=0)
     lengths = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
-    return text.split(), width, lengths.tolist()
+    return text.split(), width, lengths
 
 
 def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
@@ -123,20 +154,20 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
                                   comment_prefix)
     rows = (flat[r:r + width] for r in range(0, len(flat), width))
-    return [list(islice(rows, n)) for n in lengths]
+    return [list(islice(rows, n)) for n in lengths.tolist()]
 
 
 def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                comment_prefix=None) -> LabeledCorpus:
     """Read a labeled corpus, taking words and tags from the given columns.
 
-    Reads the same lines as read_records and raises the same errors.
+    Reads the same lines as read_records and raises the same errors. The
+    corpus columns are stride slices of the text's tokens.
     """
     flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
                                   comment_prefix)
-    pairs = zip(flat[word_column::width], flat[tag_column::width])
-    del flat  # the two slices hold every token the sentences need
-    return LabeledCorpus(sentences=[list(islice(pairs, n)) for n in lengths])
+    return LabeledCorpus.from_columns(flat[word_column::width], flat[tag_column::width],
+                                      lengths)
 
 
 def write_conll(sentences, stream):
@@ -176,13 +207,13 @@ def apply_mapping(corpus: LabeledCorpus, mapping: dict[str, str]) -> LabeledCorp
 
     Raises UnknownTag listing all corpus tags absent from the mapping.
     """
-    missing = {t for sent in corpus.sentences for _, t in sent if t not in mapping}
+    missing = set(corpus.tags).difference(mapping)
     if missing:
         raise UnknownTag(missing)
-    sentences = [[(w, mapping[t]) for w, t in sent] for sent in corpus.sentences]
-    return LabeledCorpus(sentences=sentences)
+    return LabeledCorpus.from_columns(corpus.words, list(map(mapping.__getitem__, corpus.tags)),
+                                      corpus.lengths)
 
 
 def mark_known(corpus: LabeledCorpus, vocabulary) -> list[list[bool]]:
     """Per-token bits: True iff the token string is in the model vocabulary."""
-    return [[w in vocabulary for w, _ in sent] for sent in corpus.sentences]
+    return corpus.per_sentence(map(vocabulary.__contains__, corpus.words))

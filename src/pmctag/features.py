@@ -138,10 +138,11 @@ def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmission
     entry, so the result is independent of sentence order. Training uses
     derive_feature_tables; this walk is the reference it is tested against.
     """
-    if not corpus.sentences:
+    sentences = corpus.sentences
+    if not sentences:
         raise EmptyCorpus("cannot fit feature tables on an empty corpus")
     keyed = [dict() for _ in range(suffix_max_len + 1)]  # (tuple, label) -> count
-    for sentence in corpus.sentences:
+    for sentence in sentences:
         for pos, (word, label) in enumerate(sentence):
             i = alphabet.intern(label)
             for m in range(suffix_max_len + 1):

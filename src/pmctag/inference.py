@@ -55,11 +55,13 @@ class FactorProvider:
         return sum(1 for f in self.flags if f == HMC_STEP)
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class DecodeIndex:
     """Read-only lookup tables of the PMC factors, derived from the counts.
 
     training.bundle_from_counts builds one with every bundle, as its
-    index field, so decoding only reads it.
+    index field, so decoding only reads it. No field can be reassigned or
+    deleted, and every array is read-only.
 
     pi2[i, k] is the PMC initial factor n0_ik / L, an (n_labels, n_words)
     array laid out like hmc.emit; a first word has PMC initial support
@@ -75,24 +77,39 @@ class DecodeIndex:
     count ratio that product reduces to.
     """
 
+    n_words: int
+    pi2: np.ndarray
+    codes: np.ndarray
+    offsets: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    ratios: np.ndarray
+
     def __init__(self, counts: CountTables):
-        self.n_words = counts.n_words
-        self.pi2 = np.zeros(counts.m_ik.shape)
-        self.pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
+        n_words = counts.n_words
+        pi2 = np.zeros(counts.m_ik.shape)
+        pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
         i, k, j, l = counts.n_ikjl.keys.T
         c = counts.n_ikjl.counts
-        code = k * self.n_words + l
+        code = k * n_words + l
         order = np.argsort(code, kind="stable")
         code = code[order]
         starts = np.flatnonzero(np.diff(code, prepend=-1))
-        self.codes = np.append(code[starts], np.iinfo(np.int64).max)
-        self.offsets = np.append(starts, code.size)
-        # int32 halves their size; a model with 2**31 labels could not hold
-        # even one N x N step
-        self.i, self.j = i[order].astype(np.int32), j[order].astype(np.int32)
-        self.ratios = (c / counts.m_ik[i, k])[order]
-        for table in (self.pi2, self.codes, self.offsets, self.i, self.j, self.ratios):
+        tables = {
+            "pi2": pi2,
+            "codes": np.append(code[starts], np.iinfo(np.int64).max),
+            "offsets": np.append(starts, code.size),
+            # int32 halves their size; a model with 2**31 labels could not
+            # hold even one N x N step
+            "i": i[order].astype(np.int32),
+            "j": j[order].astype(np.int32),
+            "ratios": (c / counts.m_ik[i, k])[order],
+        }
+        # a frozen dataclass sets its fields through object.__setattr__
+        object.__setattr__(self, "n_words", n_words)
+        for name, table in tables.items():
             table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def bigram_slots(self, wids) -> np.ndarray:
         """Position in codes of each adjacent word pair, -1 without support.

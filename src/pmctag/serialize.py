@@ -26,6 +26,11 @@ from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
 FORMAT_VERSION = 2
+# Largest labels x words a model file may declare. Each dense label-by-word
+# table (m_ik, hmc.emit, the index's pi2) takes 8 bytes per cell, so a model
+# at the cap needs about 400 MB for them; Penn Treebank POS tagging (45 tags,
+# about 50k words) needs 2.25M cells.
+MAX_TABLE_CELLS = 2 ** 24
 
 
 class _Writer:
@@ -126,6 +131,23 @@ def _read_count_table(r, id_limits) -> CountTable:
     return CountTable(keys, values.astype(np.int64))
 
 
+def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
+    """Raise CorruptModel unless every label and word occurs in a count key.
+
+    Every token of a training corpus starts a chain (an n0_ik key) or ends
+    a pattern (an n_ikjl key), so only a damaged or crafted file declares
+    a label or word that no key uses.
+    """
+    for what, size, first, pair in (("label", n_labels, 0, (0, 2)),
+                                    ("word", n_words, 1, (1, 3))):
+        used = np.zeros(size, dtype=bool)
+        used[n0_ik.keys[:, first]] = True
+        for column in pair:
+            used[n_ikjl.keys[:, column]] = True
+        if not used.all():
+            raise CorruptModel(f"{what} {int(used.argmin())} occurs in no count key")
+
+
 def _read_interner(r, what) -> Interner:
     items = r.string_list()
     interner = Interner(items)
@@ -135,7 +157,15 @@ def _read_interner(r, what) -> Interner:
 
 
 def serialize_model(model: ModelBundle) -> bytes:
-    """Deterministic byte encoding of a model bundle."""
+    """Deterministic byte encoding of a model bundle.
+
+    A model beyond MAX_TABLE_CELLS raises ValueError, since no reader
+    would load it.
+    """
+    cells = len(model.alphabet) * len(model.vocabulary)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"{len(model.alphabet)} labels by {len(model.vocabulary)} words "
+                         f"exceed the {MAX_TABLE_CELLS} table cells a model file may hold")
     w = _Writer()
     w.string(model.task)
     w.u32(model.suffix_max_len)
@@ -152,7 +182,10 @@ def deserialize_model(data: bytes) -> ModelBundle:
     """Rebuild a model bundle from serialize_model output.
 
     Any byte string either loads as a model that passes validate() or
-    raises CorruptModel or UnsupportedVersion.
+    raises CorruptModel or UnsupportedVersion. Every label and word must
+    occur in a count key and labels x words may not exceed
+    MAX_TABLE_CELLS, so the dense tables a file makes the loader allocate
+    are bounded; both checks read each key row once.
     """
     head_len = len(MAGIC) + 12
     if len(data) < head_len:
@@ -186,6 +219,9 @@ def deserialize_model(data: bytes) -> ModelBundle:
     r.done()
     if not n0_ik:
         raise CorruptModel("model holds no chains")
+    _check_every_id_used(n, v, n0_ik, n_ikjl)
+    if n * v > MAX_TABLE_CELLS:
+        raise CorruptModel(f"{n} labels by {v} words exceed {MAX_TABLE_CELLS} table cells")
     counts = CountTables.from_raw(n, v, n0_ik, n_ikjl)
     return bundle_from_counts(alphabet, vocabulary, counts, task, suffix_max_len)
 

@@ -8,8 +8,6 @@ per-step downgrade, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -35,62 +33,69 @@ class TrainConfig:
             raise ValueError(f"suffix_max_len must be in 0..{MAX_SUFFIX_LEN}")
 
 
-def _tally(columns, n_words, base=None) -> CountTable:
+def _tally(columns, n_labels, n_words, base=None) -> CountTable:
     """Count equal tuples of token codes into a CountTable.
 
     columns holds one int64 array per tuple position; a token code is
-    label * n_words + word, so sorting tuples of codes sorts their
-    (label, word, ...) keys. The rows of `base`, a table over ids below
-    n_words, are added with their counts.
+    label * n_words + word. A tuple's key reads its codes as the digits of
+    one number in base n_labels * n_words, so sorting the keys sorts the
+    (label, word, ...) rows. The rows of `base`, a table over ids below
+    n_labels and n_words, are added with their counts.
     """
-    weights = np.ones(len(columns[0]), dtype=np.int64)
+    width, radix = len(columns), n_labels * n_words
+    if radix ** width > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_labels} labels by {n_words} words overflow the count keys")
+    key = columns[0]
+    for c in columns[1:]:
+        key = key * radix + c
+    del columns  # callers pass a list of temporaries: free the codes
+    weights = np.ones(len(key), dtype=np.int64)
     if base is not None:
-        ids = base.keys.T
-        columns = [np.concatenate((ids[2 * p] * n_words + ids[2 * p + 1], c))
-                   for p, c in enumerate(columns)]
+        ids, base_key = base.keys.T, 0
+        for p in range(width):
+            base_key = base_key * radix + ids[2 * p] * n_words + ids[2 * p + 1]
+        key = np.concatenate((base_key, key))
         weights = np.concatenate((base.counts, weights))
-    order = np.lexsort(columns[::-1])  # lexsort's primary key is its last array
-    columns = [c[order] for c in columns]
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for c in columns:
-        new[1:] |= c[1:] != c[:-1]
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    keys = np.column_stack([part for c in columns for part in divmod(c[starts], n_words)])
-    return CountTable(keys, np.add.reduceat(weights[order], starts))
+    rows, digits = key[starts], []
+    for _ in range(width):
+        rows, code = divmod(rows, radix)
+        digits[:0] = divmod(code, n_words)
+    return CountTable(np.column_stack(digits), np.add.reduceat(weights[order], starts))
 
 
 def accumulate_counts(corpus, base: ModelBundle | None = None):
     """Count every chain start and adjacent (label, word, label, word) pattern.
 
-    Returns (CountTables, alphabet, vocabulary). With a `base` model, its
-    interners are copied and extended append-only and its counts are
-    added in, so an online update goes through the same tally as training
-    from scratch. Patterns never cross a sentence boundary.
+    The corpus's word and tag columns are interned as they are, and its
+    sentence lengths mark the chain starts. Returns (CountTables,
+    alphabet, vocabulary). With a `base` model, its interners are copied
+    and extended append-only and its counts are added in, so an online
+    update goes through the same tally as training from scratch. Patterns
+    never cross a sentence boundary.
     """
-    sentences = corpus.sentences
-    if not sentences:
+    lengths = corpus.lengths
+    if not len(lengths):
         raise EmptyCorpus("training corpus has no sentences")
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     if not lengths.all():
         raise EmptySentence("training corpus contains an empty sentence")
     alphabet = base.alphabet.copy() if base else Interner()
     vocabulary = base.vocabulary.copy() if base else Interner()
-    # one list per column: unpacking zip(*tokens) makes an iterator per token
-    words, labels = (list(map(itemgetter(field), chain.from_iterable(sentences)))
-                     for field in (0, 1))
-    code = vocabulary.intern_all(words)
+    code = vocabulary.intern_all(corpus.words)
     n_words = len(vocabulary)
-    code += alphabet.intern_all(labels) * n_words
-    del words, labels
+    code += alphabet.intern_all(corpus.tags) * n_words
     starts = np.cumsum(lengths) - lengths
     follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
     follows[starts] = False
-    n0_ik = _tally([code[starts]], n_words, base and base.counts.n0_ik)
-    # passed without a name, so the tally can drop the unsorted codes
-    n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_words,
+    n_labels = len(alphabet)
+    n0_ik = _tally([code[starts]], n_labels, n_words, base and base.counts.n0_ik)
+    n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_labels, n_words,
                     base and base.counts.n_ikjl)
-    return CountTables.from_raw(len(alphabet), n_words, n0_ik, n_ikjl), alphabet, vocabulary
+    return CountTables.from_raw(n_labels, n_words, n0_ik, n_ikjl), alphabet, vocabulary
 
 
 def fit_hmc(counts: CountTables) -> HmcParams:
@@ -152,7 +157,7 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
     interning is append-only, counts are integers summed by the same
     tally, and parameters are single divisions of those integers.
     """
-    if not new_corpus.sentences:
+    if not len(new_corpus.lengths):
         raise EmptyCorpus("online update received an empty corpus")
     counts, alphabet, vocabulary = accumulate_counts(new_corpus, base=model)
     return bundle_from_counts(alphabet, vocabulary, counts, model.task,

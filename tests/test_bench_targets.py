@@ -19,13 +19,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import synth  # noqa: E402
 import tracing  # noqa: E402
 
+from pmctag import cli  # noqa: E402
 from pmctag.conll import LabeledCorpus, mark_known, read_conll, read_records  # noqa: E402
 from pmctag.errors import DeadEnd  # noqa: E402
 from pmctag.evaluation import evaluate_predictions  # noqa: E402
 from pmctag.features import backoff_level  # noqa: E402
 from pmctag.inference import HMC_STEP, PMC_STEP, decode_index, decode_sentence  # noqa: E402
 from pmctag.serialize import load_model, save_model, serialize_model  # noqa: E402
-from pmctag.training import TrainConfig, train_model  # noqa: E402
+from pmctag.training import TrainConfig, train_model, update_online  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracing.TARGETS],
@@ -121,3 +122,26 @@ def test_reader_row_types_match_the_benchmark_checks(tiny):
     config = TrainConfig(task="chunk")
     assert serialize_model(train_model(LabeledCorpus(train), config)) == \
         serialize_model(train_model(corpus, config))
+
+
+def test_cli_training_records_one_read_and_one_tally_per_corpus(tiny, tmp_path):
+    """train-online times conll.read_conll and training.accumulate_counts
+    through the CLI: one span each per corpus file, and the CLI's model
+    bytes are what set_up's LabeledCorpus of tuple sentences trains."""
+    train, test, _ = tiny
+    paths = [tmp_path / "train.conll", tmp_path / "extra.conll"]
+    for path, sentences in zip(paths, (train, test)):
+        path.write_text(synth.conll_text(sentences), encoding="utf-8")
+    model = tmp_path / "trained.pmc"
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        code = cli.main([
+            "train", "--corpus", str(paths[0]), "--extra-corpus", str(paths[1]),
+            "--model", str(model), "--task", "chunk"])
+    assert code == 0
+    summary = tracer.summary()
+    for span in ("conll.read_conll", "training.accumulate_counts"):
+        assert summary[span]["calls"] == 2 and summary[span]["errors"] == 0
+    config = TrainConfig(task="chunk")
+    expected = update_online(train_model(LabeledCorpus(train), config), LabeledCorpus(test))
+    assert model.read_bytes() == serialize_model(expected)

@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 
 from pmctag import cli
 from pmctag.cli import main
-from pmctag.conll import read_conll
-from pmctag.serialize import load_model
+from pmctag.conll import LabeledCorpus, read_conll, read_tag_mapping
+from pmctag.errors import DeadEnd
+from pmctag.evaluation import evaluate_predictions, format_report_kv, format_report_text
+from pmctag.inference import decode_sentence
+from pmctag.serialize import load_model, serialize_model
+from pmctag.training import TrainConfig, train_model, update_online
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TRAIN = os.path.join(DATA, "train_chunk.conll")
@@ -256,6 +260,57 @@ class TestEval:
             run(["eval", "--model", model_path, "--corpus", TEST,
                  "--tag-column", "2", "--report-kv", p], capsys)
         assert open(paths[0]).read() == open(paths[1]).read()
+
+
+def _tuple_sentences(path, tag_column, mapping):
+    """(word, mapped tag) tuple sentences of a column file, read line by line."""
+    sentences = [[]]
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            cols = line.split()
+            if cols:
+                sentences[-1].append((cols[0], mapping[cols[tag_column]]))
+            elif sentences[-1]:
+                sentences.append([])
+    return [sent for sent in sentences if sent]
+
+
+def test_cli_train_and_eval_match_the_tuple_library(tmp_path, capsys):
+    """The CLI reads columns; the library here gets tuple sentences."""
+    with open(MAP, encoding="utf-8") as fh:
+        mapping = read_tag_mapping(fh)
+    train = _tuple_sentences(TRAIN, 1, mapping)
+    test = _tuple_sentences(TEST, 1, mapping)
+    path = str(tmp_path / "m.pmc")
+    code, _, _ = run(["train", "--corpus", TRAIN, "--extra-corpus", TEST, "--model", path,
+                      "--tag-column", "1", "--mapping", MAP], capsys)
+    assert code == 0
+    config = TrainConfig(task="pos")
+    model = update_online(train_model(LabeledCorpus(train), config), LabeledCorpus(test))
+    assert open(path, "rb").read() == serialize_model(model)
+
+    for decoder in ("mpm", "map"):
+        text, kv = str(tmp_path / "r.txt"), str(tmp_path / "r.kv")
+        code, _, _ = run(["eval", "--model", path, "--corpus", TEST, "--tag-column", "1",
+                          "--mapping", MAP, "--decoder", decoder, "--report-text", text,
+                          "--report-kv", kv], capsys)
+        results, gold, predicted, bits = [], [], [], []
+        for sent in test:
+            words = [w for w, _ in sent]
+            try:
+                result = decode_sentence(model, words, decoder=decoder)
+            except DeadEnd:
+                continue
+            results.append(result)
+            gold.append([t for _, t in sent])
+            predicted.append(result.labels)
+            bits.append([w in model.vocabulary for w in words])
+        assert code == (1 if len(results) < len(test) else 0)
+        report = evaluate_predictions(gold, predicted, bits, task="pos", decoder=decoder,
+                                      downgrade_rate=cli._downgrade_rate(results),
+                                      failed_sentences=len(test) - len(results))
+        assert open(text, encoding="utf-8").read() == format_report_text(report)
+        assert open(kv, encoding="utf-8").read() == format_report_kv(report)
 
 
 class TestVerify:

@@ -173,6 +173,25 @@ class TestModelBundle:
                 with pytest.raises(TypeError):
                     interner.intern_all(["Qqq"])
 
+    def test_decode_index_refuses_writes(self, tmp_path):
+        """Zeroed ratios would silently turn every PMC step into a downgrade."""
+        with open(TRAIN, encoding="utf-8") as fh:
+            trained = train_model(read_conll(fh, 0, 1), TrainConfig(task="pos"))
+        updated = update_online(trained, corpus_from([("The", "DT"), ("cat", "NN")]))
+        save_model(updated, tmp_path / "m.pmc")
+        for model in (trained, updated, load_model(tmp_path / "m.pmc")):
+            index = model.index
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.index.ratios = np.zeros_like(model.index.ratios)
+            for f in dataclasses.fields(DecodeIndex):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(index, f.name, getattr(index, f.name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(index, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                index.extra = None
+            assert decode_sentence(model, ["The", "dog", "runs"]).flags == [PMC_STEP] * 3
+
     def test_refused_intern_leaves_unknown_words_unknown(self):
         with open(TRAIN, encoding="utf-8") as fh:
             model = train_model(read_conll(fh, 0, 1), TrainConfig(task="pos"))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmctag import serialize
+from pmctag.cli import main
 from pmctag.conll import LabeledCorpus
 from pmctag.errors import CorruptModel, UnsupportedVersion
 from pmctag.serialize import (FORMAT_VERSION, MAGIC, _Writer, deserialize_model,
@@ -138,6 +140,10 @@ def test_handwritten_encoding_loads():
     (dict(task="postag"), "unknown task"),
     (dict(suffix_max_len=1 << 20), "suffix length"),
     (dict(n0_ik=[], n_ikjl=[]), "no chains"),
+    (dict(labels=("A", "B", "C")), "label 2 occurs in no count key"),
+    (dict(words=("x", "y", "z")), "word 2 occurs in no count key"),
+    (dict(words=("z", "x", "y"), n_ikjl=[((0, 1, 1, 2), 1)], n0_ik=[((0, 1), 1)]),
+     "word 0 occurs in no count key"),
 ])
 def test_malformed_fields_rejected(fields, reason):
     with pytest.raises(CorruptModel, match=reason):
@@ -165,6 +171,78 @@ def test_single_byte_mutations_load_valid_or_raise(small_model_bytes, data):
         return
     model.validate()
     assert serialize_model(model) == mutated
+
+
+def _encode_model(model, labels, words):
+    """model's file with the given label and word lists in place of its own."""
+    tables = [list(zip(map(tuple, t.keys.tolist()), t.counts.tolist()))
+              for t in (model.counts.n0_ik, model.counts.n_ikjl)]
+    return _encode(model.task, model.suffix_max_len, labels, words, *tables)
+
+
+def test_model_encoding_matches_the_writer(small_model_bytes):
+    model = deserialize_model(small_model_bytes)
+    assert _encode_model(model, model.alphabet, model.vocabulary) == small_model_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_inflated_label_and_word_counts_raise(small_model_bytes, data):
+    """A header that declares more labels or words than the count keys
+    use is refused, wherever the extra strings sit; the CRC is valid."""
+    model = deserialize_model(small_model_bytes)
+    labels, words = list(model.alphabet), list(model.vocabulary)
+    extra_labels = data.draw(st.integers(0, 3), label="extra labels")
+    extra_words = data.draw(st.integers(0 if extra_labels else 1, 3), label="extra words")
+    for items, extra, stem in ((labels, extra_labels, "Label"), (words, extra_words, "word")):
+        for m in range(extra):
+            items.insert(data.draw(st.integers(0, len(items)), label="at"), f"{stem}-{m}-new")
+    with pytest.raises(CorruptModel, match="occurs in no count key"):
+        deserialize_model(_encode_model(model, labels, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_inflated_count_fields_raise(small_model_bytes, data):
+    """A stored label or word count above what the rest of the payload
+    could hold (every string takes at least 8 bytes) is reported as
+    truncation, before anything is sized by it."""
+    model = deserialize_model(small_model_bytes)
+    at = HEAD_LEN + 8 + len(model.task) + 4  # after the task string and suffix length
+    fields = {"labels": at, "words": at + 8 + sum(8 + len(s.encode()) for s in model.alphabet)}
+    which = data.draw(st.sampled_from(sorted(fields)), label="field")
+    pos = fields[which]
+    room = (len(small_model_bytes) - 4 - pos - 8) // 8  # strings the rest could hold
+    inflated = data.draw(st.integers(room + 1, 2 ** 64 - 1), label="count")
+    blob = bytearray(small_model_bytes)
+    blob[pos:pos + 8] = struct.pack("<Q", inflated)
+    with pytest.raises(CorruptModel, match="truncated"):
+        deserialize_model(_with_fixed_crc(blob))
+
+
+def test_label_word_product_is_capped(monkeypatch):
+    data = _encode()  # 2 labels by 2 words
+    model = deserialize_model(data)
+    monkeypatch.setattr(serialize, "MAX_TABLE_CELLS", 3)
+    with pytest.raises(CorruptModel, match="2 labels by 2 words exceed 3 table cells"):
+        deserialize_model(data)
+    # the writer refuses a file no reader would load
+    with pytest.raises(ValueError, match="exceed the 3 table cells"):
+        serialize_model(model)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_cli_exits_2_on_unbounded_models(capped, monkeypatch, tmp_path, capsys):
+    model = tmp_path / "m.pmc"
+    model.write_bytes(_encode(words=("x", "y", "z")) if not capped else _encode())
+    if capped:
+        monkeypatch.setattr(serialize, "MAX_TABLE_CELLS", 3)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("x\ny\n", encoding="utf-8")
+    code = main(["tag", "--model", str(model), "--input", str(sentences)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_magic(model):

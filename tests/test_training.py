@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pmctag.errors import EmptyCorpus
 from pmctag.conll import LabeledCorpus
 from pmctag.serialize import serialize_model
-from pmctag.training import (TrainConfig, accumulate_counts, fit_hmc, fit_pmc,
+from pmctag.training import (TrainConfig, _tally, accumulate_counts, fit_hmc, fit_pmc,
                              train_model, update_online)
 
 from conftest import corpus_from, random_corpus, varied_corpus
@@ -112,6 +112,14 @@ def test_tally_sorted_exact_and_online_equals_batch(base, delta, at):
                                 LabeledCorpus(sentences[cut:]))
         assert_counts_match_brute_force(updated, LabeledCorpus(sentences))
         assert serialize_model(updated) == serialize_model(batch)
+
+
+def test_tally_refuses_keys_beyond_int64():
+    codes = np.array([5], dtype=np.int64)
+    assert _tally([codes], 2 ** 16, 2 ** 16).keys.tolist() == [[0, 5]]
+    # a pair key needs (2**32)**2 values
+    with pytest.raises(ValueError, match="overflow the count keys"):
+        _tally([codes, codes], 2 ** 16, 2 ** 16)
 
 
 class TestFitHmc:
