@@ -51,59 +51,52 @@ def token_accuracy(gold, predicted, known_bits=None):
     return overall, known, unknown
 
 
-def _split_bio(label):
-    if label == "O":
-        return "O", ""
-    head, _, rest = label.partition("-")
-    return head, rest
+def _span_kind(label, bio):
+    """(type, joins) of a label: type is None outside spans, and joins says
+    whether the label may continue a span of its type."""
+    if not bio:
+        return (None if label == "O" else label), True
+    head, _, kind = label.partition("-")
+    if head == "I":
+        return kind, True
+    return (kind if head == "B" else None), False
+
+
+def _spans(labels, starts, scheme):
+    """(start, end, type) spans of a flat label column plus the number of
+    I- openings repaired.
+
+    A token continues the span before it when both are inside a span of the
+    same type, no sentence starts at it (`starts` holds those positions) and,
+    under BIO, it is an I-. Every other inside token opens a span; under BIO
+    a B or I head is inside, and a malformed label closes the span before it.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    bio = scheme == "bio"
+    kinds = {label: _span_kind(label, bio) for label in set(labels)}
+    spans, repairs, open_type, first = [], 0, None, 0
+    for pos, (kind, joins) in enumerate(map(kinds.__getitem__, labels)):
+        if joins and open_type is not None and kind == open_type and pos not in starts:
+            continue
+        if open_type is not None:
+            spans.append((first, pos - 1, open_type))
+        open_type, first = kind, pos
+        repairs += bio and joins
+    if open_type is not None:
+        spans.append((first, len(labels) - 1, open_type))
+    return spans, repairs
 
 
 def extract_spans_counted(labels, scheme="bio"):
     """Spans plus the number of dangling I- openings repaired."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    spans = []
-    repairs = 0
-    start = None
-    current = None
-    for pos, label in enumerate(labels):
-        if scheme == "plain":
-            opens = label != "O" and label != current
-            continues = label != "O" and label == current
-            kind = label
-        else:
-            head, kind = _split_bio(label)
-            continues = head == "I" and current == kind and start is not None
-            opens = head == "B" or (head == "I" and not continues)
-            if head == "I" and opens:
-                repairs += 1
-        if continues:
-            continue
-        if start is not None:
-            spans.append(Span(start, pos - 1, current))
-            start, current = None, None
-        if opens:
-            start, current = pos, kind
-    if start is not None:
-        spans.append(Span(start, len(labels) - 1, current))
-    return spans, repairs
+    spans, repairs = _spans(labels, (), scheme)
+    return list(map(Span._make, spans)), repairs
 
 
 def extract_spans(labels, scheme="bio"):
     """Maximal typed spans of a label sequence; O yields no span."""
     return extract_spans_counted(labels, scheme)[0]
-
-
-def span_match_counts(gold_spans, predicted_spans):
-    """(gold, predicted, correct) totals over per-sentence span lists."""
-    if len(gold_spans) != len(predicted_spans):
-        raise ShapeError("gold and predicted span lists cover different sentences")
-    n_gold = n_pred = n_correct = 0
-    for gold, pred in zip(gold_spans, predicted_spans):
-        n_gold += len(gold)
-        n_pred += len(pred)
-        n_correct += len(set(gold) & set(pred))
-    return n_gold, n_pred, n_correct
 
 
 def _prf(n_gold, n_pred, n_correct):
@@ -119,7 +112,12 @@ def span_f1(gold_spans, predicted_spans):
     A predicted span is correct iff its (start, end, type) triple matches a
     gold span of the same sentence.
     """
-    return _prf(*span_match_counts(gold_spans, predicted_spans))
+    if len(gold_spans) != len(predicted_spans):
+        raise ShapeError("gold and predicted span lists cover different sentences")
+    gold, pred = ({(n, span) for n, spans in enumerate(lists) for span in spans}
+                  for lists in (gold_spans, predicted_spans))
+    return _prf(sum(map(len, gold_spans)), sum(map(len, predicted_spans)),
+                len(gold & pred))
 
 
 @dataclass
@@ -153,28 +151,21 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _split_spans(span_lists, unknown_before):
-    """(known, unknown) per-sentence span lists; a span is unknown when it
-    holds an unknown token."""
-    known, unknown = [], []
-    for spans, before in zip(span_lists, unknown_before):
-        known.append([])
-        unknown.append([])
-        for s in spans:
-            (unknown if before[s.end + 1] > before[s.start] else known)[-1].append(s)
-    return known, unknown
-
-
 def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
                          scheme=None, **report_fields) -> EvalReport:
     """Score per-sentence predictions against gold labels.
 
     gold_labels, predicted_labels and known_bits are parallel lists of
-    per-sentence sequences. Span metrics are computed for chunking and NER
-    (or whenever a scheme is passed); POS reports error rates only.
+    per-sentence sequences, and ShapeError is raised unless every sentence
+    has as many predictions and known bits as gold labels. The corpus is
+    scored in one pass over the flattened columns, where a span is a
+    (start, end, type) triple of corpus positions. Span metrics are
+    computed for chunking and NER (or whenever a scheme is passed); POS
+    reports error rates only.
     """
-    if len(gold_labels) != len(predicted_labels):
-        raise ShapeError("gold and predicted cover different sentence counts")
+    lengths = list(map(len, gold_labels))
+    if any(list(map(len, sents)) != lengths for sents in (predicted_labels, known_bits)):
+        raise ShapeError("gold labels, predictions and known bits differ in shape")
     flat_gold = [g for sent in gold_labels for g in sent]
     flat_pred = [p for sent in predicted_labels for p in sent]
     flat_known = [b for sent in known_bits for b in sent]
@@ -196,27 +187,22 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     if scheme is None:
         return report
 
-    gold_spans, pred_spans, repairs = [], [], 0
-    for gold, pred in zip(gold_labels, predicted_labels):
-        if len(gold) != len(pred):
-            raise ShapeError("gold and predicted sentence lengths differ")
-        gold_spans.append(extract_spans(gold, scheme))
-        spans, rep = extract_spans_counted(pred, scheme)
-        pred_spans.append(spans)
-        repairs += rep
-    counts = span_match_counts(gold_spans, pred_spans)
-    report.precision, report.recall, report.f1 = _prf(*counts)
-    report.span_counts = counts
-    report.repairs = repairs
+    starts = set(accumulate(lengths))
+    gold, _ = _spans(flat_gold, starts, scheme)
+    pred, report.repairs = _spans(flat_pred, starts, scheme)
+    gold, pred = set(gold), set(pred)
+    report.span_counts = (len(gold), len(pred), len(gold & pred))
+    report.precision, report.recall, report.f1 = _prf(*report.span_counts)
 
     if report.unknown_tokens:
-        # unknown_before[p]: unknown tokens among the sentence's first p tokens
-        unknown_before = [list(accumulate((not b for b in bits), initial=0))
-                          for bits in known_bits]
-        (known_gold, unknown_gold), (known_pred, unknown_pred) = (
-            _split_spans(spans, unknown_before) for spans in (gold_spans, pred_spans))
-        _, _, report.known_f1 = span_f1(known_gold, known_pred)
-        _, _, report.unknown_f1 = span_f1(unknown_gold, unknown_pred)
+        # unknown_before[p]: unknown tokens among the corpus's first p tokens
+        unknown_before = list(accumulate((not b for b in flat_known), initial=0))
+        unknown_gold, unknown_pred = (
+            {span for span in spans if unknown_before[span[1] + 1] > unknown_before[span[0]]}
+            for spans in (gold, pred))
+        n_unknown = (len(unknown_gold), len(unknown_pred), len(unknown_gold & unknown_pred))
+        report.known_f1 = _prf(*(n - u for n, u in zip(report.span_counts, n_unknown)))[2]
+        report.unknown_f1 = _prf(*n_unknown)[2]
         report.notes.append(UNKNOWN_SPAN_NOTE)
     else:
         report.known_f1 = report.f1

@@ -216,61 +216,47 @@ def summed(shape, index, counts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountTables:
-    """Raw pattern counts plus cached marginals.
+    """Raw pattern counts plus the marginals derived from them.
 
     n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
     n0_ik chain-initial (label, word) pairs, as CountTable key rows
     (i, k, j, l) and (i, k); these two tables are the model's only stored
-    state. Everything else follows by summation into dense int64 arrays:
-    the chain count L and n0_i over n0_ik, n_ij over k and l, m_ik over j
-    and l, and n_i over j. m_ik is (n_labels, n_words); a word that never
-    starts a pattern (one seen only at the end of sentences) has an
-    all-zero column. No field can be reassigned and the marginal arrays
-    are read-only.
+    state. Building the set sums them into dense int64 arrays: the chain
+    count L and n0_i over n0_ik, n_ij over k and l, m_ik over j and l, and
+    n_i over j. m_ik is (n_labels, n_words); a word that never starts a
+    pattern (one seen only at the end of sentences) has an all-zero
+    column. No field can be reassigned and the marginal arrays are
+    read-only.
     """
 
+    n_labels: int
+    n_words: int
     n0_ik: CountTable
     n_ikjl: CountTable
-    n0_i: np.ndarray = field(repr=False)
-    L: int
-    n_ij: np.ndarray = field(repr=False)
-    m_ik: np.ndarray = field(repr=False)
-    n_i: np.ndarray = field(repr=False)
+    L: int = field(init=False)
+    n0_i: np.ndarray = field(init=False, repr=False)
+    n_ij: np.ndarray = field(init=False, repr=False)
+    m_ik: np.ndarray = field(init=False, repr=False)
+    n_i: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for table in (self.n0_i, self.n_ij, self.m_ik, self.n_i):
+        i, k, j, _ = self.n_ikjl.keys.T
+        c = self.n_ikjl.counts
+        n_ij = summed((self.n_labels, self.n_labels), (i, j), c)
+        marginals = {"n0_i": summed(self.n_labels, self.n0_ik.keys[:, 0], self.n0_ik.counts),
+                     "n_ij": n_ij,
+                     "m_ik": summed((self.n_labels, self.n_words), (i, k), c),
+                     "n_i": n_ij.sum(axis=1)}
+        object.__setattr__(self, "L", int(self.n0_ik.counts.sum()))
+        for name, table in marginals.items():
             table.setflags(write=False)
-
-    @classmethod
-    def from_raw(cls, n_labels, n_words, n0_ik, n_ikjl) -> "CountTables":
-        """Build the table set from the two count tables, computing all marginals."""
-        i, k, j, _ = n_ikjl.keys.T
-        c = n_ikjl.counts
-        n_ij = summed((n_labels, n_labels), (i, j), c)
-        return cls(n0_ik=n0_ik, n_ikjl=n_ikjl,
-                   n0_i=summed(n_labels, n0_ik.keys[:, 0], n0_ik.counts),
-                   L=int(n0_ik.counts.sum()), n_ij=n_ij,
-                   m_ik=summed((n_labels, n_words), (i, k), c), n_i=n_ij.sum(axis=1))
-
-    @property
-    def n_labels(self) -> int:
-        return self.n0_i.shape[0]
-
-    @property
-    def n_words(self) -> int:
-        return self.m_ik.shape[1]
+            object.__setattr__(self, name, table)
 
     def validate(self):
-        """Check the key order and recompute every marginal by summation."""
+        """Check that both count tables hold sorted key rows with positive counts."""
         for table in (self.n0_ik, self.n_ikjl):
             if not ((table.counts > 0).all() and rows_increase(table.keys)):
                 raise AssertionError("count table is not sorted positive counts")
-        fresh = CountTables.from_raw(self.n_labels, self.n_words, self.n0_ik, self.n_ikjl)
-        if not all(np.array_equal(getattr(self, name), getattr(fresh, name))
-                   for name in ("n_ij", "m_ik", "n_i")):
-            raise AssertionError("cached marginals disagree with summation")
-        if not np.array_equal(self.n0_i, fresh.n0_i) or self.L != fresh.L:
-            raise AssertionError("initial counts disagree with summation")
 
     def __eq__(self, other):
         return (

@@ -222,7 +222,7 @@ def deserialize_model(data: bytes) -> ModelBundle:
     _check_every_id_used(n, v, n0_ik, n_ikjl)
     if n * v > MAX_TABLE_CELLS:
         raise CorruptModel(f"{n} labels by {v} words exceed {MAX_TABLE_CELLS} table cells")
-    counts = CountTables.from_raw(n, v, n0_ik, n_ikjl)
+    counts = CountTables(n, v, n0_ik, n_ikjl)
     return bundle_from_counts(alphabet, vocabulary, counts, task, suffix_max_len)
 
 

@@ -95,7 +95,7 @@ def accumulate_counts(corpus, base: ModelBundle | None = None):
     n0_ik = _tally([code[starts]], n_labels, n_words, base and base.counts.n0_ik)
     n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_labels, n_words,
                     base and base.counts.n_ikjl)
-    return CountTables.from_raw(n_labels, n_words, n0_ik, n_ikjl), alphabet, vocabulary
+    return CountTables(n_labels, n_words, n0_ik, n_ikjl), alphabet, vocabulary
 
 
 def fit_hmc(counts: CountTables) -> HmcParams:

@@ -1,10 +1,15 @@
 import glob
 import os
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import span_reference
+from pmctag import evaluation
 from pmctag.errors import ShapeError
-from pmctag.evaluation import (Span, evaluate_predictions, extract_spans,
+from pmctag.evaluation import (SCHEMES, Span, evaluate_predictions, extract_spans,
                                extract_spans_counted, format_report_kv,
                                format_report_text, span_f1, token_accuracy)
 
@@ -185,3 +190,112 @@ class TestEvaluatePredictions:
         for line in kv.strip().split("\n"):
             assert len(line.split("\t")) == 2
         assert "downgrade-rate\t0.250000" in kv
+
+    def test_misaligned_sentences_raise_for_every_task(self):
+        for task in ("pos", "chunk"):
+            # equal corpus lengths, different sentence lengths
+            with pytest.raises(ShapeError):
+                evaluate_predictions([["A", "B"], ["C"]], [["A"], ["B", "C"]],
+                                     [[True, True], [True]], task=task)
+            with pytest.raises(ShapeError):
+                evaluate_predictions([["A"], ["B"]], [["A"]], [[True], [True]], task=task)
+
+    def test_misaligned_known_bits_raise_for_every_task(self):
+        labels = [["B-NP", "I-NP"], ["O"]]
+        for task in ("pos", "chunk"):
+            with pytest.raises(ShapeError):
+                evaluate_predictions(labels, labels, [[True], [False, True]], task=task)
+            with pytest.raises(ShapeError):
+                evaluate_predictions(labels, labels, [[True, True]], task=task)
+
+    def test_unknown_scheme_raises(self):
+        with pytest.raises(ValueError):
+            evaluate_predictions([["A"]], [["A"]], [[True]], task="pos", scheme="iob2")
+        with pytest.raises(ValueError):
+            extract_spans(["A"], "iob2")
+
+
+# Two span types plus odd labels: heads without a type ("B", "I-"), which
+# open spans of type "", and labels that are inside no span under BIO: a
+# foreign head, a bare type and a type without a head.
+WELL_FORMED = ("O", "B-X", "I-X", "B-Y", "I-Y")
+MALFORMED = ("B", "I-", "X-NP", "NP", "-NP")
+
+
+@st.composite
+def corpora(draw, labels=WELL_FORMED + MALFORMED):
+    """(gold, predicted, known bits) per-sentence lists of equal shape."""
+    lengths = draw(st.lists(st.integers(0, 7), max_size=7))
+
+    def column(element):
+        return [draw(st.lists(element, min_size=n, max_size=n)) for n in lengths]
+
+    label = st.sampled_from(labels)
+    return column(label), column(label), column(st.booleans())
+
+
+def _reference_corpus_spans(sentences, scheme):
+    """The reference's per-sentence spans shifted to corpus positions."""
+    spans, repairs, offset = [], 0, 0
+    for labels in sentences:
+        found, n = span_reference.extract_spans_counted(labels, scheme)
+        spans += [Span(s.start + offset, s.end + offset, s.type) for s in found]
+        repairs += n
+        offset += len(labels)
+    return spans, repairs
+
+
+class TestFlatPass:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.sampled_from(SCHEMES))
+    def test_corpus_spans_match_the_per_sentence_reference(self, corpus, scheme):
+        for sentences in corpus[:2]:
+            flat = [label for labels in sentences for label in labels]
+            starts = set(accumulate(map(len, sentences)))
+            assert evaluation._spans(flat, starts, scheme) == \
+                _reference_corpus_spans(sentences, scheme)
+            for labels in sentences:
+                assert extract_spans_counted(labels, scheme) == \
+                    span_reference.extract_spans_counted(labels, scheme)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.sampled_from(("pos", "chunk", "ner")),
+           st.sampled_from((None,) + SCHEMES))
+    def test_report_matches_the_per_sentence_reference(self, corpus, task, scheme):
+        fields = dict(mode="hmc", decoder="map", downgrade_rate=0.5, failed_sentences=2)
+        assert evaluate_predictions(*corpus, task=task, scheme=scheme, **fields) == \
+            span_reference.evaluate_predictions(*corpus, task=task, scheme=scheme,
+                                                **fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(labels=WELL_FORMED))
+    def test_span_counts_match_conlleval(self, corpus):
+        gold, predicted, known = corpus
+        report = evaluate_predictions(gold, predicted, known, task="chunk")
+        assert report.span_counts == score_sentences(gold, predicted)[3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.sampled_from(SCHEMES))
+    def test_known_and_unknown_f1_match_a_recount(self, corpus, scheme):
+        gold, predicted, known = corpus
+        report = evaluate_predictions(gold, predicted, known, task="ner", scheme=scheme)
+        # [gold, predicted, correct] span tallies, keyed by "holds an unknown word"
+        tally = {False: [0, 0, 0], True: [0, 0, 0]}
+        for g, p, bits in zip(gold, predicted, known):
+            g = set(span_reference.extract_spans_counted(g, scheme)[0])
+            p = set(span_reference.extract_spans_counted(p, scheme)[0])
+            for column, spans in enumerate((g, p, g & p)):
+                for span in spans:
+                    tally[not all(bits[span.start:span.end + 1])][column] += 1
+
+        def f1(n_gold, n_pred, n_correct):
+            if not n_correct:
+                return 0.0
+            precision, recall = n_correct / n_pred, n_correct / n_gold
+            return 2 * precision * recall / (precision + recall)
+
+        if all(b for bits in known for b in bits):
+            assert report.known_f1 == report.f1 and report.unknown_f1 is None
+        else:
+            assert report.known_f1 == pytest.approx(f1(*tally[False]), rel=1e-12)
+            assert report.unknown_f1 == pytest.approx(f1(*tally[True]), rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from pmctag.conll import read_conll
 from pmctag.errors import DeadEnd, EmptySupport
 from pmctag.inference import HMC_STEP, PMC_STEP, DecodeIndex, decode_sentence
-from pmctag.model import Interner, ModelBundle, normalize_counts
+from pmctag.model import CountTable, CountTables, Interner, ModelBundle, normalize_counts
 from pmctag.serialize import load_model, save_model
 from pmctag.training import (TrainConfig, accumulate_counts, fit_pmc, train_model,
                              update_online)
@@ -98,7 +98,7 @@ class TestCountTables:
         corpus = random_corpus(rng, n_sentences=80)
         counts, _, _ = accumulate_counts(corpus)
         counts.validate()
-        # recompute every marginal independently of from_raw
+        # recompute every marginal independently of CountTables
         m_ik = np.zeros_like(counts.m_ik)
         n_ij = np.zeros_like(counts.n_ij)
         for (i, k, j, l), c in zip(counts.n_ikjl.keys.tolist(), counts.n_ikjl.counts.tolist()):
@@ -108,6 +108,30 @@ class TestCountTables:
         assert np.array_equal(n_ij, counts.n_ij)
         assert np.array_equal(n_ij.sum(axis=1), counts.n_i)
         assert counts.n0_i.sum() == counts.L == len(corpus.sentences)
+
+    def test_marginals_are_derived_not_passed(self, rng):
+        counts, alphabet, vocabulary = accumulate_counts(random_corpus(rng, n_sentences=30))
+        built = CountTables(len(alphabet), len(vocabulary), counts.n0_ik, counts.n_ikjl)
+        assert built == counts and built.L == counts.L
+        for name in ("n0_i", "n_ij", "m_ik", "n_i"):
+            assert np.array_equal(getattr(built, name), getattr(counts, name))
+        with pytest.raises(TypeError):
+            CountTables(len(alphabet), len(vocabulary), counts.n0_ik, counts.n_ikjl, L=1)
+        for f in dataclasses.fields(CountTables):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, f.name, getattr(built, f.name))
+
+    def test_validate_refuses_unsorted_keys_and_zero_counts(self):
+        def table(keys, counts):
+            return CountTable(np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64))
+
+        n0_ik = table([[0, 0]], [1])
+        CountTables(1, 2, n0_ik, table([[0, 0, 0, 1], [0, 1, 0, 0]], [2, 1])).validate()
+        for bad in (table([[0, 1, 0, 0], [0, 0, 0, 1]], [2, 1]),
+                    table([[0, 0, 0, 1], [0, 0, 0, 1]], [2, 1]),
+                    table([[0, 0, 0, 1], [0, 1, 0, 0]], [2, 0])):
+            with pytest.raises(AssertionError):
+                CountTables(1, 2, n0_ik, bad).validate()
 
     def test_model_invariants_on_trained_model(self, rng):
         corpus = random_corpus(rng, n_sentences=60)
