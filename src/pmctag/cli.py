@@ -15,14 +15,15 @@ import time
 
 import numpy as np
 
-from . import evaluation, inference, oracle
+from . import evaluation, inference, oracle, training
 from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                     read_records, read_tag_mapping, write_conll)
 from .errors import DeadEnd, FormatError, PmctagError
 from .evaluation import evaluate_predictions, format_report_kv, format_report_text
 from .model import ModelBundle
 from .serialize import load_model, model_stats, save_model
-from .training import TrainConfig, train_model, update_online
+from .training import TrainConfig
+from .training import train_model, update_online  # noqa: F401 - perfbench/tracing.py wraps them here
 
 DEFAULTS = {
     "task": "pos",
@@ -195,13 +196,16 @@ def _downgrade_rate(results):
 
 
 def cmd_train(opts) -> int:
-    corpus = _read_corpus(opts, opts.corpus)
     config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     t0 = time.perf_counter()
-    model = train_model(corpus, config)
-    del corpus  # free its columns before the extra corpora are read
-    for path in opts.extra_corpus:
-        model = update_online(model, _read_corpus(opts, path))
+    # each corpus's counts are folded into the tally, and the corpus freed,
+    # before the next one is read; the tables are derived once, at the end
+    tally = None
+    for path in (opts.corpus, *opts.extra_corpus):
+        tally = training.accumulate_counts(_read_corpus(opts, path), base=tally)
+    counts, alphabet, vocabulary = tally
+    model = training.bundle_from_counts(alphabet, vocabulary, counts, config.task,
+                                        config.suffix_max_len)
     elapsed = time.perf_counter() - t0
     save_model(model, opts.model)
     _diag(f"trained in {elapsed:.3f}s")

@@ -9,7 +9,7 @@ driven elsewhere and its diagnostics are passed in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -25,30 +25,35 @@ class Span(NamedTuple):
     type: str
 
 
+def _rate(wrong, total):
+    return wrong / total if total else None
+
+
+def _token_errors(gold, predicted, known_bits):
+    """Error rates (overall, known, unknown) and the number of unknown
+    tokens; the labels are compared once, and the known bits pick out the
+    known tokens' comparisons."""
+    if len(gold) != len(predicted):
+        raise ShapeError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
+    if known_bits is not None and len(known_bits) != len(gold):
+        raise ShapeError(f"{len(known_bits)} known bits vs {len(gold)} tokens")
+    wrong = list(map(str.__ne__, gold, predicted))
+    tokens, errors = len(wrong), sum(wrong)
+    if known_bits is None:
+        return (_rate(errors, tokens), None, None), None
+    known, known_errors = sum(map(bool, known_bits)), sum(compress(wrong, known_bits))
+    rates = (_rate(errors, tokens), _rate(known_errors, known),
+             _rate(errors - known_errors, tokens - known))
+    return rates, tokens - known
+
+
 def token_accuracy(gold, predicted, known_bits=None):
     """Error rates (overall, known, unknown) over flat label sequences.
 
     Empty subsets yield None rather than 0 so that "no unknown words" is
     distinguishable from "no unknown-word errors".
     """
-    if len(gold) != len(predicted):
-        raise ShapeError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
-    if known_bits is not None and len(known_bits) != len(gold):
-        raise ShapeError(f"{len(known_bits)} known bits vs {len(gold)} tokens")
-
-    def rate(pairs):
-        total = wrong = 0
-        for g, p in pairs:
-            total += 1
-            wrong += g != p
-        return wrong / total if total else None
-
-    overall = rate(zip(gold, predicted))
-    if known_bits is None:
-        return overall, None, None
-    known = rate((g, p) for g, p, b in zip(gold, predicted, known_bits) if b)
-    unknown = rate((g, p) for g, p, b in zip(gold, predicted, known_bits) if not b)
-    return overall, known, unknown
+    return _token_errors(gold, predicted, known_bits)[0]
 
 
 def _span_kind(label, bio):
@@ -169,7 +174,8 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     flat_gold = [g for sent in gold_labels for g in sent]
     flat_pred = [p for sent in predicted_labels for p in sent]
     flat_known = [b for sent in known_bits for b in sent]
-    overall, known, unknown = token_accuracy(flat_gold, flat_pred, flat_known)
+    (overall, known, unknown), unknown_tokens = _token_errors(flat_gold, flat_pred,
+                                                              flat_known)
 
     if scheme is None and task in ("chunk", "ner"):
         scheme = "bio"
@@ -178,7 +184,7 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
         scheme=scheme,
         sentences=len(gold_labels),
         tokens=len(flat_gold),
-        unknown_tokens=sum(1 for b in flat_known if not b),
+        unknown_tokens=unknown_tokens,
         overall_error=overall,
         known_error=known,
         unknown_error=unknown,

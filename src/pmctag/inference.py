@@ -6,13 +6,19 @@ In PMC mode a step whose observed word bigram has no training support is
 downgraded to the HMC factor for that step only; emissions of unknown
 words fall back to the orthographic feature model.
 
-Forward-backward runs in scaled linear space (normalized at every step);
-Viterbi runs in log space.
+Forward-backward runs in scaled linear space: each step is one
+vector-matrix product, and the rows are normalized once per block of
+_BLOCK steps. The forward pass runs when the factors are built, so it
+also finds the downgrades and the dead end. Viterbi runs in log space
+from log tables: the model's log transitions, the sentence's log
+emission columns and the logs of its PMC ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -27,20 +33,106 @@ PLAIN_HMC = "hmc"
 MODES = ("hmc", "pmc")
 DECODERS = ("mpm", "map")
 
+# Rows of the scaled recursions are normalized once every _BLOCK steps.
+# The factors are probabilities, so within a block the forward mass only
+# shrinks and a backward row holds at most N times the mass of the row
+# before it: when the block's last row keeps more than _TINY, no row of
+# the block came near underflow. Otherwise the step into the block's first
+# row with _TINY or less is redone from the normalized row before it, and
+# the next block starts after that step, so no rescue or dead end is
+# decided from underflowed mass.
+_BLOCK = 16
+_TINY = 1e-200
 
-@dataclass
+# Block rescaling and log tables move posteriors and path scores by a few
+# units in the last place. mpm_path counts posteriors within _TIE of a
+# row's maximum as tied, map_path path scores within _TIE of the best
+# relative to it, so an exact tie goes to the lowest id either way.
+_TIE = 1e-12
+
+
+def _chain(first, mats, rows, scales, rescue=None) -> int | None:
+    """Scaled recursion rows[s + 1] ~ rows[s] @ mats[s] from rows[0] ~ first.
+
+    Fills rows with normalized rows and scales with row masses, so that
+    rows[s] * prod(scales[:s + 1]) is the unscaled recursion, and returns
+    the first position whose row has no mass, or None. Each step is one
+    vector-matrix product into the next row, and each block of rows is
+    normalized at once. A step whose row comes out empty goes to
+    rescue(s), which may replace mats[s], before it is redone from the
+    normalized row; with no mass at position 0 no label reaches step 0
+    either, so rescue(0) is offered before giving up there.
+    """
+    total = np.add.reduce(first)
+    if total == 0.0:
+        if rescue is not None and len(mats):
+            rescue(0)
+        return 0
+    np.divide(first, total, out=rows[0])
+    scales[0] = total
+    dot, row, mat = np.dot, list(rows), list(mats)
+    lo, n_steps = 0, len(mat)
+    while lo < n_steps:
+        hi = min(lo + _BLOCK, n_steps)
+        for s in range(lo, hi):
+            dot(row[s], mat[s], out=row[s + 1])
+        mass = np.add.reduce(rows[lo + 1:hi + 1], axis=1)
+        low = mass[-1] <= _TINY
+        if low:  # keep the rows before the first one low on mass,
+            k = int((mass <= _TINY).argmax())
+            empty = mass[k] == 0.0
+            hi, mass = lo + k, mass[:k]
+        rows[lo + 1:hi + 1] /= mass[:, None]
+        scales[lo + 1:hi + 1] = mass
+        scales[lo + 2:hi + 1] /= mass[:-1]
+        if low:  # and redo the step into it from a normalized row
+            if empty and rescue is not None:
+                rescue(hi)
+            dot(row[hi], mat[hi], out=row[hi + 1])
+            total = np.add.reduce(row[hi + 1])
+            if total == 0.0:
+                return hi + 1
+            row[hi + 1] /= total
+            scales[hi + 1] = total
+            hi += 1
+        lo = hi
+    return None
+
+
+@dataclass(eq=False)
 class FactorProvider:
-    """Resolved per-sentence factors.
+    """Resolved per-sentence factors and their forward pass.
 
     initial[i] is the factor over the first label; steps is a (T-1, N, N)
     array whose steps[t, i, j] is the transition-emission factor from
     label i at position t to label j at position t + 1. flags record which
     regime produced each factor, the initial resolution first.
+
+    Building one runs the scaled forward pass: alpha holds its normalized
+    rows, scales the row masses, and dead the first position without
+    forward mass, or None. rescue is handed to that pass (see _chain).
+    log_steps returns a fresh (T-1, N, N) stack of log factors for Viterbi,
+    built from the producer's log tables; without one, it is the log of
+    steps.
     """
 
     initial: np.ndarray
     steps: np.ndarray
     flags: list[str]
+    log_steps: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    rescue: InitVar[Callable[[int], None] | None] = None
+    alpha: np.ndarray = field(init=False, repr=False)
+    scales: np.ndarray = field(init=False, repr=False)
+    dead: int | None = field(init=False)
+
+    def __post_init__(self, rescue):
+        n = len(self.initial)
+        self.steps = np.ascontiguousarray(self.steps, dtype=np.float64).reshape(-1, n, n)
+        self.alpha = np.empty((len(self.steps) + 1, n))
+        self.scales = np.empty(len(self.steps) + 1)
+        self.dead = _chain(self.initial, self.steps, self.alpha, self.scales, rescue)
+        if self.log_steps is None:
+            self.log_steps = partial(_log, self.steps)
 
     @property
     def length(self) -> int:
@@ -71,21 +163,25 @@ class DecodeIndex:
     the word bigram code k * n_words + l. codes holds the distinct codes
     of the bigrams with a positive pattern count, in increasing order,
     followed by one sentinel above every code; the triples of codes[u]
-    are the entries offsets[u]:offsets[u + 1] of i, j and ratios. A
-    triple (i, j, n_ikjl / m_ik) is a non-zero entry of the PMC step
-    factor trans2[i, k][j] * emit2[i, k, j][l], written as the single
-    count ratio that product reduces to.
+    are the entries offsets[u]:offsets[u + 1] of flat and ratios. A
+    triple (i * n_labels + j, n_ikjl / m_ik) is a non-zero entry of the
+    PMC step factor trans2[i, k][j] * emit2[i, k, j][l], at its offset in
+    the flattened N x N step, written as the single count ratio that
+    product reduces to.
+
+    log_trans is the log of the HMC transitions `trans`, which Viterbi
+    adds to the log emission columns of the HMC steps.
     """
 
     n_words: int
     pi2: np.ndarray
     codes: np.ndarray
     offsets: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    flat: np.ndarray
     ratios: np.ndarray
+    log_trans: np.ndarray
 
-    def __init__(self, counts: CountTables):
+    def __init__(self, counts: CountTables, trans: np.ndarray):
         n_words = counts.n_words
         pi2 = np.zeros(counts.m_ik.shape)
         pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
@@ -99,11 +195,11 @@ class DecodeIndex:
             "pi2": pi2,
             "codes": np.append(code[starts], np.iinfo(np.int64).max),
             "offsets": np.append(starts, code.size),
-            # int32 halves their size; a model with 2**31 labels could not
-            # hold even one N x N step
-            "i": i[order].astype(np.int32),
-            "j": j[order].astype(np.int32),
+            # int32 halves their size; a model whose N x N offsets overflow
+            # it could not hold even one N x N step
+            "flat": (i * counts.n_labels + j)[order].astype(np.int32),
             "ratios": (c / counts.m_ik[i, k])[order],
+            "log_trans": _log(trans),
         }
         # a frozen dataclass sets its fields through object.__setattr__
         object.__setattr__(self, "n_words", n_words)
@@ -117,19 +213,32 @@ class DecodeIndex:
         wids holds one vocabulary id per word, -1 for an unknown word.
         """
         k, l = wids[:-1], wids[1:]
-        code = np.where((k >= 0) & (l >= 0), k * self.n_words + l, -1)
-        slots = np.searchsorted(self.codes, code)
+        # an unknown first word gives a code below 0 as well
+        code = np.where(l >= 0, k * self.n_words + l, -1)
+        slots = self.codes.searchsorted(code)
         return np.where(self.codes[slots] == code, slots, -1)
 
     def write_pmc_steps(self, steps, slots):
-        """Overwrite steps[t] with the PMC factor of bigram slots[t] >= 0."""
-        at = np.flatnonzero(slots >= 0)
+        """Overwrite steps[t] with the PMC factor of bigram slots[t] >= 0.
+
+        Returns the triples written, as the arrays (t, flat, ratios): the
+        step, the offset in the flattened step and the value.
+        """
+        at = (slots >= 0).nonzero()[0]
         lo = self.offsets[slots[at]]
         sizes = self.offsets[slots[at] + 1] - lo
+        t = at.repeat(sizes)
         # triple positions: the slices lo[s]:lo[s] + sizes[s], concatenated
-        pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        pos = np.arange(t.size) + (lo - sizes.cumsum() + sizes).repeat(sizes)
+        flat, ratios = self.flat[pos], self.ratios[pos]
         steps[at] = 0.0
-        steps[np.repeat(at, sizes), self.i[pos], self.j[pos]] = self.ratios[pos]
+        _flat_steps(steps)[t, flat] = ratios
+        return t, flat, ratios
+
+
+def _flat_steps(steps) -> np.ndarray:
+    """(T-1, N * N) view of a (T-1, N, N) stack; a triple's flat offset indexes a row."""
+    return steps.reshape(len(steps), steps.shape[1] * steps.shape[2])
 
 
 def decode_index(model: ModelBundle) -> DecodeIndex:
@@ -137,29 +246,36 @@ def decode_index(model: ModelBundle) -> DecodeIndex:
     return model.index
 
 
-def _emission_columns(model, sentence, wids) -> np.ndarray:
-    """(T, N) emission columns: hmc.emit for known words, features otherwise."""
-    cols = model.hmc.emit[:, wids].T
-    for t in np.flatnonzero(wids < 0).tolist():
-        cols[t] = feature_column(model.features, sentence[t], t)
-    return cols
+# Log score of a zero factor. np.log can be several times slower on zeros
+# than on positive numbers, so zeros get this finite stand-in, not -inf:
+# any path through one scores below _LOG_ZERO / 2, any other path above it
+# (a step adds at least log(5e-324) > -745).
+_LOG_ZERO = -1e300
 
 
-def _hmc_factors(hmc: HmcParams, cols) -> FactorProvider:
-    """HMC factors for the (T, N) emission columns of a sentence."""
-    return FactorProvider(initial=hmc.pi * cols[0], steps=hmc.trans * cols[1:, None, :],
-                          flags=[PLAIN_HMC] * len(cols))
+def _log(x) -> np.ndarray:
+    out = np.full(np.shape(x), _LOG_ZERO)
+    np.log(x, out=out, where=x > 0)
+    return out
 
 
-def _support(alive, step):
-    """0/1 vector of the labels reachable through `step` from `alive`, or
-    None when there is none.
+def _hmc_steps(op, table, cols) -> np.ndarray:
+    """(T-1, N, N) stack of op(table[i, j], cols[t + 1][j]).
 
-    alive is a 0/1 vector and factors are non-negative, so the product is
-    positive exactly where some alive label has a positive entry.
+    Repeating the column first makes op run over whole N x N steps, which
+    numpy does several times faster than a broadcast over the rows.
     """
-    reached = np.sign(np.dot(alive, step))
-    return reached if np.count_nonzero(reached) else None
+    steps = cols[1:, None, :].repeat(len(table), axis=1)
+    op(steps, table, out=steps)
+    return steps
+
+
+def _hmc_factors(hmc: HmcParams, cols, log_trans) -> FactorProvider:
+    """HMC factors for the (T, N) emission columns of a sentence."""
+    return FactorProvider(initial=hmc.pi * cols[0],
+                          steps=_hmc_steps(np.multiply, hmc.trans, cols),
+                          flags=[PLAIN_HMC] * len(cols),
+                          log_steps=lambda: _hmc_steps(np.add, log_trans, _log(cols)))
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
@@ -172,137 +288,138 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     that would leave no label with forward support is downgraded as well:
     two individually supported bigrams need not agree on the label of the
     word they share, so a run of PMC factors can strand the forward
-    recursion even though every factor has positive entries. Support is
-    tracked as 0/1 vectors, since scaled forward cannot underflow; once a
-    step leaves no label alive even as an HMC step, the sentence is a
-    genuine dead end that the recursions report. In HMC mode all factors
-    come from the hidden chain directly. Every step is written into one
-    (T-1, N, N) stack.
+    recursion even though every factor has positive entries. The forward
+    pass finds these steps: a kept PMC step is downgraded exactly when its
+    forward row is empty and the 0/1 support, which cannot underflow, is
+    empty too; the support is computed from position 0 at the first empty
+    row and extended from there. Once a step leaves no label alive
+    even as an HMC step, the sentence is a genuine dead end that the
+    recursions report. In HMC mode all factors come from the hidden chain
+    directly. Every step is written into one (T-1, N, N) stack.
     """
     if not sentence:
         raise EmptySentence("cannot resolve factors for an empty sentence")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    hmc = model.hmc
+    hmc, index = model.hmc, model.index
     vocabulary = model.vocabulary.index
-    wids = np.array([vocabulary.get(w, -1) for w in sentence])
-    cols = _emission_columns(model, sentence, wids)
-    factors = _hmc_factors(hmc, cols)
+    ids = [vocabulary.get(w, -1) for w in sentence]
+    wids = np.array(ids)
+    # (T, N) emission columns: hmc.emit for known words, features otherwise
+    cols = hmc.emit.T[wids]
+    for pos, word_id in enumerate(ids):
+        if word_id < 0:
+            cols[pos] = feature_column(model.features, sentence[pos], pos)
     if mode == "hmc":
-        return factors
+        return _hmc_factors(hmc, cols, index.log_trans)
 
-    index, steps = model.index, factors.steps
-    if wids[0] >= 0 and index.pi2[:, wids[0]].any():
-        initial = index.pi2[:, wids[0]]
+    if ids[0] >= 0 and index.pi2[:, ids[0]].any():
+        initial = index.pi2[:, ids[0]]
         flags = [PMC_STEP]
     else:
-        initial = factors.initial
+        initial = hmc.pi * cols[0]
         flags = [HMC_STEP]
+    steps = _hmc_steps(np.multiply, hmc.trans, cols)
     slots = index.bigram_slots(wids)
-    index.write_pmc_steps(steps, slots)
-    flags += [PMC_STEP if u >= 0 else HMC_STEP for u in slots.tolist()]
+    kept = slots >= 0
+    t, flat, ratios = index.write_pmc_steps(steps, slots)
+    flags += [PMC_STEP if k else HMC_STEP for k in kept.tolist()]
 
-    alive = np.sign(initial)  # forward support, checked until a dead end
-    for t, step in enumerate(steps):
-        reached = _support(alive, step)
-        if reached is None and flags[t + 1] == PMC_STEP:
-            np.multiply(hmc.trans, cols[t + 1], out=step)
-            flags[t + 1] = HMC_STEP
-            reached = _support(alive, step)
-        if reached is None:
-            break
-        alive = reached
-    return FactorProvider(initial=initial, steps=steps, flags=flags)
+    support = [np.sign(initial)]  # 0/1 support of the first positions
+
+    def rescue(s):
+        """Downgrade kept PMC step s if no supported label reaches a label through it."""
+        if not kept[s]:
+            return
+        # steps before s are final, so the support up to s stays valid
+        while len(support) <= s:
+            support.append(np.sign(np.dot(support[-1], steps[len(support) - 1])))
+        if np.dot(support[s], steps[s]).any():
+            return
+        np.multiply(hmc.trans, cols[s + 1], out=steps[s])
+        kept[s] = False
+        flags[s + 1] = HMC_STEP
+
+    def log_steps():
+        # a kept PMC step starts from _LOG_ZERO, which adding a log
+        # transition leaves at _LOG_ZERO or below, and gets its ratios
+        log_cols = _log(cols)
+        log_cols[1:][kept] = _LOG_ZERO
+        scores = _hmc_steps(np.add, index.log_trans, log_cols)
+        live = kept[t]
+        _flat_steps(scores)[t[live], flat[live]] = np.log(ratios[live])
+        return scores
+
+    return FactorProvider(initial, steps, flags, log_steps, rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     """Classic HMC factors for an id-encoded observation sequence."""
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
-    return _hmc_factors(params, params.emit[:, obs].T)
+    return _hmc_factors(params, params.emit.T[np.asarray(obs)], _log(params.trans))
 
 
 def forward(factors: FactorProvider):
-    """Scaled forward pass.
+    """Scaled forward pass, as run when the factors were built.
 
     Returns (alpha, scales) where every alpha row sums to 1 and the
     unnormalized forward probabilities are alpha[t] * prod(scales[:t+1]).
     """
-    t_len, n = factors.length, factors.n_labels
-    alpha = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    vec = factors.initial
-    total = vec.sum()
-    if total == 0.0:
-        raise DeadEnd(0)
-    alpha[0] = vec / total
-    scales[0] = total
-    for t, step in enumerate(factors.steps):
-        vec = alpha[t] @ step
-        total = vec.sum()
-        if total == 0.0:
-            raise DeadEnd(t + 1)
-        alpha[t + 1] = vec / total
-        scales[t + 1] = total
-    return alpha, scales
+    if factors.dead is not None:
+        raise DeadEnd(factors.dead)
+    return factors.alpha, factors.scales
 
 
 def backward(factors: FactorProvider):
     """Scaled backward pass; the last row is uniform after normalization.
 
     Returns (beta, scales) with unnormalized backward probabilities equal
-    to beta[t] * prod(scales[t:]).
+    to beta[t] * prod(scales[t:]). It is the forward recursion run over
+    the transposed steps from the end.
     """
     t_len, n = factors.length, factors.n_labels
     beta = np.empty((t_len, n))
     scales = np.empty(t_len)
-    beta[t_len - 1] = 1.0 / n
-    scales[t_len - 1] = float(n)
-    for t in range(t_len - 2, -1, -1):
-        vec = factors.steps[t] @ beta[t + 1]
-        total = vec.sum()
-        if total == 0.0:
-            raise DeadEnd(t)
-        beta[t] = vec / total
-        scales[t] = total
+    dead = _chain(np.ones(n), factors.steps[::-1].transpose(0, 2, 1), beta[::-1],
+                  scales[::-1])
+    if dead is not None:
+        raise DeadEnd(t_len - 1 - dead)
     return beta, scales
 
 
 def posterior_marginals(factors: FactorProvider) -> np.ndarray:
     """T x N matrix of per-position label posteriors; rows sum to 1.
 
-    The per-step scalings cancel inside each row, so the result equals the
+    The scalings cancel inside each row, so the result equals the
     unscaled computation.
     """
     alpha, _ = forward(factors)
     beta, _ = backward(factors)
     prod = alpha * beta
-    totals = prod.sum(axis=1)
-    dead = np.flatnonzero(totals == 0.0)
-    if dead.size:
+    totals = np.add.reduce(prod, axis=1)
+    if not totals.all():
         # forward and backward can each survive on disjoint supports when
         # no full path has positive probability
-        raise DeadEnd(int(dead[0]))
-    return prod / totals[:, None]
+        raise DeadEnd(int(np.flatnonzero(totals == 0.0)[0]))
+    prod /= totals[:, None]
+    return prod
+
+
+def _lowest_best(rows, width) -> np.ndarray:
+    """Per row, the lowest index whose value is within width of the row's maximum."""
+    top = np.maximum.reduce(rows, axis=-1)
+    return (rows >= (top - width)[..., None]).argmax(axis=-1)
 
 
 def mpm_path(factors: FactorProvider) -> np.ndarray:
-    """Position-wise posterior argmax; ties go to the lowest label id."""
-    return posterior_marginals(factors).argmax(axis=1)
+    """Position-wise posterior argmax; ties go to the lowest label id.
 
-
-# Log score of a zero factor. np.log can be several times slower on zeros
-# than on positive numbers, so zeros get this finite stand-in, not -inf:
-# any path through one scores below _LOG_ZERO / 2, any other path above it
-# (a step adds at least log(5e-324) > -745).
-_LOG_ZERO = -1e300
-
-
-def _log(x) -> np.ndarray:
-    zero = x == 0
-    out = np.log(x + zero)  # log 1 = 0 where x is 0
-    out += zero * _LOG_ZERO
-    return out
+    Labels whose posteriors are within _TIE of their row's maximum count
+    as tied, so an exact tie does not turn on how the rounding of the
+    scaled recursions fell.
+    """
+    return _lowest_best(posterior_marginals(factors), _TIE)
 
 
 def map_path(factors: FactorProvider):
@@ -311,26 +428,35 @@ def map_path(factors: FactorProvider):
     Returns (path, log_score). Works in log space; among equal-scoring
     paths the lexicographically smallest id sequence is returned, obtained
     by maximizing suffix scores first and reconstructing front to back
-    with argmax ties resolved to the lowest id.
+    with ties resolved to the lowest id. Scores within _TIE * |log_score|
+    of each other count as tied, so an exact tie does not turn on how the
+    rounding of the log tables fell. Without a path, the dead end is the
+    forward pass's.
     """
     t_len = factors.length
     # scores[t, i, j]: log step t plus the best suffix score from j at t + 1
-    scores = _log(np.asarray(factors.steps))
+    stack = factors.log_steps()
+    scores = list(stack)
     head = _log(factors.initial)
     suffix = 0.0
-    for t in range(t_len - 2, -1, -1):
-        scores[t] += suffix
-        suffix = scores[t].max(axis=1)
+    for step in reversed(scores):
+        step += suffix
+        suffix = np.maximum.reduce(step, axis=1)
     head += suffix
     best = head.max()
     if best < _LOG_ZERO / 2:
-        forward(factors)  # raises DeadEnd at the first position without mass
-        raise DeadEnd(t_len - 1)
-    path = np.empty(t_len, dtype=np.int64)
-    path[0] = head.argmax()
-    for t in range(t_len - 1):
-        path[t + 1] = scores[t, path[t]].argmax()
-    return path, float(best)
+        raise DeadEnd(t_len - 1 if factors.dead is None else factors.dead)
+    path = [int(head.argmax())]
+    for step in scores:
+        path.append(int(step[path[-1]].argmax()))
+    # rebuild with the tie rule only if a choice had a tie it did not take
+    width = _TIE * abs(best)
+    chosen = np.vstack((head, stack[np.arange(t_len - 1), path[:-1]]))
+    if (_lowest_best(chosen, width) != path).any():
+        path = [int(_lowest_best(head, width))]
+        for step in scores:
+            path.append(int(_lowest_best(step[path[-1]], width)))
+    return np.array(path), float(best)
 
 
 @dataclass
@@ -360,7 +486,7 @@ def decode_sentence(model: ModelBundle, sentence, mode="pmc",
         ids = mpm_path(factors)
     else:
         ids, score = map_path(factors)
-    labels = [model.alphabet[i] for i in ids]
+    labels = list(map(model.alphabet.items.__getitem__, ids.tolist()))
     return DecodeResult(labels=labels, flags=factors.flags, log_score=score)
 
 

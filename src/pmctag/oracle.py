@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DeadEnd, EmptySentence
-from .inference import PMC_STEP, FactorProvider
+from .inference import PMC_STEP, FactorProvider, _log
 from .model import HmcParams
 
 
@@ -70,16 +70,27 @@ class TinyInstance:
 
         steps[t, i, j] = trans2[i, k, j] * emit2[i, k, j, l] for the word
         bigram (k, l) at t -> t + 1; all-zero rows contribute probability 0.
+        Viterbi adds the logs of the two tables, so an embedded HMC scores
+        exactly as its own log transitions plus log emissions do.
         """
         obs = np.asarray(self.obs if obs is None else obs, dtype=np.int64)
         if obs.size == 0:
             raise EmptySentence("empty observation sequence")
         k, l = obs[:-1], obs[1:]
-        # the two index arrays of emit2 are split by a slice, so numpy puts
-        # the position axis first; trans2 keeps the label axis first
-        steps = self.trans2[:, k, :].transpose(1, 0, 2) * self.emit2[:, k, :, l]
-        return FactorProvider(initial=self.pi2[:, obs[0]], steps=steps,
-                              flags=[PMC_STEP] * obs.size)
+
+        def pick(trans2, emit2):
+            # the two index arrays of emit2 are split by a slice, so numpy
+            # puts the position axis first; trans2 keeps the label axis first
+            return trans2[:, k, :].transpose(1, 0, 2), emit2[:, k, :, l]
+
+        trans, emit = pick(self.trans2, self.emit2)
+
+        def log_steps():
+            log_trans, log_emit = pick(_log(self.trans2), _log(self.emit2))
+            return log_trans + log_emit
+
+        return FactorProvider(initial=self.pi2[:, obs[0]], steps=trans * emit,
+                              flags=[PMC_STEP] * obs.size, log_steps=log_steps)
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_max=4, m_max=5, t_max=7) -> "TinyInstance":

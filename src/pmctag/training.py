@@ -68,23 +68,24 @@ def _tally(columns, n_labels, n_words, base=None) -> CountTable:
     return CountTable(np.column_stack(digits), np.add.reduceat(weights[order], starts))
 
 
-def accumulate_counts(corpus, base: ModelBundle | None = None):
+def accumulate_counts(corpus, base=None):
     """Count every chain start and adjacent (label, word, label, word) pattern.
 
     The corpus's word and tag columns are interned as they are, and its
     sentence lengths mark the chain starts. Returns (CountTables,
-    alphabet, vocabulary). With a `base` model, its interners are copied
-    and extended append-only and its counts are added in, so an online
-    update goes through the same tally as training from scratch. Patterns
-    never cross a sentence boundary.
+    alphabet, vocabulary). With a `base` of that same form, from an
+    earlier tally or a model, its interners are copied and extended
+    append-only and its counts are added in, so folding in one corpus
+    after another goes through the same tally as counting them together.
+    Patterns never cross a sentence boundary.
     """
     lengths = corpus.lengths
     if not len(lengths):
         raise EmptyCorpus("training corpus has no sentences")
     if not lengths.all():
         raise EmptySentence("training corpus contains an empty sentence")
-    alphabet = base.alphabet.copy() if base else Interner()
-    vocabulary = base.vocabulary.copy() if base else Interner()
+    base_counts, alphabet, vocabulary = base or (None, Interner(), Interner())
+    alphabet, vocabulary = alphabet.copy(), vocabulary.copy()
     code = vocabulary.intern_all(corpus.words)
     n_words = len(vocabulary)
     code += alphabet.intern_all(corpus.tags) * n_words
@@ -92,9 +93,9 @@ def accumulate_counts(corpus, base: ModelBundle | None = None):
     follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
     follows[starts] = False
     n_labels = len(alphabet)
-    n0_ik = _tally([code[starts]], n_labels, n_words, base and base.counts.n0_ik)
+    n0_ik = _tally([code[starts]], n_labels, n_words, base_counts and base_counts.n0_ik)
     n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_labels, n_words,
-                    base and base.counts.n_ikjl)
+                    base_counts and base_counts.n_ikjl)
     return CountTables(n_labels, n_words, n0_ik, n_ikjl), alphabet, vocabulary
 
 
@@ -136,11 +137,12 @@ def fit_pmc(counts: CountTables) -> PmcParams:
 def bundle_from_counts(alphabet, vocabulary, counts: CountTables, task: str,
                        suffix_max_len: int) -> ModelBundle:
     """The one way to build a bundle: derive every table from the counts."""
+    hmc = fit_hmc(counts)
     # the index is looked up on the module, where perfbench/tracing.py wraps it
     return ModelBundle(alphabet=alphabet, vocabulary=vocabulary, counts=counts,
-                       task=task, suffix_max_len=suffix_max_len, hmc=fit_hmc(counts),
+                       task=task, suffix_max_len=suffix_max_len, hmc=hmc,
                        features=derive_feature_tables(counts, vocabulary, suffix_max_len),
-                       index=inference.DecodeIndex(counts))
+                       index=inference.DecodeIndex(counts, hmc.trans))
 
 
 def train_model(corpus, config: TrainConfig) -> ModelBundle:
@@ -159,6 +161,7 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
     """
     if not len(new_corpus.lengths):
         raise EmptyCorpus("online update received an empty corpus")
-    counts, alphabet, vocabulary = accumulate_counts(new_corpus, base=model)
+    counts, alphabet, vocabulary = accumulate_counts(
+        new_corpus, base=(model.counts, model.alphabet, model.vocabulary))
     return bundle_from_counts(alphabet, vocabulary, counts, model.task,
                               model.suffix_max_len)

@@ -99,10 +99,12 @@ class TestDecodeIndex:
                 if pmc.trans2[(i, k)][j] * p > 0:
                     expected[(k, l, i, j)] = pmc.trans2[(i, k)][j] * p
         got = {}
+        n = len(model.alphabet)
         for u, code in enumerate(index.codes[:-1].tolist()):
             k, l = divmod(code, index.n_words)
             for t in range(index.offsets[u], index.offsets[u + 1]):
-                got[(k, l, int(index.i[t]), int(index.j[t]))] = index.ratios[t]
+                i, j = divmod(int(index.flat[t]), n)
+                got[(k, l, i, j)] = index.ratios[t]
         assert got.keys() == expected.keys()
         for key, p in got.items():
             assert abs(p - expected[key]) <= 1e-15 * expected[key], key

@@ -214,6 +214,14 @@ class TestModelBundle:
                     delattr(index, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 index.extra = None
+            for name in ("pi2", "codes", "offsets", "flat", "ratios", "log_trans"):
+                array = getattr(index, name)
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                index.log_trans = np.zeros_like(index.log_trans)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                index.flat = np.zeros_like(index.flat)
             assert decode_sentence(model, ["The", "dog", "runs"]).flags == [PMC_STEP] * 3
 
     def test_refused_intern_leaves_unknown_words_unknown(self):
