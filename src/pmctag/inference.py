@@ -39,29 +39,49 @@ DECODERS = ("mpm", "map")
 # before it: when the block's last row keeps more than _TINY, no row of
 # the block came near underflow. Otherwise the step into the block's first
 # row with _TINY or less is redone from the normalized row before it, and
-# the next block starts after that step, so no rescue or dead end is
-# decided from underflowed mass.
+# the next block starts after that step. Inside a block an entry can
+# still underflow to zero once it falls below about 5e-324 / _TINY =
+# 5e-124 of its row's mass, where per-step normalization keeps entries
+# down to about 5e-324 of the mass. So a row that comes out empty is
+# judged by the exact support (_reaches), and if that is not empty, the
+# recursion is redone with blocks of one step.
 _BLOCK = 16
 _TINY = 1e-200
 
-# Block rescaling and log tables move posteriors and path scores by a few
-# units in the last place. mpm_path counts posteriors within _TIE of a
-# row's maximum as tied, map_path path scores within _TIE of the best
-# relative to it, so an exact tie goes to the lowest id either way.
-_TIE = 1e-12
+
+def _reaches(first, mats, rows, s) -> bool:
+    """Whether the exact 0/1 support at position s reaches a label through mats[s].
+
+    The exact support of a position is the set of labels that some path
+    of positive factors from first reaches; underflow cannot change it.
+    It is the support of rows[s] when, at every position up to s, the row
+    holds exactly the labels that the row before reaches, which one
+    batched product checks. Otherwise it is rebuilt step by step.
+    """
+    live = np.sign(rows[:s + 1])
+    reach = np.sign(np.matmul(live[:, None, :], mats[:s + 1])[:, 0])
+    if (live[0] == np.sign(first)).all() and (live[1:] == reach[:-1]).all():
+        return bool(reach[-1].any())
+    support = first > 0
+    for mat in mats[:s + 1]:
+        support = np.dot(support, mat) > 0
+    return bool(support.any())
 
 
-def _chain(first, mats, rows, scales, rescue=None) -> int | None:
+def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK) -> int | None:
     """Scaled recursion rows[s + 1] ~ rows[s] @ mats[s] from rows[0] ~ first.
 
     Fills rows with normalized rows and scales with row masses, so that
     rows[s] * prod(scales[:s + 1]) is the unscaled recursion, and returns
     the first position whose row has no mass, or None. Each step is one
     vector-matrix product into the next row, and each block of rows is
-    normalized at once. A step whose row comes out empty goes to
-    rescue(s), which may replace mats[s], before it is redone from the
-    normalized row; with no mass at position 0 no label reaches step 0
-    either, so rescue(0) is offered before giving up there.
+    normalized at once. When the step into a row leaves it empty and the
+    exact support does not reach past it either, rescue(s) may replace
+    mats[s] before the step is redone; with no mass at position 0 no label
+    reaches step 0 either, so rescue(0) is offered before giving up there.
+    A row left empty although the exact support reaches past it lost its
+    entries to underflow inside a block, and the recursion is redone with
+    blocks of one step.
     """
     total = np.add.reduce(first)
     if total == 0.0:
@@ -70,27 +90,28 @@ def _chain(first, mats, rows, scales, rescue=None) -> int | None:
         return 0
     np.divide(first, total, out=rows[0])
     scales[0] = total
-    dot, row, mat = np.dot, list(rows), list(mats)
+    dot, add, row, mat = np.dot, np.add.reduce, list(rows), list(mats)
     lo, n_steps = 0, len(mat)
     while lo < n_steps:
-        hi = min(lo + _BLOCK, n_steps)
+        hi = min(lo + block, n_steps)
         for s in range(lo, hi):
             dot(row[s], mat[s], out=row[s + 1])
-        mass = np.add.reduce(rows[lo + 1:hi + 1], axis=1)
+        mass = add(rows[lo + 1:hi + 1], axis=1)
         low = mass[-1] <= _TINY
         if low:  # keep the rows before the first one low on mass,
-            k = int((mass <= _TINY).argmax())
-            empty = mass[k] == 0.0
-            hi, mass = lo + k, mass[:k]
+            hi = lo + int((mass <= _TINY).argmax())
+            mass = mass[:hi - lo]
         rows[lo + 1:hi + 1] /= mass[:, None]
         scales[lo + 1:hi + 1] = mass
         scales[lo + 2:hi + 1] /= mass[:-1]
         if low:  # and redo the step into it from a normalized row
-            if empty and rescue is not None:
+            total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
+            if total == 0.0 and rescue is not None and not _reaches(first, mats, rows, hi):
                 rescue(hi)
-            dot(row[hi], mat[hi], out=row[hi + 1])
-            total = np.add.reduce(row[hi + 1])
+                total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
             if total == 0.0:
+                if block > 1 and _reaches(first, mats, rows, hi):
+                    return _chain(first, mats, rows, scales, rescue, block=1)
                 return hi + 1
             row[hi + 1] /= total
             scales[hi + 1] = total
@@ -112,14 +133,14 @@ class FactorProvider:
     rows, scales the row masses, and dead the first position without
     forward mass, or None. rescue is handed to that pass (see _chain).
     log_steps returns a fresh (T-1, N, N) stack of log factors for Viterbi,
-    built from the producer's log tables; without one, it is the log of
-    steps.
+    built from the producer's log tables and laid out [t, j, i]: the log of
+    steps[t, i, j].
     """
 
     initial: np.ndarray
     steps: np.ndarray
     flags: list[str]
-    log_steps: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    log_steps: Callable[[], np.ndarray] = field(repr=False)
     rescue: InitVar[Callable[[int], None] | None] = None
     alpha: np.ndarray = field(init=False, repr=False)
     scales: np.ndarray = field(init=False, repr=False)
@@ -131,8 +152,6 @@ class FactorProvider:
         self.alpha = np.empty((len(self.steps) + 1, n))
         self.scales = np.empty(len(self.steps) + 1)
         self.dead = _chain(self.initial, self.steps, self.alpha, self.scales, rescue)
-        if self.log_steps is None:
-            self.log_steps = partial(_log, self.steps)
 
     @property
     def length(self) -> int:
@@ -169,8 +188,9 @@ class DecodeIndex:
     the flattened N x N step, written as the single count ratio that
     product reduces to.
 
-    log_trans is the log of the HMC transitions `trans`, which Viterbi
-    adds to the log emission columns of the HMC steps.
+    log_trans_t is the log of the HMC transitions `trans`, transposed:
+    log_trans_t[j, i] = log trans[i, j], the layout of Viterbi's score
+    steps, to which it adds the log emission columns of the HMC steps.
     """
 
     n_words: int
@@ -179,7 +199,7 @@ class DecodeIndex:
     offsets: np.ndarray
     flat: np.ndarray
     ratios: np.ndarray
-    log_trans: np.ndarray
+    log_trans_t: np.ndarray
 
     def __init__(self, counts: CountTables, trans: np.ndarray):
         n_words = counts.n_words
@@ -199,7 +219,7 @@ class DecodeIndex:
             # it could not hold even one N x N step
             "flat": (i * counts.n_labels + j)[order].astype(np.int32),
             "ratios": (c / counts.m_ik[i, k])[order],
-            "log_trans": _log(trans),
+            "log_trans_t": _log(trans.T),
         }
         # a frozen dataclass sets its fields through object.__setattr__
         object.__setattr__(self, "n_words", n_words)
@@ -259,23 +279,47 @@ def _log(x) -> np.ndarray:
     return out
 
 
-def _hmc_steps(op, table, cols) -> np.ndarray:
-    """(T-1, N, N) stack of op(table[i, j], cols[t + 1][j]).
+# Both builders below repeat the emission column over a whole N x N step
+# before the transition table is combined with it, which numpy does
+# several times faster than a broadcast.
 
-    Repeating the column first makes op run over whole N x N steps, which
-    numpy does several times faster than a broadcast over the rows.
-    """
-    steps = cols[1:, None, :].repeat(len(table), axis=1)
-    op(steps, table, out=steps)
+def _hmc_steps(trans, cols) -> np.ndarray:
+    """(T-1, N, N) stack of the HMC factors trans[i, j] * cols[t + 1][j]."""
+    steps = cols[1:, None, :].repeat(len(trans), axis=1)
+    np.multiply(steps, trans, out=steps)
     return steps
 
 
-def _hmc_factors(hmc: HmcParams, cols, log_trans) -> FactorProvider:
+def _log_steps(log_trans_t, cols, kept, t, flat, ratios) -> np.ndarray:
+    """(T-1, N, N) log factors of a sentence for Viterbi, laid out [t, j, i].
+
+    Step t is log_trans_t plus the log of the emission column cols[t + 1]
+    over its rows, unless kept[t] marks it a PMC step: then it holds the
+    logs of its triples, the ratios at (t, flat) as write_pmc_steps
+    returned them, and _LOG_ZERO elsewhere. kept is read when the stack is
+    built, so after every rescue.
+    """
+    n = len(log_trans_t)
+    # a kept step starts from _LOG_ZERO, which adding a log transition
+    # leaves at _LOG_ZERO or below, and gets its ratios
+    log_cols = _log(cols)
+    log_cols[1:][kept] = _LOG_ZERO
+    scores = log_cols[1:, :, None].repeat(n, axis=2)
+    scores += log_trans_t
+    live = kept[t]
+    i, j = np.divmod(flat[live], n)
+    _flat_steps(scores)[t[live], j * n + i] = np.log(ratios[live])
+    return scores
+
+
+def _hmc_factors(hmc: HmcParams, cols, log_trans_t) -> FactorProvider:
     """HMC factors for the (T, N) emission columns of a sentence."""
-    return FactorProvider(initial=hmc.pi * cols[0],
-                          steps=_hmc_steps(np.multiply, hmc.trans, cols),
+    none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
+    return FactorProvider(initial=hmc.pi * cols[0], steps=_hmc_steps(hmc.trans, cols),
                           flags=[PLAIN_HMC] * len(cols),
-                          log_steps=lambda: _hmc_steps(np.add, log_trans, _log(cols)))
+                          log_steps=partial(_log_steps, log_trans_t, cols,
+                                            np.zeros(len(cols) - 1, dtype=bool),
+                                            none, none, np.empty(0)))
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
@@ -290,9 +334,8 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     word they share, so a run of PMC factors can strand the forward
     recursion even though every factor has positive entries. The forward
     pass finds these steps: a kept PMC step is downgraded exactly when its
-    forward row is empty and the 0/1 support, which cannot underflow, is
-    empty too; the support is computed from position 0 at the first empty
-    row and extended from there. Once a step leaves no label alive
+    forward row is empty and the exact 0/1 support, which cannot
+    underflow, is empty too (see _chain). Once a step leaves no label alive
     even as an HMC step, the sentence is a genuine dead end that the
     recursions report. In HMC mode all factors come from the hidden chain
     directly. Every step is written into one (T-1, N, N) stack.
@@ -311,7 +354,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
         if word_id < 0:
             cols[pos] = feature_column(model.features, sentence[pos], pos)
     if mode == "hmc":
-        return _hmc_factors(hmc, cols, index.log_trans)
+        return _hmc_factors(hmc, cols, index.log_trans_t)
 
     if ids[0] >= 0 and index.pi2[:, ids[0]].any():
         initial = index.pi2[:, ids[0]]
@@ -319,45 +362,29 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     else:
         initial = hmc.pi * cols[0]
         flags = [HMC_STEP]
-    steps = _hmc_steps(np.multiply, hmc.trans, cols)
+    steps = _hmc_steps(hmc.trans, cols)
     slots = index.bigram_slots(wids)
     kept = slots >= 0
     t, flat, ratios = index.write_pmc_steps(steps, slots)
     flags += [PMC_STEP if k else HMC_STEP for k in kept.tolist()]
 
-    support = [np.sign(initial)]  # 0/1 support of the first positions
-
     def rescue(s):
-        """Downgrade kept PMC step s if no supported label reaches a label through it."""
-        if not kept[s]:
-            return
-        # steps before s are final, so the support up to s stays valid
-        while len(support) <= s:
-            support.append(np.sign(np.dot(support[-1], steps[len(support) - 1])))
-        if np.dot(support[s], steps[s]).any():
-            return
-        np.multiply(hmc.trans, cols[s + 1], out=steps[s])
-        kept[s] = False
-        flags[s + 1] = HMC_STEP
+        """Downgrade step s to its HMC factor if it is a kept PMC step."""
+        if kept[s]:
+            np.multiply(hmc.trans, cols[s + 1], out=steps[s])
+            kept[s] = False
+            flags[s + 1] = HMC_STEP
 
-    def log_steps():
-        # a kept PMC step starts from _LOG_ZERO, which adding a log
-        # transition leaves at _LOG_ZERO or below, and gets its ratios
-        log_cols = _log(cols)
-        log_cols[1:][kept] = _LOG_ZERO
-        scores = _hmc_steps(np.add, index.log_trans, log_cols)
-        live = kept[t]
-        _flat_steps(scores)[t[live], flat[live]] = np.log(ratios[live])
-        return scores
-
-    return FactorProvider(initial, steps, flags, log_steps, rescue)
+    return FactorProvider(initial, steps, flags,
+                          partial(_log_steps, index.log_trans_t, cols, kept, t, flat, ratios),
+                          rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     """Classic HMC factors for an id-encoded observation sequence."""
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
-    return _hmc_factors(params, params.emit.T[np.asarray(obs)], _log(params.trans))
+    return _hmc_factors(params, params.emit.T[np.asarray(obs)], _log(params.trans.T))
 
 
 def forward(factors: FactorProvider):
@@ -406,20 +433,9 @@ def posterior_marginals(factors: FactorProvider) -> np.ndarray:
     return prod
 
 
-def _lowest_best(rows, width) -> np.ndarray:
-    """Per row, the lowest index whose value is within width of the row's maximum."""
-    top = np.maximum.reduce(rows, axis=-1)
-    return (rows >= (top - width)[..., None]).argmax(axis=-1)
-
-
 def mpm_path(factors: FactorProvider) -> np.ndarray:
-    """Position-wise posterior argmax; ties go to the lowest label id.
-
-    Labels whose posteriors are within _TIE of their row's maximum count
-    as tied, so an exact tie does not turn on how the rounding of the
-    scaled recursions fell.
-    """
-    return _lowest_best(posterior_marginals(factors), _TIE)
+    """Position-wise posterior argmax; ties go to the lowest label id."""
+    return posterior_marginals(factors).argmax(axis=1)
 
 
 def map_path(factors: FactorProvider):
@@ -428,34 +444,25 @@ def map_path(factors: FactorProvider):
     Returns (path, log_score). Works in log space; among equal-scoring
     paths the lexicographically smallest id sequence is returned, obtained
     by maximizing suffix scores first and reconstructing front to back
-    with ties resolved to the lowest id. Scores within _TIE * |log_score|
-    of each other count as tied, so an exact tie does not turn on how the
-    rounding of the log tables fell. Without a path, the dead end is the
-    forward pass's.
+    with ties resolved to the lowest id. Without a path, the dead end is
+    the forward pass's.
     """
-    t_len = factors.length
-    # scores[t, i, j]: log step t plus the best suffix score from j at t + 1
-    stack = factors.log_steps()
-    scores = list(stack)
+    # scores[t, j, i]: log step t from i to j plus the best suffix score
+    # from j at t + 1; suffix is a column over j, and the best over j is an
+    # elementwise maximum of rows
+    scores = list(factors.log_steps())
     head = _log(factors.initial)
-    suffix = 0.0
+    suffix = np.zeros((len(head), 1))
     for step in reversed(scores):
         step += suffix
-        suffix = np.maximum.reduce(step, axis=1)
-    head += suffix
+        suffix = np.maximum.reduce(step, axis=0, keepdims=True).T
+    head += suffix[:, 0]
     best = head.max()
     if best < _LOG_ZERO / 2:
-        raise DeadEnd(t_len - 1 if factors.dead is None else factors.dead)
+        raise DeadEnd(factors.length - 1 if factors.dead is None else factors.dead)
     path = [int(head.argmax())]
     for step in scores:
-        path.append(int(step[path[-1]].argmax()))
-    # rebuild with the tie rule only if a choice had a tie it did not take
-    width = _TIE * abs(best)
-    chosen = np.vstack((head, stack[np.arange(t_len - 1), path[:-1]]))
-    if (_lowest_best(chosen, width) != path).any():
-        path = [int(_lowest_best(head, width))]
-        for step in scores:
-            path.append(int(_lowest_best(step[path[-1]], width)))
+        path.append(int(step[:, path[-1]].argmax()))
     return np.array(path), float(best)
 
 

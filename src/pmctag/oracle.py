@@ -87,7 +87,7 @@ class TinyInstance:
 
         def log_steps():
             log_trans, log_emit = pick(_log(self.trans2), _log(self.emit2))
-            return log_trans + log_emit
+            return (log_trans + log_emit).transpose(0, 2, 1)
 
         return FactorProvider(initial=self.pi2[:, obs[0]], steps=trans * emit,
                               flags=[PMC_STEP] * obs.size, log_steps=log_steps)

@@ -1,13 +1,23 @@
 import random
 
+import numpy as np
 import pytest
 
 from pmctag.conll import LabeledCorpus
+from pmctag.inference import FactorProvider, _log
 
 
 def corpus_from(*sentences) -> LabeledCorpus:
     """Build a corpus from sentences given as [(word, tag), ...] lists."""
     return LabeledCorpus(sentences=[list(s) for s in sentences])
+
+
+def hand_factors(initial, steps, flags, rescue=None) -> FactorProvider:
+    """Factors given directly as arrays; Viterbi scores the log of the stack."""
+    initial = np.asarray(initial, dtype=float)
+    steps = np.asarray(steps, dtype=float).reshape(-1, len(initial), len(initial))
+    return FactorProvider(initial, steps, flags,
+                          log_steps=lambda: _log(steps).transpose(0, 2, 1), rescue=rescue)
 
 
 def random_corpus(rng: random.Random, n_sentences=50, n_words=8, n_labels=3,

@@ -19,9 +19,6 @@ from pmctag.features import feature_column
 from pmctag.inference import HMC_STEP, PLAIN_HMC, PMC_STEP
 
 _LOG_ZERO = -1e300
-# Posteriors within TIE of a row's maximum, and path scores within TIE times
-# the best score of the best one, are tied; the lowest id wins.
-TIE = 1e-12
 
 
 @dataclass
@@ -131,15 +128,6 @@ def posterior_marginals(initial, steps):
     return prod / totals[:, None]
 
 
-def lowest_best(row, width):
-    """Lowest index whose value is within width of the row's maximum."""
-    return min(i for i, v in enumerate(row) if v >= row.max() - width)
-
-
-def mpm_ids(post):
-    return [lowest_best(row, TIE) for row in post]
-
-
 def _log(x):
     zero = x == 0
     out = np.log(x + zero)
@@ -162,11 +150,16 @@ def map_path(initial, steps):
     if best < _LOG_ZERO / 2:
         forward(initial, steps)  # raises DeadEnd at the first position without mass
         raise DeadEnd(t_len - 1)
-    width = TIE * abs(best)
-    path = [lowest_best(head, width)]
+    path = [int(head.argmax())]
     for t in range(t_len - 1):
-        path.append(lowest_best(scores[t, path[-1]], width))
+        path.append(int(scores[t, path[-1]].argmax()))
     return path, float(best)
+
+
+def path_score(model, sentence, mode, ids):
+    """Log score of the label ids under the sentence's resolved factors."""
+    initial, steps, _ = resolve_factors(model, sentence, mode)
+    return float(_log(initial[ids[0]]) + _log(steps[np.arange(len(steps)), ids[:-1], ids[1:]]).sum())
 
 
 def decode(model, sentence, mode="pmc", decoder="mpm") -> Outcome:
@@ -174,7 +167,7 @@ def decode(model, sentence, mode="pmc", decoder="mpm") -> Outcome:
     try:
         if decoder == "mpm":
             post = posterior_marginals(initial, steps)
-            return Outcome(flags, ids=mpm_ids(post), post=post)
+            return Outcome(flags, ids=post.argmax(axis=1).tolist(), post=post)
         ids, score = map_path(initial, steps)
         return Outcome(flags, ids=ids, score=score)
     except DeadEnd as exc:

@@ -6,14 +6,14 @@ import pytest
 
 from pmctag.errors import DeadEnd, EmptySentence
 from pmctag.features import feature_column
-from pmctag.inference import (HMC_STEP, PMC_STEP, FactorProvider, backward,
+from pmctag.inference import (HMC_STEP, PMC_STEP, backward,
                               decode_map, decode_mpm, decode_sentence, forward,
                               map_path, mpm_path, posterior_marginals,
                               resolve_factors)
 from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors
 from pmctag.training import TrainConfig, fit_pmc, train_model
 
-from conftest import corpus_from, random_corpus, varied_corpus
+from conftest import corpus_from, hand_factors, random_corpus, varied_corpus
 
 
 @pytest.fixture
@@ -227,8 +227,8 @@ class TestResolveFactors:
 
 class TestForward:
     def test_t1_base_case(self):
-        factors = FactorProvider(initial=np.array([0.2, 0.6]), steps=[],
-                                 flags=[PMC_STEP])
+        factors = hand_factors(initial=np.array([0.2, 0.6]), steps=[],
+                               flags=[PMC_STEP])
         alpha, scales = forward(factors)
         np.testing.assert_allclose(alpha, [[0.25, 0.75]])
         assert scales[0] == pytest.approx(0.8)
@@ -257,9 +257,9 @@ class TestForward:
                                        rtol=1e-12, atol=0)
 
     def test_dead_step_identified(self):
-        factors = FactorProvider(initial=np.array([0.5, 0.5]),
-                                 steps=[np.ones((2, 2)), np.zeros((2, 2))],
-                                 flags=[PMC_STEP] * 3)
+        factors = hand_factors(initial=np.array([0.5, 0.5]),
+                               steps=[np.ones((2, 2)), np.zeros((2, 2))],
+                               flags=[PMC_STEP] * 3)
         with pytest.raises(DeadEnd) as err:
             forward(factors)
         assert err.value.position == 2
@@ -267,8 +267,8 @@ class TestForward:
 
 class TestBackward:
     def test_t1_uniform(self):
-        factors = FactorProvider(initial=np.array([0.2, 0.6]), steps=[],
-                                 flags=[PMC_STEP])
+        factors = hand_factors(initial=np.array([0.2, 0.6]), steps=[],
+                               flags=[PMC_STEP])
         beta, _ = backward(factors)
         np.testing.assert_allclose(beta, [[0.5, 0.5]])
 
@@ -301,8 +301,8 @@ class TestPosteriors:
     def test_deterministic_one_hot(self):
         init = np.array([1.0, 0.0])
         step = np.array([[0.0, 1.0], [0.0, 0.0]])
-        factors = FactorProvider(initial=init, steps=[step, step.T],
-                                 flags=[PMC_STEP] * 3)
+        factors = hand_factors(initial=init, steps=[step, step.T],
+                               flags=[PMC_STEP] * 3)
         post = posterior_marginals(factors)
         np.testing.assert_array_equal(post, [[1, 0], [0, 1], [1, 0]])
 
@@ -315,9 +315,9 @@ class TestPosteriors:
 
     def test_uniform_factors_give_uniform_rows(self):
         n = 3
-        factors = FactorProvider(initial=np.full(n, 1.0 / n),
-                                 steps=[np.full((n, n), 1.0 / n)] * 4,
-                                 flags=[PMC_STEP] * 5)
+        factors = hand_factors(initial=np.full(n, 1.0 / n),
+                               steps=[np.full((n, n), 1.0 / n)] * 4,
+                               flags=[PMC_STEP] * 5)
         post = posterior_marginals(factors)
         np.testing.assert_allclose(post, 1.0 / n)
 
@@ -347,7 +347,7 @@ class TestDecodeMpm:
     def test_one_hot_posterior_path(self):
         init = np.array([1.0, 0.0])
         step = np.array([[0.0, 1.0], [0.0, 0.0]])
-        factors = FactorProvider(initial=init, steps=[step], flags=[PMC_STEP] * 2)
+        factors = hand_factors(initial=init, steps=[step], flags=[PMC_STEP] * 2)
         assert list(mpm_path(factors)) == [0, 1]
 
     def test_matches_enumerated_argmax(self, nprng):
@@ -359,9 +359,9 @@ class TestDecodeMpm:
 
     def test_tie_breaks_to_lowest_id(self):
         n = 3
-        factors = FactorProvider(initial=np.full(n, 1.0 / n),
-                                 steps=[np.full((n, n), 1.0 / n)] * 3,
-                                 flags=[PMC_STEP] * 4)
+        factors = hand_factors(initial=np.full(n, 1.0 / n),
+                               steps=[np.full((n, n), 1.0 / n)] * 3,
+                               flags=[PMC_STEP] * 4)
         assert list(mpm_path(factors)) == [0, 0, 0, 0]
 
 
@@ -369,7 +369,7 @@ class TestDecodeMap:
     def test_deterministic_chain(self):
         init = np.array([1.0, 0.0])
         step = np.array([[0.0, 1.0], [0.0, 0.0]])
-        factors = FactorProvider(initial=init, steps=[step], flags=[PMC_STEP] * 2)
+        factors = hand_factors(initial=init, steps=[step], flags=[PMC_STEP] * 2)
         path, score = map_path(factors)
         assert list(path) == [0, 1]
         assert score == pytest.approx(0.0)
@@ -399,16 +399,16 @@ class TestDecodeMap:
 
     def test_tie_breaks_lexicographically(self):
         n = 2
-        factors = FactorProvider(initial=np.full(n, 0.5),
-                                 steps=[np.full((n, n), 0.25)] * 2,
-                                 flags=[PMC_STEP] * 3)
+        factors = hand_factors(initial=np.full(n, 0.5),
+                               steps=[np.full((n, n), 0.25)] * 2,
+                               flags=[PMC_STEP] * 3)
         path, _ = map_path(factors)
         assert list(path) == [0, 0, 0]
 
     def test_dead_end_position(self):
-        factors = FactorProvider(initial=np.array([0.5, 0.5]),
-                                 steps=[np.zeros((2, 2))],
-                                 flags=[PMC_STEP] * 2)
+        factors = hand_factors(initial=np.array([0.5, 0.5]),
+                               steps=[np.zeros((2, 2))],
+                               flags=[PMC_STEP] * 2)
         with pytest.raises(DeadEnd) as err:
             map_path(factors)
         assert err.value.position == 1

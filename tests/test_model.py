@@ -214,12 +214,12 @@ class TestModelBundle:
                     delattr(index, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 index.extra = None
-            for name in ("pi2", "codes", "offsets", "flat", "ratios", "log_trans"):
+            for name in ("pi2", "codes", "offsets", "flat", "ratios", "log_trans_t"):
                 array = getattr(index, name)
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
             with pytest.raises(dataclasses.FrozenInstanceError):
-                index.log_trans = np.zeros_like(index.log_trans)
+                index.log_trans_t = np.zeros_like(index.log_trans_t)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 index.flat = np.zeros_like(index.flat)
             assert decode_sentence(model, ["The", "dog", "runs"]).flags == [PMC_STEP] * 3
