@@ -207,9 +207,10 @@ def cmd_train(opts) -> int:
     model = training.bundle_from_counts(alphabet, vocabulary, counts, config.task,
                                         config.suffix_max_len)
     elapsed = time.perf_counter() - t0
-    save_model(model, opts.model)
+    size = save_model(model, opts.model)
     _diag(f"trained in {elapsed:.3f}s")
     _diag(model_stats(model).rstrip("\n"))
+    _diag(f"model-bytes {size}")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 All hot-path tables are keyed by dense integer ids produced by interning
 words and labels once at training time. The raw pattern counts are
-CountTables: sorted rows of id tuples with their counts, the layout of
-the model file. Every table derived from them is a dense NumPy array:
+CountTables: sorted rows of id tuples with their counts, which the model
+file stores as differences of their key numbers (key_numbers). Every
+table derived from them is a dense NumPy array:
 label-by-label tables are (n_labels, n_labels) and label-by-word tables
 are (n_labels, n_words), sized by the vocabulary, so a word without any
 entry has an all-zero column.
@@ -11,6 +12,8 @@ entry has an all-zero column.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -36,22 +39,32 @@ class Interner:
         self.intern_all(items)
 
     def intern(self, item: str) -> int:
-        return int(self.intern_all((item,))[0])
+        if self.frozen:
+            raise TypeError("a frozen interner cannot intern; extend a copy()")
+        idx = self.index.get(item)
+        if idx is None:
+            idx = self.index[item] = len(self.items)
+            self.items.append(item)
+        return idx
 
     def intern_all(self, tokens) -> np.ndarray:
         """int64 ids of a sequence of tokens, interning new ones in order.
 
         New items get ids in the order of their first occurrence, so
-        interning tokens one by one gives the same ids.
+        interning tokens one by one gives the same ids. The tokens are
+        walked once, through a copy of the index that numbers each new
+        item as it is first looked up.
         """
         if self.frozen:
             raise TypeError("a frozen interner cannot intern; extend a copy()")
-        index, n = self.index, len(self.items)
-        fresh = [item for item in dict.fromkeys(tokens) if item not in index]
-        index.update(zip(fresh, range(n, n + len(fresh))))
-        self.items.extend(fresh)
-        return np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
-                           count=len(tokens))
+        n = len(self.items)
+        index = defaultdict(itertools.count(n).__next__, self.index)
+        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
+                          count=len(tokens))
+        index.default_factory = None  # a lookup of an unknown item raises again
+        self.items.extend(itertools.islice(index, n, None))
+        self.index = index
+        return ids
 
     def freeze(self):
         """Make the interner read-only; ids stay as they are."""
@@ -169,17 +182,31 @@ class PmcParams:
                 raise AssertionError(f"emit2[{key}] sums to {s!r}")
 
 
-def rows_increase(keys) -> bool:
-    """True when every row of a 2-d signed int array is above the one before."""
-    step = np.diff(keys, axis=0)
-    # a row follows its predecessor when their first differing column grows
-    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-    return bool((lead > 0).all())
+def key_numbers(codes, radix) -> np.ndarray:
+    """Each tuple of token codes read as the digits of one number.
+
+    codes holds one int64 array per token position, first digit first,
+    and radix is n_labels * n_words, so the numbers sort like the
+    (label, word, ...) id rows they stand for.
+    """
+    number = codes[0]
+    for c in codes[1:]:
+        number = number * radix + c
+    return number
+
+
+def key_rows(numbers, n_tokens, n_labels, n_words) -> np.ndarray:
+    """The (n, 2 * n_tokens) int64 id rows of key_numbers over n_tokens codes."""
+    digits = []
+    for _ in range(n_tokens):
+        numbers, code = np.divmod(numbers, n_labels * n_words)
+        digits[:0] = np.divmod(code, n_words)
+    return np.column_stack(digits)
 
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Pattern counts as sorted key rows, the layout of the model file.
+    """Pattern counts as sorted key rows.
 
     keys is an (n, width) int64 array of id tuples whose rows strictly
     increase; counts holds the matching positive int64 counts. Both
@@ -195,6 +222,11 @@ class CountTable:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    def numbers(self, n_labels, n_words) -> np.ndarray:
+        """key_numbers of the key rows, whose ids lie below n_labels and n_words."""
+        codes = self.keys[:, 0::2].T * n_words + self.keys[:, 1::2].T
+        return key_numbers(codes, n_labels * n_words)
 
     def values(self) -> np.ndarray:
         return self.counts
@@ -255,7 +287,8 @@ class CountTables:
     def validate(self):
         """Check that both count tables hold sorted key rows with positive counts."""
         for table in (self.n0_ik, self.n_ikjl):
-            if not ((table.counts > 0).all() and rows_increase(table.keys)):
+            numbers = table.numbers(self.n_labels, self.n_words)
+            if not ((table.counts > 0).all() and (np.diff(numbers) > 0).all()):
                 raise AssertionError("count table is not sorted positive counts")
 
     def __eq__(self, other):

@@ -3,13 +3,19 @@
 A model file stores only what cannot be derived: the task, the suffix
 length, the label and word interners and the two raw count tables n0_ik
 and n_ikjl. Every probability table is rederived on load, so a file
-cannot carry tables that disagree with its counts. A count table is
-stored as its CountTable arrays: the key rows in strictly increasing
-order, then the positive counts. Writing is an array dump, and a model
-serializes to exactly one byte string; the reader checks the arrays,
-rejects anything else and hands them out as they are. A CRC32 trailer
-guards against corruption; ids are stored as little-endian uint32,
-counts as uint64.
+cannot carry tables that disagree with its counts.
+
+Version 3 stores a count table as its row count and two arrays: the
+first differences of the rows' key numbers (model.key_numbers, the
+rows' token codes read as the digits of one base labels x words number,
+which sort like the rows), then the positive counts. Each array is
+stored at the narrowest of 1, 2, 4 or 8 bytes per value that holds its
+largest value, behind a one-byte width tag, and the reader accepts no
+other width. It rebuilds the key rows with one cumulative sum and
+model.key_rows. A model serializes to exactly one byte string, and the
+reader rejects anything else, so every file it accepts writes back to
+the same bytes. Integers are little-endian, and a CRC32 trailer guards
+against corruption.
 """
 
 from __future__ import annotations
@@ -21,11 +27,13 @@ import numpy as np
 
 from .errors import CorruptModel, UnsupportedVersion
 from .features import MAX_SUFFIX_LEN
-from .model import CountTable, CountTables, Interner, ModelBundle, rows_increase
+from .model import CountTable, CountTables, Interner, ModelBundle, key_rows
 from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# byte widths of the unsigned integers a count table array may be stored in
+WIDTHS = (1, 2, 4, 8)
 # Largest labels x words a model file may declare. Each dense label-by-word
 # table (m_ik, hmc.emit, the index's pi2) takes 8 bytes per cell, so a model
 # at the cap needs about 400 MB for them; Penn Treebank POS tagging (45 tags,
@@ -56,10 +64,11 @@ class _Writer:
         for s in items:
             self.string(s)
 
-    def array(self, a: np.ndarray, dtype):
-        a = np.ascontiguousarray(a, dtype=dtype)
-        self.u64(a.size)
-        self.raw(a.tobytes())
+    def packed(self, a: np.ndarray):
+        """A non-negative int array at its narrowest width, behind a width tag."""
+        width = _narrowest(int(a.max(initial=0)))
+        self.raw(bytes((width,)))
+        self.raw(a.astype(f"<u{width}").tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -94,41 +103,55 @@ class _Reader:
     def string_list(self):
         return [self.string() for _ in range(self.u64())]
 
-    def array(self, dtype) -> np.ndarray:
-        n = self.u64()
-        itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self._take(n * itemsize), dtype=dtype)
+    def packed(self, n) -> np.ndarray:
+        """n values stored by _Writer.packed, refused at any other width."""
+        (width,) = self._take(1)
+        if width not in WIDTHS:
+            raise CorruptModel(f"unknown width tag {width}")
+        values = np.frombuffer(self._take(n * width), dtype=f"<u{width}")
+        top = int(values.max(initial=0))
+        if _narrowest(top) != width:
+            raise CorruptModel(f"{width}-byte width is wider than needed for {top}")
+        return values
 
     def done(self):
         if self.pos != len(self.data):
             raise CorruptModel("trailing bytes after model payload")
 
 
-def _write_count_table(w, table: CountTable):
-    w.array(table.keys, np.uint32)
-    w.array(table.counts, np.uint64)
+def _narrowest(top) -> int:
+    """Byte width of the narrowest unsigned integer in WIDTHS holding top."""
+    return next(width for width in WIDTHS if top < 1 << 8 * width)
 
 
-def _read_count_table(r, id_limits) -> CountTable:
-    """Read a count table whose key columns are bounded by id_limits."""
-    width = len(id_limits)
-    keys = r.array(np.uint32)
-    values = r.array(np.uint64)
-    if keys.size != values.size * width:
-        raise CorruptModel("count key and value arrays disagree in size")
-    keys = keys.reshape(-1, width)
-    if (keys >= np.array(id_limits, dtype=np.int64)).any():
+def _exact_sum(values) -> int:
+    # exact: neither 32-bit half of the values can overflow its uint64 sum
+    values = values.astype(np.uint64, copy=False)
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+
+
+def _write_count_table(w, table: CountTable, n_labels, n_words):
+    w.u64(len(table))
+    w.packed(np.diff(table.numbers(n_labels, n_words), prepend=0))
+    w.packed(table.counts)
+
+
+def _read_count_table(r, n_tokens, n_labels, n_words):
+    """(table, exact count total) of a count table of n_tokens (label,
+    word) pairs per key row."""
+    limit = (n_labels * n_words) ** n_tokens  # the key numbers lie below it
+    n = r.u64()
+    steps = r.packed(n)
+    # the differences are non-negative, so their sum is the largest key number
+    if n and _exact_sum(steps) >= limit:
         raise CorruptModel("count key refers to an unknown label or word")
-    if (values == 0).any():
-        raise CorruptModel("zero count stored")
-    keys = keys.astype(np.int64)
-    if not rows_increase(keys):
+    if not steps[1:].all():
         raise CorruptModel("count keys are not strictly increasing")
-    # exact: neither 32-bit half of the counts can overflow its uint64 sum
-    total = (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
-    if total >= 2 ** 63:
-        raise CorruptModel("counts overflow a signed 64-bit total")
-    return CountTable(keys, values.astype(np.int64))
+    counts = r.packed(n)
+    if not counts.all():
+        raise CorruptModel("zero count stored")
+    keys = key_rows(np.cumsum(steps, dtype=np.int64), n_tokens, n_labels, n_words)
+    return CountTable(keys, counts.astype(np.int64)), _exact_sum(counts)
 
 
 def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
@@ -171,8 +194,9 @@ def serialize_model(model: ModelBundle) -> bytes:
     w.u32(model.suffix_max_len)
     w.string_list(model.alphabet.items)
     w.string_list(model.vocabulary.items)
-    _write_count_table(w, model.counts.n0_ik)
-    _write_count_table(w, model.counts.n_ikjl)
+    n, v = len(model.alphabet), len(model.vocabulary)
+    _write_count_table(w, model.counts.n0_ik, n, v)
+    _write_count_table(w, model.counts.n_ikjl, n, v)
     payload = w.getvalue()
     header = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload))
     return header + payload + struct.pack("<I", zlib.crc32(payload))
@@ -185,7 +209,8 @@ def deserialize_model(data: bytes) -> ModelBundle:
     raises CorruptModel or UnsupportedVersion. Every label and word must
     occur in a count key and labels x words may not exceed
     MAX_TABLE_CELLS, so the dense tables a file makes the loader allocate
-    are bounded; both checks read each key row once.
+    are bounded. The cap is checked before the count tables are read, so
+    their key numbers stay below 2 ** 48.
     """
     head_len = len(MAGIC) + 12
     if len(data) < head_len:
@@ -214,21 +239,28 @@ def deserialize_model(data: bytes) -> ModelBundle:
     if "" in vocabulary:
         raise CorruptModel("empty word in vocabulary")
     n, v = len(alphabet), len(vocabulary)
-    n0_ik = _read_count_table(r, (n, v))
-    n_ikjl = _read_count_table(r, (n, v, n, v))
+    if n * v > MAX_TABLE_CELLS:
+        raise CorruptModel(f"{n} labels by {v} words exceed {MAX_TABLE_CELLS} table cells")
+    n0_ik, chains = _read_count_table(r, 1, n, v)
+    n_ikjl, patterns = _read_count_table(r, 2, n, v)
     r.done()
+    # the feature tables add both tables' counts per label: every token
+    # starts a chain or ends a pattern
+    if chains + patterns >= 2 ** 63:
+        raise CorruptModel("counts overflow a signed 64-bit total")
     if not n0_ik:
         raise CorruptModel("model holds no chains")
     _check_every_id_used(n, v, n0_ik, n_ikjl)
-    if n * v > MAX_TABLE_CELLS:
-        raise CorruptModel(f"{n} labels by {v} words exceed {MAX_TABLE_CELLS} table cells")
     counts = CountTables(n, v, n0_ik, n_ikjl)
     return bundle_from_counts(alphabet, vocabulary, counts, task, suffix_max_len)
 
 
-def save_model(model: ModelBundle, path):
+def save_model(model: ModelBundle, path) -> int:
+    """Write the model file; returns the number of bytes written."""
+    data = serialize_model(model)
     with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
+        fh.write(data)
+    return len(data)
 
 
 def load_model(path) -> ModelBundle:

@@ -16,7 +16,7 @@ from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
-                    PmcParams, normalize_counts)
+                    PmcParams, key_numbers, key_rows, normalize_counts)
 
 TASKS = ("pos", "chunk", "ner")
 
@@ -37,35 +37,27 @@ def _tally(columns, n_labels, n_words, base=None) -> CountTable:
     """Count equal tuples of token codes into a CountTable.
 
     columns holds one int64 array per tuple position; a token code is
-    label * n_words + word. A tuple's key reads its codes as the digits of
-    one number in base n_labels * n_words, so sorting the keys sorts the
-    (label, word, ...) rows. The rows of `base`, a table over ids below
-    n_labels and n_words, are added with their counts.
+    label * n_words + word. A tuple's key is its model.key_numbers number,
+    so sorting the keys sorts the (label, word, ...) rows. The rows of
+    `base`, a table over ids below n_labels and n_words, are added with
+    their counts.
     """
     width, radix = len(columns), n_labels * n_words
     if radix ** width > np.iinfo(np.int64).max:
         raise ValueError(f"{n_labels} labels by {n_words} words overflow the count keys")
-    key = columns[0]
-    for c in columns[1:]:
-        key = key * radix + c
+    key = key_numbers(columns, radix)
     del columns  # callers pass a list of temporaries: free the codes
     weights = np.ones(len(key), dtype=np.int64)
     if base is not None:
-        ids, base_key = base.keys.T, 0
-        for p in range(width):
-            base_key = base_key * radix + ids[2 * p] * n_words + ids[2 * p + 1]
-        key = np.concatenate((base_key, key))
+        key = np.concatenate((base.numbers(n_labels, n_words), key))
         weights = np.concatenate((base.counts, weights))
     order = np.argsort(key)
     key = key[order]
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    rows, digits = key[starts], []
-    for _ in range(width):
-        rows, code = divmod(rows, radix)
-        digits[:0] = divmod(code, n_words)
-    return CountTable(np.column_stack(digits), np.add.reduceat(weights[order], starts))
+    return CountTable(key_rows(key[starts], width, n_labels, n_words),
+                      np.add.reduceat(weights[order], starts))
 
 
 def accumulate_counts(corpus, base=None):

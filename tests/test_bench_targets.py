@@ -145,3 +145,41 @@ def test_cli_training_records_one_read_and_one_tally_per_corpus(tiny, tmp_path):
     config = TrainConfig(task="chunk")
     expected = update_online(train_model(LabeledCorpus(train), config), LabeledCorpus(test))
     assert model.read_bytes() == serialize_model(expected)
+
+
+@pytest.mark.parametrize("command", ["tag", "eval"])
+@pytest.mark.parametrize("decoder", ["mpm", "map"])
+def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, decoder):
+    """perfbench's traced check of tag-mpm and eval-map-oov takes each
+    sentence's flags from the results of the inference.decode_sentence
+    spans, and the dead ends from those spans' errors, and compares them
+    with the library's own decodes. That holds only while the CLI calls
+    decode_sentence once per sentence through its module attribute."""
+    _, test, path = tiny
+    model = load_model(path)
+    flags, dead = [], 0
+    for sent in test:
+        try:
+            flags.append(decode_sentence(model, [w for w, _ in sent], decoder=decoder).flags)
+        except DeadEnd:
+            dead += 1
+    if command == "tag":
+        source = tmp_path / "input.txt"
+        source.write_text("".join("".join(f"{w}\n" for w, _ in s) + "\n" for s in test),
+                          encoding="utf-8")
+        argv = ["tag", "--model", str(path), "--input", str(source),
+                "--output", str(tmp_path / "tagged.txt")]
+    else:
+        source = tmp_path / "test.conll"
+        source.write_text(synth.conll_text(test), encoding="utf-8")
+        argv = ["eval", "--model", str(path), "--corpus", str(source),
+                "--report-kv", str(tmp_path / "report.kv")]
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        code = cli.main(argv + ["--decoder", decoder])
+    assert code == (1 if dead else 0)
+    spans = [span for span in tracer.spans if span.name == "inference.decode_sentence"]
+    assert len(spans) == len(test)
+    assert tracer.decode_flags == flags
+    assert sum(span.error is not None for span in spans) == dead
+    assert tracer.summary()["inference.decode_sentence"]["errors"] == dead

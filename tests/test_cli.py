@@ -54,6 +54,8 @@ class TestTrain:
                                 "--task", "chunk", "--tag-column", "2"], capsys)
             assert code == 0
             assert "trained in" in err and "pattern-keys" in err
+            # the size line reports what the file holds
+            assert f"model-bytes {os.path.getsize(path)}" in err.splitlines()
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_model_reloadable(self, model_path):

@@ -87,6 +87,10 @@ def test_scale_pipeline(world):
 
     data = serialize_model(model)
     assert deserialize_model(data) == model
+    # a key row is stored as a key difference and a count, each mostly one
+    # or two bytes wide; the strings ride along
+    rows = len(model.counts.n0_ik) + len(model.counts.n_ikjl)
+    assert len(data) <= 10 * rows, f"{len(data) / rows:.1f} bytes per stored key row"
 
     known = mark_known(test, model.vocabulary)
     reports = {}

@@ -2,6 +2,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,10 @@ from pmctag import serialize
 from pmctag.cli import main
 from pmctag.conll import LabeledCorpus
 from pmctag.errors import CorruptModel, UnsupportedVersion
+from pmctag.model import CountTable, CountTables, Interner
 from pmctag.serialize import (FORMAT_VERSION, MAGIC, _Writer, deserialize_model,
                               load_model, model_stats, save_model, serialize_model)
-from pmctag.training import TrainConfig, train_model
+from pmctag.training import TrainConfig, bundle_from_counts, train_model
 
 from conftest import varied_corpus
 
@@ -90,14 +92,37 @@ def test_format_v1_rejected(model):
         deserialize_model(bytes(data))
 
 
+def test_format_v2_rejected(model):
+    data = bytearray(serialize_model(model))
+    data[8:12] = struct.pack("<I", 2)
+    with pytest.raises(UnsupportedVersion):
+        deserialize_model(bytes(data))
+
+
 def _with_fixed_crc(data: bytearray) -> bytes:
     data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[HEAD_LEN:-4])))
     return bytes(data)
 
 
+def _packed(values, width=None):
+    """A width tag, then the values at that many bytes each (by default the
+    fewest of 1, 2, 4 or 8 that hold the largest)."""
+    if width is None:
+        width = next(w for w in (1, 2, 4, 8) if max(values, default=0) < 256 ** w)
+    return bytes((width,)) + b"".join(v.to_bytes(width, "little") for v in values)
+
+
 def _encode(task="pos", suffix_max_len=3, labels=("A", "B"), words=("x", "y"),
-            n0_ik=None, n_ikjl=None):
-    """A model file written field by field, bypassing every writer check."""
+            n0_ik=None, n_ikjl=None, widths=(None,) * 4):
+    """A model file written field by field, bypassing every writer check.
+
+    A table is a list of (key, count) items, kept in the order given and
+    with duplicates. A key is an id tuple, whose (label, word) codes are
+    read as the digits of a base labels x words number even where an id
+    is out of range, or that key number itself. widths sets the width of
+    the n0_ik differences, n0_ik counts, n_ikjl differences and n_ikjl
+    counts, in that order.
+    """
     n0_ik = [((0, 0), 1)] if n0_ik is None else n0_ik
     n_ikjl = [((0, 0, 1, 1), 1)] if n_ikjl is None else n_ikjl
     w = _Writer()
@@ -105,14 +130,17 @@ def _encode(task="pos", suffix_max_len=3, labels=("A", "B"), words=("x", "y"),
     w.u32(suffix_max_len)
     w.string_list(list(labels))
     w.string_list(list(words))
-    for width, table in ((2, n0_ik), (4, n_ikjl)):
-        # a list of items keeps duplicates and order as given
-        w.u64(len(table) * width)
+    radix = len(labels) * len(words)
+    for table, (step_width, count_width) in ((n0_ik, widths[:2]), (n_ikjl, widths[2:])):
+        numbers = []
         for key, _ in table:
-            w.raw(struct.pack(f"<{len(key)}I", *key))
+            if isinstance(key, tuple):
+                codes = [i * len(words) + k for i, k in zip(key[0::2], key[1::2])]
+                key = sum(c * radix ** p for p, c in enumerate(reversed(codes)))
+            numbers.append(key)
         w.u64(len(table))
-        for _, c in table:
-            w.raw(struct.pack("<Q", c))
+        w.raw(_packed([b - a for a, b in zip([0] + numbers, numbers)], step_width))
+        w.raw(_packed([c for _, c in table], count_width))
     payload = w.getvalue()
     return (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
             + struct.pack("<I", zlib.crc32(payload)))
@@ -126,13 +154,14 @@ def test_handwritten_encoding_loads():
 
 
 @pytest.mark.parametrize("fields, reason", [
+    # the key numbers of 2 labels by 2 words lie below 4 (n0_ik) and 16 (n_ikjl)
     (dict(n0_ik=[((2, 0), 1)]), "unknown label or word"),
-    (dict(n_ikjl=[((0, 0, 1, 2), 1)]), "unknown label or word"),
+    (dict(n_ikjl=[((1, 1, 1, 2), 1)]), "unknown label or word"),
     (dict(n_ikjl=[((0, 0xFFFFFFFF, 1, 1), 1)]), "unknown label or word"),
     (dict(n_ikjl=[((0, 0, 1, 1), 0)]), "zero count"),
     (dict(n_ikjl=[((0, 0, 1, 1), 2 ** 63)]), "overflow"),
     (dict(n_ikjl=[((0, 0, 1, 1), 2 ** 62), ((1, 1, 0, 0), 2 ** 62)]), "overflow"),
-    (dict(n_ikjl=[((1, 1, 0, 0), 1), ((0, 0, 1, 1), 1)]), "strictly increasing"),
+    (dict(n0_ik=[((0, 0), 1), ((0, 0), 1)]), "strictly increasing"),
     (dict(n_ikjl=[((0, 0, 1, 1), 1), ((0, 0, 1, 1), 1)]), "strictly increasing"),
     (dict(labels=("A", "A")), "duplicate label"),
     (dict(words=("x", "x")), "duplicate word"),
@@ -144,6 +173,20 @@ def test_handwritten_encoding_loads():
     (dict(words=("x", "y", "z")), "word 2 occurs in no count key"),
     (dict(words=("z", "x", "y"), n_ikjl=[((0, 1, 1, 2), 1)], n0_ik=[((0, 1), 1)]),
      "word 0 occurs in no count key"),
+    # a later difference at the limit, differences below it that sum to it
+    # or beyond, and a sum past 2 ** 64 that a wrapping uint64 sum would miss
+    (dict(n0_ik=[((0, 0), 1), (4, 1)]), "unknown label or word"),
+    (dict(n0_ik=[((1, 1), 1), (6, 1)]), "unknown label or word"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 1), (3 + 2 ** 64 - 1, 1)]), "unknown label or word"),
+    # each table's counts fit, but not the token total the feature fit sums
+    (dict(n0_ik=[((0, 0), 2 ** 62)], n_ikjl=[((0, 0, 1, 1), 2 ** 62)]), "overflow"),
+    (dict(widths=(0, None, None, None)), "unknown width tag 0"),
+    (dict(widths=(None, None, 3, None)), "unknown width tag 3"),
+    (dict(widths=(None, None, None, 16)), "unknown width tag 16"),
+    (dict(widths=(None, 2, None, None)), "wider than needed"),
+    (dict(widths=(None, None, 8, None)), "wider than needed"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 256)], widths=(None, None, None, 4)), "wider than needed"),
+    (dict(n_ikjl=[], widths=(None, None, 2, None)), "wider than needed"),
 ])
 def test_malformed_fields_rejected(fields, reason):
     with pytest.raises(CorruptModel, match=reason):
@@ -262,6 +305,45 @@ def test_degenerate_model_round_trip():
     back = deserialize_model(serialize_model(model))
     assert back == model
     back.validate()
+
+
+@st.composite
+def count_tables(draw):
+    """(labels, words, CountTables) whose keys use every label and word,
+    the last of each included, with counts summing up to 2 ** 63 - 1."""
+    n, v = draw(st.integers(1, 4), label="labels"), draw(st.integers(1, 5), label="words")
+    label, word = st.integers(0, n - 1), st.integers(0, v - 1)
+    chains = draw(st.sets(st.tuples(label, word), max_size=8), label="chains")
+    # every label and every word starts a chain
+    chains |= {(i, i % v) for i in range(n)} | {(k % n, k) for k in range(v)}
+    patterns = draw(st.sets(st.tuples(label, word, label, word), max_size=30),
+                    label="patterns")
+    patterns |= {(n - 1, v - 1, n - 1, v - 1)}
+    rows = [sorted(chains), sorted(patterns)]
+    n_rows = len(rows[0]) + len(rows[1])
+    top = 2 ** 63 - 1 - n_rows
+    budget = draw(st.one_of(st.just(top), st.integers(n_rows, top)), label="total")
+    shares = draw(st.lists(st.integers(1, 2 ** 20), min_size=n_rows, max_size=n_rows),
+                  label="shares")
+    counts = [max(1, share * budget // sum(shares)) for share in shares]
+    tables = [CountTable(np.array(keys, dtype=np.int64).reshape(len(keys), width),
+                         np.array(part, dtype=np.int64))
+              for keys, width, part in ((rows[0], 2, counts[:len(rows[0])]),
+                                        (rows[1], 4, counts[len(rows[0]):]))]
+    return [f"L{i}" for i in range(n)], [f"w{k}" for k in range(v)], \
+        CountTables(n, v, *tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=count_tables())
+def test_random_count_tables_round_trip(tables):
+    labels, words, counts = tables
+    model = bundle_from_counts(Interner(labels), Interner(words), counts, "pos", 3)
+    data = serialize_model(model)
+    back = deserialize_model(data)
+    assert back == model
+    back.validate()
+    assert serialize_model(back) == data
 
 
 def test_stats_dump_is_line_oriented(model):
