@@ -12,13 +12,13 @@ from .features import (FeatureEmissionTables, WordFeatures, extract_features,
 from .inference import (FactorProvider, backward, decode_map, decode_mpm,
                         decode_sentence, forward, posterior_marginals,
                         resolve_factors)
-from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
-                    PmcParams, normalize_counts)
-from .oracle import TinyInstance, embed_hmc_as_pmc, enumerate_map, enumerate_posteriors
+from .model import CountTable, CountTables, HmcParams, Interner, ModelBundle
+from .oracle import (PmcParams, TinyInstance, embed_hmc_as_pmc, enumerate_map,
+                     enumerate_posteriors, fit_pmc, normalize_counts)
 from .serialize import (deserialize_model, load_model, model_stats, save_model,
                         serialize_model)
 from .training import (TrainConfig, accumulate_counts, bundle_from_counts,
-                       fit_hmc, fit_pmc, train_model, update_online)
+                       fit_hmc, train_model, update_online)
 
 __version__ = "0.1.0"
 

@@ -120,6 +120,8 @@ def _read_config(path, options) -> dict:
             loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"config {path}: {exc.msg}", line=exc.lineno) from None
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise FormatError(f"config {path}: nested too deeply") from None
     if not isinstance(loaded, dict):
         raise FormatError(f"config {path}: expected a JSON object")
     string_options = {a.dest for a in options

@@ -186,7 +186,7 @@ def write_conll(sentences, stream):
 
 
 def read_tag_mapping(stream) -> dict[str, str]:
-    """Parse a mapping file of `source<TAB>target` lines."""
+    """Parse a mapping file of `source target` lines split on any whitespace."""
     mapping = {}
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()

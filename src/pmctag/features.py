@@ -135,8 +135,10 @@ def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmission
     """Estimate the per-level feature tables by walking a labeled corpus.
 
     Counts are integers accumulated over all tokens and divided once per
-    entry, so the result is independent of sentence order. Training uses
-    derive_feature_tables; this walk is the reference it is tested against.
+    entry, so the result is independent of sentence order. alphabet must
+    hold every label of the corpus, and a label's id is its table column.
+    Training uses derive_feature_tables; this walk is the reference it is
+    tested against.
     """
     sentences = corpus.sentences
     if not sentences:
@@ -144,7 +146,7 @@ def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmission
     keyed = [dict() for _ in range(suffix_max_len + 1)]  # (tuple, label) -> count
     for sentence in sentences:
         for pos, (word, label) in enumerate(sentence):
-            i = alphabet.intern(label)
+            i = alphabet.index[label]
             for m in range(suffix_max_len + 1):
                 key = (extract_features(word, pos, m), i)
                 counts = keyed[m]

@@ -19,65 +19,42 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import EmptySupport
-
 PROB_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Interner:
-    """Bijection between strings and contiguous integer ids, append-only.
+    """Immutable bijection between strings and contiguous integer ids.
 
-    A model bundle freezes its interners: items becomes a tuple, index a
-    read-only mapping, and intern and intern_all raise TypeError. copy()
-    gives an appendable interner with the same ids.
+    items is a tuple that keeps the first occurrence of each given item,
+    and index the read-only mapping from item to id. An interner never
+    changes: extended() returns a new one with the unseen tokens appended.
     """
 
-    def __init__(self, items=()):
-        self.items: list[str] = []
-        self.index: dict[str, int] = {}
-        self.frozen = False
-        self.intern_all(items)
+    items: tuple[str, ...] = ()
+    index: MappingProxyType = field(init=False)
 
-    def intern(self, item: str) -> int:
-        if self.frozen:
-            raise TypeError("a frozen interner cannot intern; extend a copy()")
-        idx = self.index.get(item)
-        if idx is None:
-            idx = self.index[item] = len(self.items)
-            self.items.append(item)
-        return idx
+    def __post_init__(self):
+        index = dict(zip(dict.fromkeys(self.items), itertools.count()))
+        object.__setattr__(self, "items", tuple(index))
+        object.__setattr__(self, "index", MappingProxyType(index))
 
-    def intern_all(self, tokens) -> np.ndarray:
-        """int64 ids of a sequence of tokens, interning new ones in order.
+    def extended(self, tokens) -> tuple["Interner", np.ndarray]:
+        """A new interner with the unseen tokens appended, and the tokens' int64 ids.
 
-        New items get ids in the order of their first occurrence, so
-        interning tokens one by one gives the same ids. The tokens are
-        walked once, through a copy of the index that numbers each new
-        item as it is first looked up.
+        Unseen tokens get ids in the order of their first occurrence, and
+        the receiver is left as it is. The tokens are walked once, through
+        a copy of the index that numbers each new item as it is first
+        looked up.
         """
-        if self.frozen:
-            raise TypeError("a frozen interner cannot intern; extend a copy()")
-        n = len(self.items)
-        index = defaultdict(itertools.count(n).__next__, self.index)
+        index = defaultdict(itertools.count(len(self.items)).__next__, self.index.copy())
         ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
                           count=len(tokens))
-        index.default_factory = None  # a lookup of an unknown item raises again
-        self.items.extend(itertools.islice(index, n, None))
-        self.index = index
-        return ids
-
-    def freeze(self):
-        """Make the interner read-only; ids stay as they are."""
-        self.items = tuple(self.items)
-        self.index = MappingProxyType(self.index)
-        self.frozen = True
+        return Interner(index), ids  # the index's keys are its items in id order
 
     def get(self, item: str):
-        """Id of `item`, or None if it was never interned."""
+        """Id of `item`, or None if it is not an item."""
         return self.index.get(item)
-
-    def copy(self) -> "Interner":
-        return Interner(self.items)
 
     def __getitem__(self, idx: int) -> str:
         return self.items[idx]
@@ -92,23 +69,10 @@ class Interner:
         return iter(self.items)
 
     def __eq__(self, other):
-        return isinstance(other, Interner) and tuple(self.items) == tuple(other.items)
+        return isinstance(other, Interner) and self.items == other.items
 
     def __repr__(self):
         return f"Interner({len(self.items)} items)"
-
-
-def normalize_counts(counts) -> dict:
-    """Turn a non-negative count map into empirical frequencies.
-
-    Raises EmptySupport when no entry is positive.
-    """
-    if any(v < 0 for v in counts.values()):
-        raise ValueError("counts must be non-negative")
-    total = sum(counts.values())
-    if total == 0:
-        raise EmptySupport("cannot normalize a table with no positive count")
-    return {k: v / total for k, v in counts.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,32 +118,6 @@ class HmcParams:
             and np.array_equal(self.trans_support, other.trans_support)
             and np.array_equal(self.emit, other.emit)
         )
-
-
-@dataclass(eq=False)
-class PmcParams:
-    """Pairwise Markov chain parameters, all sparse.
-
-    pi2[(i, k)] is the joint initial probability of (label i, word k).
-    trans2[(i, k)] is a dense vector over next labels j. emit2[(i, k, j)]
-    maps next word l to its probability. Absent keys mean probability 0.
-    """
-
-    pi2: dict[tuple[int, int], float]
-    trans2: dict[tuple[int, int], np.ndarray]
-    emit2: dict[tuple[int, int, int], dict[int, float]]
-
-    def validate(self, tol=PROB_TOL):
-        total = sum(self.pi2.values())
-        if abs(total - 1.0) > tol:
-            raise AssertionError(f"pi2 sums to {total!r}")
-        for key, row in self.trans2.items():
-            if abs(row.sum() - 1.0) > tol:
-                raise AssertionError(f"trans2[{key}] sums to {row.sum()!r}")
-        for key, row in self.emit2.items():
-            s = sum(row.values())
-            if abs(s - 1.0) > tol:
-                raise AssertionError(f"emit2[{key}] sums to {s!r}")
 
 
 def key_numbers(codes, radix) -> np.ndarray:
@@ -309,8 +247,8 @@ class ModelBundle:
     the PMC factors are count ratios the decoder reads from the index.
     Build bundles with training.bundle_from_counts, which derives every
     table. A bundle is immutable: no field can be reassigned, its
-    interners are frozen when it is built, decoding only reads it, and
-    online updates build a new one.
+    interners are immutable values, decoding only reads it, and online
+    updates build a new one.
     """
 
     alphabet: Interner
@@ -321,10 +259,6 @@ class ModelBundle:
     hmc: HmcParams = field(repr=False)
     features: "FeatureEmissionTables" = field(repr=False)  # noqa: F821 - defined in features.py
     index: "DecodeIndex" = field(repr=False)  # noqa: F821 - defined in inference.py
-
-    def __post_init__(self):
-        self.alphabet.freeze()
-        self.vocabulary.freeze()
 
     def validate(self):
         self.hmc.validate()

@@ -5,7 +5,8 @@ parameter tables and are therefore exact up to float summation. The
 decoder's factors for the same tables are built straight from the dense
 arrays (`TinyInstance.factors`), and an HMC embeds as a dense instance.
 They ship with the package (not only the tests) so the CLI can self-check
-against them on demand.
+against them on demand. fit_pmc is the sparse pairwise-chain estimator the
+tests hold the decoder's count ratios to; no production path uses it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DeadEnd, EmptySentence
+from .errors import DeadEnd, EmptySentence, EmptySupport
 from .inference import PMC_STEP, FactorProvider, _log
-from .model import HmcParams
+from .model import PROB_TOL, CountTables, HmcParams
 
 
 @lru_cache(maxsize=None)
@@ -187,3 +188,62 @@ def random_hmc(rng: np.random.Generator, n_max=4, m_max=5) -> HmcParams:
     emit /= emit.sum(axis=1, keepdims=True)
     return HmcParams(pi=pi, trans=trans,
                      trans_support=np.ones(n, dtype=bool), emit=emit)
+
+
+def normalize_counts(counts) -> dict:
+    """Turn a non-negative count map into empirical frequencies.
+
+    Raises EmptySupport when no entry is positive.
+    """
+    if any(v < 0 for v in counts.values()):
+        raise ValueError("counts must be non-negative")
+    total = sum(counts.values())
+    if total == 0:
+        raise EmptySupport("cannot normalize a table with no positive count")
+    return {k: v / total for k, v in counts.items()}
+
+
+@dataclass(eq=False)
+class PmcParams:
+    """Pairwise Markov chain parameters, all sparse.
+
+    pi2[(i, k)] is the joint initial probability of (label i, word k).
+    trans2[(i, k)] is a dense vector over next labels j. emit2[(i, k, j)]
+    maps next word l to its probability. Absent keys mean probability 0.
+    """
+
+    pi2: dict[tuple[int, int], float]
+    trans2: dict[tuple[int, int], np.ndarray]
+    emit2: dict[tuple[int, int, int], dict[int, float]]
+
+    def validate(self, tol=PROB_TOL):
+        total = sum(self.pi2.values())
+        if abs(total - 1.0) > tol:
+            raise AssertionError(f"pi2 sums to {total!r}")
+        for key, row in self.trans2.items():
+            if abs(row.sum() - 1.0) > tol:
+                raise AssertionError(f"trans2[{key}] sums to {row.sum()!r}")
+        for key, row in self.emit2.items():
+            s = sum(row.values())
+            if abs(s - 1.0) > tol:
+                raise AssertionError(f"emit2[{key}] sums to {s!r}")
+
+
+def fit_pmc(counts: CountTables) -> PmcParams:
+    """Pairwise-chain parameters; keys with zero denominator stay absent."""
+    n = counts.n_labels
+    n0_ik, n_ikjl = counts.n0_ik, counts.n_ikjl
+    pi2 = {(i, k): c / counts.L
+           for (i, k), c in zip(n0_ik.keys.tolist(), n0_ik.counts.tolist())}
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (i, k, j, l), c in zip(n_ikjl.keys.tolist(), n_ikjl.counts.tolist()):
+        rows.setdefault((i, k, j), {})[l] = c
+    trans2: dict[tuple[int, int], np.ndarray] = {}
+    for (i, k, j), row in rows.items():
+        vec = trans2.get((i, k))
+        if vec is None:
+            vec = np.zeros(n, dtype=np.float64)
+            trans2[(i, k)] = vec
+        vec[j] = sum(row.values()) / counts.m_ik[i, k]
+    emit2 = {key: normalize_counts(row) for key, row in rows.items()}
+    return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)

@@ -16,7 +16,8 @@ from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
-                    PmcParams, key_numbers, key_rows, normalize_counts)
+                    key_numbers, key_rows)
+from .oracle import fit_pmc  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 
 TASKS = ("pos", "chunk", "ner")
 
@@ -66,7 +67,7 @@ def accumulate_counts(corpus, base=None):
     The corpus's word and tag columns are interned as they are, and its
     sentence lengths mark the chain starts. Returns (CountTables,
     alphabet, vocabulary). With a `base` of that same form, from an
-    earlier tally or a model, its interners are copied and extended
+    earlier tally or a model, the result's interners extend the base's
     append-only and its counts are added in, so folding in one corpus
     after another goes through the same tally as counting them together.
     Patterns never cross a sentence boundary.
@@ -77,10 +78,11 @@ def accumulate_counts(corpus, base=None):
     if not lengths.all():
         raise EmptySentence("training corpus contains an empty sentence")
     base_counts, alphabet, vocabulary = base or (None, Interner(), Interner())
-    alphabet, vocabulary = alphabet.copy(), vocabulary.copy()
-    code = vocabulary.intern_all(corpus.words)
+    vocabulary, code = vocabulary.extended(corpus.words)
+    alphabet, label_ids = alphabet.extended(corpus.tags)
     n_words = len(vocabulary)
-    code += alphabet.intern_all(corpus.tags) * n_words
+    code += label_ids * n_words
+    del label_ids  # free it before the tallies, which set the peak memory
     starts = np.cumsum(lengths) - lengths
     follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
     follows[starts] = False
@@ -104,26 +106,6 @@ def fit_hmc(counts: CountTables) -> HmcParams:
                              where=support[:, None])
                    for table in (counts.n_ij, counts.m_ik))
     return HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
-
-
-def fit_pmc(counts: CountTables) -> PmcParams:
-    """Pairwise-chain parameters; keys with zero denominator stay absent."""
-    n = counts.n_labels
-    n0_ik, n_ikjl = counts.n0_ik, counts.n_ikjl
-    pi2 = {(i, k): c / counts.L
-           for (i, k), c in zip(n0_ik.keys.tolist(), n0_ik.counts.tolist())}
-    rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (i, k, j, l), c in zip(n_ikjl.keys.tolist(), n_ikjl.counts.tolist()):
-        rows.setdefault((i, k, j), {})[l] = c
-    trans2: dict[tuple[int, int], np.ndarray] = {}
-    for (i, k, j), row in rows.items():
-        vec = trans2.get((i, k))
-        if vec is None:
-            vec = np.zeros(n, dtype=np.float64)
-            trans2[(i, k)] = vec
-        vec[j] = sum(row.values()) / counts.m_ik[i, k]
-    emit2 = {key: normalize_counts(row) for key, row in rows.items()}
-    return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)
 
 
 def bundle_from_counts(alphabet, vocabulary, counts: CountTables, task: str,

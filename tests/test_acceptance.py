@@ -24,9 +24,8 @@ from pmctag.features import fit_feature_tables
 from pmctag.inference import (decode_sentence, factors_from_hmc, map_path,
                               mpm_path, posterior_marginals, resolve_factors)
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
-                           enumerate_posteriors, random_hmc)
-from pmctag.training import (TrainConfig, accumulate_counts, fit_hmc, fit_pmc,
-                             train_model, update_online)
+                           enumerate_posteriors, fit_pmc, random_hmc)
+from pmctag.training import TrainConfig, accumulate_counts, fit_hmc, train_model, update_online
 
 from conftest import corpus_from, random_corpus, varied_corpus
 from conlleval_reference import score_sentences

@@ -393,6 +393,13 @@ class TestConfigFile:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not model.exists()
 
+    @pytest.mark.parametrize("content", ["[" * 100000 + "]" * 100000,
+                                         '{"instances": ' + "[" * 3000 + "]" * 3000 + "}"],
+                             ids=["deep-array", "deep-instances"])
+    def test_deeply_nested_config_exits_2(self, content, tmp_path, capsys, monkeypatch):
+        self.test_bad_config_exits_2_with_one_error_line("train", content, tmp_path,
+                                                         capsys, monkeypatch)
+
 
 # byte pieces of corpus files: invalid UTF-8, NULs, lone carriage returns,
 # Unicode line separators, very wide and empty rows

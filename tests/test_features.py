@@ -68,8 +68,9 @@ class TestExtractFeatures:
 
 class TestFitFeatureTables:
     def test_single_token_corpus(self):
-        alphabet = Interner()
-        tables = fit_feature_tables(corpus_from([("John", "NOUN")]), alphabet, 3)
+        corpus = corpus_from([("John", "NOUN")])
+        alphabet = Interner(corpus.tags)
+        tables = fit_feature_tables(corpus, alphabet, 3)
         noun = alphabet.get("NOUN")
         assert noun == 0
         assert tables.tuple_ids[3] == {(1, 0, 1, 0, "ohn"): 0}
@@ -78,8 +79,8 @@ class TestFitFeatureTables:
         assert tables.tables[0].tolist() == [[1.0]]
 
     def test_two_tokens_same_label_split_half(self):
-        alphabet = Interner()
         corpus = corpus_from([("John", "NOUN"), ("car", "NOUN")])
+        alphabet = Interner(corpus.tags)
         tables = fit_feature_tables(corpus, alphabet, 3)
         noun = alphabet.get("NOUN")
         assert prob(tables, 3, noun, (1, 0, 1, 0, "ohn")) == 0.5
@@ -87,7 +88,7 @@ class TestFitFeatureTables:
 
     def test_against_brute_force_counter(self, rng):
         corpus = varied_corpus(rng, n_sentences=70)
-        alphabet = Interner()
+        alphabet = Interner(corpus.tags)
         tables = fit_feature_tables(corpus, alphabet, 3)
         ref_tuples, ref_totals = brute_force_feature_tables(corpus, 3)
         for m in range(4):
@@ -102,7 +103,7 @@ class TestFitFeatureTables:
 
     def test_normalized_per_label_and_level(self, rng):
         corpus = varied_corpus(rng)
-        tables = fit_feature_tables(corpus, Interner(), 3)
+        tables = fit_feature_tables(corpus, Interner(corpus.tags), 3)
         tables.validate()
 
     def test_derivation_from_counts_is_bit_identical(self, rng):
@@ -116,12 +117,12 @@ class TestFitFeatureTables:
 class TestFeatureEmissionProb:
     @pytest.fixture
     def tables(self):
-        self.alphabet = Interner()
         corpus = corpus_from(
             [("walking", "VERB"), ("Rennes", "NOUN")],
             [("I", "PRON"), ("walk", "VERB")],
             [("ok", "DET")],
         )
+        self.alphabet = Interner(corpus.tags)
         return fit_feature_tables(corpus, self.alphabet, 3)
 
     def test_level3_hit(self, tables):
@@ -160,8 +161,8 @@ class TestFeatureEmissionProb:
             assert p == expect
 
     def test_suffix_max_len_zero_ignores_suffix(self):
-        alphabet = Interner()
         corpus = corpus_from([("alpha", "X"), ("beta", "X")])
+        alphabet = Interner(corpus.tags)
         tables = fit_feature_tables(corpus, alphabet, 0)
         x = alphabet.get("X")
         assert feature_emission_prob(tables, x, "gamma", 1) == \
@@ -199,7 +200,7 @@ def test_unknown_word_column_matches_brute_force(rng, route):
 
 def test_backoff_monotone_largest_supported_level(rng):
     corpus = varied_corpus(rng)
-    tables = fit_feature_tables(corpus, Interner(), 3)
+    tables = fit_feature_tables(corpus, Interner(corpus.tags), 3)
     words = ["John", "likes", "xylophone", "B2B", "12", "zz", "Paris-2", "q"]
     for word in words:
         m = backoff_level(tables, word)

@@ -10,8 +10,8 @@ from pmctag.inference import (HMC_STEP, PMC_STEP, backward,
                               decode_map, decode_mpm, decode_sentence, forward,
                               map_path, mpm_path, posterior_marginals,
                               resolve_factors)
-from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors
-from pmctag.training import TrainConfig, fit_pmc, train_model
+from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors, fit_pmc
+from pmctag.training import TrainConfig, train_model
 
 from conftest import corpus_from, hand_factors, random_corpus, varied_corpus
 

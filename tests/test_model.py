@@ -4,14 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmctag.conll import read_conll
 from pmctag.errors import DeadEnd, EmptySupport
 from pmctag.inference import HMC_STEP, PMC_STEP, DecodeIndex, decode_sentence
-from pmctag.model import CountTable, CountTables, Interner, ModelBundle, normalize_counts
+from pmctag.model import CountTable, CountTables, Interner, ModelBundle
+from pmctag.oracle import fit_pmc, normalize_counts
 from pmctag.serialize import load_model, save_model
-from pmctag.training import (TrainConfig, accumulate_counts, fit_pmc, train_model,
-                             update_online)
+from pmctag.training import TrainConfig, accumulate_counts, train_model, update_online
 
 from conftest import corpus_from, random_corpus
 
@@ -20,11 +22,8 @@ TRAIN = os.path.join(os.path.dirname(__file__), "data", "train_chunk.conll")
 
 class TestInterner:
     def test_ids_are_contiguous_and_stable(self):
-        it = Interner()
-        assert it.intern("b") == 0
-        assert it.intern("a") == 1
-        assert it.intern("b") == 0
-        assert it.items == ["b", "a"]
+        it = Interner(["b", "a", "b"])
+        assert it.items == ("b", "a")
         assert it.index == {"b": 0, "a": 1}
 
     def test_bijection(self):
@@ -35,35 +34,19 @@ class TestInterner:
         assert len(it) == 3
         assert "x" in it and "q" not in it
 
-    def test_copy_is_independent(self):
-        it = Interner(["x"])
-        cp = it.copy()
-        cp.intern("y")
-        assert len(it) == 1 and len(cp) == 2
-
-    def test_intern_all_gives_ids_in_first_occurrence_order(self, rng):
-        tokens = [rng.choice("abcdefg") for _ in range(50)]
-        seen = {"c": 0}
+    @given(st.lists(st.text("abcde", max_size=2), max_size=8),
+           st.lists(st.text("abcdefg", max_size=2), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_extended_numbers_unseen_tokens_in_first_occurrence_order(self, old, tokens):
+        it = Interner(old)
+        before = (it.items, dict(it.index))
+        seen = dict(it.index)
         ids = [seen.setdefault(t, len(seen)) for t in tokens]  # one token at a time
-        it = Interner(["c"])
-        assert it.intern_all(tokens).tolist() == ids
-        assert it.items == list(seen) and it.index == seen
-        assert it.intern_all([]).tolist() == []
-
-    def test_frozen_interner_refuses_writes(self):
-        it = Interner(["x", "y"])
-        it.freeze()
-        for write in (lambda: it.intern("x"), lambda: it.intern("z"),
-                      lambda: it.intern_all(["z"])):
-            with pytest.raises(TypeError):
-                write()
-        with pytest.raises(TypeError):
-            it.index["z"] = 2
-        with pytest.raises(AttributeError):
-            it.items.append("z")
-        assert it.get("y") == 1 and "z" not in it and it == Interner(["x", "y"])
-        cp = it.copy()
-        assert cp.intern("z") == 2 and len(it) == 2
+        new, got = it.extended(tokens)
+        assert got.dtype == np.int64 and got.tolist() == ids
+        assert new == Interner(it.items + tuple(tokens))
+        assert new.items == tuple(seen) and new.index == seen
+        assert (it.items, dict(it.index)) == before
 
 
 class TestNormalizeCounts:
@@ -192,10 +175,14 @@ class TestModelBundle:
             with pytest.raises(TypeError):
                 features.tuple_ids[0] = {}
             for interner in (model.alphabet, model.vocabulary):
+                assert type(interner.items) is tuple
                 with pytest.raises(TypeError):
-                    interner.intern("Qqq")
-                with pytest.raises(TypeError):
-                    interner.intern_all(["Qqq"])
+                    interner.index["Qqq"] = len(interner)
+                for f in dataclasses.fields(Interner):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(interner, f.name, getattr(interner, f.name))
+                public = {name for name in dir(interner) if not name.startswith("_")}
+                assert public == {"items", "index", "extended", "get"}
 
     def test_decode_index_refuses_writes(self, tmp_path):
         """Zeroed ratios would silently turn every PMC step into a downgrade."""
@@ -237,14 +224,12 @@ class TestModelBundle:
 
         before = [outcome(["The", word]) for word in ("Qqq", "qqq")]
         with pytest.raises(TypeError):
-            model.vocabulary.intern("Qqq")
-        with pytest.raises(TypeError):
             model.vocabulary.index["Qqq"] = len(model.vocabulary)
         assert "Qqq" not in model.vocabulary
         # the capitalised tuple was never seen after the first word
         assert outcome(["The", "Qqq"]) == before[0] == ("dead end", 1)
         assert outcome(["The", "qqq"]) == before[1] == (["DT", "NN"], [PMC_STEP, HMC_STEP])
-        # the online update extends a copy, not the bundle's interner
+        # the online update builds new interners and leaves the bundle's as they are
         updated = update_online(model, corpus_from([("Qqq", "NN")]))
         assert "Qqq" in updated.vocabulary and "Qqq" not in model.vocabulary
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from pmctag.errors import EmptyCorpus
 from pmctag.conll import LabeledCorpus
 from pmctag.serialize import serialize_model
-from pmctag.training import (TrainConfig, _tally, accumulate_counts, fit_hmc, fit_pmc,
-                             train_model, update_online)
+from pmctag.oracle import fit_pmc
+from pmctag.training import (TrainConfig, _tally, accumulate_counts, fit_hmc, train_model,
+                             update_online)
 
 from conftest import corpus_from, random_corpus, varied_corpus
 
