@@ -4,20 +4,31 @@ Data goes to stdout or the requested output files; diagnostics (timings,
 downgrade rates, per-sentence failures) go to stderr so piped workflows
 stay clean. Exit codes: 0 success, 1 runtime/decoding failure, 2 usage or
 input error.
+
+train reads each corpus whole. tag and eval first check their whole
+input, so that a bad line exits 2 before anything is written, and then
+read, decode and write or score it one window of whole sentences at a
+time, so that their memory does not grow with the input; the input must
+therefore be a regular file. eval adds up the integer tallies of the
+windows and formats its report once, at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import reprlib
 import sys
 import time
+from collections import Counter
+from itertools import compress
 
 import numpy as np
 
 from . import evaluation, inference, oracle, training
 from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
-                    read_records, read_tag_mapping, write_conll)
+                    read_records, read_tag_mapping, windows, write_conll)
 from .errors import DeadEnd, FormatError, PmctagError
 from .evaluation import evaluate_predictions, format_report_kv, format_report_text
 from .model import ModelBundle
@@ -35,6 +46,11 @@ DEFAULTS = {
     "instances": 200,
     "seed": 12345,
 }
+
+# tag and eval read, decode and write their input one window of whole
+# sentences at a time, so that memory does not grow with the input; a
+# window ends at the first sentence end after this many token lines
+WINDOW_TOKENS = 2048
 
 
 def _diag(msg):
@@ -107,6 +123,16 @@ def _options(parser, command) -> list[argparse.Action]:
     return [a for a in sub.choices[command]._actions if a.option_strings]
 
 
+TYPE_NAMES = {int: "an int", str: "a string"}
+
+
+def _shown(value) -> str:
+    """At most the first 40 characters of a config value's repr, for an
+    error message; reprlib bounds the work on deeply nested or long values."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _read_config(path, options) -> dict:
     """Option defaults from a JSON object.
 
@@ -137,11 +163,11 @@ def _read_config(path, options) -> dict:
         else:
             raise FormatError(f"config {path}: unknown key {key!r}")
         if type(value) is not expected:
-            raise FormatError(f"config {path}: {key} must be a "
-                              f"{expected.__name__}, not {value!r}")
+            raise FormatError(f"config {path}: {key} must be {TYPE_NAMES[expected]}, "
+                              f"not {_shown(value)}")
         if key in choices and value not in choices[key]:
             raise FormatError(f"config {path}: {key} must be one of "
-                              f"{', '.join(choices[key])}, not {value!r}")
+                              f"{', '.join(choices[key])}, not {_shown(value)}")
         config[key] = value
     return config
 
@@ -161,40 +187,52 @@ def _effective(args, parser):
     return argparse.Namespace(**merged)
 
 
+def _read_mapping(opts):
+    if not opts.mapping:
+        return None
+    with open(opts.mapping, encoding="utf-8") as fh:
+        return read_tag_mapping(fh)
+
+
 def _read_corpus(opts, path) -> LabeledCorpus:
     with open(path, encoding="utf-8") as fh:
         corpus = read_conll(fh, word_column=opts.word_column,
                             tag_column=opts.tag_column,
                             skip_pattern=opts.skip_pattern,
                             comment_prefix=opts.comment_prefix)
-    if opts.mapping:
-        with open(opts.mapping, encoding="utf-8") as fh:
-            corpus = apply_mapping(corpus, read_tag_mapping(fh))
-    return corpus
+    mapping = _read_mapping(opts)
+    return corpus if mapping is None else apply_mapping(corpus, mapping)
 
 
-def _decode_corpus(model: ModelBundle, sentences, opts):
-    """Decode word sequences in order; returns (results, failures).
-
-    Failed sentences carry the DeadEnd instead of a result.
-    """
+def _decode_corpus(model: ModelBundle, sentences, opts, start=0) -> list:
+    """Decode word sequences in order: one DecodeResult per sentence, or
+    for a failed one its DeadEnd, whose sentence_index counts from `start`."""
     results = []
-    for idx, words in enumerate(sentences):
+    for idx, words in enumerate(sentences, start):
         try:
             results.append(inference.decode_sentence(
                 model, words, mode=opts.mode, decoder=opts.decoder))
         except DeadEnd as exc:
             results.append(DeadEnd(exc.position, sentence_index=idx))
-    failures = [r for r in results if isinstance(r, DeadEnd)]
-    return results, failures
+    return results
 
 
-def _downgrade_rate(results):
-    done = [r for r in results if not isinstance(r, DeadEnd)]
-    total = sum(r.resolutions for r in done)
-    if not total:
-        return None
-    return sum(r.downgraded for r in done) / total
+def _tally_results(results, what):
+    """Report each dead end on stderr, saying `what` became of its sentence.
+
+    Returns the mask of decoded sentences and the report fields that tally
+    their downgrades and the dead ends.
+    """
+    done = []
+    for result in results:
+        done.append(not isinstance(result, DeadEnd))
+        if not done[-1]:
+            _diag(f"sentence {result.sentence_index}: dead end at position "
+                  f"{result.position}; {what}")
+    decoded = list(compress(results, done))
+    return done, {"downgrades": sum(r.downgraded for r in decoded),
+                  "resolutions": sum(r.resolutions for r in decoded),
+                  "failed_sentences": len(results) - len(decoded)}
 
 
 def cmd_train(opts) -> int:
@@ -218,54 +256,53 @@ def cmd_train(opts) -> int:
 
 def cmd_tag(opts) -> int:
     model = load_model(opts.model)
+    options = dict(word_column=opts.word_column, skip_pattern=opts.skip_pattern,
+                   comment_prefix=opts.comment_prefix)
+    tally = Counter()
     with open(opts.input, encoding="utf-8") as fh:
-        records = read_records(fh, word_column=opts.word_column,
-                               skip_pattern=opts.skip_pattern,
-                               comment_prefix=opts.comment_prefix)
-    sentences = [[cols[opts.word_column] for cols in sent] for sent in records]
-    results, failures = _decode_corpus(model, sentences, opts)
-    tagged = []
-    for idx, (sent, result) in enumerate(zip(records, results)):
-        if isinstance(result, DeadEnd):
-            _diag(f"sentence {idx}: dead end at position {result.position}; skipped")
-            continue
-        tagged.append([cols + [label] for cols, label in zip(sent, result.labels)])
-    out = open(opts.output, "w", encoding="utf-8") if opts.output else sys.stdout
-    try:
-        write_conll(tagged, out)
-    finally:
-        if opts.output:
-            out.close()
-    rate = _downgrade_rate(results)
-    if rate is not None:
-        _diag(f"downgrade-rate {rate:.6f}")
-    return 1 if failures else 0
+        parts = windows(fh, WINDOW_TOKENS, **options)
+        with (open(opts.output, "w", encoding="utf-8") if opts.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            for window in parts:
+                records = read_records(window, **options)
+                sentences = [[cols[opts.word_column] for cols in sent] for sent in records]
+                results = _decode_corpus(model, sentences, opts, tally["sentences"])
+                done, fields = _tally_results(results, "skipped")
+                tagged = list(compress(records, done))
+                for sent, result in zip(tagged, compress(results, done)):
+                    for cols, label in zip(sent, result.labels):
+                        cols.append(label)
+                write_conll(tagged, out)
+                tally.update(fields, sentences=len(records))
+    if tally["resolutions"]:
+        _diag(f"downgrade-rate {tally['downgrades'] / tally['resolutions']:.6f}")
+    return 1 if tally["failed_sentences"] else 0
 
 
 def cmd_eval(opts) -> int:
     model = load_model(opts.model)
-    corpus = _read_corpus(opts, opts.corpus)
-    known_bits = mark_known(corpus, model.vocabulary)
-    t0 = time.perf_counter()
-    results, failures = _decode_corpus(model, corpus.per_sentence(corpus.words), opts)
-    decode_time = time.perf_counter() - t0
-
-    gold, predicted, bits = [], [], []
-    for tags, result, sent_bits in zip(corpus.per_sentence(corpus.tags), results,
-                                       known_bits):
-        if isinstance(result, DeadEnd):
-            _diag(f"sentence {result.sentence_index}: dead end at position "
-                  f"{result.position}; excluded from metrics")
-            continue
-        gold.append(tags)
-        predicted.append(result.labels)
-        bits.append(sent_bits)
-    report = evaluate_predictions(
-        gold, predicted, bits, task=model.task, scheme=opts.scheme,
-        mode=opts.mode, decoder=opts.decoder,
-        downgrade_rate=_downgrade_rate(results),
-        failed_sentences=len(failures),
-    )
+    mapping = _read_mapping(opts)
+    options = dict(word_column=opts.word_column, tag_column=opts.tag_column,
+                   skip_pattern=opts.skip_pattern, comment_prefix=opts.comment_prefix)
+    report, decode_time, start = None, 0.0, 0
+    with open(opts.corpus, encoding="utf-8") as fh:
+        for window in windows(fh, WINDOW_TOKENS, mapping=mapping, **options):
+            corpus = read_conll(window, **options)
+            if mapping is not None:
+                corpus = apply_mapping(corpus, mapping)
+            known_bits = mark_known(corpus, model.vocabulary)
+            t0 = time.perf_counter()
+            results = _decode_corpus(model, corpus.per_sentence(corpus.words), opts, start)
+            decode_time += time.perf_counter() - t0
+            start += len(results)
+            done, fields = _tally_results(results, "excluded from metrics")
+            part = evaluate_predictions(
+                list(compress(corpus.per_sentence(corpus.tags), done)),
+                [r.labels for r in compress(results, done)],
+                list(compress(known_bits, done)),
+                task=model.task, scheme=opts.scheme, mode=opts.mode,
+                decoder=opts.decoder, **fields)
+            report = part if report is None else report + part
     text = format_report_text(report)
     if opts.report_text:
         with open(opts.report_text, "w", encoding="utf-8") as fh:
@@ -276,7 +313,7 @@ def cmd_eval(opts) -> int:
         with open(opts.report_kv, "w", encoding="utf-8") as fh:
             fh.write(format_report_kv(report))
     _diag(f"decoded {report.tokens} tokens in {decode_time:.3f}s")
-    return 1 if failures else 0
+    return 1 if report.failed_sentences else 0
 
 
 def cmd_verify(opts) -> int:

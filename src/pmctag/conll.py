@@ -2,13 +2,17 @@
 
 Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
-raw orthography.
+raw orthography. One set of line rules (_Scanner) serves both ways of
+reading: read_records and read_conll take a whole stream at once, and
+windows() checks a whole stream a block of lines at a time, keeping no
+tokens, before cutting it into windows of whole sentences for them.
 """
 
 from __future__ import annotations
 
+import io
 import re
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -79,52 +83,85 @@ def _dropped(line, word_column, skip, comment_prefix) -> bool:
     return word_column < len(cols) and skip.fullmatch(cols[word_column]) is not None
 
 
+class _Scanner:
+    """The corpus line rules, applied to consecutive blocks of one stream's lines.
+
+    Made from the reader options, which it checks before any line is read:
+    negative column numbers, a tag column equal to the word column and an
+    invalid skip_pattern raise FormatError. scan() takes the next block of
+    lines, each ending at a newline character and nowhere else, and drops
+    the comment and skip lines. A line is blank when it holds only
+    whitespace (anything str.split splits on). The first token line of the
+    stream fixes the column count; a later token line, in any block, that
+    has another count or is too short for the word or tag column raises
+    FormatError with its line number in the stream.
+    """
+
+    def __init__(self, word_column, tag_column, skip_pattern, comment_prefix):
+        for name, column in (("word", word_column), ("tag", tag_column)):
+            if column is not None and column < 0:
+                raise FormatError(f"{name} column must be 0 or more, not {column}")
+        if tag_column == word_column:
+            raise FormatError(f"tag column and word column are both {word_column}")
+        try:
+            self.skip = re.compile(skip_pattern) if skip_pattern else None
+        except re.error as exc:
+            raise FormatError(f"invalid skip pattern {skip_pattern!r}: {exc}") from None
+        self.word_column, self.tag_column = word_column, tag_column
+        self.comment_prefix = comment_prefix
+        self.need = max(word_column, -1 if tag_column is None else tag_column) + 1
+        self.width = None  # the column count of the stream's first token line
+        self.lines = 0  # lines scanned so far
+
+    def scan(self, lines):
+        """(kept lines, their column counts) of the next block of lines.
+
+        The kept lines are `lines` itself when no line can be dropped, and
+        the counts an int64 array, 0 for a blank line.
+        """
+        first, self.lines = self.lines, self.lines + len(lines)
+        kept = None  # 0-based index in the block of each kept line, when lines are dropped
+        if self.skip or self.comment_prefix:
+            kept = [n for n, line in enumerate(lines)
+                    if not _dropped(line, self.word_column, self.skip, self.comment_prefix)]
+            lines = [lines[n] for n in kept]
+        widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64,
+                             count=len(lines))
+        token = widths > 0
+        if token.any():
+            if self.width is None:
+                self.width = int(widths[token.argmax()])
+            bad = token & ((widths != self.width) | (self.width < self.need))
+            if bad.any():
+                n = int(bad.argmax())
+                raise _row_error(int(widths[n]), self.width, self.word_column,
+                                 self.tag_column, first + (kept[n] if kept is not None else n) + 1)
+        return lines, widths
+
+
 def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
     """Split a stream's text into tokens and sentence lengths.
 
     Returns (flat, width, lengths): every token of the kept lines in
     order, the column count shared by every token line and the int64
-    array of the number of token lines of each sentence. A line ends at
-    each newline character and nowhere else; it is blank when it holds
-    only whitespace (anything str.split splits on), and blank lines end
-    sentences. The tokens of the whole text are the tokens of its lines,
-    since a newline is whitespace. Bad options raise FormatError before
-    the stream is read; a token line that is too short or ragged raises
-    it with the line's number.
+    array of the number of token lines of each sentence. Lines are
+    checked by _Scanner, all in one block, and blank lines end sentences.
+    The tokens of the whole text are the tokens of its lines, since a
+    newline is whitespace.
     """
-    for name, column in (("word", word_column), ("tag", tag_column)):
-        if column is not None and column < 0:
-            raise FormatError(f"{name} column must be 0 or more, not {column}")
-    if tag_column == word_column:
-        raise FormatError(f"tag column and word column are both {word_column}")
-    try:
-        skip = re.compile(skip_pattern) if skip_pattern else None
-    except re.error as exc:
-        raise FormatError(f"invalid skip pattern {skip_pattern!r}: {exc}") from None
+    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
     text = stream.read()
     lines = text.split("\n")
-    kept = None  # original 0-based index of each kept line, when lines are dropped
-    if skip or comment_prefix:
-        kept = [n for n, line in enumerate(lines)
-                if not _dropped(line, word_column, skip, comment_prefix)]
-        lines = [lines[n] for n in kept]
-        text = "\n".join(lines)
-    widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    del lines
-    token = widths > 0
-    if not token.any():
+    kept, widths = scanner.scan(lines)
+    if kept is not lines:
+        text = "\n".join(kept)
+    del lines, kept
+    if scanner.width is None:
         return [], 1, np.zeros(0, dtype=np.int64)  # any positive width slices no tokens
-    width = int(widths[token.argmax()])
-    need = max(word_column, -1 if tag_column is None else tag_column) + 1
-    bad = token & ((widths != width) | (width < need))
-    if bad.any():
-        first = int(bad.argmax())
-        raise _row_error(int(widths[first]), width, word_column, tag_column,
-                         (kept[first] if kept is not None else first) + 1)
     # sentences are the runs of token lines
-    edges = np.diff(token.astype(np.int8), prepend=0, append=0)
+    edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
     lengths = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
-    return text.split(), width, lengths
+    return text.split(), scanner.width, lengths
 
 
 def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
@@ -168,6 +205,64 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                                   comment_prefix)
     return LabeledCorpus.from_columns(flat[word_column::width], flat[tag_column::width],
                                       lengths)
+
+
+# Lines per block of the check pass in windows()
+_CHECK_LINES = 4096
+
+
+def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
+            comment_prefix=None, mapping=None):
+    """Check a whole corpus stream, then return an iterator over its windows.
+
+    The check applies read_records' rules to every line, a block of lines
+    at a time, and keeps no tokens; with a tag mapping it also raises
+    UnknownTag, listing every tag of the stream that the mapping lacks.
+    So a bad line anywhere raises before the first window is read. The
+    stream must be seekable, since it is then rewound and read again.
+
+    Each window is a text stream of whole sentences, read as the iterator
+    advances: it ends at the first blank line after at least `budget`
+    non-blank lines (kept or dropped), or at the end of the stream, so a
+    window is longer than the budget only by the rest of one sentence. An
+    empty stream gives one empty window. Reading every window with the
+    same options gives the sentences of the whole stream, in order.
+    """
+    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
+    if not stream.seekable():
+        raise FormatError("the input cannot be read twice; give a regular file, not a pipe")
+    missing = set()
+    try:
+        while lines := list(islice(stream, _CHECK_LINES)):
+            kept, widths = scanner.scan(lines)
+            if mapping is not None:
+                tags = (line.split()[tag_column] for line in compress(kept, widths))
+                missing.update(tag for tag in tags if tag not in mapping)
+    except UnicodeDecodeError:
+        # a file is decoded a block at a time, and the error's position
+        # counts from the block; decoding the file whole raises it again
+        # with the position in the file
+        stream.seek(0)
+        stream.read()
+        raise
+    if missing:
+        raise UnknownTag(missing)
+    stream.seek(0)
+    return _cut(stream, budget)
+
+
+def _cut(stream, budget):
+    """The windows of windows(), without the check."""
+    lines, filled, cut = [], 0, False
+    for line in stream:
+        lines.append(line)
+        if not line.isspace():
+            filled += 1
+        elif filled >= budget:
+            yield io.StringIO("".join(lines))
+            lines, filled, cut = [], 0, True
+    if filled or not cut:
+        yield io.StringIO("".join(lines))
 
 
 def write_conll(sentences, stream):

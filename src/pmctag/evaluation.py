@@ -8,8 +8,9 @@ driven elsewhere and its diagnostics are passed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import accumulate, compress
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -29,22 +30,17 @@ def _rate(wrong, total):
     return wrong / total if total else None
 
 
-def _token_errors(gold, predicted, known_bits):
-    """Error rates (overall, known, unknown) and the number of unknown
-    tokens; the labels are compared once, and the known bits pick out the
-    known tokens' comparisons."""
+def _token_tallies(gold, predicted, known_bits):
+    """(errors, unknown tokens, unknown-token errors) of flat label
+    sequences; the labels are compared once, and the known bits pick out
+    the unknown tokens' comparisons."""
     if len(gold) != len(predicted):
         raise ShapeError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
-    if known_bits is not None and len(known_bits) != len(gold):
+    if len(known_bits) != len(gold):
         raise ShapeError(f"{len(known_bits)} known bits vs {len(gold)} tokens")
     wrong = list(map(str.__ne__, gold, predicted))
-    tokens, errors = len(wrong), sum(wrong)
-    if known_bits is None:
-        return (_rate(errors, tokens), None, None), None
-    known, known_errors = sum(map(bool, known_bits)), sum(compress(wrong, known_bits))
-    rates = (_rate(errors, tokens), _rate(known_errors, known),
-             _rate(errors - known_errors, tokens - known))
-    return rates, tokens - known
+    errors, unknown = sum(wrong), len(wrong) - sum(map(bool, known_bits))
+    return errors, unknown, errors - sum(compress(wrong, known_bits))
 
 
 def token_accuracy(gold, predicted, known_bits=None):
@@ -53,7 +49,13 @@ def token_accuracy(gold, predicted, known_bits=None):
     Empty subsets yield None rather than 0 so that "no unknown words" is
     distinguishable from "no unknown-word errors".
     """
-    return _token_errors(gold, predicted, known_bits)[0]
+    bits = [True] * len(gold) if known_bits is None else known_bits
+    errors, unknown, unknown_errors = _token_tallies(gold, predicted, bits)
+    report = EvalReport("", tokens=len(gold), unknown_tokens=unknown, errors=errors,
+                        unknown_errors=unknown_errors)
+    if known_bits is None:
+        return report.overall_error, None, None
+    return report.overall_error, report.known_error, report.unknown_error
 
 
 def _span_kind(label, bio):
@@ -127,11 +129,14 @@ def span_f1(gold_spans, predicted_spans):
 
 @dataclass
 class EvalReport:
-    """Metrics in the shape of the benchmark tables.
+    """Integer tallies of a scored corpus, and the metrics derived from them.
 
-    Error rates and the downgrade rate are fractions in [0, 1]; f1 and
-    friends are only set for span tasks. known_*/unknown_* fields are None
-    when the corresponding token subset is empty.
+    Reports of disjoint parts of one corpus, scored alike, add up with `+`
+    to the report of the whole. Each rate is one division of two tallies:
+    error rates and the downgrade rate are fractions in [0, 1], and the
+    span metrics are only set for span tasks (span_counts is None without
+    a scheme). known_*/unknown_* metrics are None when the corresponding
+    token subset is empty.
     """
 
     task: str
@@ -141,19 +146,76 @@ class EvalReport:
     sentences: int = 0
     tokens: int = 0
     unknown_tokens: int = 0
-    overall_error: float | None = None
-    known_error: float | None = None
-    unknown_error: float | None = None
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    known_f1: float | None = None
-    unknown_f1: float | None = None
+    errors: int = 0
+    unknown_errors: int = 0
+    # (gold, predicted, correct) spans, of all spans and of those holding an unknown word
     span_counts: tuple[int, int, int] | None = None
+    unknown_span_counts: tuple[int, int, int] | None = None
     repairs: int = 0
-    downgrade_rate: float | None = None
+    downgrades: int = 0  # downgraded steps of the decoded sentences
+    resolutions: int = 0  # resolved steps of the decoded sentences
     failed_sentences: int = 0
-    notes: list[str] = field(default_factory=list)
+
+    def __add__(self, other: "EvalReport") -> "EvalReport":
+        merged = {}
+        for name in (f.name for f in fields(self)):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, int):
+                merged[name] = mine + theirs
+            elif isinstance(mine, tuple) and isinstance(theirs, tuple):
+                merged[name] = tuple(map(add, mine, theirs))
+            elif mine == theirs:
+                merged[name] = mine
+            else:
+                raise ValueError(f"reports differ in {name}: {mine!r} and {theirs!r}")
+        return EvalReport(**merged)
+
+    @property
+    def overall_error(self) -> float | None:
+        return _rate(self.errors, self.tokens)
+
+    @property
+    def known_error(self) -> float | None:
+        return _rate(self.errors - self.unknown_errors, self.tokens - self.unknown_tokens)
+
+    @property
+    def unknown_error(self) -> float | None:
+        return _rate(self.unknown_errors, self.unknown_tokens)
+
+    def _span_metric(self, counts, which):
+        return None if counts is None else _prf(*counts)[which]
+
+    @property
+    def precision(self) -> float | None:
+        return self._span_metric(self.span_counts, 0)
+
+    @property
+    def recall(self) -> float | None:
+        return self._span_metric(self.span_counts, 1)
+
+    @property
+    def f1(self) -> float | None:
+        return self._span_metric(self.span_counts, 2)
+
+    @property
+    def known_f1(self) -> float | None:
+        if not self.unknown_tokens or self.span_counts is None:
+            return self.f1
+        return _prf(*map(sub, self.span_counts, self.unknown_span_counts))[2]
+
+    @property
+    def unknown_f1(self) -> float | None:
+        if not self.unknown_tokens:
+            return None
+        return self._span_metric(self.unknown_span_counts, 2)
+
+    @property
+    def downgrade_rate(self) -> float | None:
+        return _rate(self.downgrades, self.resolutions)
+
+    @property
+    def notes(self) -> list[str]:
+        return [UNKNOWN_SPAN_NOTE] if self.unknown_tokens and self.scheme else []
 
 
 def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
@@ -166,7 +228,8 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     scored in one pass over the flattened columns, where a span is a
     (start, end, type) triple of corpus positions. Span metrics are
     computed for chunking and NER (or whenever a scheme is passed); POS
-    reports error rates only.
+    reports error rates only. report_fields set the report's other fields,
+    such as the decoder and the downgrade tallies.
     """
     lengths = list(map(len, gold_labels))
     if any(list(map(len, sents)) != lengths for sents in (predicted_labels, known_bits)):
@@ -174,8 +237,7 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     flat_gold = [g for sent in gold_labels for g in sent]
     flat_pred = [p for sent in predicted_labels for p in sent]
     flat_known = [b for sent in known_bits for b in sent]
-    (overall, known, unknown), unknown_tokens = _token_errors(flat_gold, flat_pred,
-                                                              flat_known)
+    errors, unknown_tokens, unknown_errors = _token_tallies(flat_gold, flat_pred, flat_known)
 
     if scheme is None and task in ("chunk", "ner"):
         scheme = "bio"
@@ -185,9 +247,8 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
         sentences=len(gold_labels),
         tokens=len(flat_gold),
         unknown_tokens=unknown_tokens,
-        overall_error=overall,
-        known_error=known,
-        unknown_error=unknown,
+        errors=errors,
+        unknown_errors=unknown_errors,
         **report_fields,
     )
     if scheme is None:
@@ -198,20 +259,13 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     pred, report.repairs = _spans(flat_pred, starts, scheme)
     gold, pred = set(gold), set(pred)
     report.span_counts = (len(gold), len(pred), len(gold & pred))
-    report.precision, report.recall, report.f1 = _prf(*report.span_counts)
-
-    if report.unknown_tokens:
-        # unknown_before[p]: unknown tokens among the corpus's first p tokens
-        unknown_before = list(accumulate((not b for b in flat_known), initial=0))
-        unknown_gold, unknown_pred = (
-            {span for span in spans if unknown_before[span[1] + 1] > unknown_before[span[0]]}
-            for spans in (gold, pred))
-        n_unknown = (len(unknown_gold), len(unknown_pred), len(unknown_gold & unknown_pred))
-        report.known_f1 = _prf(*(n - u for n, u in zip(report.span_counts, n_unknown)))[2]
-        report.unknown_f1 = _prf(*n_unknown)[2]
-        report.notes.append(UNKNOWN_SPAN_NOTE)
-    else:
-        report.known_f1 = report.f1
+    # unknown_before[p]: unknown tokens among the corpus's first p tokens
+    unknown_before = list(accumulate((not b for b in flat_known), initial=0))
+    unknown_gold, unknown_pred = (
+        {span for span in spans if unknown_before[span[1] + 1] > unknown_before[span[0]]}
+        for spans in (gold, pred))
+    report.unknown_span_counts = (len(unknown_gold), len(unknown_pred),
+                                  len(unknown_gold & unknown_pred))
     return report
 
 

@@ -3,13 +3,13 @@
 The package scores a corpus in one pass over its flattened label columns;
 this module keeps the per-sentence state machine, span lists and set match
 that pass replaced, so property tests can check that both give the same
-spans, repairs and EvalReport. It is not used by the package.
+spans, repairs, report tallies and metrics. It is not used by the package.
 """
 
 from itertools import accumulate
 
 from pmctag.errors import ShapeError
-from pmctag.evaluation import UNKNOWN_SPAN_NOTE, EvalReport, Span, token_accuracy
+from pmctag.evaluation import UNKNOWN_SPAN_NOTE, EvalReport, Span
 
 SCHEMES = ("bio", "plain")
 
@@ -81,15 +81,26 @@ def _split_spans(span_lists, unknown_before):
     return known, unknown
 
 
+def _rate(wrong, total):
+    return wrong / total if total else None
+
+
 def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
                          scheme=None, **report_fields):
-    """The per-sentence scorer, for sentences whose shapes agree."""
+    """The per-sentence scorer, for sentences whose shapes agree.
+
+    Returns the EvalReport of the tallies and a dict of the metrics
+    computed here from them, keyed by the report's attribute names.
+    """
     if len(gold_labels) != len(predicted_labels):
         raise ShapeError("gold and predicted cover different sentence counts")
-    flat_gold = [g for sent in gold_labels for g in sent]
-    flat_pred = [p for sent in predicted_labels for p in sent]
-    flat_known = [b for sent in known_bits for b in sent]
-    overall, known, unknown = token_accuracy(flat_gold, flat_pred, flat_known)
+    tokens = errors = unknown_tokens = unknown_errors = 0
+    for gold, pred, bits in zip(gold_labels, predicted_labels, known_bits):
+        for g, p, known in zip(gold, pred, bits):
+            tokens += 1
+            errors += g != p
+            unknown_tokens += not known
+            unknown_errors += g != p and not known
 
     if scheme is None and task in ("chunk", "ner"):
         scheme = "bio"
@@ -97,15 +108,21 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
         task=task,
         scheme=scheme,
         sentences=len(gold_labels),
-        tokens=len(flat_gold),
-        unknown_tokens=sum(1 for b in flat_known if not b),
-        overall_error=overall,
-        known_error=known,
-        unknown_error=unknown,
+        tokens=tokens,
+        unknown_tokens=unknown_tokens,
+        errors=errors,
+        unknown_errors=unknown_errors,
         **report_fields,
     )
+    metrics = {
+        "overall_error": _rate(errors, tokens),
+        "known_error": _rate(errors - unknown_errors, tokens - unknown_tokens),
+        "unknown_error": _rate(unknown_errors, unknown_tokens),
+        "notes": [],
+        **dict.fromkeys(("precision", "recall", "f1", "known_f1", "unknown_f1")),
+    }
     if scheme is None:
-        return report
+        return report, metrics
 
     gold_spans, pred_spans, repairs = [], [], 0
     for gold, pred in zip(gold_labels, predicted_labels):
@@ -116,18 +133,19 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
         pred_spans.append(spans)
         repairs += rep
     counts = span_match_counts(gold_spans, pred_spans)
-    report.precision, report.recall, report.f1 = _prf(*counts)
+    metrics["precision"], metrics["recall"], metrics["f1"] = _prf(*counts)
     report.span_counts = counts
     report.repairs = repairs
 
+    unknown_before = [list(accumulate((not b for b in bits), initial=0))
+                      for bits in known_bits]
+    (known_gold, unknown_gold), (known_pred, unknown_pred) = (
+        _split_spans(spans, unknown_before) for spans in (gold_spans, pred_spans))
+    report.unknown_span_counts = span_match_counts(unknown_gold, unknown_pred)
     if report.unknown_tokens:
-        unknown_before = [list(accumulate((not b for b in bits), initial=0))
-                          for bits in known_bits]
-        (known_gold, unknown_gold), (known_pred, unknown_pred) = (
-            _split_spans(spans, unknown_before) for spans in (gold_spans, pred_spans))
-        report.known_f1 = _prf(*span_match_counts(known_gold, known_pred))[2]
-        report.unknown_f1 = _prf(*span_match_counts(unknown_gold, unknown_pred))[2]
-        report.notes.append(UNKNOWN_SPAN_NOTE)
+        metrics["known_f1"] = _prf(*span_match_counts(known_gold, known_pred))[2]
+        metrics["unknown_f1"] = _prf(*report.unknown_span_counts)[2]
+        metrics["notes"] = [UNKNOWN_SPAN_NOTE]
     else:
-        report.known_f1 = report.f1
-    return report
+        metrics["known_f1"] = metrics["f1"]
+    return report, metrics

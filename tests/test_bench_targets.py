@@ -155,6 +155,28 @@ def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, dec
     spans, and the dead ends from those spans' errors, and compares them
     with the library's own decodes. That holds only while the CLI calls
     decode_sentence once per sentence through its module attribute."""
+    trace_cli_decoding(tiny, tmp_path, command, decoder)
+
+
+@pytest.mark.parametrize("command", ["tag", "eval"])
+@pytest.mark.parametrize("decoder", ["mpm", "map"])
+def test_cli_decoding_in_small_windows_records_one_span_per_sentence(
+        tiny, tmp_path, command, decoder, monkeypatch):
+    """The same at a window of a few tokens: the reading, decoding and
+    writing or scoring spans are then one per window, and there are
+    several windows."""
+    monkeypatch.setattr(cli, "WINDOW_TOKENS", 5)
+    summary = trace_cli_decoding(tiny, tmp_path, command, decoder).summary()
+    layers = {"tag": ("conll.read_records", "cli.decode_corpus", "conll.write_conll"),
+              "eval": ("conll.read_conll", "conll.mark_known", "cli.decode_corpus",
+                       "evaluation.evaluate_predictions")}[command]
+    calls = {summary[span]["calls"] for span in layers}
+    assert len(calls) == 1 and calls.pop() > 1
+
+
+def trace_cli_decoding(tiny, tmp_path, command, decoder):
+    """Run tag or eval on the tiny test sentences under the tracer and check
+    its decode_sentence spans against the library; returns the tracer."""
     _, test, path = tiny
     model = load_model(path)
     flags, dead = [], 0
@@ -183,3 +205,4 @@ def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, dec
     assert tracer.decode_flags == flags
     assert sum(span.error is not None for span in spans) == dead
     assert tracer.summary()["inference.decode_sentence"]["errors"] == dead
+    return tracer

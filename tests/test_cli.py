@@ -309,10 +309,150 @@ def test_cli_train_and_eval_match_the_tuple_library(tmp_path, capsys):
             bits.append([w in model.vocabulary for w in words])
         assert code == (1 if len(results) < len(test) else 0)
         report = evaluate_predictions(gold, predicted, bits, task="pos", decoder=decoder,
-                                      downgrade_rate=cli._downgrade_rate(results),
+                                      downgrades=sum(r.downgraded for r in results),
+                                      resolutions=sum(r.resolutions for r in results),
                                       failed_sentences=len(test) - len(results))
         assert open(text, encoding="utf-8").read() == format_report_text(report)
         assert open(kv, encoding="utf-8").read() == format_report_kv(report)
+
+
+def _window_corpus():
+    """The test sentences three times, with a dead-end sentence ("Q#7", as
+    in TestTag) after the first and second copies; returns the text and
+    the dead-end sentence indices."""
+    test = open(TEST, encoding="utf-8").read().strip("\n") + "\n\n"
+    n = test.count("\n\n")
+    return (test + "The DT B-NP\nQ#7 NN I-NP\n\n") * 2 + test, [n, 2 * n + 1]
+
+
+# flags and the corpus edit that gives them lines to drop; dropped lines
+# never end a sentence, so the dead-end indices stay
+WINDOW_VARIANTS = {
+    "plain": ([], lambda text: text),
+    "skip-pattern": (["--skip-pattern=-DOCSTART-"],
+                     lambda text: "-DOCSTART- -X- O\n\n" +
+                     text.replace("\n\n", "\n\n-DOCSTART- -X- O\n", 2)),
+    "comment-prefix": (["--comment-prefix", "#"],
+                       lambda text: "# doc\n" + text.replace("\n\n", "\n# end\n\n")),
+}
+
+
+class TestWindows:
+    """tag and eval read their input a window at a time; the window size
+    must not show in any output."""
+
+    @pytest.fixture
+    def pos_model(self, tmp_path, capsys):
+        path = str(tmp_path / "pos.pmc")
+        assert run(["train", "--corpus", TRAIN, "--model", path, "--tag-column", "1",
+                    "--mapping", MAP], capsys)[0] == 0
+        return path
+
+    @staticmethod
+    def outputs(argv, out_dir, capsys):
+        """Exit code, stdout, stderr lines without timings and written files."""
+        for path in out_dir.iterdir():
+            path.unlink()
+        code, out, err = run(argv, capsys)
+        files = {path.name: path.read_text(encoding="utf-8") for path in out_dir.iterdir()}
+        return code, out, [line for line in err.splitlines()
+                           if not line.startswith("decoded ")], files
+
+    @pytest.mark.parametrize("mapping", [False, True], ids=["chunk", "mapped-pos"])
+    @pytest.mark.parametrize("variant", sorted(WINDOW_VARIANTS))
+    def test_outputs_do_not_depend_on_the_window(self, variant, mapping, model_path,
+                                                 pos_model, tmp_path, capsys, monkeypatch):
+        flags, edit = WINDOW_VARIANTS[variant]
+        text, dead = _window_corpus()
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(edit(text), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        model, columns = ((pos_model, ["--tag-column", "1", "--mapping", MAP]) if mapping
+                          else (model_path, ["--tag-column", "2"]))
+        tag = ["tag", "--model", model, "--input", str(corpus)] + flags
+        evaluate = ["eval", "--model", model, "--corpus", str(corpus)] + columns + flags
+        commands = [tag, tag + ["--output", str(out_dir / "tagged")],
+                    evaluate + ["--report-kv", str(out_dir / "kv")],
+                    evaluate + ["--report-text", str(out_dir / "txt"),
+                                "--report-kv", str(out_dir / "kv"), "--decoder", "map"]]
+        for argv in commands:
+            seen = []
+            for window in (10 ** 9, 1, 4):
+                monkeypatch.setattr(cli, "WINDOW_TOKENS", window)
+                seen.append(self.outputs(argv, out_dir, capsys))
+            assert seen[0] == seen[1] == seen[2], argv
+            code, out, err, files = seen[0]
+            assert out or files
+            if not mapping:
+                assert code == 1
+                assert [int(line.split()[1].rstrip(":")) for line in err
+                        if ": dead end at position" in line] == dead
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_bad_line_after_the_first_window_writes_nothing(self, command, model_path,
+                                                            tmp_path, capsys, monkeypatch):
+        text, _ = _window_corpus()
+        lines = text.splitlines(keepends=True)
+        ragged = len(lines) - 3
+        lines[ragged] = "dog NN I-NP X\n"
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = {"tag": ["tag", "--model", model_path, "--input", str(corpus),
+                        "--output", str(out_dir / "tagged")],
+                "eval": ["eval", "--model", model_path, "--corpus", str(corpus),
+                         "--tag-column", "2", "--report-text", str(out_dir / "txt"),
+                         "--report-kv", str(out_dir / "kv")]}[command]
+        monkeypatch.setattr(cli, "WINDOW_TOKENS", 2)
+        for args in (argv, argv[:5] + (["--tag-column", "2"] if command == "eval" else [])):
+            code, out, err = run(args, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: line {ragged + 1}: ragged row: 4 columns "
+                                        "where previous lines had 3"]
+            assert list(out_dir.iterdir()) == []
+
+    def test_bytes_that_are_not_utf8_are_placed_in_the_file(self, model_path, tmp_path,
+                                                            capsys):
+        """The check decodes the file in blocks; the error still gives the
+        byte's position in the whole file, past the first block."""
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_bytes(b"a X Y\n" * 3000 + b"\xff X Y\n")
+        code, out, err = run(["tag", "--model", model_path, "--input", str(corpus)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: 'utf-8' codec can't decode byte 0xff in "
+                                    "position 18000: invalid start byte"]
+
+    def test_unwritable_output_fails_before_decoding(self, model_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_decode_corpus", _no_input_read)
+        code, out, err = run(["tag", "--model", model_path, "--input", TEST,
+                              "--output", os.path.join(TEST, "tagged")], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_pipe_input_exits_2(self, command, model_path, capsys):
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+                fh.write(open(TEST, encoding="utf-8").read())
+            source = f"/dev/fd/{read_end}"
+            argv = {"tag": ["tag", "--model", model_path, "--input", source],
+                    "eval": ["eval", "--model", model_path, "--corpus", source,
+                             "--tag-column", "2"]}[command]
+            code, out, err = run(argv, capsys)
+        finally:
+            os.close(read_end)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -377,6 +517,11 @@ class TestConfigFile:
                              ids=[str(content) for _, content in BAD_CONFIGS])
     def test_bad_config_exits_2_with_one_error_line(self, command, content,
                                                     tmp_path, capsys, monkeypatch):
+        self.run_bad_config(command, content, tmp_path, capsys, monkeypatch)
+
+    @staticmethod
+    def run_bad_config(command, content, tmp_path, capsys, monkeypatch):
+        """Run a command under a bad config; returns its one error line."""
         monkeypatch.setattr(cli, "read_conll", _no_input_read)
         monkeypatch.setattr(cli, "load_model", _no_input_read)
         config = tmp_path / "cfg.json"
@@ -392,13 +537,24 @@ class TestConfigFile:
         lines = err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not model.exists()
+        return lines[0]
+
+    @pytest.mark.parametrize("command, content", [
+        ("verify", '{"instances": ' + "[" * 990 + "]" * 990 + "}"),
+        ("verify", '{"instances": ' + "[" * 500 + "]" * 500 + "}"),
+        ("verify", '{"instances": "' + "x" * 10000 + '"}'),
+        ("eval", '{"decoder": "' + "x" * 10000 + '"}'),
+    ], ids=["990-deep-instances", "500-deep-instances", "long-instances", "long-decoder"])
+    def test_long_config_value_gives_one_short_error_line(self, command, content, tmp_path,
+                                                          capsys, monkeypatch):
+        line = self.run_bad_config(command, content, tmp_path, capsys, monkeypatch)
+        assert len(line) < 200, line
 
     @pytest.mark.parametrize("content", ["[" * 100000 + "]" * 100000,
                                          '{"instances": ' + "[" * 3000 + "]" * 3000 + "}"],
                              ids=["deep-array", "deep-instances"])
     def test_deeply_nested_config_exits_2(self, content, tmp_path, capsys, monkeypatch):
-        self.test_bad_config_exits_2_with_one_error_line("train", content, tmp_path,
-                                                         capsys, monkeypatch)
+        self.run_bad_config("train", content, tmp_path, capsys, monkeypatch)
 
 
 # byte pieces of corpus files: invalid UTF-8, NULs, lone carriage returns,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import conll_reference
 from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
-                          read_records, read_tag_mapping, write_conll)
+                          read_records, read_tag_mapping, windows, write_conll)
 from pmctag.errors import FormatError, UnknownTag
 from pmctag.model import Interner
 
@@ -245,6 +245,68 @@ def test_reader_matches_line_loop(text, columns, comment_prefix, skip_pattern, s
                                tag_column=tag_column, **options)
         if got and got[0] != "error":
             assert all(type(pair) is tuple for sent in got for pair in sent)
+
+
+def _read_windows(stream, budget, **options):
+    """read_records over every window of the stream, joined."""
+    return [sent for window in windows(stream, budget, **options)
+            for sent in read_records(window, **options)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_corpus_text(), min_size=1, max_size=3), budget=st.integers(1, 6),
+       columns=_columns, comment_prefix=st.sampled_from([None, "#", "# "]),
+       skip_pattern=st.sampled_from([None, "-DOCSTART-", "[A-Z].*"]),
+       stream=st.sampled_from(sorted(STREAMS)))
+def test_windows_read_like_the_line_loop(texts, budget, columns, comment_prefix,
+                                         skip_pattern, stream):
+    """Texts joined by blank lines put a later text's lines, well-formed or
+    not, after the first windows."""
+    text = "\n\n".join(texts)
+    word_column, tag_column = columns
+    options = dict(word_column=word_column, tag_column=tag_column,
+                   comment_prefix=comment_prefix, skip_pattern=skip_pattern)
+    make = STREAMS[stream]
+    assert _outcome(_read_windows, make(text), budget=budget, **options) == \
+        _outcome(conll_reference.read_records, make(text), **options)
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS + [
+    "a X\n\nb Y\n\nc\n", "a X\r\n\r\nb Y Z\r\n", "a X\rb Y\r\rc\n", "a X\n\x85\nb\u2028Y\n\nc\n",
+    "a X\n\nb\x85Y\n\nc Y Z\n", "# c\n\na X\n\n#\nb\n"])
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_windows_read_like_the_line_loop_on_edge_cases(text, budget):
+    for tag_column in (None, 1):
+        for comment_prefix in (None, "#"):
+            options = dict(tag_column=tag_column, comment_prefix=comment_prefix)
+            for make in STREAMS.values():
+                assert _outcome(_read_windows, make(text), budget=budget, **options) == \
+                    _outcome(conll_reference.read_records, make(text), **options)
+
+
+def test_windows_hold_whole_sentences_of_at_least_the_budget():
+    text = "a\nb\nc\n\nd\n\n\ne\nf\n\ng\n"
+    got = [window.getvalue() for window in windows(StringIO(text), 2)]
+    assert got == ["a\nb\nc\n\n", "d\n\n\ne\nf\n\n", "g\n"]
+    assert [w.getvalue() for w in windows(StringIO(""), 2)] == [""]
+
+
+def test_windows_check_the_tag_mapping_before_the_first_window():
+    text = "a X\n\nb Q\n\nc R\n\nd Q\n"
+    with pytest.raises(UnknownTag) as err:
+        windows(StringIO(text), 1, tag_column=1, mapping={"X": "Y"})
+    assert err.value.tags == ["Q", "R"]
+    assert len(list(windows(StringIO(text), 1, tag_column=1,
+                            mapping=dict.fromkeys("XQR", "Y")))) == 4
+
+
+def test_windows_refuse_a_stream_that_cannot_be_rewound():
+    class Pipe(StringIO):
+        def seekable(self):
+            return False
+
+    with pytest.raises(FormatError, match="cannot be read twice"):
+        windows(Pipe("a X\n"), 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -183,7 +183,7 @@ class TestEvaluatePredictions:
     def test_report_formats(self):
         report = evaluate_predictions(
             [["B-NP", "O"]], [["B-NP", "O"]], [[True, False]],
-            task="ner", mode="pmc", decoder="mpm", downgrade_rate=0.25)
+            task="ner", mode="pmc", decoder="mpm", downgrades=1, resolutions=4)
         text = format_report_text(report)
         kv = format_report_kv(report)
         assert "decoder" in text and "f1" in text
@@ -262,10 +262,38 @@ class TestFlatPass:
     @given(corpora(), st.sampled_from(("pos", "chunk", "ner")),
            st.sampled_from((None,) + SCHEMES))
     def test_report_matches_the_per_sentence_reference(self, corpus, task, scheme):
-        fields = dict(mode="hmc", decoder="map", downgrade_rate=0.5, failed_sentences=2)
-        assert evaluate_predictions(*corpus, task=task, scheme=scheme, **fields) == \
-            span_reference.evaluate_predictions(*corpus, task=task, scheme=scheme,
-                                                **fields)
+        fields = dict(mode="hmc", decoder="map", downgrades=1, resolutions=2,
+                      failed_sentences=2)
+        report = evaluate_predictions(*corpus, task=task, scheme=scheme, **fields)
+        expected, metrics = span_reference.evaluate_predictions(*corpus, task=task,
+                                                                scheme=scheme, **fields)
+        assert report == expected
+        assert {name: getattr(report, name) for name in metrics} == metrics
+        assert report.downgrade_rate == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.sampled_from(("pos", "chunk")), st.sampled_from((None,) + SCHEMES),
+           st.data())
+    def test_reports_of_the_parts_add_up_to_the_whole(self, corpus, task, scheme, data):
+        """eval scores a corpus window by window and adds the reports; the
+        sum must be the report of the whole, down to its formatted bytes."""
+        cut = data.draw(st.integers(0, len(corpus[0])))
+        whole = evaluate_predictions(*corpus, task=task, scheme=scheme, decoder="map",
+                                     downgrades=3, resolutions=7, failed_sentences=1)
+        head, tail = (evaluate_predictions(*(column[part] for column in corpus), task=task,
+                                           scheme=scheme, decoder="map", downgrades=n,
+                                           resolutions=n + 2, failed_sentences=n - 1)
+                      for n, part in ((1, slice(None, cut)), (2, slice(cut, None))))
+        total = head + tail
+        assert total == whole
+        assert format_report_text(total) == format_report_text(whole)
+        assert format_report_kv(total) == format_report_kv(whole)
+
+    def test_reports_of_different_runs_do_not_add(self):
+        one = evaluate_predictions([["A"]], [["A"]], [[True]], task="pos", decoder="map")
+        other = evaluate_predictions([["A"]], [["A"]], [[True]], task="pos", decoder="mpm")
+        with pytest.raises(ValueError, match="decoder"):
+            one + other
 
     @settings(max_examples=200, deadline=None)
     @given(corpora(labels=WELL_FORMED))

@@ -5,10 +5,15 @@ within a group share one vocabulary (emissions alone cannot separate
 them), and the previous word picks its follower given the next label, a
 dependency only the pairwise model can represent. Checks the training
 and decoding budgets, posterior normalization on every sentence, and that
-pairwise decoding beats the hidden-chain fallback out of sample.
+pairwise decoding beats the hidden-chain fallback out of sample. Last,
+the tag command's peak memory must not grow with its input.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import zlib
 
@@ -125,3 +130,43 @@ def test_scale_pipeline(world):
         except DeadEnd:
             continue
         assert np.max(np.abs(post.sum(axis=1) - 1.0)) < 1e-9
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _peak_rss_kb(argv, tmp_path):
+    """Run the CLI through perfbench/spawn.py and return its peak RSS.
+
+    spawn.py reads the child's own peak from os.wait4; a child started
+    straight from pytest would be charged the test process's peak.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "spawn.py"),
+         str(tmp_path / "stdout"), str(tmp_path / "stderr"), "--",
+         sys.executable, "-m", "pmctag.cli", *argv],
+        capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, (tmp_path / "stderr").read_text()
+    return result["maxrss_kb"]
+
+
+def test_tag_peak_memory_does_not_grow_with_the_input(tmp_path):
+    """tag reads, decodes and writes a window of sentences at a time, so a
+    ten times larger input leaves the peak where it was. Holding the whole
+    input and output at once would take about 25 MB more at 10x."""
+    model = tmp_path / "chunk.pmc"
+    _peak_rss_kb(["train", "--corpus", os.path.join(DATA, "train_chunk.conll"),
+                  "--model", str(model), "--task", "chunk", "--tag-column", "2"], tmp_path)
+    with open(os.path.join(DATA, "test_chunk.conll"), encoding="utf-8") as fh:
+        text = fh.read().strip("\n") + "\n\n"
+    copies = 5000 // sum(1 for line in text.splitlines() if line.strip())
+    peaks = []
+    for scale in (1, 10):
+        source = tmp_path / f"input{scale}.conll"
+        source.write_text(text * (copies * scale), encoding="utf-8")
+        peaks.append(_peak_rss_kb(["tag", "--model", str(model), "--input", str(source),
+                                   "--output", str(tmp_path / "tagged.conll")], tmp_path))
+    assert peaks[1] - peaks[0] < 5 * 1024, f"peak RSS {peaks[0]} kB, then {peaks[1]} kB"
