@@ -9,8 +9,10 @@ train reads each corpus whole. tag and eval first check their whole
 input, so that a bad line exits 2 before anything is written, and then
 read, decode and write or score it one window of whole sentences at a
 time, so that their memory does not grow with the input; the input must
-therefore be a regular file. eval adds up the integer tallies of the
-windows and formats its report once, at the end.
+therefore be a regular file. tag's output file is replaced only after
+the last window (see _replacing), so it may be the input file. eval adds
+up the integer tallies of the windows and formats its report once, at
+the end.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import reprlib
+import stat
 import sys
 import time
 from collections import Counter
@@ -235,6 +239,46 @@ def _tally_results(results, what):
                   "failed_sentences": len(results) - len(decoded)}
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text stream for the output file `path`, or stdout when it is None.
+
+    A regular file, or a path that names no file yet, is written through a
+    new file beside it, which takes the path once the block has ended
+    without an exception (and is removed otherwise). So an input read while the output is written can be the
+    output file itself, and a failed command leaves an earlier output as
+    it was. The new file takes the old one's permissions, and opening it
+    raises at once when the path is not writable. Any other kind of file,
+    such as /dev/null, is written in place.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as out:
+            yield out
+        return
+    if mode is not None:
+        open(target, "a").close()  # raises, as "w" would, when the file is read-only
+    head, tail = os.path.split(target)
+    new = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    out = open(new, "x", encoding="utf-8")
+    try:
+        with out:
+            if mode is not None:
+                os.chmod(new, stat.S_IMODE(mode))
+            yield out
+        os.replace(new, target)
+    except BaseException:
+        os.unlink(new)
+        raise
+
+
 def cmd_train(opts) -> int:
     config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
     t0 = time.perf_counter()
@@ -261,8 +305,7 @@ def cmd_tag(opts) -> int:
     tally = Counter()
     with open(opts.input, encoding="utf-8") as fh:
         parts = windows(fh, WINDOW_TOKENS, **options)
-        with (open(opts.output, "w", encoding="utf-8") if opts.output
-              else contextlib.nullcontext(sys.stdout)) as out:
+        with _replacing(opts.output) as out:
             for window in parts:
                 records = read_records(window, **options)
                 sentences = [[cols[opts.word_column] for cols in sent] for sent in records]

@@ -10,6 +10,7 @@ tokens, before cutting it into windows of whole sentences for them.
 
 from __future__ import annotations
 
+import codecs
 import io
 import re
 from itertools import chain, compress, islice
@@ -238,17 +239,42 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
             if mapping is not None:
                 tags = (line.split()[tag_column] for line in compress(kept, widths))
                 missing.update(tag for tag in tags if tag not in mapping)
-    except UnicodeDecodeError:
-        # a file is decoded a block at a time, and the error's position
-        # counts from the block; decoding the file whole raises it again
-        # with the position in the file
-        stream.seek(0)
-        stream.read()
-        raise
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
     if missing:
         raise UnknownTag(missing)
     stream.seek(0)
     return _cut(stream, budget)
+
+
+def _decode_error(stream, exc):
+    """The error of the first bytes of a text file stream that do not decode,
+    which raised `exc`.
+
+    The stream decodes its file a chunk at a time, and the position of its
+    UnicodeDecodeError counts from the chunk. This decodes the file again
+    from the start, a block at a time and keeping nothing, and says what
+    the codec says when it decodes the whole file at once: the position
+    counts from the start of the file. `exc` is returned as it is if the
+    file now decodes.
+    """
+    stream.seek(0)
+    decoder = codecs.getincrementaldecoder(stream.encoding)()
+    offset = 0  # bytes of the file before the block
+    while True:
+        block = stream.buffer.read(1 << 16)
+        pending = len(decoder.getstate()[0])  # bytes of the blocks before, not yet decoded
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as found:
+            bad = found.object[found.start:found.end]
+            start = offset - pending + found.start
+            where = (f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1
+                     else f"bytes in position {start}-{start + len(bad) - 1}")
+            return FormatError(f"'{found.encoding}' codec can't decode {where}: {found.reason}")
+        if not block:
+            return exc
+        offset += len(block)
 
 
 def _cut(stream, budget):

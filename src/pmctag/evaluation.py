@@ -51,11 +51,11 @@ def token_accuracy(gold, predicted, known_bits=None):
     """
     bits = [True] * len(gold) if known_bits is None else known_bits
     errors, unknown, unknown_errors = _token_tallies(gold, predicted, bits)
-    report = EvalReport("", tokens=len(gold), unknown_tokens=unknown, errors=errors,
-                        unknown_errors=unknown_errors)
+    overall = _rate(errors, len(gold))
     if known_bits is None:
-        return report.overall_error, None, None
-    return report.overall_error, report.known_error, report.unknown_error
+        return overall, None, None
+    return (overall, _rate(errors - unknown_errors, len(gold) - unknown),
+            _rate(unknown_errors, unknown))
 
 
 def _span_kind(label, bio):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pmctag import cli
 from pmctag.cli import main
 from pmctag.conll import LabeledCorpus, read_conll, read_tag_mapping
-from pmctag.errors import DeadEnd
+from pmctag.errors import DeadEnd, ShapeError
 from pmctag.evaluation import evaluate_predictions, format_report_kv, format_report_text
 from pmctag.inference import decode_sentence
 from pmctag.serialize import load_model, serialize_model
@@ -434,6 +434,52 @@ class TestWindows:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_tag_in_place_equals_tag_to_another_file(self, model_path, tmp_path, capsys,
+                                                     monkeypatch):
+        """The output may be the input file itself, even one far larger than
+        a read buffer and read in many windows."""
+        text, _ = _window_corpus()
+        corpus, other = tmp_path / "corpus.conll", tmp_path / "other.conll"
+        corpus.write_text(text * 200, encoding="utf-8")
+        assert corpus.stat().st_size > 8 * 8192
+        corpus.chmod(0o640)
+        monkeypatch.setattr(cli, "WINDOW_TOKENS", 50)
+        for output in (other, corpus):
+            code, out, _ = run(["tag", "--model", model_path, "--input", str(corpus),
+                                "--output", str(output)], capsys)
+            assert (code, out) == (1, "")
+        assert corpus.read_bytes() == other.read_bytes()
+        assert corpus.stat().st_mode & 0o777 == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["chunk.pmc", "corpus.conll", "other.conll"]
+
+    def test_failed_tag_leaves_the_old_output(self, model_path, tmp_path, capsys,
+                                              monkeypatch):
+        """An error after some windows are written leaves no partial output."""
+        def fail_at_second_window(model, sentences, opts, start=0):
+            if start:
+                raise ShapeError("failed")
+            return decode_corpus(model, sentences, opts, start)
+
+        decode_corpus = cli._decode_corpus
+        monkeypatch.setattr(cli, "_decode_corpus", fail_at_second_window)
+        monkeypatch.setattr(cli, "WINDOW_TOKENS", 4)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "tagged").write_text("old\n", encoding="utf-8")
+        for output in (out_dir / "tagged", out_dir / "new"):
+            code, out, err = run(["tag", "--model", model_path, "--input", TEST,
+                                  "--output", str(output)], capsys)
+            assert (code, out, err) == (2, "", "error: failed\n")
+        assert [path.name for path in out_dir.iterdir()] == ["tagged"]
+        assert (out_dir / "tagged").read_text(encoding="utf-8") == "old\n"
+
+    def test_tag_writes_a_device_in_place(self, model_path, capsys):
+        code, out, _ = run(["tag", "--model", model_path, "--input", TEST,
+                            "--output", os.devnull], capsys)
+        assert (code, out) == (0, "")
+        assert not os.path.isfile(os.devnull)
 
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_pipe_input_exits_2(self, command, model_path, capsys):

@@ -309,6 +309,24 @@ def test_windows_refuse_a_stream_that_cannot_be_rewound():
         windows(Pipe("a X\n"), 1)
 
 
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80"])
+@pytest.mark.parametrize("place", [0, 8191, 65535, 65536, 70000, None])
+def test_windows_place_bad_utf8_in_the_file(bad, place, tmp_path):
+    """The check decodes the file in chunks, and the rest of the file in
+    blocks of 64 KiB when a chunk fails; the message is the codec's for
+    the whole file, also for a sequence cut by a block edge or the file end."""
+    data = bytearray(b"a X\n" * 20000)
+    at = len(data) if place is None else place
+    data[at:at] = bad
+    path = tmp_path / "corpus.conll"
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as want:
+        bytes(data).decode("utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(FormatError) as got:
+        windows(fh, 5)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=_corpus_text(), stream=st.sampled_from(sorted(STREAMS)))
 def test_read_write_read_round_trip(text, stream):
