@@ -5,6 +5,10 @@ downgrade rates, per-sentence failures) go to stderr so piped workflows
 stay clean. Exit codes: 0 success, 1 runtime/decoding failure, 2 usage or
 input error.
 
+Each option is declared once, with its default, type and choices, on the
+subcommand that reads it. A --config file sets defaults for the running
+subcommand's optional single-value options; explicit flags still win.
+
 train reads each corpus whole. tag and eval first check their whole
 input, so that a bad line exits 2 before anything is written, and then
 read, decode and write or score it one window of whole sentences at a
@@ -40,16 +44,9 @@ from .serialize import load_model, model_stats, save_model
 from .training import TrainConfig
 from .training import train_model, update_online  # noqa: F401 - perfbench/tracing.py wraps them here
 
-DEFAULTS = {
-    "task": "pos",
-    "mode": "pmc",
-    "decoder": "mpm",
-    "word_column": 0,
-    "tag_column": 1,
-    "suffix_max_len": 3,
-    "instances": 200,
-    "seed": 12345,
-}
+# verify checks an instance in about 0.6 ms on a 2-vCPU Xeon host, so
+# this bound keeps a run to about a minute
+MAX_INSTANCES = 100_000
 
 # tag and eval read, decode and write their input one window of whole
 # sentences at a time, so that memory does not grow with the input; a
@@ -62,13 +59,13 @@ def _diag(msg):
 
 
 def _add_corpus_options(p, with_tag=True):
-    p.add_argument("--word-column", type=int, default=None,
-                   help="0-based column of the word (default 0)")
+    p.add_argument("--word-column", type=int, default=0,
+                   help="0-based column of the word (default %(default)s)")
     if with_tag:
-        p.add_argument("--tag-column", type=int, default=None,
-                       help="0-based column of the tag (default 1)")
-    p.add_argument("--mapping", default=None,
-                   help="tag mapping file of 'source target' lines")
+        p.add_argument("--tag-column", type=int, default=1,
+                       help="0-based column of the tag (default %(default)s)")
+        p.add_argument("--mapping", default=None,
+                       help="tag mapping file of 'source target' lines")
     p.add_argument("--skip-pattern", default=None,
                    help="drop token lines whose word fully matches this regex")
     p.add_argument("--comment-prefix", default=None,
@@ -76,8 +73,8 @@ def _add_corpus_options(p, with_tag=True):
 
 
 def _add_decode_options(p):
-    p.add_argument("--mode", choices=inference.MODES, default=None)
-    p.add_argument("--decoder", choices=inference.DECODERS, default=None)
+    p.add_argument("--mode", choices=inference.MODES, default="pmc")
+    p.add_argument("--decoder", choices=inference.DECODERS, default="mpm")
 
 
 def build_parser():
@@ -85,14 +82,14 @@ def build_parser():
         prog="pmctag",
         description="Markov chain sequence labeling: POS tagging, chunking, NER.")
     parser.add_argument("--config", default=None,
-                        help="JSON file of option defaults; flags override it")
+                        help="JSON defaults for the subcommand's options; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a labeled corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True, help="output model path")
-    p.add_argument("--task", choices=("pos", "chunk", "ner"), default=None)
-    p.add_argument("--suffix-max-len", type=int, default=None)
+    p.add_argument("--task", choices=training.TASKS, default="pos")
+    p.add_argument("--suffix-max-len", type=int, default=3)
     p.add_argument("--extra-corpus", action="append", default=[],
                    help="additional corpus folded in via an online update")
     _add_corpus_options(p)
@@ -115,24 +112,31 @@ def build_parser():
     _add_decode_options(p)
 
     p = sub.add_parser("verify", help="check inference against enumeration")
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--instances", type=int, default=200,
+                   help=f"at least 1 and at most {MAX_INSTANCES}")
+    p.add_argument("--seed", type=int, default=12345)
     return parser
 
 
-def _options(parser, command) -> list[argparse.Action]:
-    """The option actions of one subcommand."""
+def _subparser(parser, command) -> argparse.ArgumentParser:
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return [a for a in sub.choices[command]._actions if a.option_strings]
+    return sub.choices[command]
+
+
+def _config_options(subparser) -> dict[str, argparse.Action]:
+    """The options a config file can set for one subcommand, by dest: its
+    optional options that take a single value."""
+    return {a.dest: a for a in subparser._actions
+            if type(a) is argparse._StoreAction and not a.required}
 
 
 TYPE_NAMES = {int: "an int", str: "a string"}
 
 
 def _shown(value) -> str:
-    """At most the first 40 characters of a config value's repr, for an
-    error message; reprlib bounds the work on deeply nested or long values."""
+    """At most the first 40 characters of a value's repr, for an error
+    message; reprlib bounds the work on deeply nested or long values."""
     text = reprlib.repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
 
@@ -140,10 +144,8 @@ def _shown(value) -> str:
 def _read_config(path, options) -> dict:
     """Option defaults from a JSON object.
 
-    A key either has a DEFAULTS entry and keeps its type, or names a plain
-    string option of the subcommand (one of `options`) and holds a string;
-    any other key is rejected. A value for an option with choices must be
-    one of them.
+    Each key names one of `options` (see _config_options), and its value
+    has that option's type (int or str) and is one of its choices.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -154,41 +156,32 @@ def _read_config(path, options) -> dict:
             raise FormatError(f"config {path}: nested too deeply") from None
     if not isinstance(loaded, dict):
         raise FormatError(f"config {path}: expected a JSON object")
-    string_options = {a.dest for a in options
-                      if a.type is None and a.default is None}
-    choices = {a.dest: a.choices for a in options if a.choices}
     config = {}
     for key, value in loaded.items():
         key = key.replace("-", "_")
-        if key in DEFAULTS:
-            expected = type(DEFAULTS[key])
-        elif key in string_options:
-            expected = str
-        else:
+        if key not in options:
             raise FormatError(f"config {path}: unknown key {key!r}")
+        expected = options[key].type or str
         if type(value) is not expected:
             raise FormatError(f"config {path}: {key} must be {TYPE_NAMES[expected]}, "
                               f"not {_shown(value)}")
-        if key in choices and value not in choices[key]:
+        choices = options[key].choices
+        if choices and value not in choices:
             raise FormatError(f"config {path}: {key} must be one of "
-                              f"{', '.join(choices[key])}, not {_shown(value)}")
+                              f"{', '.join(choices)}, not {_shown(value)}")
         config[key] = value
     return config
 
 
-def _effective(args, parser):
-    """Merge defaults, the optional config file and explicit flags."""
-    merged = dict(DEFAULTS)
+def _parse(parser, argv) -> argparse.Namespace:
+    """The parsed command line; a --config file's values become defaults of
+    the running subcommand, so that explicit flags still win."""
+    args = parser.parse_args(argv)
     if args.config:
-        merged.update(_read_config(args.config, _options(parser, args.command)))
-    for key, value in vars(args).items():
-        if key == "config":
-            continue
-        if value is not None or key not in merged:
-            merged[key] = value
-    if merged["instances"] < 1:
-        raise FormatError(f"instances must be at least 1, not {merged['instances']}")
-    return argparse.Namespace(**merged)
+        subparser = _subparser(parser, args.command)
+        subparser.set_defaults(**_read_config(args.config, _config_options(subparser)))
+        args = parser.parse_args(argv)
+    return args
 
 
 def _read_mapping(opts):
@@ -360,6 +353,9 @@ def cmd_eval(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
+    if not 1 <= opts.instances <= MAX_INSTANCES:
+        bound = "at least 1" if opts.instances < 1 else f"at most {MAX_INSTANCES}"
+        raise FormatError(f"instances must be {bound}, not {_shown(opts.instances)}")
     rng = np.random.default_rng(opts.seed)
     worst_post = 0.0
     worst_score = 0.0
@@ -396,9 +392,9 @@ INPUT_ERRORS = (OSError, ValueError, PmctagError)
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](_effective(args, parser))
+        args = _parse(parser, argv)
+        return COMMANDS[args.command](args)
     except DeadEnd as exc:
         _diag(f"error: {exc}")
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -191,6 +192,13 @@ class TestTag:
         gold = [t for sent in corpus.sentences for _, t in sent]
         model_errors = sum(p != g for p, g in zip(predicted, gold))
         assert model_errors < baseline_errors
+
+    def test_mapping_flag_exits_2(self, model_path, capsys):
+        # tag reads no tag column, so it has no tag mapping to apply
+        with pytest.raises(SystemExit) as exc:
+            main(["tag", "--model", model_path, "--input", TEST, "--mapping", MAP])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mapping" in capsys.readouterr().err
 
     def test_map_decoder(self, model_path, capsys):
         code, out, _ = run(["tag", "--model", model_path, "--input", TEST,
@@ -514,6 +522,13 @@ class TestVerify:
         assert out == ""
         assert err.strip() == f"error: instances must be at least 1, not {instances}"
 
+    def test_instance_count_above_the_bound_exits_2(self, capsys):
+        code, out, err = run(["verify", "--instances", str(cli.MAX_INSTANCES + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == (f"error: instances must be at most {cli.MAX_INSTANCES}, "
+                               f"not {cli.MAX_INSTANCES + 1}")
+
 
 class TestConfigFile:
     def test_flags_override_config(self, model_path, tmp_path, capsys):
@@ -557,6 +572,14 @@ class TestConfigFile:
         ("eval", '{"mode": "bogus"}'),
         ("verify", '{"instances": 0}'),  # a vacuous run
         ("verify", '{"repetitions": 3}'),  # an option of no subcommand
+        ("verify", '{"instances": 100001}'),  # above MAX_INSTANCES
+        ("verify", '{"instances": 1' + "0" * 300 + '}'),
+        ("verify", '{"decoder": "map"}'),  # an option of another subcommand
+        ("train", '{"seed": 1}'),
+        ("eval", '{"suffix_max_len": 2}'),
+        ("tag", '{"mapping": "m.map"}'),
+        ("eval", '{"model": "x.pmc"}'),  # a required option
+        ("train", '{"extra_corpus": "x.conll"}'),  # an append option
     ]
 
     @pytest.mark.parametrize("command, content", BAD_CONFIGS,
@@ -576,6 +599,7 @@ class TestConfigFile:
         model = tmp_path / "m.pmc"
         argv = {"verify": ["verify"],
                 "train": ["train", "--corpus", TRAIN, "--model", str(model)],
+                "tag": ["tag", "--model", str(model), "--input", TEST],
                 "eval": ["eval", "--model", str(model), "--corpus", TEST]}
         code, out, err = run(["--config", str(config)] + argv[command], capsys)
         assert code == 2
@@ -601,6 +625,36 @@ class TestConfigFile:
                              ids=["deep-array", "deep-instances"])
     def test_deeply_nested_config_exits_2(self, content, tmp_path, capsys, monkeypatch):
         self.run_bad_config("train", content, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_declared_option_is_read(command, model_path, tmp_path, capsys):
+    """Each subcommand's command reads every value its flags or a config
+    file can set, so that no option is silently ignored."""
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    argv = {"train": ["train", "--corpus", TRAIN, "--model", str(tmp_path / "m.pmc"),
+                      "--task", "chunk", "--tag-column", "2"],
+            "tag": ["tag", "--model", model_path, "--input", TEST,
+                    "--output", str(tmp_path / "tagged")],
+            "eval": ["eval", "--model", model_path, "--corpus", TEST, "--tag-column", "2",
+                     "--report-kv", str(tmp_path / "kv")],
+            "verify": ["verify", "--instances", "5"]}[command]
+    parser = cli.build_parser()
+    opts = RecordingNamespace(**vars(parser.parse_args(argv)))
+    reads.clear()
+    assert cli.COMMANDS[command](opts) == 0
+    capsys.readouterr()
+    subparser = cli._subparser(parser, command)
+    declared = {a.dest for a in subparser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)}
+    settable = declared | set(cli._config_options(subparser))
+    assert settable - reads == set()
 
 
 # byte pieces of corpus files: invalid UTF-8, NULs, lone carriage returns,
