@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import reprlib
 import stat
 import sys
@@ -141,6 +142,24 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+# A valid config is one flat object, so this limit loses nothing. Deeper
+# text is refused before json parses it: the decoder recurses once per
+# level, and its RecursionError would depend on the frames above it.
+MAX_CONFIG_DEPTH = 32
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_BRACKET = re.compile(r"[\[\]{}]")
+
+
+def _nested_too_deeply(text) -> bool:
+    """Whether JSON text nests brackets, outside strings, deeper than MAX_CONFIG_DEPTH."""
+    depth = 0
+    for bracket in _BRACKET.findall(_JSON_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_CONFIG_DEPTH:
+            return True
+    return False
+
+
 def _read_config(path, options) -> dict:
     """Option defaults from a JSON object.
 
@@ -148,12 +167,13 @@ def _read_config(path, options) -> dict:
     has that option's type (int or str) and is one of its choices.
     """
     with open(path, encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config {path}: {exc.msg}", line=exc.lineno) from None
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise FormatError(f"config {path}: nested too deeply") from None
+        text = fh.read()
+    if _nested_too_deeply(text):
+        raise FormatError(f"config {path}: nested deeper than {MAX_CONFIG_DEPTH} levels")
+    try:
+        loaded = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"config {path}: {exc.msg}", line=exc.lineno) from None
     if not isinstance(loaded, dict):
         raise FormatError(f"config {path}: expected a JSON object")
     config = {}

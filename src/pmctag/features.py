@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyCorpus, EmptyToken
-from .model import summed
 
 # Longer suffixes are whole words for almost every token; the bound also
 # keeps a corrupt model file from asking for millions of levels.
@@ -171,35 +170,49 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmi
     A token occurrence of (label i, word k) is chain-initial n0_ik times
     and non-initial as often as (i, k) appears as the second element of an
     adjacent pattern; only the first-word bit depends on that split, the
-    other features are functions of the word string. Each word's two
-    tuples (first and non-first) get their row ids once per level, and the
-    (label, word) counts are added into those rows. Reproduces
+    other features are functions of the word string. Every count row is
+    one occurrence row (word, first bit, label, count): the n0_ik rows
+    with bit 1 and the second halves (j, l) of the n_ikjl rows with bit 0.
+    Each (word, bit) that occurs gets its tuple's row id once per level,
+    and the occurrence counts are added into those rows. Reproduces
     fit_feature_tables exactly because both routes divide the same
     integer counts.
     """
-    shape = (counts.n_labels, len(vocabulary))
-    first = summed(shape, tuple(counts.n0_ik.keys.T), counts.n0_ik.counts)
-    rest = summed(shape, tuple(counts.n_ikjl.keys[:, 2:].T), counts.n_ikjl.counts)
-    label_totals = first.sum(axis=1) + rest.sum(axis=1)
-    if not label_totals.any():
+    n_labels, n_words = counts.n_labels, len(vocabulary)
+    # (first bit, label column, word column, counts) of each occurrence source
+    sources = [(1, *counts.n0_ik.columns, counts.n0_ik.counts),
+               (0, *counts.n_ikjl.columns[2:], counts.n_ikjl.counts)]
+    if not any(len(c) for *_, c in sources):
         raise EmptyCorpus("count tables carry no token occurrences")
 
     words = list(vocabulary)
     shapes = [extract_features(word, 1, 0) for word in words]
-    first_words = np.flatnonzero(first.any(axis=0))
-    rest_words = np.flatnonzero(rest.any(axis=0))
-    # one row per occurring (word, first bit): the word's counts by label
-    occurrences = np.vstack([first[:, first_words].T, rest[:, rest_words].T])
-    kinds = [(k, 1) for k in first_words.tolist()] + [(k, 0) for k in rest_words.tolist()]
+    # number the (word, bit) kinds that occur, and find each occurrence's
+    # kind; int32 holds the kinds and the table cells (at most 2 * labels x words)
+    kind = np.zeros((2, n_words), dtype=np.int32)
+    for bit, _, occurring, _ in sources:
+        kind[bit, occurring] = 1
+    bits, kind_words = np.nonzero(kind)
+    kind[bits, kind_words] = np.arange(len(bits))
+    bits, kind_words = bits.tolist(), kind_words.tolist()
+    occurrence_kinds = [kind[bit][occurring] for bit, _, occurring, _ in sources]
     tuple_ids, tuple_counts = [], []
     for m in range(suffix_max_len + 1):
         suffixes = [word_suffix(word, m) for word in words]
         keys = [(shapes[k].cap, shapes[k].hyphen, bit, shapes[k].digit, suffixes[k])
-                for k, bit in kinds]
+                for k, bit in zip(kind_words, bits)]
         ids = _row_ids(keys)
-        rows = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+        rows = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32, count=len(keys))
+        table = np.zeros((len(ids), n_labels), dtype=np.int64)
+        for (_, labels, _, c), occurrence_kind in zip(sources, occurrence_kinds):
+            cells = rows[occurrence_kind]  # each occurrence's cell in the flat table
+            cells *= n_labels
+            cells += labels
+            np.add.at(table.ravel(), cells, c)
         tuple_ids.append(ids)
-        tuple_counts.append(summed((len(ids), shape[0]), rows, occurrences))
+        tuple_counts.append(table)
+    # every occurrence has exactly one tuple per level
+    label_totals = tuple_counts[0].sum(axis=0)
     return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
 
 

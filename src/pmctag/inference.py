@@ -174,9 +174,12 @@ class DecodeIndex:
     index field, so decoding only reads it. No field can be reassigned or
     deleted, and every array is read-only.
 
-    pi2[i, k] is the PMC initial factor n0_ik / L, an (n_labels, n_words)
-    array laid out like hmc.emit; a first word has PMC initial support
-    exactly when its column has a positive entry.
+    The PMC initial factors pi2[i, k] = n0_ik / L form a per-word CSR
+    table: the chain-initial labels of word k and their factors are
+    pi2_labels and pi2_values at pi2_offsets[k]:pi2_offsets[k + 1], labels
+    ascending. pi2_column(k) expands one word's column over all labels; a
+    first word has PMC initial support exactly when that column has an
+    entry.
 
     The PMC step factors form a CSR (compressed sparse row) index keyed by
     the word bigram code k * n_words + l. codes holds the distinct codes
@@ -186,7 +189,7 @@ class DecodeIndex:
     triple (i * n_labels + j, n_ikjl / m_ik) is a non-zero entry of the
     PMC step factor trans2[i, k][j] * emit2[i, k, j][l], at its offset in
     the flattened N x N step, written as the single count ratio that
-    product reduces to.
+    product reduces to; m_ik comes run by run (CountTables.m_ik_runs).
 
     log_trans_t is the log of the HMC transitions `trans`, transposed:
     log_trans_t[j, i] = log trans[i, j], the layout of Viterbi's score
@@ -194,7 +197,9 @@ class DecodeIndex:
     """
 
     n_words: int
-    pi2: np.ndarray
+    pi2_offsets: np.ndarray
+    pi2_labels: np.ndarray
+    pi2_values: np.ndarray
     codes: np.ndarray
     offsets: np.ndarray
     flat: np.ndarray
@@ -203,22 +208,29 @@ class DecodeIndex:
 
     def __init__(self, counts: CountTables, trans: np.ndarray):
         n_words = counts.n_words
-        pi2 = np.zeros(counts.m_ik.shape)
-        pi2[tuple(counts.n0_ik.keys.T)] = counts.n0_ik.counts / counts.L
-        i, k, j, l = counts.n_ikjl.keys.T
-        c = counts.n_ikjl.counts
-        code = k * n_words + l
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        first_labels, first_words = counts.n0_ik.columns
+        by_word = np.argsort(first_words, kind="stable")
+        pi2_offsets = np.zeros(n_words + 1, dtype=np.int64)
+        np.cumsum(np.bincount(first_words, minlength=n_words), out=pi2_offsets[1:])
+        i, k, j, l = counts.n_ikjl.columns
+        order, codes, offsets = _bigram_runs(k, l, n_words)
+        runs, m_ik = counts.m_ik_runs()
+        ratios = m_ik.astype(np.float64).repeat(np.diff(runs, append=len(order)))
+        np.divide(counts.n_ikjl.counts, ratios, out=ratios)
+        ratios = ratios[order]
+        # int32 halves their size; a model whose N x N offsets overflow
+        # it could not hold even one N x N step
+        flat = i[order].astype(np.int32)
+        flat *= counts.n_labels
+        flat += j[order]
         tables = {
-            "pi2": pi2,
-            "codes": np.append(code[starts], np.iinfo(np.int64).max),
-            "offsets": np.append(starts, code.size),
-            # int32 halves their size; a model whose N x N offsets overflow
-            # it could not hold even one N x N step
-            "flat": (i * counts.n_labels + j)[order].astype(np.int32),
-            "ratios": (c / counts.m_ik[i, k])[order],
+            "pi2_offsets": pi2_offsets,
+            "pi2_labels": first_labels[by_word],
+            "pi2_values": (counts.n0_ik.counts / counts.L)[by_word],
+            "codes": codes,
+            "offsets": offsets,
+            "flat": flat,
+            "ratios": ratios,
             "log_trans_t": _log(trans.T),
         }
         # a frozen dataclass sets its fields through object.__setattr__
@@ -226,6 +238,15 @@ class DecodeIndex:
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
+
+    def pi2_column(self, k) -> np.ndarray | None:
+        """The PMC initial factors pi2[:, k] of first word k, None if all are zero."""
+        lo, hi = self.pi2_offsets[k], self.pi2_offsets[k + 1]
+        if lo == hi:
+            return None
+        column = np.zeros(len(self.log_trans_t))
+        column[self.pi2_labels[lo:hi]] = self.pi2_values[lo:hi]
+        return column
 
     def bigram_slots(self, wids) -> np.ndarray:
         """Position in codes of each adjacent word pair, -1 without support.
@@ -254,6 +275,25 @@ class DecodeIndex:
         steps[at] = 0.0
         _flat_steps(steps)[t, flat] = ratios
         return t, flat, ratios
+
+
+def _bigram_runs(k, l, n_words):
+    """(order, codes, offsets) of the bigram codes k * n_words + l.
+
+    order sorts the codes stably, codes holds the distinct ones in
+    increasing order followed by a sentinel above every code, and the
+    rows order[offsets[u]:offsets[u + 1]] are the ones with codes[u].
+    """
+    code = k.astype(np.int64)
+    code *= n_words
+    code += l
+    order = np.argsort(code, kind="stable")
+    code.sort()  # the values of code[order], sorted in place
+    new = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return (order, np.append(code[starts], np.iinfo(np.int64).max),
+            np.append(starts, code.size))
 
 
 def _flat_steps(steps) -> np.ndarray:
@@ -356,8 +396,8 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     if mode == "hmc":
         return _hmc_factors(hmc, cols, index.log_trans_t)
 
-    if ids[0] >= 0 and index.pi2[:, ids[0]].any():
-        initial = index.pi2[:, ids[0]]
+    initial = index.pi2_column(ids[0]) if ids[0] >= 0 else None
+    if initial is not None:
         flags = [PMC_STEP]
     else:
         initial = hmc.pi * cols[0]

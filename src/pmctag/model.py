@@ -2,12 +2,15 @@
 
 All hot-path tables are keyed by dense integer ids produced by interning
 words and labels once at training time. The raw pattern counts are
-CountTables: sorted rows of id tuples with their counts, which the model
-file stores as differences of their key numbers (key_numbers). Every
-table derived from them is a dense NumPy array:
-label-by-label tables are (n_labels, n_labels) and label-by-word tables
-are (n_labels, n_words), sized by the vocabulary, so a word without any
-entry has an all-zero column.
+CountTables: sorted rows of id tuples with their counts, held as one
+narrow id column per key position, which the model file stores as
+differences of their key numbers (key_numbers). Memory follows the row
+counts: label-by-label tables are dense (n_labels, n_labels) arrays, and
+the only dense label-by-word table is the HMC emission table hmc.emit,
+(n_labels, n_words) and sized by the vocabulary, so a word without any
+entry has an all-zero column. The PMC factors, m_ik and the feature
+counts are read from the sorted count rows instead (see
+CountTables.m_ik_runs and inference.DecodeIndex).
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ class HmcParams:
         )
 
 
+def id_dtype(n_ids) -> np.dtype:
+    """The narrowest unsigned integer dtype that holds every id below n_ids."""
+    return np.min_scalar_type(max(n_ids - 1, 0))
+
+
 def key_numbers(codes, radix) -> np.ndarray:
     """Each tuple of token codes read as the digits of one number.
 
@@ -133,37 +141,52 @@ def key_numbers(codes, radix) -> np.ndarray:
     return number
 
 
-def key_rows(numbers, n_tokens, n_labels, n_words) -> np.ndarray:
-    """The (n, 2 * n_tokens) int64 id rows of key_numbers over n_tokens codes."""
-    digits = []
-    for _ in range(n_tokens):
-        numbers, code = np.divmod(numbers, n_labels * n_words)
-        digits[:0] = np.divmod(code, n_words)
-    return np.column_stack(digits)
+def key_columns(numbers, n_tokens, n_labels, n_words) -> tuple[np.ndarray, ...]:
+    """The id columns of key_numbers over n_tokens codes, label then word per token.
+
+    Each column has the id_dtype of its labels or words. numbers, an
+    int64 array, is used up: it is divided in place.
+    """
+    radix = n_labels * n_words
+    codes = []
+    for _ in range(n_tokens - 1):
+        codes[:0] = [numbers % radix]
+        numbers //= radix
+    codes[:0] = [numbers]
+    columns = []
+    for code in codes:
+        columns += (np.floor_divide(code, n_words, casting="unsafe",
+                                    out=np.empty(len(code), id_dtype(n_labels))),
+                    np.remainder(code, n_words, casting="unsafe",
+                                 out=np.empty(len(code), id_dtype(n_words))))
+    return tuple(columns)
 
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Pattern counts as sorted key rows.
+    """Pattern counts as sorted key columns.
 
-    keys is an (n, width) int64 array of id tuples whose rows strictly
-    increase; counts holds the matching positive int64 counts. Both
-    arrays are read-only.
+    columns holds one id array per key position, a (label, word) pair per
+    token, each in the narrowest unsigned dtype that holds its label or
+    word ids (id_dtype); the id rows they form strictly increase. counts
+    holds the matching positive int64 counts. All arrays are read-only.
     """
 
-    keys: np.ndarray
+    columns: tuple[np.ndarray, ...]
     counts: np.ndarray
 
     def __post_init__(self):
-        self.keys.setflags(write=False)
-        self.counts.setflags(write=False)
+        object.__setattr__(self, "columns", tuple(self.columns))
+        for array in (*self.columns, self.counts):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def numbers(self, n_labels, n_words) -> np.ndarray:
         """key_numbers of the key rows, whose ids lie below n_labels and n_words."""
-        codes = self.keys[:, 0::2].T * n_words + self.keys[:, 1::2].T
+        codes = [label.astype(np.int64) * n_words + word
+                 for label, word in zip(self.columns[0::2], self.columns[1::2])]
         return key_numbers(codes, n_labels * n_words)
 
     def values(self) -> np.ndarray:
@@ -172,7 +195,8 @@ class CountTable:
     def __eq__(self, other):
         return (
             isinstance(other, CountTable)
-            and np.array_equal(self.keys, other.keys)
+            and len(self.columns) == len(other.columns)
+            and all(map(np.array_equal, self.columns, other.columns))
             and np.array_equal(self.counts, other.counts)
         )
 
@@ -186,17 +210,16 @@ def summed(shape, index, counts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountTables:
-    """Raw pattern counts plus the marginals derived from them.
+    """Raw pattern counts plus the label marginals derived from them.
 
     n_ikjl counts adjacent patterns (label i, word k, label j, word l) and
-    n0_ik chain-initial (label, word) pairs, as CountTable key rows
+    n0_ik chain-initial (label, word) pairs, as CountTable key columns
     (i, k, j, l) and (i, k); these two tables are the model's only stored
-    state. Building the set sums them into dense int64 arrays: the chain
-    count L and n0_i over n0_ik, n_ij over k and l, m_ik over j and l, and
-    n_i over j. m_ik is (n_labels, n_words); a word that never starts a
-    pattern (one seen only at the end of sentences) has an all-zero
-    column. No field can be reassigned and the marginal arrays are
-    read-only.
+    state. Building the set sums them into int64 label arrays: the chain
+    count L and n0_i over n0_ik, n_ij over k and l, and n_i over j. The
+    label-by-word marginal m_ik, n_ikjl summed over j and l, is not
+    stored: m_ik_runs gives it per run of the sorted n_ikjl rows. No field
+    can be reassigned and the marginal arrays are read-only.
     """
 
     n_labels: int
@@ -206,21 +229,33 @@ class CountTables:
     L: int = field(init=False)
     n0_i: np.ndarray = field(init=False, repr=False)
     n_ij: np.ndarray = field(init=False, repr=False)
-    m_ik: np.ndarray = field(init=False, repr=False)
     n_i: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        i, k, j, _ = self.n_ikjl.keys.T
-        c = self.n_ikjl.counts
-        n_ij = summed((self.n_labels, self.n_labels), (i, j), c)
-        marginals = {"n0_i": summed(self.n_labels, self.n0_ik.keys[:, 0], self.n0_ik.counts),
+        i, _, j, _ = self.n_ikjl.columns
+        n_ij = summed((self.n_labels, self.n_labels), (i, j), self.n_ikjl.counts)
+        marginals = {"n0_i": summed(self.n_labels, self.n0_ik.columns[0], self.n0_ik.counts),
                      "n_ij": n_ij,
-                     "m_ik": summed((self.n_labels, self.n_words), (i, k), c),
                      "n_i": n_ij.sum(axis=1)}
         object.__setattr__(self, "L", int(self.n0_ik.counts.sum()))
         for name, table in marginals.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
+
+    def m_ik_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, m): where each (i, k) run of the n_ikjl rows starts, and its m_ik.
+
+        The rows are sorted, so the patterns that start with one (label,
+        word) pair form one run of rows, and m_ik, their count total, is
+        one np.add.reduceat. A pair that starts no pattern (a word seen
+        only at the end of sentences) has m_ik = 0 and no run.
+        """
+        i, k = self.n_ikjl.columns[:2]
+        new = np.ones(len(i), dtype=bool)
+        np.not_equal(i[1:], i[:-1], out=new[1:])
+        new[1:] |= k[1:] != k[:-1]
+        starts = np.flatnonzero(new)
+        return starts, np.add.reduceat(self.n_ikjl.counts, starts)
 
     def validate(self):
         """Check that both count tables hold sorted key rows with positive counts."""
@@ -264,7 +299,8 @@ class ModelBundle:
         self.hmc.validate()
         self.counts.validate()
         self.features.validate()
-        if self.counts.m_ik.shape != (len(self.alphabet), len(self.vocabulary)):
+        if (self.counts.n_labels, self.counts.n_words) != (len(self.alphabet),
+                                                           len(self.vocabulary)):
             raise AssertionError("count tables disagree with the alphabet or vocabulary size")
 
     def __eq__(self, other):

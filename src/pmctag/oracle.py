@@ -234,16 +234,19 @@ def fit_pmc(counts: CountTables) -> PmcParams:
     n = counts.n_labels
     n0_ik, n_ikjl = counts.n0_ik, counts.n_ikjl
     pi2 = {(i, k): c / counts.L
-           for (i, k), c in zip(n0_ik.keys.tolist(), n0_ik.counts.tolist())}
+           for i, k, c in zip(*(a.tolist() for a in (*n0_ik.columns, n0_ik.counts)))}
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (i, k, j, l), c in zip(n_ikjl.keys.tolist(), n_ikjl.counts.tolist()):
+    m_ik: dict[tuple[int, int], int] = {}
+    for i, k, j, l, c in zip(*(a.tolist() for a in (*n_ikjl.columns, n_ikjl.counts))):
         rows.setdefault((i, k, j), {})[l] = c
+        m_ik[i, k] = m_ik.get((i, k), 0) + c
     trans2: dict[tuple[int, int], np.ndarray] = {}
     for (i, k, j), row in rows.items():
         vec = trans2.get((i, k))
         if vec is None:
             vec = np.zeros(n, dtype=np.float64)
             trans2[(i, k)] = vec
-        vec[j] = sum(row.values()) / counts.m_ik[i, k]
+        # divided like the package's int64 arrays: each count rounded to float64
+        vec[j] = sum(row.values()) / np.int64(m_ik[i, k])
     emit2 = {key: normalize_counts(row) for key, row in rows.items()}
     return PmcParams(pi2=pi2, trans2=trans2, emit2=emit2)

@@ -11,8 +11,8 @@ rows' token codes read as the digits of one base labels x words number,
 which sort like the rows), then the positive counts. Each array is
 stored at the narrowest of 1, 2, 4 or 8 bytes per value that holds its
 largest value, behind a one-byte width tag, and the reader accepts no
-other width. It rebuilds the key rows with one cumulative sum and
-model.key_rows. A model serializes to exactly one byte string, and the
+other width. It rebuilds the key columns with one cumulative sum and
+model.key_columns. A model serializes to exactly one byte string, and the
 reader rejects anything else, so every file it accepts writes back to
 the same bytes. Integers are little-endian, and a CRC32 trailer guards
 against corruption.
@@ -27,17 +27,17 @@ import numpy as np
 
 from .errors import CorruptModel, UnsupportedVersion
 from .features import MAX_SUFFIX_LEN
-from .model import CountTable, CountTables, Interner, ModelBundle, key_rows
+from .model import CountTable, CountTables, Interner, ModelBundle, key_columns
 from .training import TASKS, bundle_from_counts
 
 MAGIC = b"PMCTAG\r\n"
 FORMAT_VERSION = 3
 # byte widths of the unsigned integers a count table array may be stored in
 WIDTHS = (1, 2, 4, 8)
-# Largest labels x words a model file may declare. Each dense label-by-word
-# table (m_ik, hmc.emit, the index's pi2) takes 8 bytes per cell, so a model
-# at the cap needs about 400 MB for them; Penn Treebank POS tagging (45 tags,
-# about 50k words) needs 2.25M cells.
+# Largest labels x words a model file may declare. The one dense label-by-word
+# table, hmc.emit, takes 8 bytes per cell, so a model at the cap needs about
+# 134 MB for it; Penn Treebank POS tagging (45 tags, about 50k words) needs
+# 2.25M cells.
 MAX_TABLE_CELLS = 2 ** 24
 
 
@@ -75,11 +75,11 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def _take(self, n) -> bytes:
+    def _take(self, n) -> memoryview:
         end = self.pos + n
         if end > len(self.data):
             raise CorruptModel("model payload is truncated")
@@ -96,7 +96,7 @@ class _Reader:
     def string(self) -> str:
         n = self.u64()
         try:
-            return self._take(n).decode("utf-8")
+            return str(self._take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptModel(f"undecodable string: {exc}") from None
 
@@ -150,8 +150,8 @@ def _read_count_table(r, n_tokens, n_labels, n_words):
     counts = r.packed(n)
     if not counts.all():
         raise CorruptModel("zero count stored")
-    keys = key_rows(np.cumsum(steps, dtype=np.int64), n_tokens, n_labels, n_words)
-    return CountTable(keys, counts.astype(np.int64)), _exact_sum(counts)
+    columns = key_columns(np.cumsum(steps, dtype=np.int64), n_tokens, n_labels, n_words)
+    return CountTable(columns, counts.astype(np.int64)), _exact_sum(counts)
 
 
 def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
@@ -164,9 +164,9 @@ def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
     for what, size, first, pair in (("label", n_labels, 0, (0, 2)),
                                     ("word", n_words, 1, (1, 3))):
         used = np.zeros(size, dtype=bool)
-        used[n0_ik.keys[:, first]] = True
+        used[n0_ik.columns[first]] = True
         for column in pair:
-            used[n_ikjl.keys[:, column]] = True
+            used[n_ikjl.columns[column]] = True
         if not used.all():
             raise CorruptModel(f"{what} {int(used.argmin())} occurs in no count key")
 
@@ -208,9 +208,9 @@ def deserialize_model(data: bytes) -> ModelBundle:
     Any byte string either loads as a model that passes validate() or
     raises CorruptModel or UnsupportedVersion. Every label and word must
     occur in a count key and labels x words may not exceed
-    MAX_TABLE_CELLS, so the dense tables a file makes the loader allocate
-    are bounded. The cap is checked before the count tables are read, so
-    their key numbers stay below 2 ** 48.
+    MAX_TABLE_CELLS, so the dense emission table a file makes the loader
+    allocate is bounded. The cap is checked before the count tables are
+    read, so their key numbers stay below 2 ** 48.
     """
     head_len = len(MAGIC) + 12
     if len(data) < head_len:
@@ -222,7 +222,7 @@ def deserialize_model(data: bytes) -> ModelBundle:
         raise UnsupportedVersion(f"format version {version} is not supported")
     if len(data) != head_len + payload_len + 4:
         raise CorruptModel("model file length does not match header")
-    payload = data[head_len:head_len + payload_len]
+    payload = memoryview(data)[head_len:head_len + payload_len]
     (crc,) = struct.unpack("<I", data[head_len + payload_len:])
     if zlib.crc32(payload) != crc:
         raise CorruptModel("checksum mismatch")
@@ -281,7 +281,7 @@ def model_stats(model: ModelBundle) -> str:
         f"pattern-total {int(counts.n_ikjl.counts.sum())}",
         f"hmc-emissions {np.count_nonzero(model.hmc.emit)}",
         f"pmc-initial {len(counts.n0_ik)}",
-        f"pmc-transitions {np.count_nonzero(counts.m_ik)}",
+        f"pmc-transitions {len(counts.m_ik_runs()[0])}",
         f"pmc-emissions {len(counts.n_ikjl)}",
         f"suffix-max-len {model.suffix_max_len}",
     ]

@@ -16,7 +16,7 @@ from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
-                    key_numbers, key_rows)
+                    key_columns, key_numbers)
 from .oracle import fit_pmc  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 
 TASKS = ("pos", "chunk", "ner")
@@ -57,7 +57,7 @@ def _tally(columns, n_labels, n_words, base=None) -> CountTable:
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    return CountTable(key_rows(key[starts], width, n_labels, n_words),
+    return CountTable(key_columns(key[starts], width, n_labels, n_words),
                       np.add.reduceat(weights[order], starts))
 
 
@@ -98,13 +98,17 @@ def fit_hmc(counts: CountTables) -> HmcParams:
 
     pi(i) = n0_i / L, trans[i, j] = n_ij / n_i, emit[i, k] = m_ik / n_i.
     Labels with n_i = 0 keep all-zero transition and emission rows,
-    flagged in trans_support.
+    flagged in trans_support. emit is written run by run of m_ik
+    (CountTables.m_ik_runs), and is zero where m_ik is.
     """
     pi = counts.n0_i.astype(np.float64) / counts.L
     support = counts.n_i > 0
-    trans, emit = (np.divide(table, counts.n_i[:, None], out=np.zeros(table.shape),
-                             where=support[:, None])
-                   for table in (counts.n_ij, counts.m_ik))
+    trans = np.divide(counts.n_ij, counts.n_i[:, None], out=np.zeros(counts.n_ij.shape),
+                      where=support[:, None])
+    starts, m_ik = counts.m_ik_runs()
+    i, k = (column[starts] for column in counts.n_ikjl.columns[:2])
+    emit = np.zeros((counts.n_labels, counts.n_words))
+    emit[i, k] = m_ik / counts.n_i[i]
     return HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
 
 

@@ -56,11 +56,14 @@ def resolve_factors(model, sentence, mode="pmc"):
     if mode == "hmc":
         return initial, steps, [PLAIN_HMC] * len(sentence)
 
-    if wids[0] >= 0 and index.pi2[:, wids[0]].any():
-        initial, flags = index.pi2[:, wids[0]], [PMC_STEP]
+    n = len(model.alphabet)
+    lo, hi = index.pi2_offsets[wids[0]:wids[0] + 2] if wids[0] >= 0 else (0, 0)
+    if lo < hi:
+        initial = np.zeros(n)
+        initial[index.pi2_labels[lo:hi]] = index.pi2_values[lo:hi]
+        flags = [PMC_STEP]
     else:
         flags = [HMC_STEP]
-    n = len(model.alphabet)
     for t, u in enumerate(_bigram_slots(index, wids).tolist()):
         if u < 0:
             flags.append(HMC_STEP)

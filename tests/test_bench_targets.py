@@ -12,6 +12,7 @@ import io
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -72,6 +73,8 @@ def test_model_attributes_read_outside_the_tracer(tiny):
 
     counts = model.counts
     assert counts.L == int(counts.n0_i.sum()) == len(train)
+    # run.py adds the values up with Python's sum, which wraps over a narrow array
+    assert counts.n_ikjl.values().dtype == np.int64
     assert sum(counts.n_ikjl.values()) == sum(len(s) for s in train) - len(train)
     assert set(model.vocabulary) == {w for s in train for w, _ in s}
     assert set(model.alphabet) == {t for s in train for _, t in s}

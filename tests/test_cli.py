@@ -626,6 +626,31 @@ class TestConfigFile:
     def test_deeply_nested_config_exits_2(self, content, tmp_path, capsys, monkeypatch):
         self.run_bad_config("train", content, tmp_path, capsys, monkeypatch)
 
+    DEEP_CONFIGS = {
+        "990-deep-instances": ("verify", '{"instances": ' + "[" * 990 + "]" * 990 + "}"),
+        "500-deep-instances": ("verify", '{"instances": ' + "[" * 500 + "]" * 500 + "}"),
+        "deep-array": ("train", "[" * 100000 + "]" * 100000),
+        "deep-instances": ("train", '{"instances": ' + "[" * 3000 + "]" * 3000 + "}"),
+    }
+
+    @pytest.mark.parametrize("command, content", DEEP_CONFIGS.values(), ids=DEEP_CONFIGS)
+    def test_deep_config_error_does_not_depend_on_the_stack(self, command, content, tmp_path,
+                                                            capsys, monkeypatch):
+        def under(frames):
+            if frames:
+                return under(frames - 1)
+            return self.run_bad_config(command, content, tmp_path, capsys, monkeypatch)
+
+        line = under(0)
+        assert "nested deeper than" in line
+        assert under(200) == line
+
+    def test_only_brackets_outside_strings_nest(self):
+        depth = cli.MAX_CONFIG_DEPTH
+        assert not cli._nested_too_deeply("[" * depth + "]" * depth)
+        assert cli._nested_too_deeply("[" * (depth + 1) + "]" * (depth + 1))
+        assert not cli._nested_too_deeply('{"comment_prefix": "' + "[" * 40 + '\\" {"}')
+
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_declared_option_is_read(command, model_path, tmp_path, capsys):

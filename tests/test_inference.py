@@ -14,6 +14,7 @@ from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors, fit
 from pmctag.training import TrainConfig, train_model
 
 from conftest import corpus_from, hand_factors, random_corpus, varied_corpus
+from load_reference import key_rows, marginals
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ class TestDecodeIndex:
         for key, p in got.items():
             assert abs(p - expected[key]) <= 1e-15 * expected[key], key
         for (i, k), p in pmc.pi2.items():
-            assert index.pi2[i, k] == p
+            assert index.pi2_column(k)[i] == p
 
 
 class TestDenseLayout:
@@ -123,8 +124,9 @@ class TestDenseLayout:
         z = model.vocabulary.get("z")
         assert z == len(model.vocabulary) - 1
         shape = (len(model.alphabet), len(model.vocabulary))
-        assert model.hmc.emit.shape == model.counts.m_ik.shape == shape
-        assert model.index.pi2.shape == shape
+        assert model.hmc.emit.shape == shape
+        assert model.index.pi2_offsets.shape == (shape[1] + 1,)
+        assert model.index.pi2_column(z) is None
         assert not model.hmc.emit[:, z].any()
         for decoder in ("mpm", "map"):
             with pytest.raises(DeadEnd) as err:
@@ -198,7 +200,8 @@ class TestResolveFactors:
         assert factors.steps.shape == (len(sentence) - 1, n, n)
         a = vocab.get("a")
         pi2 = np.zeros(n)
-        for (i, k), c in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist()):
+        for (i, k), c in zip(key_rows(counts.n0_ik, n, counts.n_words).tolist(),
+                             counts.n0_ik.counts.tolist()):
             if k == a:
                 pi2[i] = c / counts.L
         assert factors.initial.tobytes() == pi2.tobytes()
@@ -206,10 +209,11 @@ class TestResolveFactors:
         pmc = fit_pmc(counts)
         k, l = vocab.get("a"), vocab.get("b")
         ratios = np.zeros((n, n))
-        for (i, k2, j, l2), c in zip(counts.n_ikjl.keys.tolist(),
+        m_ik = marginals(counts)["m_ik"]
+        for (i, k2, j, l2), c in zip(key_rows(counts.n_ikjl, n, counts.n_words).tolist(),
                                      counts.n_ikjl.counts.tolist()):
             if (k2, l2) == (k, l):
-                ratios[i, j] = c / counts.m_ik[i, k]
+                ratios[i, j] = c / m_ik[i, k]
                 estimate = pmc.trans2[(i, k)][j] * pmc.emit2[(i, k, j)][l]
                 assert abs(ratios[i, j] - estimate) <= 1e-15 * estimate
         assert factors.steps[0].tobytes() == ratios.tobytes()

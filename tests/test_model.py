@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from pmctag.conll import read_conll
 from pmctag.errors import DeadEnd, EmptySupport
 from pmctag.inference import HMC_STEP, PMC_STEP, DecodeIndex, decode_sentence
-from pmctag.model import CountTable, CountTables, Interner, ModelBundle
+from pmctag.model import CountTables, Interner, ModelBundle
 from pmctag.oracle import fit_pmc, normalize_counts
 from pmctag.serialize import load_model, save_model
 from pmctag.training import TrainConfig, accumulate_counts, train_model, update_online
 
 from conftest import corpus_from, random_corpus
+from load_reference import key_rows, table_from_rows
 
 TRAIN = os.path.join(os.path.dirname(__file__), "data", "train_chunk.conll")
 
@@ -82,12 +83,17 @@ class TestCountTables:
         counts, _, _ = accumulate_counts(corpus)
         counts.validate()
         # recompute every marginal independently of CountTables
-        m_ik = np.zeros_like(counts.m_ik)
+        n, v = counts.n_labels, counts.n_words
+        m_ik = np.zeros((n, v), dtype=np.int64)
         n_ij = np.zeros_like(counts.n_ij)
-        for (i, k, j, l), c in zip(counts.n_ikjl.keys.tolist(), counts.n_ikjl.counts.tolist()):
+        for (i, k, j, l), c in zip(key_rows(counts.n_ikjl, n, v).tolist(),
+                                   counts.n_ikjl.counts.tolist()):
             m_ik[i, k] += c
             n_ij[i, j] += c
-        assert np.array_equal(m_ik, counts.m_ik)
+        starts, runs = counts.m_ik_runs()
+        from_runs = np.zeros((n, v), dtype=np.int64)
+        from_runs[tuple(column[starts] for column in counts.n_ikjl.columns[:2])] = runs
+        assert np.array_equal(m_ik, from_runs)
         assert np.array_equal(n_ij, counts.n_ij)
         assert np.array_equal(n_ij.sum(axis=1), counts.n_i)
         assert counts.n0_i.sum() == counts.L == len(corpus.sentences)
@@ -96,7 +102,7 @@ class TestCountTables:
         counts, alphabet, vocabulary = accumulate_counts(random_corpus(rng, n_sentences=30))
         built = CountTables(len(alphabet), len(vocabulary), counts.n0_ik, counts.n_ikjl)
         assert built == counts and built.L == counts.L
-        for name in ("n0_i", "n_ij", "m_ik", "n_i"):
+        for name in ("n0_i", "n_ij", "n_i"):
             assert np.array_equal(getattr(built, name), getattr(counts, name))
         with pytest.raises(TypeError):
             CountTables(len(alphabet), len(vocabulary), counts.n0_ik, counts.n_ikjl, L=1)
@@ -106,7 +112,7 @@ class TestCountTables:
 
     def test_validate_refuses_unsorted_keys_and_zero_counts(self):
         def table(keys, counts):
-            return CountTable(np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64))
+            return table_from_rows(keys, counts, 1, 2)
 
         n0_ik = table([[0, 0]], [1])
         CountTables(1, 2, n0_ik, table([[0, 0, 0, 1], [0, 1, 0, 0]], [2, 1])).validate()
@@ -126,10 +132,10 @@ class TestCountTables:
         counts, alphabet, vocab = accumulate_counts(corpus)
         a, b = alphabet.get("A"), alphabet.get("B")
         w1, w2 = vocab.get("w1"), vocab.get("w2")
-        assert counts.n_ikjl.keys.tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
+        assert key_rows(counts.n_ikjl, 2, 2).tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
         assert counts.n_ikjl.counts.tolist() == [1, 1]
         assert counts.n0_i[a] == 1 and counts.L == 1
-        assert counts.n0_ik.keys.tolist() == [[a, w1]]
+        assert key_rows(counts.n0_ik, 2, 2).tolist() == [[a, w1]]
         assert counts.n0_ik.counts.tolist() == [1]
 
 
@@ -152,8 +158,9 @@ class TestModelBundle:
             hmc = model.hmc
             counts = model.counts
             arrays = [hmc.pi, hmc.trans, hmc.trans_support, hmc.emit,
-                      *model.features.tables, counts.n0_i, counts.n_ij, counts.m_ik,
-                      counts.n_i]
+                      *model.features.tables, counts.n0_i, counts.n_ij, counts.n_i,
+                      *counts.n0_ik.columns, counts.n0_ik.counts,
+                      *counts.n_ikjl.columns, counts.n_ikjl.counts]
             for array in arrays:
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
@@ -201,7 +208,8 @@ class TestModelBundle:
                     delattr(index, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 index.extra = None
-            for name in ("pi2", "codes", "offsets", "flat", "ratios", "log_trans_t"):
+            for name in ("pi2_offsets", "pi2_labels", "pi2_values", "codes", "offsets",
+                         "flat", "ratios", "log_trans_t"):
                 array = getattr(index, name)
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]

@@ -2,7 +2,6 @@ import random
 import struct
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +10,13 @@ from pmctag import serialize
 from pmctag.cli import main
 from pmctag.conll import LabeledCorpus
 from pmctag.errors import CorruptModel, UnsupportedVersion
-from pmctag.model import CountTable, CountTables, Interner
+from pmctag.model import CountTables, Interner
 from pmctag.serialize import (FORMAT_VERSION, MAGIC, _Writer, deserialize_model,
                               load_model, model_stats, save_model, serialize_model)
 from pmctag.training import TrainConfig, bundle_from_counts, train_model
 
 from conftest import varied_corpus
+from load_reference import key_rows, table_from_rows
 
 HEAD_LEN = len(MAGIC) + 12
 
@@ -218,7 +218,8 @@ def test_single_byte_mutations_load_valid_or_raise(small_model_bytes, data):
 
 def _encode_model(model, labels, words):
     """model's file with the given label and word lists in place of its own."""
-    tables = [list(zip(map(tuple, t.keys.tolist()), t.counts.tolist()))
+    n, v = model.counts.n_labels, model.counts.n_words
+    tables = [list(zip(map(tuple, key_rows(t, n, v).tolist()), t.counts.tolist()))
               for t in (model.counts.n0_ik, model.counts.n_ikjl)]
     return _encode(model.task, model.suffix_max_len, labels, words, *tables)
 
@@ -326,10 +327,9 @@ def count_tables(draw):
     shares = draw(st.lists(st.integers(1, 2 ** 20), min_size=n_rows, max_size=n_rows),
                   label="shares")
     counts = [max(1, share * budget // sum(shares)) for share in shares]
-    tables = [CountTable(np.array(keys, dtype=np.int64).reshape(len(keys), width),
-                         np.array(part, dtype=np.int64))
-              for keys, width, part in ((rows[0], 2, counts[:len(rows[0])]),
-                                        (rows[1], 4, counts[len(rows[0]):]))]
+    tables = [table_from_rows(keys, part, n, v)
+              for keys, part in ((rows[0], counts[:len(rows[0])]),
+                                 (rows[1], counts[len(rows[0]):]))]
     return [f"L{i}" for i in range(n)], [f"w{k}" for k in range(v)], \
         CountTables(n, v, *tables)
 

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from pmctag.errors import EmptyCorpus
 from pmctag.conll import LabeledCorpus
+from pmctag.model import id_dtype
 from pmctag.serialize import serialize_model
 from pmctag.oracle import fit_pmc
 from pmctag.training import (TrainConfig, _tally, accumulate_counts, fit_hmc, train_model,
                              update_online)
 
 from conftest import corpus_from, random_corpus, varied_corpus
+from load_reference import key_rows, marginals
 
 
 def brute_force_tables(corpus):
@@ -45,7 +47,7 @@ class TestAccumulateCounts:
         counts, alphabet, vocab = accumulate_counts(corpus)
         a, b = alphabet.get("A"), alphabet.get("B")
         w1, w2 = vocab.get("w1"), vocab.get("w2")
-        assert counts.n_ikjl.keys.tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
+        assert key_rows(counts.n_ikjl, 2, 2).tolist() == sorted([[a, w1, b, w2], [b, w2, a, w1]])
         assert counts.n_ikjl.counts.tolist() == [1, 1]
         assert list(counts.n0_i) == [1, 0]
         assert counts.L == 1
@@ -55,14 +57,16 @@ class TestAccumulateCounts:
         once, _, _ = accumulate_counts(corpus_from(sent))
         twice, _, _ = accumulate_counts(corpus_from(sent, sent))
         assert twice.L == 2 * once.L
-        np.testing.assert_array_equal(twice.n_ikjl.keys, once.n_ikjl.keys)
+        for twice_column, once_column in zip(twice.n_ikjl.columns, once.n_ikjl.columns,
+                                             strict=True):
+            np.testing.assert_array_equal(twice_column, once_column)
         np.testing.assert_array_equal(twice.n_ikjl.counts, 2 * once.n_ikjl.counts)
         assert np.array_equal(twice.n0_i, 2 * once.n0_i)
 
     def test_length_one_chain_has_no_pairs(self):
         counts, alphabet, vocab = accumulate_counts(corpus_from([("w1", "A")]))
-        assert counts.n_ikjl.keys.shape == (0, 4) and len(counts.n_ikjl) == 0
-        assert counts.n0_ik.keys.tolist() == [[alphabet.get("A"), vocab.get("w1")]]
+        assert [len(c) for c in counts.n_ikjl.columns] == [0] * 4 and len(counts.n_ikjl) == 0
+        assert key_rows(counts.n0_ik, 1, 1).tolist() == [[alphabet.get("A"), vocab.get("w1")]]
         assert counts.n0_ik.counts.tolist() == [1]
         assert counts.n_i.sum() == 0
 
@@ -76,10 +80,12 @@ def _sentences(words, labels):
     return st.lists(st.lists(token, min_size=1, max_size=4), min_size=1, max_size=5)
 
 
-def assert_sorted_positive(table, width):
-    assert table.keys.dtype == np.int64 and table.counts.dtype == np.int64
-    assert table.keys.shape == (len(table.counts), width)
-    rows = table.keys.tolist()
+def assert_sorted_positive(table, width, n_labels, n_words):
+    assert table.counts.dtype == np.int64 and len(table.columns) == width
+    for p, column in enumerate(table.columns):
+        assert column.dtype == id_dtype(n_words if p % 2 else n_labels)
+        assert column.shape == table.counts.shape
+    rows = np.column_stack(table.columns).tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))
     assert (table.counts > 0).all()
 
@@ -87,12 +93,13 @@ def assert_sorted_positive(table, width):
 def assert_counts_match_brute_force(model, corpus):
     ref = brute_force_tables(corpus)
     counts, labels, words = model.counts, model.alphabet, model.vocabulary
-    assert_sorted_positive(counts.n0_ik, 2)
-    assert_sorted_positive(counts.n_ikjl, 4)
+    n, v = len(labels), len(words)
+    assert_sorted_positive(counts.n0_ik, 2, n, v)
+    assert_sorted_positive(counts.n_ikjl, 4, n, v)
     n0_ik = {(labels[i], words[k]): c for (i, k), c
-             in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist())}
+             in zip(key_rows(counts.n0_ik, n, v).tolist(), counts.n0_ik.counts.tolist())}
     quad = {(labels[i], words[k], labels[j], words[l]): c for (i, k, j, l), c
-            in zip(counts.n_ikjl.keys.tolist(), counts.n_ikjl.counts.tolist())}
+            in zip(key_rows(counts.n_ikjl, n, v).tolist(), counts.n_ikjl.counts.tolist())}
     assert n0_ik == ref["n0_ik"]
     assert quad == ref["quad"]
 
@@ -117,7 +124,7 @@ def test_tally_sorted_exact_and_online_equals_batch(base, delta, at):
 
 def test_tally_refuses_keys_beyond_int64():
     codes = np.array([5], dtype=np.int64)
-    assert _tally([codes], 2 ** 16, 2 ** 16).keys.tolist() == [[0, 5]]
+    assert key_rows(_tally([codes], 2 ** 16, 2 ** 16), 2 ** 16, 2 ** 16).tolist() == [[0, 5]]
     # a pair key needs (2**32)**2 values
     with pytest.raises(ValueError, match="overflow the count keys"):
         _tally([codes, codes], 2 ** 16, 2 ** 16)
@@ -251,10 +258,12 @@ class TestInvariants:
         corpus = random_corpus(rng, n_sentences=30)
         counts, _, _ = accumulate_counts(corpus)
         hmc, pmc = fit_hmc(counts), fit_pmc(counts)
+        m_ik = marginals(counts)["m_ik"]
         for i, k in zip(*np.nonzero(hmc.emit)):
-            assert hmc.emit[i, k] == counts.m_ik[i, k] / counts.n_i[i]
+            assert hmc.emit[i, k] == m_ik[i, k] / counts.n_i[i]
         assert len(pmc.pi2) == len(counts.n0_ik)
-        for (i, k), c in zip(counts.n0_ik.keys.tolist(), counts.n0_ik.counts.tolist()):
+        n, v = counts.n_labels, counts.n_words
+        for (i, k), c in zip(key_rows(counts.n0_ik, n, v).tolist(), counts.n0_ik.counts.tolist()):
             assert pmc.pi2[(i, k)] == c / counts.L
 
     def test_permutation_invariance(self, rng):
