@@ -2,8 +2,9 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmctag import serialize
@@ -11,8 +12,9 @@ from pmctag.cli import main
 from pmctag.conll import LabeledCorpus
 from pmctag.errors import CorruptModel, UnsupportedVersion
 from pmctag.model import CountTables, Interner
-from pmctag.serialize import (FORMAT_VERSION, MAGIC, _Writer, deserialize_model,
-                              load_model, model_stats, save_model, serialize_model)
+from pmctag.serialize import (FORMAT_VERSION, MAGIC, VARINT_MAX_BYTES, _Reader, _Writer,
+                              deserialize_model, load_model, model_stats, save_model,
+                              serialize_model)
 from pmctag.training import TrainConfig, bundle_from_counts, train_model
 
 from conftest import varied_corpus
@@ -99,39 +101,66 @@ def test_format_v2_rejected(model):
         deserialize_model(bytes(data))
 
 
+def test_format_v3_rejected(model):
+    data = bytearray(serialize_model(model))
+    data[8:12] = struct.pack("<I", 3)
+    with pytest.raises(UnsupportedVersion):
+        deserialize_model(bytes(data))
+
+
 def _with_fixed_crc(data: bytearray) -> bytes:
     data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[HEAD_LEN:-4])))
     return bytes(data)
 
 
-def _packed(values, width=None):
-    """A width tag, then the values at that many bytes each (by default the
-    fewest of 1, 2, 4 or 8 that hold the largest)."""
-    if width is None:
-        width = next(w for w in (1, 2, 4, 8) if max(values, default=0) < 256 ** w)
-    return bytes((width,)) + b"".join(v.to_bytes(width, "little") for v in values)
+def _leb128(values) -> bytes:
+    """Unsigned LEB128: seven bits per byte, lowest first, the top bit set on
+    every byte of a value but its last."""
+    out = bytearray()
+    for v in values:
+        while v > 0x7F:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def _varint_array(values, raw=None) -> bytes:
+    """An array as the file stores it: its byte count, then its varints
+    (or the raw bytes given in their place)."""
+    raw = _leb128(values) if raw is None else raw
+    return struct.pack("<Q", len(raw)) + raw
+
+
+def _strings(items, sizes=None) -> bytes:
+    """An interner as the file stores it: the string count, the array of
+    byte lengths (or the raw sizes bytes in its place), then the bytes."""
+    encoded = [s.encode("utf-8") for s in items]
+    return (struct.pack("<Q", len(encoded)) + _varint_array(map(len, encoded), sizes)
+            + b"".join(encoded))
 
 
 def _encode(task="pos", suffix_max_len=3, labels=("A", "B"), words=("x", "y"),
-            n0_ik=None, n_ikjl=None, widths=(None,) * 4):
+            n0_ik=None, n_ikjl=None, arrays=(None,) * 4, label_sizes=None):
     """A model file written field by field, bypassing every writer check.
 
     A table is a list of (key, count) items, kept in the order given and
     with duplicates. A key is an id tuple, whose (label, word) codes are
     read as the digits of a base labels x words number even where an id
-    is out of range, or that key number itself. widths sets the width of
-    the n0_ik differences, n0_ik counts, n_ikjl differences and n_ikjl
-    counts, in that order.
+    is out of range, or that key number itself. arrays may give raw bytes
+    to store in place of the varints of the n0_ik differences, n0_ik
+    counts, n_ikjl differences and n_ikjl counts, in that order, and
+    label_sizes in place of the label byte lengths.
     """
     n0_ik = [((0, 0), 1)] if n0_ik is None else n0_ik
     n_ikjl = [((0, 0, 1, 1), 1)] if n_ikjl is None else n_ikjl
     w = _Writer()
     w.string(task)
     w.u32(suffix_max_len)
-    w.string_list(list(labels))
-    w.string_list(list(words))
+    w.raw(_strings(labels, label_sizes))
+    w.raw(_strings(words))
     radix = len(labels) * len(words)
-    for table, (step_width, count_width) in ((n0_ik, widths[:2]), (n_ikjl, widths[2:])):
+    for table, (steps, counts) in ((n0_ik, arrays[:2]), (n_ikjl, arrays[2:])):
         numbers = []
         for key, _ in table:
             if isinstance(key, tuple):
@@ -139,8 +168,8 @@ def _encode(task="pos", suffix_max_len=3, labels=("A", "B"), words=("x", "y"),
                 key = sum(c * radix ** p for p, c in enumerate(reversed(codes)))
             numbers.append(key)
         w.u64(len(table))
-        w.raw(_packed([b - a for a, b in zip([0] + numbers, numbers)], step_width))
-        w.raw(_packed([c for _, c in table], count_width))
+        w.raw(_varint_array([b - a for a, b in zip([0] + numbers, numbers)], steps))
+        w.raw(_varint_array([c for _, c in table], counts))
     payload = w.getvalue()
     return (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
             + struct.pack("<I", zlib.crc32(payload)))
@@ -151,6 +180,31 @@ def test_handwritten_encoding_loads():
     model.validate()
     # the test writer lays the file out exactly like the real one
     assert serialize_model(model) == _encode()
+
+
+VARINT_EDGES = [0, 127, 128, 16383, 16384, 2 ** 63 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(VARINT_EDGES), st.integers(0, 2 ** 63 - 1)),
+                       max_size=40),
+       block=st.sampled_from([VARINT_MAX_BYTES, 16, serialize.VARINT_BLOCK]))
+@example(values=[], block=serialize.VARINT_BLOCK)
+@example(values=VARINT_EDGES, block=VARINT_MAX_BYTES)
+def test_varint_codec_round_trips(values, block):
+    """The writer's varints are the reference LEB128 bytes, and the reader
+    gives the values back across any block boundaries."""
+    array = np.array(values, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "VARINT_BLOCK", block)
+        w = _Writer()
+        w.varints(array)
+        data = w.getvalue()
+        r = _Reader(memoryview(data))
+        back = [v for part in r.varints(len(array)) for v in part.tolist()]
+        r.done()
+    assert data == _varint_array(values)
+    assert back == values
 
 
 @pytest.mark.parametrize("fields, reason", [
@@ -180,13 +234,25 @@ def test_handwritten_encoding_loads():
     (dict(n_ikjl=[((0, 0, 1, 1), 1), (3 + 2 ** 64 - 1, 1)]), "unknown label or word"),
     # each table's counts fit, but not the token total the feature fit sums
     (dict(n0_ik=[((0, 0), 2 ** 62)], n_ikjl=[((0, 0, 1, 1), 2 ** 62)]), "overflow"),
-    (dict(widths=(0, None, None, None)), "unknown width tag 0"),
-    (dict(widths=(None, None, 3, None)), "unknown width tag 3"),
-    (dict(widths=(None, None, None, 16)), "unknown width tag 16"),
-    (dict(widths=(None, 2, None, None)), "wider than needed"),
-    (dict(widths=(None, None, 8, None)), "wider than needed"),
-    (dict(n_ikjl=[((0, 0, 1, 1), 256)], widths=(None, None, None, 4)), "wider than needed"),
-    (dict(n_ikjl=[], widths=(None, None, 2, None)), "wider than needed"),
+    # a value in more bytes than it needs: 0 and 1 in two bytes, 127 in three
+    (dict(arrays=(b"\x80\x00", None, None, None)), "overlong varint"),
+    (dict(arrays=(None, b"\x81\x00", None, None)), "overlong varint"),
+    (dict(n_ikjl=[((0, 0, 1, 1), 127)], arrays=(None, None, None, b"\xff\x80\x00")),
+     "overlong varint"),
+    (dict(label_sizes=b"\x01\x81\x00"), "overlong varint"),
+    # ten bytes hold 70 bits, of which the last byte may set only bit 63;
+    # eleven bytes are never valid
+    (dict(arrays=(None, None, None, b"\xff" * 9 + b"\x02")), "exceeds 64 bits"),
+    (dict(arrays=(None, None, b"\x80" * 10 + b"\x01", None)), "exceeds 64 bits"),
+    (dict(arrays=(None, b"\x81" * 20000 + b"\x01", None, None)), "exceeds 64 bits"),
+    # byte counts that hold more or fewer values than the table has rows
+    (dict(arrays=(None, b"\x01\x01", None, None)), "do not hold exactly 1 values"),
+    (dict(arrays=(None, None, b"", None)), "do not hold exactly 1 values"),
+    (dict(n_ikjl=[], arrays=(None, None, b"\x00", None)), "do not hold exactly 0 values"),
+    (dict(label_sizes=b"\x01"), "do not hold exactly 2 values"),
+    # a last byte that promises another
+    (dict(arrays=(None, None, None, b"\x81")), "unterminated varint"),
+    (dict(arrays=(b"\x00\x80", None, None, None)), "unterminated varint"),
 ])
 def test_malformed_fields_rejected(fields, reason):
     with pytest.raises(CorruptModel, match=reason):
@@ -249,14 +315,15 @@ def test_inflated_label_and_word_counts_raise(small_model_bytes, data):
 @given(data=st.data())
 def test_inflated_count_fields_raise(small_model_bytes, data):
     """A stored label or word count above what the rest of the payload
-    could hold (every string takes at least 8 bytes) is reported as
-    truncation, before anything is sized by it."""
+    could hold (every string takes at least one byte, its length, behind
+    the 8-byte byte count of the lengths) is reported as truncation,
+    before anything is sized by it."""
     model = deserialize_model(small_model_bytes)
     at = HEAD_LEN + 8 + len(model.task) + 4  # after the task string and suffix length
-    fields = {"labels": at, "words": at + 8 + sum(8 + len(s.encode()) for s in model.alphabet)}
+    fields = {"labels": at, "words": at + len(_strings(model.alphabet))}
     which = data.draw(st.sampled_from(sorted(fields)), label="field")
     pos = fields[which]
-    room = (len(small_model_bytes) - 4 - pos - 8) // 8  # strings the rest could hold
+    room = len(small_model_bytes) - 4 - (pos + 8) - 8  # strings the rest could hold
     inflated = data.draw(st.integers(room + 1, 2 ** 64 - 1), label="count")
     blob = bytearray(small_model_bytes)
     blob[pos:pos + 8] = struct.pack("<Q", inflated)
