@@ -5,13 +5,11 @@ from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
 from .errors import (CorruptModel, DeadEnd, EmptyCorpus, EmptySentence,
                      EmptySupport, EmptyToken, FormatError, PmctagError,
                      ShapeError, UnknownTag, UnsupportedVersion)
-from .evaluation import (EvalReport, Span, evaluate_predictions, extract_spans,
-                         span_f1, token_accuracy)
+from .evaluation import EvalReport, evaluate_predictions
 from .features import (FeatureEmissionTables, WordFeatures, extract_features,
-                       feature_emission_prob, fit_feature_tables)
-from .inference import (FactorProvider, backward, decode_map, decode_mpm,
-                        decode_sentence, forward, posterior_marginals,
-                        resolve_factors)
+                       fit_feature_tables)
+from .inference import (FactorProvider, backward, decode_sentence, forward,
+                        posterior_marginals, resolve_factors)
 from .model import CountTable, CountTables, HmcParams, Interner, ModelBundle
 from .oracle import (PmcParams, TinyInstance, embed_hmc_as_pmc, enumerate_map,
                      enumerate_posteriors, fit_pmc, normalize_counts)

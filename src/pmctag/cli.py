@@ -146,15 +146,19 @@ def _shown(value) -> str:
 # text is refused before json parses it: the decoder recurses once per
 # level, and its RecursionError would depend on the frames above it.
 MAX_CONFIG_DEPTH = 32
-_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
-_BRACKET = re.compile(r"[\[\]{}]")
+# A string token, which may run unterminated to the end of the text, or
+# one bracket. Each quote's token ends at its closing quote or at the end
+# of the text, so one pass over the text tokenizes it.
+_CONFIG_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
 
 
 def _nested_too_deeply(text) -> bool:
     """Whether JSON text nests brackets, outside strings, deeper than MAX_CONFIG_DEPTH."""
     depth = 0
-    for bracket in _BRACKET.findall(_JSON_STRING.sub("", text)):
-        depth += 1 if bracket in "[{" else -1
+    for token in _CONFIG_TOKEN.findall(text):
+        if token[0] == '"':
+            continue
+        depth += 1 if token in "[{" else -1
         if depth > MAX_CONFIG_DEPTH:
             return True
     return False

@@ -292,13 +292,11 @@ def _cut(stream, budget):
 
 
 def write_conll(sentences, stream):
-    """Write sentences of column rows (or a LabeledCorpus) with single spaces.
+    """Write sentences of column rows with single spaces.
 
     Inverse of read_records on the emitted columns; output bytes are
     deterministic.
     """
-    if isinstance(sentences, LabeledCorpus):
-        sentences = [[[w, t] for w, t in sent] for sent in sentences.sentences]
     for sent in sentences:
         for cols in sent:
             stream.write(" ".join(cols))

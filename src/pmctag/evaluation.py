@@ -1,9 +1,13 @@
 """Token accuracy and span F1 reports.
 
-Span extraction follows the official CoNLL scoring conventions: a dangling
-I-X (after O, a different type, or the sentence start) opens a new span
-and is counted as a repair. All metrics are pure aggregation; decoding is
-driven elsewhere and its diagnostics are passed in.
+evaluate_predictions is the one scorer: `pmctag eval` and the library
+both score through it. Its spans follow the official CoNLL
+scoring conventions: a dangling I-X (after O, a different type, or the
+sentence start) opens a new span and is counted as a repair. Scorer
+fidelity is tested on evaluate_predictions itself: on the span fixture
+files, its span counts and its precision, recall and F1 match a
+conlleval-style reference scorer. All metrics are pure aggregation;
+decoding is driven elsewhere and its diagnostics are passed in.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import accumulate, compress
 from operator import add, sub
-from typing import NamedTuple
 
 from .errors import ShapeError
 
@@ -20,42 +23,8 @@ SCHEMES = ("bio", "plain")
 UNKNOWN_SPAN_NOTE = "spans containing at least one unknown word count as unknown"
 
 
-class Span(NamedTuple):
-    start: int
-    end: int
-    type: str
-
-
 def _rate(wrong, total):
     return wrong / total if total else None
-
-
-def _token_tallies(gold, predicted, known_bits):
-    """(errors, unknown tokens, unknown-token errors) of flat label
-    sequences; the labels are compared once, and the known bits pick out
-    the unknown tokens' comparisons."""
-    if len(gold) != len(predicted):
-        raise ShapeError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
-    if len(known_bits) != len(gold):
-        raise ShapeError(f"{len(known_bits)} known bits vs {len(gold)} tokens")
-    wrong = list(map(str.__ne__, gold, predicted))
-    errors, unknown = sum(wrong), len(wrong) - sum(map(bool, known_bits))
-    return errors, unknown, errors - sum(compress(wrong, known_bits))
-
-
-def token_accuracy(gold, predicted, known_bits=None):
-    """Error rates (overall, known, unknown) over flat label sequences.
-
-    Empty subsets yield None rather than 0 so that "no unknown words" is
-    distinguishable from "no unknown-word errors".
-    """
-    bits = [True] * len(gold) if known_bits is None else known_bits
-    errors, unknown, unknown_errors = _token_tallies(gold, predicted, bits)
-    overall = _rate(errors, len(gold))
-    if known_bits is None:
-        return overall, None, None
-    return (overall, _rate(errors - unknown_errors, len(gold) - unknown),
-            _rate(unknown_errors, unknown))
 
 
 def _span_kind(label, bio):
@@ -95,36 +64,11 @@ def _spans(labels, starts, scheme):
     return spans, repairs
 
 
-def extract_spans_counted(labels, scheme="bio"):
-    """Spans plus the number of dangling I- openings repaired."""
-    spans, repairs = _spans(labels, (), scheme)
-    return list(map(Span._make, spans)), repairs
-
-
-def extract_spans(labels, scheme="bio"):
-    """Maximal typed spans of a label sequence; O yields no span."""
-    return extract_spans_counted(labels, scheme)[0]
-
-
 def _prf(n_gold, n_pred, n_correct):
     precision = n_correct / n_pred if n_pred else 0.0
     recall = n_correct / n_gold if n_gold else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
-
-
-def span_f1(gold_spans, predicted_spans):
-    """Micro-averaged (precision, recall, f1) over per-sentence span lists.
-
-    A predicted span is correct iff its (start, end, type) triple matches a
-    gold span of the same sentence.
-    """
-    if len(gold_spans) != len(predicted_spans):
-        raise ShapeError("gold and predicted span lists cover different sentences")
-    gold, pred = ({(n, span) for n, spans in enumerate(lists) for span in spans}
-                  for lists in (gold_spans, predicted_spans))
-    return _prf(sum(map(len, gold_spans)), sum(map(len, predicted_spans)),
-                len(gold & pred))
 
 
 @dataclass
@@ -226,7 +170,7 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     per-sentence sequences, and ShapeError is raised unless every sentence
     has as many predictions and known bits as gold labels. The corpus is
     scored in one pass over the flattened columns, where a span is a
-    (start, end, type) triple of corpus positions. Span metrics are
+    (start, end, type) triple of corpus positions. The span metrics are
     computed for chunking and NER (or whenever a scheme is passed); POS
     reports error rates only. report_fields set the report's other fields,
     such as the decoder and the downgrade tallies.
@@ -237,7 +181,11 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
     flat_gold = [g for sent in gold_labels for g in sent]
     flat_pred = [p for sent in predicted_labels for p in sent]
     flat_known = [b for sent in known_bits for b in sent]
-    errors, unknown_tokens, unknown_errors = _token_tallies(flat_gold, flat_pred, flat_known)
+    # the labels are compared once, and the known bits pick out the
+    # unknown tokens' comparisons
+    wrong = list(map(str.__ne__, flat_gold, flat_pred))
+    errors = sum(wrong)
+    unknown_errors = errors - sum(compress(wrong, flat_known))
 
     if scheme is None and task in ("chunk", "ner"):
         scheme = "bio"
@@ -246,7 +194,7 @@ def evaluate_predictions(gold_labels, predicted_labels, known_bits, task,
         scheme=scheme,
         sentences=len(gold_labels),
         tokens=len(flat_gold),
-        unknown_tokens=unknown_tokens,
+        unknown_tokens=len(wrong) - sum(map(bool, flat_known)),
         errors=errors,
         unknown_errors=unknown_errors,
         **report_fields,

@@ -240,9 +240,3 @@ def feature_column(tables: FeatureEmissionTables, word: str, position: int) -> n
     if row is None:
         return np.zeros(tables.n_labels)
     return tables.tables[m][row]
-
-
-def feature_emission_prob(tables: FeatureEmissionTables, label: int,
-                          word: str, position: int) -> float:
-    """Back-off feature probability of `word` under `label`."""
-    return float(feature_column(tables, word, position)[label])

@@ -161,10 +161,6 @@ class FactorProvider:
     def n_labels(self) -> int:
         return self.initial.shape[0]
 
-    @property
-    def downgraded(self) -> int:
-        return sum(1 for f in self.flags if f == HMC_STEP)
-
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
 class DecodeIndex:
@@ -525,6 +521,11 @@ class DecodeResult:
 
 def decode_sentence(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> DecodeResult:
+    """Decode one sentence of word strings: its labels and per-step flags.
+
+    decoder "mpm" gives the marginal-posterior-mode labels and "map" the
+    jointly most probable ones (Viterbi) with their log score.
+    """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     factors = resolve_factors(model, sentence, mode=mode)
@@ -535,13 +536,3 @@ def decode_sentence(model: ModelBundle, sentence, mode="pmc",
         ids, score = map_path(factors)
     labels = list(map(model.alphabet.items.__getitem__, ids.tolist()))
     return DecodeResult(labels=labels, flags=factors.flags, log_score=score)
-
-
-def decode_mpm(model: ModelBundle, sentence, mode="pmc") -> list[str]:
-    """Marginal-posterior-mode labels for one sentence of word strings."""
-    return decode_sentence(model, sentence, mode, "mpm").labels
-
-
-def decode_map(model: ModelBundle, sentence, mode="pmc") -> list[str]:
-    """Jointly most probable labels (Viterbi) for one sentence."""
-    return decode_sentence(model, sentence, mode, "map").labels

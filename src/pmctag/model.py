@@ -145,12 +145,14 @@ def key_columns(numbers, n_tokens, n_labels, n_words) -> tuple[np.ndarray, ...]:
     """The id columns of key_numbers over n_tokens codes, label then word per token.
 
     Each column has the id_dtype of its labels or words. numbers, an
-    int64 array, is used up: it is divided in place.
+    int64 array, is used up: it is divided in place. The token codes
+    below radix are held in its id_dtype, not in int64.
     """
     radix = n_labels * n_words
     codes = []
     for _ in range(n_tokens - 1):
-        codes[:0] = [numbers % radix]
+        codes[:0] = [np.remainder(numbers, radix, casting="unsafe",
+                                  out=np.empty(len(numbers), id_dtype(radix)))]
         numbers //= radix
     codes[:0] = [numbers]
     columns = []

@@ -7,11 +7,18 @@ spans, repairs, report tallies and metrics. It is not used by the package.
 """
 
 from itertools import accumulate
+from typing import NamedTuple
 
 from pmctag.errors import ShapeError
-from pmctag.evaluation import UNKNOWN_SPAN_NOTE, EvalReport, Span
+from pmctag.evaluation import UNKNOWN_SPAN_NOTE, EvalReport
 
 SCHEMES = ("bio", "plain")
+
+
+class Span(NamedTuple):
+    start: int
+    end: int
+    type: str
 
 
 def _split_bio(label):

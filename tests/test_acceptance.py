@@ -19,9 +19,9 @@ import pytest
 from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                           read_records, read_tag_mapping)
 from pmctag.errors import DeadEnd
-from pmctag.evaluation import evaluate_predictions, extract_spans, span_f1
+from pmctag.evaluation import evaluate_predictions
 from pmctag.features import fit_feature_tables
-from pmctag.inference import (decode_sentence, factors_from_hmc, map_path,
+from pmctag.inference import (HMC_STEP, decode_sentence, factors_from_hmc, map_path,
                               mpm_path, posterior_marginals, resolve_factors)
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
                            enumerate_posteriors, fit_pmc, random_hmc)
@@ -125,7 +125,7 @@ def test_downgrade_consistency():
             assert pmc_bytes == hmc_bytes
         factors = resolve_factors(model, sentence, mode="pmc")
         total += len(factors.flags)
-        downgraded += factors.downgraded
+        downgraded += factors.flags.count(HMC_STEP)
     assert downgraded / total == 1.0
 
 
@@ -237,12 +237,14 @@ def test_scorer_fidelity():
         if gold:
             gold_sents.append(gold)
             pred_sents.append(pred)
-        ref_p, ref_r, ref_f1, _ = score_sentences(gold_sents, pred_sents)
-        p, r, f1 = span_f1([extract_spans(s) for s in gold_sents],
-                           [extract_spans(s) for s in pred_sents])
-        assert round(100 * p, 2) == round(ref_p, 2), path
-        assert round(100 * r, 2) == round(ref_r, 2), path
-        assert round(100 * f1, 2) == round(ref_f1, 2), path
+        # scored by the one scorer `pmctag eval` runs
+        ref_p, ref_r, ref_f1, ref_counts = score_sentences(gold_sents, pred_sents)
+        report = evaluate_predictions(gold_sents, pred_sents,
+                                      [[True] * len(s) for s in gold_sents], task="chunk")
+        assert round(100 * report.precision, 2) == round(ref_p, 2), path
+        assert round(100 * report.recall, 2) == round(ref_r, 2), path
+        assert round(100 * report.f1, 2) == round(ref_f1, 2), path
+        assert report.span_counts == ref_counts, path
 
 
 def _evaluate_real_corpus(train_path, test_path, task, word_col, tag_col,

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,17 @@ class TestTrain:
                                              "ADJ", "PRON", "."}
 
 
+def _column_sentences(text):
+    """Column rows of CoNLL text, sentence by sentence."""
+    sentences = [[]]
+    for line in text.splitlines():
+        if line.split():
+            sentences[-1].append(line.split())
+        elif sentences[-1]:
+            sentences.append([])
+    return [sent for sent in sentences if sent]
+
+
 class TestTag:
     def test_appends_prediction_column(self, model_path, tmp_path, capsys):
         out = str(tmp_path / "tagged.conll")
@@ -205,6 +218,22 @@ class TestTag:
                             "--decoder", "map"], capsys)
         assert code == 0
         assert out
+
+    @pytest.mark.parametrize("decoder", ["mpm", "map"])
+    def test_hmc_mode_labels_equal_the_library(self, decoder, model_path, capsys):
+        code, out, err = run(["tag", "--model", model_path, "--input", TEST,
+                              "--mode", "hmc", "--decoder", decoder], capsys)
+        model, sentences = load_model(model_path), _column_sentences(open(TEST).read())
+        expected = []
+        for rows in sentences:
+            try:
+                expected.append(decode_sentence(model, [row[0] for row in rows],
+                                                mode="hmc", decoder=decoder).labels)
+            except DeadEnd:
+                continue
+        assert code == (1 if len(expected) < len(sentences) else 0)
+        assert [[row[-1] for row in rows] for rows in _column_sentences(out)] == expected
+        assert "downgrade-rate 0.000000" in err
 
     def test_dead_end_sentence_skipped_and_exit_1(self, model_path, tmp_path,
                                                   capsys):
@@ -299,16 +328,16 @@ def test_cli_train_and_eval_match_the_tuple_library(tmp_path, capsys):
     model = update_online(train_model(LabeledCorpus(train), config), LabeledCorpus(test))
     assert open(path, "rb").read() == serialize_model(model)
 
-    for decoder in ("mpm", "map"):
+    for mode, decoder in itertools.product(("pmc", "hmc"), ("mpm", "map")):
         text, kv = str(tmp_path / "r.txt"), str(tmp_path / "r.kv")
         code, _, _ = run(["eval", "--model", path, "--corpus", TEST, "--tag-column", "1",
-                          "--mapping", MAP, "--decoder", decoder, "--report-text", text,
-                          "--report-kv", kv], capsys)
+                          "--mapping", MAP, "--mode", mode, "--decoder", decoder,
+                          "--report-text", text, "--report-kv", kv], capsys)
         results, gold, predicted, bits = [], [], [], []
         for sent in test:
             words = [w for w, _ in sent]
             try:
-                result = decode_sentence(model, words, decoder=decoder)
+                result = decode_sentence(model, words, mode=mode, decoder=decoder)
             except DeadEnd:
                 continue
             results.append(result)
@@ -316,12 +345,16 @@ def test_cli_train_and_eval_match_the_tuple_library(tmp_path, capsys):
             predicted.append(result.labels)
             bits.append([w in model.vocabulary for w in words])
         assert code == (1 if len(results) < len(test) else 0)
-        report = evaluate_predictions(gold, predicted, bits, task="pos", decoder=decoder,
+        report = evaluate_predictions(gold, predicted, bits, task="pos", mode=mode,
+                                      decoder=decoder,
                                       downgrades=sum(r.downgraded for r in results),
                                       resolutions=sum(r.resolutions for r in results),
                                       failed_sentences=len(test) - len(results))
         assert open(text, encoding="utf-8").read() == format_report_text(report)
         assert open(kv, encoding="utf-8").read() == format_report_kv(report)
+        if mode == "hmc":
+            assert "mode\thmc\n" in format_report_kv(report)
+            assert "downgrade-rate\t0.000000\n" in format_report_kv(report)
 
 
 def _window_corpus():
@@ -650,6 +683,17 @@ class TestConfigFile:
         assert not cli._nested_too_deeply("[" * depth + "]" * depth)
         assert cli._nested_too_deeply("[" * (depth + 1) + "]" * (depth + 1))
         assert not cli._nested_too_deeply('{"comment_prefix": "' + "[" * 40 + '\\" {"}')
+        # json stops at an unterminated string, so nothing after it nests
+        assert not cli._nested_too_deeply('{"comment_prefix": "\\"' + "[" * 40)
+
+    def test_run_of_escaped_quotes_exits_2_in_linear_time(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # an unterminated string of 100,000 escaped quotes: a string
+        # pattern retried from every quote would take minutes here
+        started = time.perf_counter()
+        line = self.run_bad_config("verify", '\\"' * 100000, tmp_path, capsys, monkeypatch)
+        assert time.perf_counter() - started < 5
+        assert "nested deeper than" not in line
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

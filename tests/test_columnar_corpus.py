@@ -30,7 +30,7 @@ _sentences = st.lists(
 
 def _read_back(sentences) -> LabeledCorpus:
     out = StringIO()
-    write_conll(LabeledCorpus(sentences), out)
+    write_conll(sentences, out)
     return read_conll(StringIO(out.getvalue()))
 
 

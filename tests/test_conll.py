@@ -97,14 +97,14 @@ class TestWriteConll:
     def test_labeled_corpus_round_trip(self):
         corpus = LabeledCorpus([[("a", "X")], [("b", "Y"), ("c", "Z")]])
         out = StringIO()
-        write_conll(corpus, out)
+        write_conll(corpus.sentences, out)
         assert read_conll(StringIO(out.getvalue()), 0, 1).sentences == corpus.sentences
 
     def test_deterministic_bytes(self):
         corpus = LabeledCorpus([[("a", "X")]])
         first, second = StringIO(), StringIO()
-        write_conll(corpus, first)
-        write_conll(corpus, second)
+        write_conll(corpus.sentences, first)
+        write_conll(corpus.sentences, second)
         assert first.getvalue() == second.getvalue() == "a X\n\n"
 
 
@@ -348,6 +348,6 @@ _token = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_si
                           max_size=5))
 def test_any_corpus_of_whitespace_free_tokens_round_trips(sentences):
     out = StringIO()
-    write_conll(LabeledCorpus(sentences), out)
+    write_conll(sentences, out)
     for make in STREAMS.values():
         assert read_conll(make(out.getvalue())).sentences == sentences

@@ -9,22 +9,27 @@ from hypothesis import strategies as st
 import span_reference
 from pmctag import evaluation
 from pmctag.errors import ShapeError
-from pmctag.evaluation import (SCHEMES, Span, evaluate_predictions, extract_spans,
-                               extract_spans_counted, format_report_kv,
-                               format_report_text, span_f1, token_accuracy)
+from pmctag.evaluation import (SCHEMES, evaluate_predictions, format_report_kv,
+                               format_report_text)
 
 from conlleval_reference import score_sentences
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def _token_rates(gold, predicted, known):
+    """(overall, known, unknown) error rates of one sentence, as eval reports them."""
+    report = evaluate_predictions([gold], [predicted], [known], task="pos")
+    return report.overall_error, report.known_error, report.unknown_error
+
+
 class TestTokenAccuracy:
     def test_identical(self):
         gold = ["A", "B", "C"]
-        assert token_accuracy(gold, gold, [True, False, True]) == (0.0, 0.0, 0.0)
+        assert _token_rates(gold, gold, [True, False, True]) == (0.0, 0.0, 0.0)
 
     def test_all_wrong(self):
-        assert token_accuracy(["A"] * 4, ["B"] * 4, [True, True, False, False]) == \
+        assert _token_rates(["A"] * 4, ["B"] * 4, [True, True, False, False]) == \
             (1.0, 1.0, 1.0)
 
     def test_mixed_subsets(self):
@@ -34,83 +39,90 @@ class TestTokenAccuracy:
         pred[7] = "x"
         pred[9] = "x"
         known = [True] * 7 + [False] * 3
-        overall, known_err, unknown_err = token_accuracy(gold, pred, known)
+        overall, known_err, unknown_err = _token_rates(gold, pred, known)
         assert overall == pytest.approx(0.2)
         assert known_err == 0.0
         assert unknown_err == pytest.approx(2 / 3)
 
     def test_empty_subset_reported_absent(self):
-        overall, known_err, unknown_err = token_accuracy(["A"], ["A"], [True])
-        assert overall == 0.0 and known_err == 0.0 and unknown_err is None
+        assert _token_rates(["A"], ["A"], [True]) == (0.0, 0.0, None)
+        assert _token_rates(["A"], ["B"], [False]) == (1.0, None, 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            token_accuracy(["A"], ["A", "B"], [True, True])
+            _token_rates(["A"], ["A", "B"], [True, True])
         with pytest.raises(ShapeError):
-            token_accuracy(["A"], ["B"], [True, False])
+            _token_rates(["A"], ["B"], [True, False])
+
+
+def _sentence_spans(labels, scheme="bio"):
+    """Spans and repairs of one sentence, scored as a corpus of its own."""
+    return evaluation._spans(labels, (), scheme)
 
 
 class TestExtractSpans:
     def test_bio_example(self):
-        spans = extract_spans(["B-NP", "I-NP", "O", "B-VP"], "bio")
-        assert spans == [Span(0, 1, "NP"), Span(3, 3, "VP")]
+        spans, _ = _sentence_spans(["B-NP", "I-NP", "O", "B-VP"])
+        assert spans == [(0, 1, "NP"), (3, 3, "VP")]
 
     def test_plain_example(self):
-        spans = extract_spans(["NP", "NP", "VP", "O"], "plain")
-        assert spans == [Span(0, 1, "NP"), Span(2, 2, "VP")]
+        spans, _ = _sentence_spans(["NP", "NP", "VP", "O"], "plain")
+        assert spans == [(0, 1, "NP"), (2, 2, "VP")]
 
     def test_dangling_i_repaired_and_counted(self):
-        spans, repairs = extract_spans_counted(["I-NP", "I-NP"], "bio")
-        assert spans == [Span(0, 1, "NP")]
-        assert repairs == 1
+        assert _sentence_spans(["I-NP", "I-NP"]) == ([(0, 1, "NP")], 1)
 
     def test_type_switch_inside_i_run(self):
-        spans, repairs = extract_spans_counted(["B-NP", "I-VP", "I-VP"], "bio")
-        assert spans == [Span(0, 0, "NP"), Span(1, 2, "VP")]
-        assert repairs == 1
+        assert _sentence_spans(["B-NP", "I-VP", "I-VP"]) == \
+            ([(0, 0, "NP"), (1, 2, "VP")], 1)
 
     def test_adjacent_b_tags(self):
-        assert extract_spans(["B-NP", "B-NP", "I-NP"], "bio") == \
-            [Span(0, 0, "NP"), Span(1, 2, "NP")]
+        assert _sentence_spans(["B-NP", "B-NP", "I-NP"]) == \
+            ([(0, 0, "NP"), (1, 2, "NP")], 0)
 
     def test_o_never_yields_span(self):
-        assert extract_spans(["O", "O", "O"], "bio") == []
-        assert extract_spans(["O"], "plain") == []
+        assert _sentence_spans(["O", "O", "O"]) == ([], 0)
+        assert _sentence_spans(["O"], "plain") == ([], 0)
 
     def test_idempotent_through_rendering(self):
         # render well-formed spans back to BIO and re-extract
         labels = ["B-NP", "I-NP", "O", "B-VP", "B-NP"]
-        spans = extract_spans(labels, "bio")
+        spans, _ = _sentence_spans(labels)
         rendered = ["O"] * len(labels)
-        for s in spans:
-            rendered[s.start] = "B-" + s.type
-            for i in range(s.start + 1, s.end + 1):
-                rendered[i] = "I-" + s.type
+        for start, end, kind in spans:
+            rendered[start] = "B-" + kind
+            for i in range(start + 1, end + 1):
+                rendered[i] = "I-" + kind
         assert rendered == labels
-        assert extract_spans(rendered, "bio") == spans
+        assert _sentence_spans(rendered)[0] == spans
+
+
+def _span_scores(gold, predicted):
+    """(precision, recall, f1) of per-sentence label lists, as eval reports them."""
+    known = [[True] * len(labels) for labels in gold]
+    report = evaluate_predictions(gold, predicted, known, task="chunk")
+    return report.precision, report.recall, report.f1
 
 
 class TestSpanF1:
     def test_perfect(self):
-        gold = [[Span(0, 1, "NP")], [Span(0, 0, "VP")]]
-        assert span_f1(gold, gold) == (1.0, 1.0, 1.0)
+        gold = [["B-NP", "I-NP"], ["B-VP"]]
+        assert _span_scores(gold, gold) == (1.0, 1.0, 1.0)
 
     def test_no_predictions(self):
-        gold = [[Span(0, 1, "NP")]]
-        assert span_f1(gold, [[]]) == (0.0, 0.0, 0.0)
+        assert _span_scores([["B-NP", "I-NP"]], [["O", "O"]]) == (0.0, 0.0, 0.0)
 
     def test_partial(self):
-        gold = [[Span(0, 1, "NP"), Span(3, 3, "VP")]]
-        pred = [[Span(0, 1, "NP"), Span(2, 2, "NP"), Span(3, 4, "VP")]]
-        p, r, f1 = span_f1(gold, pred)
+        # gold NP 0-1, VP 3; predicted NP 0-1, NP 2, VP 3-4
+        gold = [["B-NP", "I-NP", "O", "B-VP", "O"]]
+        pred = [["B-NP", "I-NP", "B-NP", "B-VP", "I-VP"]]
+        p, r, f1 = _span_scores(gold, pred)
         assert p == pytest.approx(1 / 3)
         assert r == pytest.approx(1 / 2)
         assert f1 == pytest.approx(0.4)
 
     def test_type_must_match(self):
-        gold = [[Span(0, 1, "NP")]]
-        pred = [[Span(0, 1, "VP")]]
-        assert span_f1(gold, pred)[2] == 0.0
+        assert _span_scores([["B-NP", "I-NP"]], [["B-VP", "I-VP"]])[2] == 0.0
 
 
 def _read_fixture(path):
@@ -144,15 +156,13 @@ class TestScorerFidelity:
     def test_matches_reference_scorer(self, path):
         gold_sents, pred_sents = _read_fixture(path)
         ref_p, ref_r, ref_f1, ref_counts = score_sentences(gold_sents, pred_sents)
-        gold_spans = [extract_spans(s, "bio") for s in gold_sents]
-        pred_spans = [extract_spans(s, "bio") for s in pred_sents]
-        p, r, f1 = span_f1(gold_spans, pred_spans)
-        assert round(100 * p, 2) == round(ref_p, 2)
-        assert round(100 * r, 2) == round(ref_r, 2)
-        assert round(100 * f1, 2) == round(ref_f1, 2)
-        n_gold = sum(len(s) for s in gold_spans)
-        n_pred = sum(len(s) for s in pred_spans)
-        assert (n_gold, n_pred) == ref_counts[:2]
+        known = [[True] * len(s) for s in gold_sents]
+        report = evaluate_predictions(gold_sents, pred_sents, known, task="chunk")
+        assert report.scheme == "bio"
+        assert round(100 * report.precision, 2) == round(ref_p, 2)
+        assert round(100 * report.recall, 2) == round(ref_r, 2)
+        assert round(100 * report.f1, 2) == round(ref_f1, 2)
+        assert report.span_counts == ref_counts
 
 
 class TestEvaluatePredictions:
@@ -212,7 +222,7 @@ class TestEvaluatePredictions:
         with pytest.raises(ValueError):
             evaluate_predictions([["A"]], [["A"]], [[True]], task="pos", scheme="iob2")
         with pytest.raises(ValueError):
-            extract_spans(["A"], "iob2")
+            evaluation._spans(["A"], (), "iob2")
 
 
 # Two span types plus odd labels: heads without a type ("B", "I-"), which
@@ -239,7 +249,7 @@ def _reference_corpus_spans(sentences, scheme):
     spans, repairs, offset = [], 0, 0
     for labels in sentences:
         found, n = span_reference.extract_spans_counted(labels, scheme)
-        spans += [Span(s.start + offset, s.end + offset, s.type) for s in found]
+        spans += [(s.start + offset, s.end + offset, s.type) for s in found]
         repairs += n
         offset += len(labels)
     return spans, repairs
@@ -255,7 +265,7 @@ class TestFlatPass:
             assert evaluation._spans(flat, starts, scheme) == \
                 _reference_corpus_spans(sentences, scheme)
             for labels in sentences:
-                assert extract_spans_counted(labels, scheme) == \
+                assert evaluation._spans(labels, (), scheme) == \
                     span_reference.extract_spans_counted(labels, scheme)
 
     @settings(max_examples=200, deadline=None)

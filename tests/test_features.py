@@ -4,7 +4,6 @@ import pytest
 from pmctag.errors import EmptyCorpus, EmptyToken
 from pmctag.features import (backoff_level, derive_feature_tables,
                              extract_features, feature_column,
-                             feature_emission_prob,
                              fit_feature_tables, word_suffix)
 from pmctag.model import Interner
 from pmctag.training import accumulate_counts
@@ -129,7 +128,7 @@ class TestFeatureEmissionProb:
         noun = self.alphabet.get("NOUN")
         # unknown word with a seen 3-suffix scores straight from level 3
         assert backoff_level(tables, "Vannes") == 3
-        p = feature_emission_prob(tables, noun, "Vannes", 1)
+        p = feature_column(tables, "Vannes", 1)[noun]
         assert p == prob(tables, 3, noun, (1, 0, 0, 0, "nes"))
         assert p == 1.0
 
@@ -137,7 +136,7 @@ class TestFeatureEmissionProb:
         verb = self.alphabet.get("VERB")
         # "zzk" and "zk" unseen, "k" seen via "walk"
         assert backoff_level(tables, "buzzk") == 1
-        p = feature_emission_prob(tables, verb, "buzzk", 2)
+        p = feature_column(tables, "buzzk", 2)[verb]
         assert p == prob(tables, 1, verb, (0, 0, 0, 0, "k"))
         assert p == 0.5
 
@@ -145,14 +144,14 @@ class TestFeatureEmissionProb:
         det = self.alphabet.get("DET")
         # level 0 always has suffix support; the bit tuple decides
         assert backoff_level(tables, "B-2") == 0
-        assert feature_emission_prob(tables, det, "B-2", 1) == 0.0
+        assert feature_column(tables, "B-2", 1)[det] == 0.0
 
     def test_level_is_word_property_shared_by_labels(self, tables):
         level = backoff_level(tables, "Vannes")
         for label in range(len(self.alphabet)):
             # every label scores the same level: probabilities come from
             # the same table even when the entry is absent (0.0)
-            p = feature_emission_prob(tables, label, "Vannes", 1)
+            p = feature_column(tables, "Vannes", 1)[label]
             key_level = level
             f = extract_features("Vannes", 1, key_level)
             row = tables.tuple_ids[key_level].get(
@@ -165,8 +164,8 @@ class TestFeatureEmissionProb:
         alphabet = Interner(corpus.tags)
         tables = fit_feature_tables(corpus, alphabet, 0)
         x = alphabet.get("X")
-        assert feature_emission_prob(tables, x, "gamma", 1) == \
-            feature_emission_prob(tables, x, "different", 1) == 0.5
+        assert feature_column(tables, "gamma", 1)[x] == \
+            feature_column(tables, "different", 1)[x] == 0.5
 
 
 @pytest.mark.parametrize("route", ["fit", "derive"])
@@ -194,7 +193,6 @@ def test_unknown_word_column_matches_brute_force(rng, route):
             for label, i in alphabet.index.items():
                 key = (label, cap, hyp, 1 if pos == 0 else 0, dig, sfx)
                 assert col[i] == ref_tuples[m].get(key, 0) / ref_totals[label]
-                assert feature_emission_prob(tables, i, word, pos) == col[i]
     assert len(seen_levels) > 1
 
 

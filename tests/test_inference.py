@@ -6,9 +6,8 @@ import pytest
 
 from pmctag.errors import DeadEnd, EmptySentence
 from pmctag.features import feature_column
-from pmctag.inference import (HMC_STEP, PMC_STEP, backward,
-                              decode_map, decode_mpm, decode_sentence, forward,
-                              map_path, mpm_path, posterior_marginals,
+from pmctag.inference import (HMC_STEP, PMC_STEP, backward, decode_sentence,
+                              forward, map_path, mpm_path, posterior_marginals,
                               resolve_factors)
 from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors, fit_pmc
 from pmctag.training import TrainConfig, train_model
@@ -147,7 +146,7 @@ class TestResolveFactors:
         model = shape_model()
         factors = resolve_factors(model, ["ping", "zing"], mode="pmc")
         assert factors.flags == [HMC_STEP, HMC_STEP]
-        assert factors.downgraded == 2
+        assert factors.flags.count(HMC_STEP) == 2
 
     def test_fig3_pattern(self):
         model = fig3_model()
@@ -164,7 +163,7 @@ class TestResolveFactors:
     def test_hmc_mode_uses_no_pairwise_tables(self):
         model = fig3_model()
         factors = resolve_factors(model, ["w1", "w2"], mode="hmc")
-        assert factors.downgraded == 0
+        assert factors.flags.count(HMC_STEP) == 0
         col = model.hmc.emit[:, model.vocabulary.get("w2")]
         np.testing.assert_array_equal(factors.steps[0], model.hmc.trans * col)
 
@@ -179,8 +178,8 @@ class TestResolveFactors:
         sentence = ["a", "b", "c"]
         factors = resolve_factors(model, sentence)
         assert factors.flags == [PMC_STEP, PMC_STEP, HMC_STEP]
-        assert decode_mpm(model, sentence) == ["X", "Y", "W"]
-        assert decode_map(model, sentence) == ["X", "Y", "W"]
+        assert decode_sentence(model, sentence).labels == ["X", "Y", "W"]
+        assert decode_sentence(model, sentence, decoder="map").labels == ["X", "Y", "W"]
 
     def test_stack_matches_per_step_references(self):
         # a b: PMC; b c: supported but annihilating (b is Y after a, Z
@@ -422,29 +421,30 @@ class TestModelLevelDecoding:
     def test_full_downgrade_equals_hmc_mode(self):
         model = shape_model()
         sentence = ["ping", "zing", "qing"]
-        pmc_out = decode_mpm(model, sentence, mode="pmc")
-        hmc_out = decode_mpm(model, sentence, mode="hmc")
+        pmc_out = decode_sentence(model, sentence, mode="pmc").labels
+        hmc_out = decode_sentence(model, sentence, mode="hmc").labels
         assert pmc_out == hmc_out
-        assert decode_map(model, sentence, mode="pmc") == \
-            decode_map(model, sentence, mode="hmc")
+        assert decode_sentence(model, sentence, mode="pmc", decoder="map").labels == \
+            decode_sentence(model, sentence, mode="hmc", decoder="map").labels
         result = decode_sentence(model, sentence, mode="pmc")
         assert result.downgraded == result.resolutions == 3
 
     def test_decoding_training_sentence_recovers_labels(self):
         model = fig3_model()
-        assert decode_mpm(model, ["w3", "w4", "w5"]) == ["A", "B", "A"]
-        assert decode_map(model, ["w3", "w4", "w5"]) == ["A", "B", "A"]
+        for decoder in ("mpm", "map"):
+            result = decode_sentence(model, ["w3", "w4", "w5"], decoder=decoder)
+            assert result.labels == ["A", "B", "A"]
 
     def test_dead_end_carries_position(self):
         model = shape_model()
         # "Q#7" matches no feature tuple at any level: zero emission column
         with pytest.raises(DeadEnd) as err:
-            decode_mpm(model, ["running", "Q#7"])
+            decode_sentence(model, ["running", "Q#7"])
         assert err.value.position == 1
 
     def test_unknown_only_sentence_decodes_via_features(self):
         model = shape_model()
-        labels = decode_mpm(model, ["ping"])
+        labels = decode_sentence(model, ["ping"]).labels
         assert labels[0] in ("A", "B")
 
 
