@@ -9,14 +9,16 @@ Each option is declared once, with its default, type and choices, on the
 subcommand that reads it. A --config file sets defaults for the running
 subcommand's optional single-value options; explicit flags still win.
 
-train reads each corpus whole. tag and eval first check their whole
-input, so that a bad line exits 2 before anything is written, and then
-read, decode and write or score it one window of whole sentences at a
-time, so that their memory does not grow with the input; the input must
-therefore be a regular file. tag's output file is replaced only after
-the last window (see _replacing), so it may be the input file. eval adds
-up the integer tallies of the windows and formats its report once, at
-the end.
+train reads each corpus once, a block of whole sentences at a time, and
+keeps only id columns of its words and tags, so a corpus may be a pipe.
+Its model, and tag's output file, are written through a new file made
+before any input is read, which replaces the old one only at the end
+(see _new_file). tag and eval first check their whole input, so that a
+bad line exits 2 before anything is written, and then read, decode and
+write or score it one window of whole sentences at a time, so that their
+memory does not grow with the input; the input must therefore be a
+regular file, but it may be tag's output file. eval adds up the integer
+tallies of the windows and formats its report once, at the end.
 """
 
 from __future__ import annotations
@@ -257,19 +259,19 @@ def _tally_results(results, what):
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """A text stream for the output file `path`, or stdout when it is None.
+def _new_file(path):
+    """The path to write the output file `path` at; None when `path` is.
 
     A regular file, or a path that names no file yet, is written through a
-    new file beside it, which takes the path once the block has ended
-    without an exception (and is removed otherwise). So an input read while the output is written can be the
-    output file itself, and a failed command leaves an earlier output as
-    it was. The new file takes the old one's permissions, and opening it
-    raises at once when the path is not writable. Any other kind of file,
+    new file beside it. That file is made at once, so an unwritable path
+    fails before any input is read; it takes the old file's permissions,
+    and replaces it once the block has ended without an exception (it is
+    removed otherwise). So the output may be an input file, and a failed
+    command leaves an earlier output as it was. Any other kind of file,
     such as /dev/null, is written in place.
     """
     if path is None:
-        yield sys.stdout
+        yield None
         return
     target = os.path.realpath(path)
     try:
@@ -277,19 +279,17 @@ def _replacing(path):
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as out:
-            yield out
+        yield target
         return
     if mode is not None:
         open(target, "a").close()  # raises, as "w" would, when the file is read-only
     head, tail = os.path.split(target)
     new = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    out = open(new, "x", encoding="utf-8")
+    open(new, "x").close()
     try:
-        with out:
-            if mode is not None:
-                os.chmod(new, stat.S_IMODE(mode))
-            yield out
+        if mode is not None:
+            os.chmod(new, stat.S_IMODE(mode))
+        yield new
         os.replace(new, target)
     except BaseException:
         os.unlink(new)
@@ -298,17 +298,18 @@ def _replacing(path):
 
 def cmd_train(opts) -> int:
     config = TrainConfig(task=opts.task, suffix_max_len=opts.suffix_max_len)
-    t0 = time.perf_counter()
-    # each corpus's counts are folded into the tally, and the corpus freed,
-    # before the next one is read; the tables are derived once, at the end
-    tally = None
-    for path in (opts.corpus, *opts.extra_corpus):
-        tally = training.accumulate_counts(_read_corpus(opts, path), base=tally)
-    counts, alphabet, vocabulary = tally
-    model = training.bundle_from_counts(alphabet, vocabulary, counts, config.task,
-                                        config.suffix_max_len)
-    elapsed = time.perf_counter() - t0
-    size = save_model(model, opts.model)
+    with _new_file(opts.model) as path:
+        t0 = time.perf_counter()
+        # each corpus's counts are folded into the tally, and its id columns
+        # freed, before the next one is read; the tables are derived once
+        tally = None
+        for corpus in (opts.corpus, *opts.extra_corpus):
+            tally = training.accumulate_counts(_read_corpus(opts, corpus), base=tally)
+        counts, alphabet, vocabulary = tally
+        model = training.bundle_from_counts(alphabet, vocabulary, counts, config.task,
+                                            config.suffix_max_len)
+        elapsed = time.perf_counter() - t0
+        size = save_model(model, path)
     _diag(f"trained in {elapsed:.3f}s")
     _diag(model_stats(model).rstrip("\n"))
     _diag(f"model-bytes {size}")
@@ -322,7 +323,8 @@ def cmd_tag(opts) -> int:
     tally = Counter()
     with open(opts.input, encoding="utf-8") as fh:
         parts = windows(fh, WINDOW_TOKENS, **options)
-        with _replacing(opts.output) as out:
+        with _new_file(opts.output) as path, (open(path, "w", encoding="utf-8") if path
+                                              else contextlib.nullcontext(sys.stdout)) as out:
             for window in parts:
                 records = read_records(window, **options)
                 sentences = [[cols[opts.word_column] for cols in sent] for sent in records]

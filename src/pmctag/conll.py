@@ -2,18 +2,21 @@
 
 Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
-raw orthography. One set of line rules (_Scanner) serves both ways of
-reading: read_records and read_conll take a whole stream at once, and
-windows() checks a whole stream a block of lines at a time, keeping no
-tokens, before cutting it into windows of whole sentences for them.
+raw orthography. Every reader reads a stream in blocks of whole sentences
+(_blocks), checked by one set of line rules (_Scanner). read_records keeps
+the column rows of each block, read_conll only id columns of its words and
+tags, and windows() checks a whole stream, keeping no tokens, before
+cutting it into windows of whole sentences for them.
 """
 
 from __future__ import annotations
 
 import codecs
 import io
+import itertools
 import re
-from itertools import chain, compress, islice
+from collections import defaultdict
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -22,32 +25,35 @@ from .errors import FormatError, UnknownTag
 
 
 class LabeledCorpus:
-    """Sentences of (word, label) pairs, held as two flat token columns.
+    """Sentences of (word, label) pairs, held as two flat id columns.
 
-    words and tags hold every token's word and label in corpus order, and
-    lengths (int64) the token count of each sentence. LabeledCorpus(sentences)
-    flattens a sequence of sentences of (word, label) pairs once;
-    from_columns takes the columns as they are, so readers and mappings
-    build no per-token objects. The columns are not meant to be changed.
+    word_ids and tag_ids (int32) index every token's word and label, in
+    corpus order, into word_items and tag_items, the distinct words and
+    labels in order of first occurrence; lengths (int64) holds the token
+    count of each sentence. LabeledCorpus(sentences) interns sentences of
+    (word, label) pairs, and from_ids takes id columns as they are. words
+    and tags are built on each access. The columns are not meant to be
+    changed.
     """
 
-    __slots__ = ("words", "tags", "lengths")
+    __slots__ = ("word_items", "word_ids", "tag_items", "tag_ids", "lengths")
 
     def __init__(self, sentences):
-        self.words, self.tags = (list(map(itemgetter(field), chain.from_iterable(sentences)))
-                                 for field in (0, 1))
+        self.word_items, self.word_ids = _interned(map(itemgetter(0), chain(*sentences)))
+        self.tag_items, self.tag_ids = _interned(map(itemgetter(1), chain(*sentences)))
         self.lengths = np.fromiter(map(len, sentences), dtype=np.int64,
                                    count=len(sentences))
 
     @classmethod
-    def from_columns(cls, words, tags, lengths) -> "LabeledCorpus":
-        """A corpus over the given columns; their sizes must agree."""
+    def from_ids(cls, word_items, word_ids, tag_items, tag_ids, lengths) -> "LabeledCorpus":
+        """A corpus over id columns into the given items; their sizes must agree."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        if not len(words) == len(tags) == lengths.sum():
-            raise ValueError(f"{len(words)} words and {len(tags)} tags for "
+        if not len(word_ids) == len(tag_ids) == lengths.sum():
+            raise ValueError(f"{len(word_ids)} words and {len(tag_ids)} tags for "
                              f"sentences of {lengths.sum()} tokens")
         corpus = cls.__new__(cls)
-        corpus.words, corpus.tags, corpus.lengths = words, tags, lengths
+        corpus.word_items, corpus.tag_items = tuple(word_items), tuple(tag_items)
+        corpus.word_ids, corpus.tag_ids, corpus.lengths = word_ids, tag_ids, lengths
         return corpus
 
     def __len__(self):
@@ -55,7 +61,15 @@ class LabeledCorpus:
 
     @property
     def n_tokens(self) -> int:
-        return len(self.words)
+        return len(self.word_ids)
+
+    @property
+    def words(self) -> list[str]:
+        return np.array(self.word_items, dtype=object)[self.word_ids].tolist()
+
+    @property
+    def tags(self) -> list[str]:
+        return np.array(self.tag_items, dtype=object)[self.tag_ids].tolist()
 
     def per_sentence(self, column) -> list[list]:
         """Cut an iterable of one item per token into per-sentence lists."""
@@ -66,6 +80,19 @@ class LabeledCorpus:
     def sentences(self) -> list[list[tuple[str, str]]]:
         """The (word, label) tuple lists of the sentences, built on each access."""
         return self.per_sentence(zip(self.words, self.tags))
+
+
+def _ids(index, tokens) -> np.ndarray:
+    """The int32 ids of tokens in `index`, a defaultdict(itertools.count().__next__),
+    which gives each new token the next id."""
+    return np.fromiter(map(index.__getitem__, tokens), dtype=np.int32)
+
+
+def _interned(tokens) -> tuple[tuple, np.ndarray]:
+    """The distinct tokens in order of first occurrence, and each token's id among them."""
+    index = defaultdict(itertools.count().__next__)
+    ids = _ids(index, tokens)
+    return tuple(index), ids
 
 
 def _dropped(line, word_column, skip, comment_prefix) -> bool:
@@ -140,29 +167,53 @@ class _Scanner:
         return lines, widths
 
 
-def _parse(stream, word_column, tag_column, skip_pattern, comment_prefix):
-    """Split a stream's text into tokens and sentence lengths.
+# Non-blank lines per block of the readers
+_BLOCK_LINES = 8192
 
-    Returns (flat, width, lengths): every token of the kept lines in
-    order, the column count shared by every token line and the int64
-    array of the number of token lines of each sentence. Lines are
-    checked by _Scanner, all in one block, and blank lines end sentences.
-    The tokens of the whole text are the tokens of its lines, since a
-    newline is whitespace.
+
+def _blocks(stream, scanner, size):
+    """(text of the kept lines, sentence lengths) of each block of whole sentences.
+
+    A block is the next `size` non-blank lines, kept or dropped, with the
+    blank lines among them, and the lines up to the next blank line: so it
+    ends at a sentence end or at the stream end. Blocks without a token
+    line are left out. Lines are checked by `scanner` (_Scanner.scan) as
+    they are read, and the lengths are the int64 numbers of token lines of
+    the block's sentences. A file whose bytes do not decode raises the
+    FormatError of _decode_error; from a stream that cannot seek, such as
+    a pipe, the UnicodeDecodeError is raised as it is.
     """
-    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
-    text = stream.read()
-    lines = text.split("\n")
-    kept, widths = scanner.scan(lines)
-    if kept is not lines:
-        text = "\n".join(kept)
-    del lines, kept
-    if scanner.width is None:
-        return [], 1, np.zeros(0, dtype=np.int64)  # any positive width slices no tokens
-    # sentences are the runs of token lines
-    edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
-    lengths = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
-    return text.split(), scanner.width, lengths
+    try:
+        while True:
+            lines, widths, filled = [], [], 0
+            # once `size` non-blank lines are read, read on to the end of the sentence
+            while read := list(islice(stream, size - filled) if filled < size
+                                else _through_blank(stream)):
+                kept, counts = scanner.scan(read)
+                lines += kept
+                widths.append(counts)
+                if filled >= size:
+                    break
+                filled += len(read) - int(np.count_nonzero(counts == 0))
+            if not filled:
+                return
+            widths, text = np.concatenate(widths), "".join(lines)
+            del lines, read, kept  # only the text is kept while the block is read
+            if widths.any():  # sentences are the runs of token lines
+                edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
+                yield text, np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
+    except UnicodeDecodeError as exc:
+        if not stream.seekable():
+            raise
+        raise _decode_error(stream, exc) from None
+
+
+def _through_blank(stream):
+    """The stream's next lines up to and including the first blank one."""
+    for line in stream:
+        yield line
+        if line.isspace():
+            return
 
 
 def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
@@ -189,27 +240,32 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     equal to the word column and an invalid skip_pattern are rejected
     before the first line is read.
     """
-    flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
-                                  comment_prefix)
-    rows = (flat[r:r + width] for r in range(0, len(flat), width))
-    return [list(islice(rows, n)) for n in lengths.tolist()]
+    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
+    sentences = []
+    for text, lengths in _blocks(stream, scanner, _BLOCK_LINES):
+        flat, width = text.split(), scanner.width
+        rows = (flat[r:r + width] for r in range(0, len(flat), width))
+        sentences += [list(islice(rows, n)) for n in lengths.tolist()]
+    return sentences
 
 
 def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                comment_prefix=None) -> LabeledCorpus:
     """Read a labeled corpus, taking words and tags from the given columns.
 
-    Reads the same lines as read_records and raises the same errors. The
-    corpus columns are stride slices of the text's tokens.
+    Reads the same lines as read_records and raises the same errors. Each
+    block of lines is interned as it is read, so only the corpus's id
+    columns grow with the stream.
     """
-    flat, width, lengths = _parse(stream, word_column, tag_column, skip_pattern,
-                                  comment_prefix)
-    return LabeledCorpus.from_columns(flat[word_column::width], flat[tag_column::width],
-                                      lengths)
-
-
-# Lines per block of the check pass in windows()
-_CHECK_LINES = 4096
+    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
+    words, tags = defaultdict(itertools.count().__next__), defaultdict(itertools.count().__next__)
+    blocks = [(_ids(words, ()), _ids(tags, ()), np.zeros(0, dtype=np.int64))]
+    for text, lengths in _blocks(stream, scanner, _BLOCK_LINES):
+        flat, width = text.split(), scanner.width
+        blocks.append((_ids(words, flat[word_column::width]),
+                       _ids(tags, flat[tag_column::width]), lengths))
+    word_ids, tag_ids, lengths = map(np.concatenate, zip(*blocks))
+    return LabeledCorpus.from_ids(words, word_ids, tags, tag_ids, lengths)
 
 
 def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
@@ -223,28 +279,26 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
     stream must be seekable, since it is then rewound and read again.
 
     Each window is a text stream of whole sentences, read as the iterator
-    advances: it ends at the first blank line after at least `budget`
-    non-blank lines (kept or dropped), or at the end of the stream, so a
-    window is longer than the budget only by the rest of one sentence. An
-    empty stream gives one empty window. Reading every window with the
-    same options gives the sentences of the whole stream, in order.
+    advances: the lines of one block of _blocks of `budget` lines, so it
+    ends at the first blank line after at least `budget` non-blank lines
+    (kept or dropped), or at the end of the stream, and is longer than the
+    budget only by the rest of one sentence. A stream without token lines
+    gives one empty window. Reading every window with the same options
+    gives the sentences of the whole stream, in order.
     """
     scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
     if not stream.seekable():
         raise FormatError("the input cannot be read twice; give a regular file, not a pipe")
-    missing = set()
-    try:
-        while lines := list(islice(stream, _CHECK_LINES)):
-            kept, widths = scanner.scan(lines)
-            if mapping is not None:
-                tags = (line.split()[tag_column] for line in compress(kept, widths))
-                missing.update(tag for tag in tags if tag not in mapping)
-    except UnicodeDecodeError as exc:
-        raise _decode_error(stream, exc) from None
+    ends, missing = [], set()  # the number of stream lines up to the end of each window
+    for text, _ in _blocks(stream, scanner, budget):
+        ends.append(scanner.lines)
+        if mapping is not None:
+            missing.update(set(text.split()[tag_column::scanner.width]).difference(mapping))
     if missing:
         raise UnknownTag(missing)
     stream.seek(0)
-    return _cut(stream, budget)
+    return (io.StringIO("".join(islice(stream, n)))
+            for n in np.diff(ends, prepend=0).tolist() or [0])
 
 
 def _decode_error(stream, exc):
@@ -275,20 +329,6 @@ def _decode_error(stream, exc):
         if not block:
             return exc
         offset += len(block)
-
-
-def _cut(stream, budget):
-    """The windows of windows(), without the check."""
-    lines, filled, cut = [], 0, False
-    for line in stream:
-        lines.append(line)
-        if not line.isspace():
-            filled += 1
-        elif filled >= budget:
-            yield io.StringIO("".join(lines))
-            lines, filled, cut = [], 0, True
-    if filled or not cut:
-        yield io.StringIO("".join(lines))
 
 
 def write_conll(sentences, stream):
@@ -326,13 +366,16 @@ def apply_mapping(corpus: LabeledCorpus, mapping: dict[str, str]) -> LabeledCorp
 
     Raises UnknownTag listing all corpus tags absent from the mapping.
     """
-    missing = set(corpus.tags).difference(mapping)
+    missing = set(corpus.tag_items).difference(mapping)
     if missing:
         raise UnknownTag(missing)
-    return LabeledCorpus.from_columns(corpus.words, list(map(mapping.__getitem__, corpus.tags)),
-                                      corpus.lengths)
+    tag_items, new_ids = _interned(map(mapping.__getitem__, corpus.tag_items))
+    return LabeledCorpus.from_ids(corpus.word_items, corpus.word_ids, tag_items,
+                                  new_ids[corpus.tag_ids], corpus.lengths)
 
 
 def mark_known(corpus: LabeledCorpus, vocabulary) -> list[list[bool]]:
     """Per-token bits: True iff the token string is in the model vocabulary."""
-    return corpus.per_sentence(map(vocabulary.__contains__, corpus.words))
+    known = np.fromiter(map(vocabulary.__contains__, corpus.word_items), dtype=bool,
+                        count=len(corpus.word_items))
+    return corpus.per_sentence(known[corpus.word_ids].tolist())

@@ -37,40 +37,41 @@ class TrainConfig:
 def _tally(columns, n_labels, n_words, base=None) -> CountTable:
     """Count equal tuples of token codes into a CountTable.
 
-    columns holds one int64 array per tuple position; a token code is
-    label * n_words + word. A tuple's key is its model.key_numbers number,
-    so sorting the keys sorts the (label, word, ...) rows. The rows of
-    `base`, a table over ids below n_labels and n_words, are added with
-    their counts.
+    columns holds one int64 array per tuple position, which the tally may
+    use up; a token code is label * n_words + word. A tuple's key is its
+    model.key_numbers number, so sorting the keys in place sorts the
+    (label, word, ...) rows. The rows of `base`, a table over ids below
+    n_labels and n_words, are added with their counts.
     """
     width, radix = len(columns), n_labels * n_words
     if radix ** width > np.iinfo(np.int64).max:
         raise ValueError(f"{n_labels} labels by {n_words} words overflow the count keys")
     key = key_numbers(columns, radix)
     del columns  # callers pass a list of temporaries: free the codes
-    weights = np.ones(len(key), dtype=np.int64)
+    key.sort()
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # each run of equal keys is one row
+    key, counts = key[starts], np.diff(starts, append=len(key))
     if base is not None:
+        # two sorted runs of rows, which a stable sort merges in one pass
         key = np.concatenate((base.numbers(n_labels, n_words), key))
-        weights = np.concatenate((base.counts, weights))
-    order = np.argsort(key)
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return CountTable(key_columns(key[starts], width, n_labels, n_words),
-                      np.add.reduceat(weights[order], starts))
+        order = np.argsort(key, kind="stable")
+        key, counts = key[order], np.concatenate((base.counts, counts))[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        key, counts = key[starts], np.add.reduceat(counts, starts)
+    return CountTable(key_columns(key, width, n_labels, n_words), counts)
 
 
 def accumulate_counts(corpus, base=None):
     """Count every chain start and adjacent (label, word, label, word) pattern.
 
-    The corpus's word and tag columns are interned as they are, and its
-    sentence lengths mark the chain starts. Returns (CountTables,
-    alphabet, vocabulary). With a `base` of that same form, from an
-    earlier tally or a model, the result's interners extend the base's
-    append-only and its counts are added in, so folding in one corpus
-    after another goes through the same tally as counting them together.
-    Patterns never cross a sentence boundary.
+    The corpus's distinct words and tags are interned in their order of
+    first occurrence, and its id columns mapped through them; its sentence
+    lengths mark the chain starts. Returns (CountTables, alphabet,
+    vocabulary). With a `base` of that same form, from an earlier tally or
+    a model, the result's interners extend the base's append-only and its
+    counts are added in, so folding in one corpus after another goes
+    through the same tally as counting them together. Patterns never
+    cross a sentence boundary.
     """
     lengths = corpus.lengths
     if not len(lengths):
@@ -78,15 +79,14 @@ def accumulate_counts(corpus, base=None):
     if not lengths.all():
         raise EmptySentence("training corpus contains an empty sentence")
     base_counts, alphabet, vocabulary = base or (None, Interner(), Interner())
-    vocabulary, code = vocabulary.extended(corpus.words)
-    alphabet, label_ids = alphabet.extended(corpus.tags)
-    n_words = len(vocabulary)
-    code += label_ids * n_words
-    del label_ids  # free it before the tallies, which set the peak memory
+    vocabulary, word_code = vocabulary.extended(corpus.word_items)
+    alphabet, label_code = alphabet.extended(corpus.tag_items)
+    n_labels, n_words = len(alphabet), len(vocabulary)
+    code = (label_code * n_words)[corpus.tag_ids]
+    code += word_code[corpus.word_ids]
     starts = np.cumsum(lengths) - lengths
     follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
     follows[starts] = False
-    n_labels = len(alphabet)
     n0_ik = _tally([code[starts]], n_labels, n_words, base_counts and base_counts.n0_ik)
     n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_labels, n_words,
                     base_counts and base_counts.n_ikjl)
@@ -137,8 +137,6 @@ def update_online(model: ModelBundle, new_corpus) -> ModelBundle:
     interning is append-only, counts are integers summed by the same
     tally, and parameters are single divisions of those integers.
     """
-    if not len(new_corpus.lengths):
-        raise EmptyCorpus("online update received an empty corpus")
     counts, alphabet, vocabulary = accumulate_counts(
         new_corpus, base=(model.counts, model.alphabet, model.vocabulary))
     return bundle_from_counts(alphabet, vocabulary, counts, model.task,

@@ -1,9 +1,9 @@
 """Line-at-a-time reference for pmctag.conll's corpus reader.
 
-The reader splits a stream's whole text at once; this module keeps the
-plain loop over lines it replaced, so property tests can check that both
-give the same sentences, or the same FormatError message and line. It is
-not used by the package.
+The reader reads a stream in blocks of whole sentences and splits each
+block's text at once; this module keeps the plain loop over lines it
+replaced, so property tests can check that both give the same sentences,
+or the same FormatError message and line. It is not used by the package.
 """
 
 import re

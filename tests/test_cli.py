@@ -34,6 +34,13 @@ def _no_input_read(*args, **kwargs):
     raise AssertionError("input read before the options were checked")
 
 
+def _save_part(model, path):
+    """save_model that fails after writing part of the file."""
+    with open(path, "wb") as fh:
+        fh.write(b"part")
+    raise OSError("no space left on device")
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -111,6 +118,59 @@ class TestTrain:
                           "--tag-column", "2"], capsys)
         assert code == 0
         assert open(joint, "rb").read() == open(split, "rb").read()
+
+    def test_unwritable_model_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_conll", _no_input_read)
+        code, out, err = run(["train", "--corpus", TRAIN, "--tag-column", "2",
+                              "--model", str(tmp_path / "no" / "such" / "m.pmc")], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("failure", ["corpus", "save"])
+    def test_failed_train_leaves_the_old_model(self, failure, tmp_path, capsys, monkeypatch):
+        """The model is written through a new file, which a failure at any
+        step removes."""
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(open(TRAIN).read() + "dog NN\n", encoding="utf-8")
+        if failure == "save":
+            corpus.write_text(open(TRAIN).read(), encoding="utf-8")
+            monkeypatch.setattr(cli, "save_model", _save_part)
+        model = tmp_path / "m.pmc"
+        model.write_bytes(b"old")
+        code, out, err = run(["train", "--corpus", str(corpus), "--tag-column", "2",
+                              "--model", str(model)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert model.read_bytes() == b"old"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.conll", "m.pmc"]
+
+    def test_corpus_from_a_pipe(self, tmp_path, capsys):
+        """train reads each corpus once, so /dev/stdin may be a pipe; the
+        text spans several read blocks."""
+        text = open(TRAIN, encoding="utf-8").read() * 300
+        corpus, piped, model = (tmp_path / "corpus.conll", tmp_path / "piped.pmc",
+                                tmp_path / "file.pmc")
+        corpus.write_text(text, encoding="utf-8")
+        assert run(["train", "--corpus", str(corpus), "--model", str(model)], capsys)[0] == 0
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), "..", "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmctag.cli", "train", "--corpus", "/dev/stdin",
+             "--model", str(piped)], input=text, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert piped.read_bytes() == model.read_bytes()
+
+    def test_bytes_that_are_not_utf8_are_placed_in_the_file(self, tmp_path, capsys):
+        """The corpus is read in blocks; the error still gives the byte's
+        position in the whole file, past the first block."""
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_bytes(b"a X Y\n" * 20000 + b"\xff X Y\n")
+        code, out, err = run(["train", "--corpus", str(corpus),
+                              "--model", str(tmp_path / "m.pmc")], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: 'utf-8' codec can't decode byte 0xff in "
+                                    "position 120000: invalid start byte"]
 
     def test_mapping_applied(self, tmp_path, capsys):
         path = str(tmp_path / "pos.pmc")

@@ -127,7 +127,10 @@ def test_empty_text_reads_as_an_empty_corpus():
 
 
 def test_columns_must_agree_with_the_lengths():
-    LabeledCorpus.from_columns(["a", "b"], ["X", "Y"], [1, 1])
-    for words, tags, lengths in ((["a"], ["X", "Y"], [2]), (["a", "b"], ["X", "Y"], [1])):
+    def ids(n):
+        return np.zeros(n, dtype=np.int32)
+
+    LabeledCorpus.from_ids(["a"], ids(2), ["X"], ids(2), [1, 1])
+    for words, tags, lengths in ((ids(1), ids(2), [2]), (ids(2), ids(2), [1])):
         with pytest.raises(ValueError):
-            LabeledCorpus.from_columns(words, tags, lengths)
+            LabeledCorpus.from_ids(["a"], words, ["X"], tags, lengths)

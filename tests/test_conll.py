@@ -1,10 +1,12 @@
 from io import BytesIO, StringIO, TextIOWrapper
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conll_reference
+from pmctag import conll
 from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                           read_records, read_tag_mapping, windows, write_conll)
 from pmctag.errors import FormatError, UnknownTag
@@ -269,6 +271,31 @@ def test_windows_read_like_the_line_loop(texts, budget, columns, comment_prefix,
     make = STREAMS[stream]
     assert _outcome(_read_windows, make(text), budget=budget, **options) == \
         _outcome(conll_reference.read_records, make(text), **options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_corpus_text(), min_size=1, max_size=3), block=st.integers(1, 4),
+       budget=st.integers(1, 6), columns=_columns,
+       comment_prefix=st.sampled_from([None, "#", "# "]),
+       skip_pattern=st.sampled_from([None, "-DOCSTART-", "[A-Z].*"]),
+       stream=st.sampled_from(sorted(STREAMS)))
+def test_readers_at_any_block_size_read_like_the_line_loop(texts, block, budget, columns,
+                                                          comment_prefix, skip_pattern, stream):
+    """The readers read a stream in blocks of `block` non-blank lines, most
+    of them shorter than a sentence here, and each read and window still
+    gives the line loop's sentences or error."""
+    text = "\n\n".join(texts)
+    word_column, tag_column = columns
+    options = dict(word_column=word_column, tag_column=tag_column,
+                   comment_prefix=comment_prefix, skip_pattern=skip_pattern)
+    make = STREAMS[stream]
+    expected = _outcome(conll_reference.read_records, make(text), **options)
+    with mock.patch.object(conll, "_BLOCK_LINES", block):
+        assert _outcome(read_records, make(text), **options) == expected
+        assert _outcome(_read_windows, make(text), budget=budget, **options) == expected
+        if tag_column is not None:
+            assert _outcome(read_conll, make(text), **options) == \
+                _outcome(conll_reference.read_conll, make(text), **options)
 
 
 @pytest.mark.parametrize("text", EDGE_TEXTS + [
