@@ -6,25 +6,29 @@ In PMC mode a step whose observed word bigram has no training support is
 downgraded to the HMC factor for that step only; emissions of unknown
 words fall back to the orthographic feature model.
 
-Forward-backward runs in scaled linear space: each step is one
-vector-matrix product, and the rows are normalized once per block of
-_BLOCK steps. The forward pass runs when the factors are built, so it
-also finds the downgrades and the dead end. Viterbi runs in log space
-from log tables: the model's log transitions, the sentence's log
-emission columns and the logs of its PMC ratios.
+The factors are resolved for the decoder that reads them, and each
+decoder finds the downgrades and the dead end its own way, with the same
+result. For MPM, forward-backward runs in scaled linear space: each step
+is one vector-matrix product, and the rows are normalized once per block
+of _BLOCK steps. The forward pass runs when the factors are built, so it
+finds the downgrades and the dead end, falling back on the exact 0/1
+support where a row underflows. For MAP, no float factor is built:
+Viterbi runs in log space from log tables (the model's log transitions,
+the sentence's log emission columns and the logs of its PMC ratios), and
+one boolean pass of the exact 0/1 support, read from that log stack,
+finds the downgrades and the dead end.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import feature_column
-from .model import CountTables, HmcParams, ModelBundle
+from .model import CountTables, HmcParams, ModelBundle, run_starts
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -131,9 +135,14 @@ class FactorProvider:
 
     Building one runs the scaled forward pass: alpha holds its normalized
     rows, scales the row masses, and dead the first position without
-    forward mass, or None. rescue is handed to that pass (see _chain).
-    log_steps returns a fresh (T-1, N, N) stack of log factors for Viterbi,
-    built from the producer's log tables and laid out [t, j, i]: the log of
+    forward mass, or None. rescue is handed to that pass (see _chain):
+    resolve_factors' rescue downgrades a kept PMC step whose forward row
+    comes out empty while its exact 0/1 support is empty too, and a row
+    left empty after that is the dead end. This is how factors resolved
+    for MPM find their downgrades and dead end; factors resolved for MAP
+    are LogFactors, which build no float stack. log_steps returns a fresh
+    (T-1, N, N) stack of log factors for Viterbi, built from the
+    producer's log tables and laid out [t, j, i]: the log of
     steps[t, i, j].
     """
 
@@ -255,11 +264,11 @@ class DecodeIndex:
         slots = self.codes.searchsorted(code)
         return np.where(self.codes[slots] == code, slots, -1)
 
-    def write_pmc_steps(self, steps, slots):
-        """Overwrite steps[t] with the PMC factor of bigram slots[t] >= 0.
+    def pmc_triples(self, slots):
+        """The triples of every bigram slots[t] >= 0, as arrays (t, flat, ratios).
 
-        Returns the triples written, as the arrays (t, flat, ratios): the
-        step, the offset in the flattened step and the value.
+        t is the step, flat the offset in the flattened N x N step and
+        ratios the value, in the order of the steps.
         """
         at = (slots >= 0).nonzero()[0]
         lo = self.offsets[slots[at]]
@@ -267,10 +276,7 @@ class DecodeIndex:
         t = at.repeat(sizes)
         # triple positions: the slices lo[s]:lo[s] + sizes[s], concatenated
         pos = np.arange(t.size) + (lo - sizes.cumsum() + sizes).repeat(sizes)
-        flat, ratios = self.flat[pos], self.ratios[pos]
-        steps[at] = 0.0
-        _flat_steps(steps)[t, flat] = ratios
-        return t, flat, ratios
+        return t, self.flat[pos], self.ratios[pos]
 
 
 def _bigram_runs(k, l, n_words):
@@ -285,9 +291,7 @@ def _bigram_runs(k, l, n_words):
     code += l
     order = np.argsort(code, kind="stable")
     code.sort()  # the values of code[order], sorted in place
-    new = np.ones(len(code), dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    starts = run_starts(code)
     return (order, np.append(code[starts], np.iinfo(np.int64).max),
             np.append(starts, code.size))
 
@@ -326,26 +330,88 @@ def _hmc_steps(trans, cols) -> np.ndarray:
     return steps
 
 
-def _log_steps(log_trans_t, cols, kept, t, flat, ratios) -> np.ndarray:
+def _log_steps(log_trans_t, log_cols, kept, t, flat, ratios) -> np.ndarray:
     """(T-1, N, N) log factors of a sentence for Viterbi, laid out [t, j, i].
 
-    Step t is log_trans_t plus the log of the emission column cols[t + 1]
-    over its rows, unless kept[t] marks it a PMC step: then it holds the
-    logs of its triples, the ratios at (t, flat) as write_pmc_steps
-    returned them, and _LOG_ZERO elsewhere. kept is read when the stack is
-    built, so after every rescue.
+    log_cols holds the logs of the emission columns. Step t is log_trans_t
+    plus log_cols[t + 1] over its rows, unless kept[t] marks it a PMC step:
+    then it holds the logs of its triples, the ratios at (t, flat) as
+    pmc_triples returned them, and _LOG_ZERO elsewhere. Every triple must
+    belong to a kept step.
     """
     n = len(log_trans_t)
     # a kept step starts from _LOG_ZERO, which adding a log transition
     # leaves at _LOG_ZERO or below, and gets its ratios
-    log_cols = _log(cols)
-    log_cols[1:][kept] = _LOG_ZERO
-    scores = log_cols[1:, :, None].repeat(n, axis=2)
+    rows = np.where(kept[:, None], _LOG_ZERO, log_cols[1:])
+    scores = rows[:, :, None].repeat(n, axis=2)
     scores += log_trans_t
-    live = kept[t]
-    i, j = np.divmod(flat[live], n)
-    _flat_steps(scores)[t[live], j * n + i] = np.log(ratios[live])
+    i, j = np.divmod(flat, n)
+    _flat_steps(scores)[t, j * n + i] = np.log(ratios)
     return scores
+
+
+@dataclass(eq=False)
+class LogFactors:
+    """Resolved per-sentence factors for Viterbi alone, as log tables.
+
+    initial and flags are as in FactorProvider; scores is the (T-1, N, N)
+    stack of log factors laid out [t, j, i], as _log_steps builds it after
+    the downgrades, and dead the first position that the exact 0/1 support
+    does not reach, or None. There is no float step stack and no forward
+    pass. log_steps hands out scores itself: map_path adds its suffix
+    scores into it, so a LogFactors is decoded once.
+    """
+
+    initial: np.ndarray
+    scores: np.ndarray = field(repr=False)
+    flags: list[str]
+    dead: int | None
+
+    def log_steps(self) -> np.ndarray:
+        return self.scores
+
+
+def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> LogFactors:
+    """Viterbi's factors of a sentence, with downgrades and dead end decided
+    by the exact 0/1 support read from the log stack.
+
+    The support of step t is the set of entries of its log factors above
+    _LOG_ZERO / 2, and the forward support is carried through it as
+    booleans, one product per step, which cannot underflow. Where a row of
+    the pass comes out empty, a kept PMC step into it is downgraded (its
+    log factors rewritten as log_trans_t plus its log emission column) and
+    the pass restarts there; any other empty row is the dead end. An empty
+    initial factor ends the sentence at position 0, after downgrading step
+    0 if it is kept, as the forward pass of FactorProvider does.
+    """
+    log_cols = _log(cols)
+    scores = _log_steps(log_trans_t, log_cols, kept, t, flat, ratios)
+    live = list(scores > _LOG_ZERO / 2)  # live[t][j, i]: step t takes i to j
+    rows = np.empty((len(cols), len(log_trans_t)), dtype=bool)
+    np.greater(initial, 0.0, out=rows[0])
+
+    def downgrade(s):
+        np.add(log_trans_t, log_cols[s + 1, :, None], out=scores[s])
+        live[s] = scores[s] > _LOG_ZERO / 2
+        kept[s] = False
+        flags[s + 1] = HMC_STEP
+
+    row, product, lo = list(rows), np.matmul, 0
+    while True:
+        for s in range(lo, len(live)):
+            product(live[s], row[s], out=row[s + 1])
+        # an empty row empties every row after it
+        if row[-1].any():
+            return LogFactors(initial, scores, flags, None)
+        empty = lo + int(np.logical_or.reduce(rows[lo:], axis=1).argmin())
+        if empty == 0:
+            if len(kept) and kept[0]:
+                downgrade(0)
+            return LogFactors(initial, scores, flags, 0)
+        lo = empty - 1
+        if not kept[lo]:
+            return LogFactors(initial, scores, flags, empty)
+        downgrade(lo)
 
 
 def _hmc_factors(hmc: HmcParams, cols, log_trans_t) -> FactorProvider:
@@ -353,12 +419,13 @@ def _hmc_factors(hmc: HmcParams, cols, log_trans_t) -> FactorProvider:
     none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
     return FactorProvider(initial=hmc.pi * cols[0], steps=_hmc_steps(hmc.trans, cols),
                           flags=[PLAIN_HMC] * len(cols),
-                          log_steps=partial(_log_steps, log_trans_t, cols,
-                                            np.zeros(len(cols) - 1, dtype=bool),
-                                            none, none, np.empty(0)))
+                          log_steps=lambda: _log_steps(log_trans_t, _log(cols),
+                                                       np.zeros(len(cols) - 1, dtype=bool),
+                                                       none, none, np.empty(0)))
 
 
-def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
+def resolve_factors(model: ModelBundle, sentence, mode="pmc",
+                    decoder="mpm") -> FactorProvider | LogFactors:
     """Resolve the factor sequence for one sentence of word strings.
 
     In PMC mode, step t -> t+1 keeps the PMC factor when both words are
@@ -368,14 +435,21 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
     that would leave no label with forward support is downgraded as well:
     two individually supported bigrams need not agree on the label of the
     word they share, so a run of PMC factors can strand the forward
-    recursion even though every factor has positive entries. The forward
-    pass finds these steps: a kept PMC step is downgraded exactly when its
-    forward row is empty and the exact 0/1 support, which cannot
-    underflow, is empty too (see _chain). Once a step leaves no label alive
-    even as an HMC step, the sentence is a genuine dead end that the
-    recursions report. In HMC mode all factors come from the hidden chain
-    directly. Every step is written into one (T-1, N, N) stack.
+    recursion even though every factor has positive entries. Once a step
+    leaves no label alive even as an HMC step, the sentence is a genuine
+    dead end. In HMC mode all factors come from the hidden chain directly.
+
+    The decoder the factors are for decides how these steps are found.
+    For "mpm" every step is written into one (T-1, N, N) float stack and
+    a FactorProvider runs the scaled forward pass over it: a kept PMC step
+    is downgraded exactly when its forward row is empty and the exact 0/1
+    support is empty too (see _chain). For "map" no float stack is built:
+    LogFactors hold the log stack, and one boolean pass of the exact 0/1
+    support over it finds the downgrades and the dead end (see
+    _log_factors). Both give the same flags and dead ends.
     """
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
     if not sentence:
         raise EmptySentence("cannot resolve factors for an empty sentence")
     if mode not in MODES:
@@ -390,19 +464,26 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
         if word_id < 0:
             cols[pos] = feature_column(model.features, sentence[pos], pos)
     if mode == "hmc":
-        return _hmc_factors(hmc, cols, index.log_trans_t)
-
-    initial = index.pi2_column(ids[0]) if ids[0] >= 0 else None
-    if initial is not None:
-        flags = [PMC_STEP]
+        if decoder == "mpm":
+            return _hmc_factors(hmc, cols, index.log_trans_t)
+        initial, flags = hmc.pi * cols[0], [PLAIN_HMC] * len(cols)
+        slots = np.full(len(cols) - 1, -1)
     else:
-        initial = hmc.pi * cols[0]
-        flags = [HMC_STEP]
-    steps = _hmc_steps(hmc.trans, cols)
-    slots = index.bigram_slots(wids)
+        initial = index.pi2_column(ids[0]) if ids[0] >= 0 else None
+        if initial is not None:
+            flags = [PMC_STEP]
+        else:
+            initial = hmc.pi * cols[0]
+            flags = [HMC_STEP]
+        slots = index.bigram_slots(wids)
+        flags += [PMC_STEP if u >= 0 else HMC_STEP for u in slots.tolist()]
     kept = slots >= 0
-    t, flat, ratios = index.write_pmc_steps(steps, slots)
-    flags += [PMC_STEP if k else HMC_STEP for k in kept.tolist()]
+    t, flat, ratios = index.pmc_triples(slots)
+    if decoder == "map":
+        return _log_factors(index.log_trans_t, cols, initial, flags, kept, t, flat, ratios)
+    steps = _hmc_steps(hmc.trans, cols)
+    steps[kept] = 0.0
+    _flat_steps(steps)[t, flat] = ratios
 
     def rescue(s):
         """Downgrade step s to its HMC factor if it is a kept PMC step."""
@@ -411,9 +492,12 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc") -> FactorProvider:
             kept[s] = False
             flags[s + 1] = HMC_STEP
 
-    return FactorProvider(initial, steps, flags,
-                          partial(_log_steps, index.log_trans_t, cols, kept, t, flat, ratios),
-                          rescue)
+    def log_steps():
+        live = kept[t]  # the triples of the steps that are still kept
+        return _log_steps(index.log_trans_t, _log(cols), kept, t[live], flat[live],
+                          ratios[live])
+
+    return FactorProvider(initial, steps, flags, log_steps, rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
@@ -474,15 +558,20 @@ def mpm_path(factors: FactorProvider) -> np.ndarray:
     return posterior_marginals(factors).argmax(axis=1)
 
 
-def map_path(factors: FactorProvider):
+def map_path(factors: FactorProvider | LogFactors):
     """Best label sequence under the resolved factors (max-product).
 
-    Returns (path, log_score). Works in log space; among equal-scoring
-    paths the lexicographically smallest id sequence is returned, obtained
-    by maximizing suffix scores first and reconstructing front to back
-    with ties resolved to the lowest id. Without a path, the dead end is
-    the forward pass's.
+    Returns (path, log_score). Works in log space, on the stack that
+    factors.log_steps() returns; among equal-scoring paths the
+    lexicographically smallest id sequence is returned, obtained by
+    maximizing suffix scores first and reconstructing front to back with
+    ties resolved to the lowest id. A sentence without a path has a dead
+    end, which the factors found when they were resolved: the forward pass
+    of a FactorProvider, the exact 0/1 support pass of LogFactors. It is
+    raised before any score is computed.
     """
+    if factors.dead is not None:
+        raise DeadEnd(factors.dead)
     # scores[t, j, i]: log step t from i to j plus the best suffix score
     # from j at t + 1; suffix is a column over j, and the best over j is an
     # elementwise maximum of rows
@@ -494,8 +583,6 @@ def map_path(factors: FactorProvider):
         suffix = np.maximum.reduce(step, axis=0, keepdims=True).T
     head += suffix[:, 0]
     best = head.max()
-    if best < _LOG_ZERO / 2:
-        raise DeadEnd(factors.length - 1 if factors.dead is None else factors.dead)
     path = [int(head.argmax())]
     for step in scores:
         path.append(int(step[:, path[-1]].argmax()))
@@ -524,11 +611,10 @@ def decode_sentence(model: ModelBundle, sentence, mode="pmc",
     """Decode one sentence of word strings: its labels and per-step flags.
 
     decoder "mpm" gives the marginal-posterior-mode labels and "map" the
-    jointly most probable ones (Viterbi) with their log score.
+    jointly most probable ones (Viterbi) with their log score. The
+    factors are resolved for the decoder (see resolve_factors).
     """
-    if decoder not in DECODERS:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    factors = resolve_factors(model, sentence, mode=mode)
+    factors = resolve_factors(model, sentence, mode=mode, decoder=decoder)
     score = None
     if decoder == "mpm":
         ids = mpm_path(factors)

@@ -203,6 +203,14 @@ class CountTable:
         )
 
 
+def run_starts(values) -> np.ndarray:
+    """Index of the first entry of each run of equal entries of a sorted array."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def summed(shape, index, counts) -> np.ndarray:
     """int64 array of `shape` with counts added at index; repeats add up."""
     out = np.zeros(shape, dtype=np.int64)

@@ -15,8 +15,8 @@ from . import inference
 from .errors import EmptyCorpus, EmptySentence
 from .features import MAX_SUFFIX_LEN, derive_feature_tables
 from .features import fit_feature_tables  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
-from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle,
-                    key_columns, key_numbers)
+from .model import (CountTable, CountTables, HmcParams, Interner, ModelBundle, key_columns,
+                    run_starts)
 from .oracle import fit_pmc  # noqa: F401 - perfbench/tracing.py looks the reference estimator up here
 
 TASKS = ("pos", "chunk", "ner")
@@ -34,29 +34,28 @@ class TrainConfig:
             raise ValueError(f"suffix_max_len must be in 0..{MAX_SUFFIX_LEN}")
 
 
-def _tally(columns, n_labels, n_words, base=None) -> CountTable:
-    """Count equal tuples of token codes into a CountTable.
+def _tally(key, width, n_labels, n_words, base=None) -> CountTable:
+    """Count equal keys of tuples of width token codes into a CountTable.
 
-    columns holds one int64 array per tuple position, which the tally may
-    use up; a token code is label * n_words + word. A tuple's key is its
-    model.key_numbers number, so sorting the keys in place sorts the
-    (label, word, ...) rows. The rows of `base`, a table over ids below
-    n_labels and n_words, are added with their counts.
+    A token code is label * n_words + word, and key holds each counted
+    tuple's model.key_numbers number, an int64 array that the tally sorts
+    in place; sorting the numbers sorts the (label, word, ...) rows. The
+    rows of `base`, a table over ids below n_labels and n_words, are added
+    with their counts. Tuples whose numbers do not fit int64 are refused,
+    whatever key holds.
     """
-    width, radix = len(columns), n_labels * n_words
+    radix = n_labels * n_words
     if radix ** width > np.iinfo(np.int64).max:
         raise ValueError(f"{n_labels} labels by {n_words} words overflow the count keys")
-    key = key_numbers(columns, radix)
-    del columns  # callers pass a list of temporaries: free the codes
     key.sort()
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # each run of equal keys is one row
+    starts = run_starts(key)  # each run of equal keys is one row
     key, counts = key[starts], np.diff(starts, append=len(key))
     if base is not None:
         # two sorted runs of rows, which a stable sort merges in one pass
         key = np.concatenate((base.numbers(n_labels, n_words), key))
         order = np.argsort(key, kind="stable")
         key, counts = key[order], np.concatenate((base.counts, counts))[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        starts = run_starts(key)
         key, counts = key[starts], np.add.reduceat(counts, starts)
     return CountTable(key_columns(key, width, n_labels, n_words), counts)
 
@@ -85,11 +84,17 @@ def accumulate_counts(corpus, base=None):
     code = (label_code * n_words)[corpus.tag_ids]
     code += word_code[corpus.word_ids]
     starts = np.cumsum(lengths) - lengths
-    follows = np.ones(len(code), dtype=bool)  # token t continues a sentence
-    follows[starts] = False
-    n0_ik = _tally([code[starts]], n_labels, n_words, base_counts and base_counts.n0_ik)
-    n_ikjl = _tally([code[:-1][follows[1:]], code[1:][follows[1:]]], n_labels, n_words,
-                    base_counts and base_counts.n_ikjl)
+    n0_ik = _tally(code[starts], 1, n_labels, n_words, base_counts and base_counts.n0_ik)
+    # the key number of every adjacent pair of codes, built in one int64
+    # array and compressed once to the pairs whose second token continues
+    # a sentence
+    pair = code[:-1] * (n_labels * n_words)
+    pair += code[1:]
+    del code
+    follows = np.ones(len(pair), dtype=bool)
+    follows[starts[1:] - 1] = False
+    pair = pair[follows]
+    n_ikjl = _tally(pair, 2, n_labels, n_words, base_counts and base_counts.n_ikjl)
     return CountTables(n_labels, n_words, n0_ik, n_ikjl), alphabet, vocabulary
 
 

@@ -1,9 +1,10 @@
 """Per-step reference for pmctag.inference's decoder.
 
-The package resolves a sentence's factors and runs the scaled forward pass
-in one loop, normalizes the rows of its recursions once per block of steps
-and builds Viterbi's scores from log tables. This module keeps the decoder
-that design replaced: a separate 0/1-support loop for the annihilation
+For MPM the package resolves a sentence's factors and runs the scaled
+forward pass in one loop and normalizes the rows of its recursions once
+per block of steps; for MAP it builds only Viterbi's log stack, from log
+tables, and reads the downgrades and the dead end off its 0/1 support.
+This module keeps the decoder that design replaced: a separate 0/1-support loop for the annihilation
 downgrade, forward and backward passes normalized at every step, and
 Viterbi over the log of the whole factor stack. Property tests check that
 both give the same flags, dead ends, labels, posteriors and MAP scores. It

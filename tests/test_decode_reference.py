@@ -1,14 +1,16 @@
 """The decoder against the per-step reference in decode_reference.py.
 
-The package runs the forward pass while it resolves the factors, normalizes
-rows once per block and scores Viterbi from log tables; the reference
-keeps the separate support loop, per-step normalization and the log of
-the whole stack. Both must give the same flags, dead ends and labels,
-posteriors within 1e-12 and MAP scores within 1e-12 relative. Both take
-the plain argmax, so where two labels or paths tie exactly, rounding may
-pick either; a label may differ only where the reference's posteriors of
-the two are within 1e-12, a path only where the reference scores it
-within 1e-12 of the best.
+The package resolves a sentence's factors for the decoder that reads
+them. For MPM it runs the forward pass while it resolves them and
+normalizes rows once per block; for MAP it builds only the log stack and
+decides the downgrades and the dead end by one boolean pass of its exact
+0/1 support. The reference keeps the separate support loop, per-step
+normalization and the log of the whole float stack. Both must give the
+same flags, dead ends and labels, posteriors within 1e-12 and MAP scores
+within 1e-12 relative. Both take the plain argmax, so where two labels or
+paths tie exactly, rounding may pick either; a label may differ only where
+the reference's posteriors of the two are within 1e-12, a path only where
+the reference scores it within 1e-12 of the best.
 """
 
 import dataclasses
@@ -36,8 +38,9 @@ UNKNOWN = ["w9", "x1", "zz", "Q#7", "a-b"]
 
 
 def decode(model, sentence, mode, decoder) -> ref.Outcome:
-    """The package's outcome, in the reference's terms."""
-    factors = resolve_factors(model, sentence, mode)
+    """The package's outcome, in the reference's terms, from factors
+    resolved for the decoder, as decode_sentence resolves them."""
+    factors = resolve_factors(model, sentence, mode, decoder)
     try:
         if decoder == "mpm":
             post = posterior_marginals(factors)

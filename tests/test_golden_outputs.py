@@ -2,19 +2,22 @@
 
 The runs train every task with and without --extra-corpus at suffix
 lengths 0 and 3, tag and evaluate in both modes with both decoders, and
-verify at a fixed seed. Their inputs are tests/data/ and one small corpus
-generated here from a fixed seed, which has unknown words, downgrades and
-a dead end. Each run's exit code is kept as it is; its stdout, its stderr
-with the timings masked, and every file it writes are kept as digests in
-tests/golden/outputs.json.
+verify at a fixed seed. Others read the word from another column, tag to
+a file with --output and take options from a --config file. Their inputs
+are tests/data/, a copy of its chunk corpora with the first two columns
+swapped, and one small corpus generated here from a fixed seed, which has
+unknown words, downgrades and a dead end. Each run's exit code is kept as
+it is; its stdout, its stderr with the timings masked, and every file it
+writes are kept as digests in tests/golden/outputs.json.
 
 A change that means to change outputs regenerates that file:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and lists each digest that changed, with the reason. The digests pin this
-environment's numpy and BLAS: an exact MPM tie may fall the other way
-elsewhere.
+which prints each digest it adds, changes (old -> new) or removes, by run
+and output. The change lists each of them with the reason. The digests
+pin this environment's numpy and BLAS: an exact MPM tie may fall the
+other way elsewhere.
 """
 
 import contextlib
@@ -116,6 +119,30 @@ def _runs(d):
                  ["eval", "--corpus", str(DATA / "test_chunk.conll"), "--tag-column", "1",
                   "--mapping", str(DATA / "ptb_mini.map"), "--model", str(d / "mapped.pmc")],
                  []))
+    chunk_model = str(d / "train-chunk-suffix3.pmc")
+    # the swapped copies hold the word in column 1: the model is train-chunk-suffix3's
+    runs.append(("train-chunk-word-column",
+                 ["train", "--corpus", str(d / "swapped_train.conll"), "--task", "chunk",
+                  "--word-column", "1", "--tag-column", "2",
+                  "--model", str(d / "word-column.pmc")], ["word-column.pmc"]))
+    runs.append(("tag-chunk-word-column",
+                 ["tag", "--input", str(d / "swapped_test.conll"), "--word-column", "1",
+                  "--model", chunk_model], []))
+    runs.append(("eval-chunk-word-column",
+                 ["eval", "--corpus", str(d / "swapped_test.conll"), "--word-column", "1",
+                  "--tag-column", "2", "--model", chunk_model], []))
+    runs.append(("tag-chunk-output",
+                 ["tag", "--input", str(DATA / "test_chunk.conll"), "--model", chunk_model,
+                  "--output", str(d / "tagged.txt")], ["tagged.txt"]))
+    # a config file's values are defaults, and a flag wins over them
+    runs.append(("train-chunk-config",
+                 ["--config", str(d / "train.json"), "train",
+                  "--corpus", str(DATA / "train_chunk.conll"),
+                  "--model", str(d / "config.pmc")], ["config.pmc"]))
+    runs.append(("eval-chunk-config",
+                 ["--config", str(d / "eval.json"), "eval",
+                  "--corpus", str(DATA / "test_chunk.conll"), "--model", chunk_model,
+                  "--decoder", "map"], []))
     runs.append(("verify", ["verify", "--instances", "20", "--seed", "7"], []))
     return runs
 
@@ -138,6 +165,16 @@ def golden_outputs() -> dict:
         (d / "commented.conll").write_text(
             "-DOCSTART- -X- O\n\n# a comment\n" + chunk.replace("\n\n", "\n# end\n\n", 3),
             encoding="utf-8")
+        for name in ("train", "test"):
+            lines = (DATA / f"{name}_chunk.conll").read_text(encoding="utf-8").split("\n")
+            swapped = [" ".join([c[1], c[0], *c[2:]]) if len(c := line.split()) > 1 else line
+                       for line in lines]
+            (d / f"swapped_{name}.conll").write_text("\n".join(swapped), encoding="utf-8")
+        (d / "train.json").write_text(json.dumps(
+            {"task": "chunk", "tag_column": 2, "suffix_max_len": 0}), encoding="utf-8")
+        (d / "eval.json").write_text(json.dumps(
+            {"tag_column": 2, "mode": "hmc", "decoder": "mpm", "scheme": "plain"}),
+            encoding="utf-8")
         for name, argv, files in _runs(d):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -149,18 +186,40 @@ def golden_outputs() -> dict:
                 **{file: _sha256((d / file).read_bytes()) for file in files},
             }
             for file in files:
-                if file.startswith("report"):
+                if file.startswith(("report", "tagged")):
                     os.unlink(d / file)
     return outputs
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per output whose digest (or exit code) was added, changed or
+    removed from old to new, by run and output."""
+    lines = []
+    for run in sorted(old.keys() | new.keys()):
+        before, after = old.get(run, {}), new.get(run, {})
+        for key in sorted(before.keys() | after.keys()):
+            was, now = before.get(key), after.get(key)
+            if was is None:
+                lines.append(f"added {run}.{key}: {now}")
+            elif now is None:
+                lines.append(f"removed {run}.{key}: {was}")
+            elif was != now:
+                lines.append(f"changed {run}.{key}: {was} -> {now}")
+    return lines
+
+
 def test_outputs_match_the_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = golden_outputs()
-    changed = sorted(f"{run}.{key}" for run in expected.keys() | got.keys()
-                     for key in expected.get(run, {}).keys() | got.get(run, {}).keys()
-                     if expected.get(run, {}).get(key) != got.get(run, {}).get(key))
-    assert not changed, f"outputs changed: {changed}"
+    changed = changes(expected, golden_outputs())
+    assert not changed, "outputs changed:\n" + "\n".join(changed)
+
+
+def test_changes_name_each_added_changed_and_removed_output():
+    old = {"a": {"exit": 0, "stdout": "x"}, "b": {"stdout": "y"}}
+    new = {"a": {"exit": 1, "stdout": "x", "f.pmc": "z"}, "c": {"stdout": "y"}}
+    assert changes(old, new) == ["changed a.exit: 0 -> 1", "added a.f.pmc: z",
+                                 "removed b.stdout: y", "added c.stdout: y"]
+    assert changes(new, new) == []
 
 
 def test_the_generated_corpus_has_unknown_words_downgrades_and_a_dead_end(tmp_path, capsys):
@@ -178,7 +237,10 @@ def test_the_generated_corpus_has_unknown_words_downgrades_and_a_dead_end(tmp_pa
 
 
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    outputs = golden_outputs()
+    for line in changes(previous, outputs):
+        print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

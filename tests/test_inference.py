@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from pmctag import inference
 from pmctag.errors import DeadEnd, EmptySentence
 from pmctag.features import feature_column
 from pmctag.inference import (HMC_STEP, PMC_STEP, backward, decode_sentence,
@@ -441,6 +442,40 @@ class TestModelLevelDecoding:
         with pytest.raises(DeadEnd) as err:
             decode_sentence(model, ["running", "Q#7"])
         assert err.value.position == 1
+
+    def test_map_builds_no_float_stack_and_runs_no_forward_pass(self, monkeypatch):
+        """MAP decides its downgrades and dead ends from the support of its
+        log stack alone, so it never needs the float steps or _chain."""
+        model = train_model(corpus_from(
+            [("a", "X"), ("b", "Y")],
+            [("b", "Z"), ("c", "W"), ("g", "W")],
+            [("d", "Y"), ("e", "W")],
+        ), TrainConfig(task="pos"))
+        # a rescue (b c), a dead end on an unknown word whose feature
+        # column is all zero, and a one-word sentence
+        sentences = [["a", "b", "c"], ["a", "b", "Q#7", "c"], ["d"]]
+
+        def outcomes():
+            out = []
+            for mode in ("pmc", "hmc"):
+                for sentence in sentences:
+                    try:
+                        result = decode_sentence(model, sentence, mode, decoder="map")
+                        out.append((result.labels, result.flags, result.log_score))
+                    except DeadEnd as exc:
+                        out.append(exc.position)
+            return out
+
+        want = outcomes()
+        assert want[0][:2] == (["X", "Y", "W"], [PMC_STEP, PMC_STEP, HMC_STEP])
+        assert want[1] == 2 and want[4] == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("MAP decoding used the float recursion")
+
+        monkeypatch.setattr(inference, "_chain", refuse)
+        monkeypatch.setattr(inference, "_hmc_steps", refuse)
+        assert outcomes() == want
 
     def test_unknown_only_sentence_decodes_via_features(self):
         model = shape_model()

@@ -123,11 +123,11 @@ def test_tally_sorted_exact_and_online_equals_batch(base, delta, at):
 
 
 def test_tally_refuses_keys_beyond_int64():
-    codes = np.array([5], dtype=np.int64)
-    assert key_rows(_tally([codes], 2 ** 16, 2 ** 16), 2 ** 16, 2 ** 16).tolist() == [[0, 5]]
+    keys = np.array([5], dtype=np.int64)
+    assert key_rows(_tally(keys.copy(), 1, 2 ** 16, 2 ** 16), 2 ** 16, 2 ** 16).tolist() == [[0, 5]]
     # a pair key needs (2**32)**2 values
     with pytest.raises(ValueError, match="overflow the count keys"):
-        _tally([codes, codes], 2 ** 16, 2 ** 16)
+        _tally(keys, 2, 2 ** 16, 2 ** 16)
 
 
 class TestFitHmc:
