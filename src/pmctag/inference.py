@@ -48,7 +48,8 @@ DECODERS = ("mpm", "map")
 # 5e-124 of its row's mass, where per-step normalization keeps entries
 # down to about 5e-324 of the mass. So a row that comes out empty is
 # judged by the exact support (_reaches), and if that is not empty, the
-# recursion is redone with blocks of one step.
+# recursion is redone with blocks of one step. MAP's boolean support pass
+# (_log_factors) checks for an empty row once per block as well.
 _BLOCK = 16
 _TINY = 1e-200
 
@@ -140,16 +141,19 @@ class FactorProvider:
     comes out empty while its exact 0/1 support is empty too, and a row
     left empty after that is the dead end. This is how factors resolved
     for MPM find their downgrades and dead end; factors resolved for MAP
-    are LogFactors, which build no float stack. log_steps returns a fresh
-    (T-1, N, N) stack of log factors for Viterbi, built from the
-    producer's log tables and laid out [t, j, i]: the log of
-    steps[t, i, j].
+    are LogFactors, which build no float stack.
+
+    log_steps, when the producer sets it, returns a fresh (T-1, N, N)
+    stack of log factors for map_path, built from the producer's log
+    tables and laid out [t, j, i]: the log of steps[t, i, j]. The oracle,
+    factors_from_hmc and hand-built factors set it; resolve_factors does
+    not, since it resolves Viterbi's factors with decoder="map".
     """
 
     initial: np.ndarray
     steps: np.ndarray
     flags: list[str]
-    log_steps: Callable[[], np.ndarray] = field(repr=False)
+    log_steps: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     rescue: InitVar[Callable[[int], None] | None] = None
     alpha: np.ndarray = field(init=False, repr=False)
     scales: np.ndarray = field(init=False, repr=False)
@@ -377,12 +381,15 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
 
     The support of step t is the set of entries of its log factors above
     _LOG_ZERO / 2, and the forward support is carried through it as
-    booleans, one product per step, which cannot underflow. Where a row of
-    the pass comes out empty, a kept PMC step into it is downgraded (its
-    log factors rewritten as log_trans_t plus its log emission column) and
-    the pass restarts there; any other empty row is the dead end. An empty
-    initial factor ends the sentence at position 0, after downgrading step
-    0 if it is kept, as the forward pass of FactorProvider does.
+    booleans, one product per step, which cannot underflow. Emptiness is
+    checked once per block of _BLOCK steps, on the block's last row. Where
+    a row of the block comes out empty, a kept PMC step into it is
+    downgraded (its log factors rewritten as log_trans_t plus its log
+    emission column) and the pass restarts at that step, so a downgrade
+    redoes at most one block; any other empty row is the dead end. An
+    empty initial factor ends the sentence at position 0, after
+    downgrading step 0 if it is kept, as the forward pass of
+    FactorProvider does.
     """
     log_cols = _log(cols)
     scores = _log_steps(log_trans_t, log_cols, kept, t, flat, ratios)
@@ -396,32 +403,30 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
         kept[s] = False
         flags[s + 1] = HMC_STEP
 
-    row, product, lo = list(rows), np.matmul, 0
-    while True:
-        for s in range(lo, len(live)):
+    if not rows[0].any():
+        if len(kept) and kept[0]:
+            downgrade(0)
+        return LogFactors(initial, scores, flags, 0)
+    row, product, lo, n_steps = list(rows), np.matmul, 0, len(live)
+    while lo < n_steps:
+        hi = min(lo + _BLOCK, n_steps)
+        for s in range(lo, hi):
             product(live[s], row[s], out=row[s + 1])
         # an empty row empties every row after it
-        if row[-1].any():
-            return LogFactors(initial, scores, flags, None)
-        empty = lo + int(np.logical_or.reduce(rows[lo:], axis=1).argmin())
-        if empty == 0:
-            if len(kept) and kept[0]:
-                downgrade(0)
-            return LogFactors(initial, scores, flags, 0)
-        lo = empty - 1
-        if not kept[lo]:
-            return LogFactors(initial, scores, flags, empty)
-        downgrade(lo)
+        if not row[hi].any():
+            s = lo + int(np.logical_or.reduce(rows[lo + 1:hi + 1], axis=1).argmin())
+            if not kept[s]:
+                return LogFactors(initial, scores, flags, s + 1)
+            downgrade(s)
+            hi = s
+        lo = hi
+    return LogFactors(initial, scores, flags, None)
 
 
-def _hmc_factors(hmc: HmcParams, cols, log_trans_t) -> FactorProvider:
+def _hmc_factors(hmc: HmcParams, cols, log_steps=None) -> FactorProvider:
     """HMC factors for the (T, N) emission columns of a sentence."""
-    none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
     return FactorProvider(initial=hmc.pi * cols[0], steps=_hmc_steps(hmc.trans, cols),
-                          flags=[PLAIN_HMC] * len(cols),
-                          log_steps=lambda: _log_steps(log_trans_t, _log(cols),
-                                                       np.zeros(len(cols) - 1, dtype=bool),
-                                                       none, none, np.empty(0)))
+                          flags=[PLAIN_HMC] * len(cols), log_steps=log_steps)
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
@@ -443,10 +448,11 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     For "mpm" every step is written into one (T-1, N, N) float stack and
     a FactorProvider runs the scaled forward pass over it: a kept PMC step
     is downgraded exactly when its forward row is empty and the exact 0/1
-    support is empty too (see _chain). For "map" no float stack is built:
-    LogFactors hold the log stack, and one boolean pass of the exact 0/1
-    support over it finds the downgrades and the dead end (see
-    _log_factors). Both give the same flags and dead ends.
+    support is empty too (see _chain); these factors hold no log stack, so
+    map_path refuses them. For "map" no float stack is built: LogFactors
+    hold the log stack, and one boolean pass of the exact 0/1 support over
+    it finds the downgrades and the dead end (see _log_factors). Both give
+    the same flags and dead ends.
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -465,7 +471,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
             cols[pos] = feature_column(model.features, sentence[pos], pos)
     if mode == "hmc":
         if decoder == "mpm":
-            return _hmc_factors(hmc, cols, index.log_trans_t)
+            return _hmc_factors(hmc, cols)
         initial, flags = hmc.pi * cols[0], [PLAIN_HMC] * len(cols)
         slots = np.full(len(cols) - 1, -1)
     else:
@@ -492,19 +498,19 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
             kept[s] = False
             flags[s + 1] = HMC_STEP
 
-    def log_steps():
-        live = kept[t]  # the triples of the steps that are still kept
-        return _log_steps(index.log_trans_t, _log(cols), kept, t[live], flat[live],
-                          ratios[live])
-
-    return FactorProvider(initial, steps, flags, log_steps, rescue)
+    return FactorProvider(initial, steps, flags, rescue=rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
     """Classic HMC factors for an id-encoded observation sequence."""
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
-    return _hmc_factors(params, params.emit.T[np.asarray(obs)], _log(params.trans.T))
+    cols = params.emit.T[np.asarray(obs)]
+    none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
+    return _hmc_factors(params, cols,
+                        lambda: _log_steps(_log(params.trans.T), _log(cols),
+                                           np.zeros(len(cols) - 1, dtype=bool),
+                                           none, none, np.empty(0)))
 
 
 def forward(factors: FactorProvider):
@@ -568,8 +574,13 @@ def map_path(factors: FactorProvider | LogFactors):
     ties resolved to the lowest id. A sentence without a path has a dead
     end, which the factors found when they were resolved: the forward pass
     of a FactorProvider, the exact 0/1 support pass of LogFactors. It is
-    raised before any score is computed.
+    raised before any score is computed. A FactorProvider without
+    log_steps, as resolve_factors builds for MPM, is refused: a sentence's
+    Viterbi factors are resolve_factors(..., decoder="map").
     """
+    if factors.log_steps is None:
+        raise ValueError('these factors have no log stack for Viterbi; '
+                         'resolve the sentence with decoder="map"')
     if factors.dead is not None:
         raise DeadEnd(factors.dead)
     # scores[t, j, i]: log step t from i to j plus the best suffix score

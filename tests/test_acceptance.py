@@ -392,3 +392,14 @@ def test_performance_ordering_and_scaling():
     r_decode = _median_ratio(lambda: decode(long_sentence),
                              lambda: decode(long_sentence * 2), repeats=5)
     assert r_decode <= 2.5, f"T=2000 takes {r_decode:.2f}x the T=1000 decode time"
+
+    # and for Viterbi, whose support pass restarts at every rescue: the
+    # training sentences run together keep most steps and rescue a few
+    run_together = [w for sent in corpus.sentences for w, _ in sent][:1000]
+
+    def viterbi(sentence):
+        decode_sentence(model, sentence, mode="pmc", decoder="map")
+
+    r_map = _median_ratio(lambda: viterbi(run_together),
+                          lambda: viterbi(run_together * 2), repeats=5)
+    assert r_map <= 2.5, f"T=2000 takes {r_map:.2f}x the T=1000 MAP decode time"

@@ -129,6 +129,24 @@ def test_annihilation_rescue_matches_the_reference():
         assert want.flags == [PMC_STEP, PMC_STEP, HMC_STEP, HMC_STEP, HMC_STEP]
 
 
+@pytest.mark.parametrize("decoder", ["mpm", "map"])
+@pytest.mark.parametrize("tail", [[], ["Q#7", "a", "b"]])
+def test_rescues_and_dead_ends_in_later_blocks_match_the_reference(decoder, tail):
+    """a b c repeated over four blocks, where (c, a) closes the cycle: every
+    b -> c step is rescued, so passes restart inside later blocks, and a
+    word with an all-zero column ends the sentence after the last block."""
+    model = train_model(corpus_from([("a", "X"), ("b", "Y")],
+                                    [("b", "Z"), ("c", "W"), ("g", "W")],
+                                    [("d", "Y"), ("e", "W")], [("c", "W"), ("a", "X")]),
+                        TrainConfig(task="pos"))
+    repeats = _BLOCK + 2
+    sentence = ["a", "b", "c"] * repeats + tail
+    want = check(model, sentence, "pmc", decoder)
+    assert want.flags[2:3 * repeats:3] == [HMC_STEP] * repeats
+    assert want.flags[:3 * repeats].count(HMC_STEP) == repeats
+    assert want.dead == (3 * repeats if tail else None)
+
+
 @pytest.mark.parametrize("mode", ["pmc", "hmc"])
 @pytest.mark.parametrize("decoder", ["mpm", "map"])
 def test_long_sentence_matches_the_reference(mode, decoder):

@@ -477,6 +477,15 @@ class TestModelLevelDecoding:
         monkeypatch.setattr(inference, "_hmc_steps", refuse)
         assert outcomes() == want
 
+    def test_map_path_refuses_factors_resolved_for_mpm(self):
+        model, sentence = shape_model(), ["running", "jumping", "running"]
+        for mode in ("pmc", "hmc"):
+            factors = resolve_factors(model, sentence, mode=mode)
+            with pytest.raises(ValueError, match='decoder="map"'):
+                map_path(factors)
+            path, _ = map_path(resolve_factors(model, sentence, mode, decoder="map"))
+            assert path.tolist() == mpm_path(factors).tolist()
+
     def test_unknown_only_sentence_decodes_via_features(self):
         model = shape_model()
         labels = decode_sentence(model, ["ping"]).labels
