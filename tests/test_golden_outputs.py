@@ -5,10 +5,13 @@ lengths 0 and 3, tag and evaluate in both modes with both decoders, and
 verify at a fixed seed. Others read the word from another column, tag to
 a file with --output and take options from a --config file. Their inputs
 are tests/data/, a copy of its chunk corpora with the first two columns
-swapped, and one small corpus generated here from a fixed seed, which has
-unknown words, downgrades and a dead end. Each run's exit code is kept as
-it is; its stdout, its stderr with the timings masked, and every file it
-writes are kept as digests in tests/golden/outputs.json.
+swapped, one small corpus generated here from a fixed seed, which has
+unknown words, downgrades and a dead end, and a respelled copy of its
+world whose words carry non-ASCII capitals and decimals, hyphens and a
+trailing NUL, known and unknown, at the start of a sentence and inside
+it. Each run's exit code is kept as it is; its stdout, its stderr with
+the timings masked, and every file it writes are kept as digests in
+tests/golden/outputs.json.
 
 A change that means to change outputs regenerates that file:
 
@@ -72,6 +75,36 @@ def generated_corpora(seed=21):
     train, extra = _sentences(rng, 300), _sentences(rng, 60)
     test = _sentences(rng, 60, oov_share=0.15) + "w0k0 L0\nw3k0 L3\n\n"
     return train, extra, test
+
+
+# spellings that set the orthographic feature bits with non-ASCII
+# capitals and decimals, a hyphen or a NUL at the end of the token
+ORTHO = [lambda w: "É" + w, lambda w: "Σ" + w, lambda w: w + "٣", lambda w: w + "７",
+         lambda w: w[:2] + "-" + w[2:], lambda w: w + "\x00"]
+
+
+def _respelled(rng, text, share):
+    lines = []
+    for line in text.split("\n"):
+        if line:
+            word, label = line.split(" ")
+            if rng.random() < share:
+                word = rng.choice(ORTHO)(word)
+            line = f"{word} {label}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def ortho_corpora(seed=23):
+    """(train, test) texts of the generated world with respelled words. The
+    test text ends with unknown words of each spelling at the start of a
+    sentence and inside it."""
+    rng = random.Random(seed)
+    train = _respelled(rng, _sentences(rng, 400), 0.5)
+    test = _respelled(rng, _sentences(rng, 40, oov_share=0.3), 0.25) + (
+        "Éu1ing L0\nx-y٣ L1\nΣu2ed L2\nba７ L3\nzq\x00 L4\n\n"
+        "ba\x00 L0\nΣ７-s L1\nÉ L2\n٣ L3\n\n")
+    return train, test
 
 
 def _runs(d):
@@ -143,6 +176,16 @@ def _runs(d):
                  ["--config", str(d / "eval.json"), "eval",
                   "--corpus", str(DATA / "test_chunk.conll"), "--model", chunk_model,
                   "--decoder", "map"], []))
+    runs.append(("train-ortho", ["train", "--corpus", str(d / "ortho_train.conll"),
+                                 "--model", str(d / "ortho.pmc")], ["ortho.pmc"]))
+    for mode in ("pmc", "hmc"):
+        for decoder in ("mpm", "map"):
+            decode = ["--model", str(d / "ortho.pmc"), "--mode", mode, "--decoder", decoder]
+            runs.append((f"tag-ortho-{mode}-{decoder}",
+                         ["tag", "--input", str(d / "ortho_test.conll"), *decode], []))
+            runs.append((f"eval-ortho-{mode}-{decoder}",
+                         ["eval", "--corpus", str(d / "ortho_test.conll"),
+                          "--report-kv", str(d / "report.kv"), *decode], ["report.kv"]))
     runs.append(("verify", ["verify", "--instances", "20", "--seed", "7"], []))
     return runs
 
@@ -159,7 +202,8 @@ def golden_outputs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         train, extra, test = generated_corpora()
-        for name, text in (("gen_train", train), ("gen_extra", extra), ("gen_test", test)):
+        for name, text in (("gen_train", train), ("gen_extra", extra), ("gen_test", test),
+                           *zip(("ortho_train", "ortho_test"), ortho_corpora())):
             (d / f"{name}.conll").write_text(text, encoding="utf-8")
         chunk = (DATA / "train_chunk.conll").read_text(encoding="utf-8")
         (d / "commented.conll").write_text(
