@@ -5,12 +5,14 @@ approximated by the empirical probability of the feature tuple
 (capitalized, hyphen, first-in-sentence, digit, suffix) given the label.
 One table is kept per suffix length m = 0..max_len; scoring uses the
 longest level whose suffix was seen in training and backs off otherwise.
+A tuple is one integer code per level, and both estimators build the
+tables from occurrence rows (word, first bit, label, count).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
@@ -22,6 +24,9 @@ from .errors import EmptyCorpus, EmptyToken
 # Longer suffixes are whole words for almost every token; the bound also
 # keeps a corrupt model file from asking for millions of levels.
 MAX_SUFFIX_LEN = 16
+
+# the bits of a feature code; the suffix's rank is the code divided by 16
+CAP, HYPHEN, FIRST, DIGIT = 8, 4, 2, 1
 
 
 class WordFeatures(NamedTuple):
@@ -36,8 +41,7 @@ class WordFeatures(NamedTuple):
 
 def word_suffix(word: str, m: int) -> str:
     """Suffix of length min(m, len(word)); empty string for m = 0."""
-    k = min(m, len(word))
-    return word[len(word) - k:]
+    return word[-m:] if m else ""
 
 
 def extract_features(word: str, position: int, m: int) -> WordFeatures:
@@ -62,35 +66,30 @@ def extract_features(word: str, position: int, m: int) -> WordFeatures:
 class FeatureEmissionTables:
     """Per-level empirical feature-tuple probabilities given the label.
 
-    tuple_ids[m] maps a label-free tuple (cap, hyphen, first, digit,
-    suffix_m) to its row in tables[m], a float (n_tuples_m, n_labels)
-    array whose entry [r, i] is the conditional frequency of tuple r
-    given label i. Rows follow sorted tuple order, and only tuples with
-    a positive count get one, so an unknown word's emission column is one
-    row read. suffix_support[m] is the set of suffixes seen at level m; it
-    decides the back-off level for a word and is derived from the tuple
-    keys. Nothing can be changed: the fields cannot be reassigned, the
-    per-level sequences are tuples, each tuple_ids[m] is a read-only
-    mapping, each suffix_support[m] a frozenset and each array read-only.
+    suffix_ranks[m] maps each suffix seen at level m to its rank in sorted
+    order; it is the level's suffix support, which decides the back-off
+    level of a word. codes[m] holds, in increasing order, the codes
+    rank * 16 + bits of the tuples with a positive count, and row r of
+    tables[m], a float (n_codes_m, n_labels) array, holds the conditional
+    frequency of the tuple codes[m][r] given each label. So an unknown
+    word's emission column is one code and one row read. Nothing can be
+    changed: the fields cannot be reassigned, the per-level sequences are
+    tuples, each suffix_ranks[m] is a read-only mapping and each array
+    read-only.
     """
 
     max_len: int
-    tuple_ids: tuple[Mapping[WordFeatures, int], ...]
+    suffix_ranks: tuple[Mapping[str, int], ...]
+    codes: tuple[np.ndarray, ...]
     tables: tuple[np.ndarray, ...]
-    suffix_support: tuple[frozenset[str], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for table in self.tables:
-            table.setflags(write=False)
+        for array in (*self.codes, *self.tables):
+            array.setflags(write=False)
         set_field = partial(object.__setattr__, self)  # the dataclass is frozen
+        set_field("suffix_ranks", tuple(map(MappingProxyType, self.suffix_ranks)))
+        set_field("codes", tuple(self.codes))
         set_field("tables", tuple(self.tables))
-        set_field("tuple_ids", tuple(map(MappingProxyType, self.tuple_ids)))
-        set_field("suffix_support",
-                  tuple(frozenset(key[4] for key in ids) for ids in self.tuple_ids))
-
-    @property
-    def n_labels(self) -> int:
-        return self.tables[0].shape[1]
 
     def validate(self, tol=1e-12):
         if len(self.tables) != self.max_len + 1:
@@ -107,61 +106,78 @@ class FeatureEmissionTables:
         return (
             isinstance(other, FeatureEmissionTables)
             and self.max_len == other.max_len
-            and self.tuple_ids == other.tuple_ids
-            and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
+            and self.suffix_ranks == other.suffix_ranks
+            and all(np.array_equal(a, b) for a, b in zip((*self.codes, *self.tables),
+                                                         (*other.codes, *other.tables)))
         )
 
 
-def _tables_from_counts(tuple_ids, tuple_counts, label_totals, max_len):
-    """Divide per-level (n_tuples, n_labels) int64 counts by the label totals.
+def _shape(word: str) -> int:
+    """The cap, hyphen and digit bits of a word's feature code."""
+    if not word:
+        raise EmptyToken("cannot extract features from an empty word")
+    return CAP * word[0].isupper() | HYPHEN * ("-" in word) | DIGIT * any(map(str.isdecimal, word))
 
-    Both operands are integers below 2**53, so each ratio is rounded once,
-    exactly like a Python int division. Labels without a token keep zero
-    columns.
+
+def _build_tables(words, shapes, sources, n_labels, max_len) -> FeatureEmissionTables:
+    """The feature tables of occurrence rows (word, first bit, label, count).
+
+    words are the strings the word ids index and shapes their _shape bits.
+    A source is a (word ids, first bits, labels, counts) tuple of arrays,
+    where the bits or the counts may be one int. Each (word, bit) kind that
+    occurs is numbered once, and a level's rows are the kinds' distinct
+    codes. The int64 counts are divided once by the label totals, so each
+    ratio is rounded once; labels without a token keep zero columns.
     """
-    tables = [np.divide(counts, label_totals, out=np.zeros(counts.shape),
-                        where=label_totals > 0)
-              for counts in tuple_counts]
-    return FeatureEmissionTables(max_len=max_len, tuple_ids=tuple_ids, tables=tables)
-
-
-def _row_ids(tuples) -> dict[WordFeatures, int]:
-    """Row of each distinct tuple, in sorted tuple order."""
-    return {key: r for r, key in enumerate(sorted(set(tuples)))}
+    kind = np.zeros((2, len(words)), dtype=np.int32)
+    for word, bit, _, _ in sources:
+        kind[bit, word] = 1
+    present = np.flatnonzero(kind.any(axis=0))
+    if not len(present):
+        raise EmptyCorpus("no token occurrences to build the feature tables from")
+    present_words = [words[k] for k in present.tolist()]
+    bits, kind_words = np.nonzero(kind)
+    kind[bits, kind_words] = np.arange(len(bits))
+    occurrence_kinds = [kind[bit, word] for word, bit, _, _ in sources]
+    kind_bits = shapes[kind_words] | bits * FIRST
+    rank = np.zeros(len(words), dtype=np.int64)
+    levels = []  # (suffix ranks, codes, table) of each level
+    for m in range(max_len + 1):
+        # the words' suffixes (word_suffix, inlined), sliced again rather than kept
+        level_suffixes = sorted({word[-m:] if m else "" for word in present_words})
+        ranks = {suffix: r for r, suffix in enumerate(level_suffixes)}
+        rank[present] = [ranks[word[-m:] if m else ""] for word in present_words]
+        level_codes, rows = np.unique(rank[kind_words] * 16 + kind_bits, return_inverse=True)
+        row_cells = (rows * n_labels).astype(np.int32)  # each kind's row in the flat table
+        counts = np.zeros((len(level_codes), n_labels), dtype=np.int64)
+        for (_, _, labels, c), occurrence_kind in zip(sources, occurrence_kinds):
+            np.add.at(counts.ravel(), row_cells[occurrence_kind] + labels, c)
+        if not m:  # every occurrence has exactly one tuple per level
+            label_totals = counts.sum(axis=0)
+        table = np.divide(counts, label_totals, out=np.zeros(counts.shape), where=label_totals > 0)
+        levels.append((ranks, level_codes, table))
+    return FeatureEmissionTables(max_len, *zip(*levels))
 
 
 def fit_feature_tables(corpus, alphabet, suffix_max_len: int) -> FeatureEmissionTables:
     """Estimate the per-level feature tables by walking a labeled corpus.
 
-    Counts are integers accumulated over all tokens and divided once per
-    entry, so the result is independent of sentence order. alphabet must
-    hold every label of the corpus, and a label's id is its table column.
+    Each token is one occurrence row, with its bits from extract_features,
+    so the result is independent of sentence order. alphabet must hold
+    every label of the corpus, and a label's id is its table column.
     Training uses derive_feature_tables; this walk is the reference it is
     tested against.
     """
-    sentences = corpus.sentences
-    if not sentences:
-        raise EmptyCorpus("cannot fit feature tables on an empty corpus")
-    keyed = [dict() for _ in range(suffix_max_len + 1)]  # (tuple, label) -> count
-    for sentence in sentences:
+    ids, shapes, rows = {}, [], []
+    for sentence in corpus.sentences:
         for pos, (word, label) in enumerate(sentence):
-            i = alphabet.index[label]
-            for m in range(suffix_max_len + 1):
-                key = (extract_features(word, pos, m), i)
-                counts = keyed[m]
-                counts[key] = counts.get(key, 0) + 1
-    n_labels = len(alphabet)
-    tuple_ids, tuple_counts = [], []
-    for counts_m in keyed:
-        ids = _row_ids(key for key, _ in counts_m)
-        counts = np.zeros((len(ids), n_labels), dtype=np.int64)
-        for (key, i), c in counts_m.items():
-            counts[ids[key], i] = c
-        tuple_ids.append(ids)
-        tuple_counts.append(counts)
-    # every token has exactly one tuple per level
-    label_totals = tuple_counts[0].sum(axis=0)
-    return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
+            f = extract_features(word, pos, 0)
+            if word not in ids:
+                ids[word] = len(ids)
+                shapes.append(f.cap * CAP | f.hyphen * HYPHEN | f.digit * DIGIT)
+            rows.append((ids[word], f.first, alphabet.index[label]))
+    source = (*np.array(rows, dtype=np.intp).reshape(-1, 3).T, 1)  # each token counts once
+    return _build_tables(list(ids), np.array(shapes), [source], len(alphabet), suffix_max_len)
 
 
 def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmissionTables:
@@ -173,47 +189,11 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len: int) -> FeatureEmi
     other features are functions of the word string. Every count row is
     one occurrence row (word, first bit, label, count): the n0_ik rows
     with bit 1 and the second halves (j, l) of the n_ikjl rows with bit 0.
-    Each (word, bit) that occurs gets its tuple's row id once per level,
-    and the occurrence counts are added into those rows. Reproduces
-    fit_feature_tables exactly because both routes divide the same
-    integer counts.
     """
-    n_labels, n_words = counts.n_labels, len(vocabulary)
-    # (first bit, label column, word column, counts) of each occurrence source
-    sources = [(1, *counts.n0_ik.columns, counts.n0_ik.counts),
-               (0, *counts.n_ikjl.columns[2:], counts.n_ikjl.counts)]
-    if not any(len(c) for *_, c in sources):
-        raise EmptyCorpus("count tables carry no token occurrences")
-
-    words = list(vocabulary)
-    shapes = [extract_features(word, 1, 0) for word in words]
-    # number the (word, bit) kinds that occur, and find each occurrence's
-    # kind; int32 holds the kinds and the table cells (at most 2 * labels x words)
-    kind = np.zeros((2, n_words), dtype=np.int32)
-    for bit, _, occurring, _ in sources:
-        kind[bit, occurring] = 1
-    bits, kind_words = np.nonzero(kind)
-    kind[bits, kind_words] = np.arange(len(bits))
-    bits, kind_words = bits.tolist(), kind_words.tolist()
-    occurrence_kinds = [kind[bit][occurring] for bit, _, occurring, _ in sources]
-    tuple_ids, tuple_counts = [], []
-    for m in range(suffix_max_len + 1):
-        suffixes = [word_suffix(word, m) for word in words]
-        keys = [(shapes[k].cap, shapes[k].hyphen, bit, shapes[k].digit, suffixes[k])
-                for k, bit in zip(kind_words, bits)]
-        ids = _row_ids(keys)
-        rows = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32, count=len(keys))
-        table = np.zeros((len(ids), n_labels), dtype=np.int64)
-        for (_, labels, _, c), occurrence_kind in zip(sources, occurrence_kinds):
-            cells = rows[occurrence_kind]  # each occurrence's cell in the flat table
-            cells *= n_labels
-            cells += labels
-            np.add.at(table.ravel(), cells, c)
-        tuple_ids.append(ids)
-        tuple_counts.append(table)
-    # every occurrence has exactly one tuple per level
-    label_totals = tuple_counts[0].sum(axis=0)
-    return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
+    sources = [(counts.n0_ik.columns[1], 1, counts.n0_ik.columns[0], counts.n0_ik.counts),
+               (counts.n_ikjl.columns[3], 0, counts.n_ikjl.columns[2], counts.n_ikjl.counts)]
+    shapes = np.fromiter(map(_shape, vocabulary.items), dtype=np.int64, count=len(vocabulary))
+    return _build_tables(vocabulary.items, shapes, sources, counts.n_labels, suffix_max_len)
 
 
 def backoff_level(tables: FeatureEmissionTables, word: str) -> int:
@@ -223,7 +203,7 @@ def backoff_level(tables: FeatureEmissionTables, word: str) -> int:
     supports, so the back-off always terminates.
     """
     for m in range(tables.max_len, -1, -1):
-        if word_suffix(word, m) in tables.suffix_support[m]:
+        if word_suffix(word, m) in tables.suffix_ranks[m]:
             return m
     return 0
 
@@ -236,7 +216,10 @@ def feature_column(tables: FeatureEmissionTables, word: str, position: int) -> n
     unseen even at the chosen level gives a zero column.
     """
     m = backoff_level(tables, word)
-    row = tables.tuple_ids[m].get(extract_features(word, position, m))
-    if row is None:
-        return np.zeros(tables.n_labels)
+    rank = tables.suffix_ranks[m][word_suffix(word, m)]
+    code = rank * 16 + _shape(word) + FIRST * (position == 0)
+    codes = tables.codes[m]
+    row = codes.searchsorted(code)
+    if row == len(codes) or codes[row] != code:
+        return np.zeros(tables.tables[m].shape[1])
     return tables.tables[m][row]

@@ -423,12 +423,6 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
     return LogFactors(initial, scores, flags, None)
 
 
-def _hmc_factors(hmc: HmcParams, cols, log_steps=None) -> FactorProvider:
-    """HMC factors for the (T, N) emission columns of a sentence."""
-    return FactorProvider(initial=hmc.pi * cols[0], steps=_hmc_steps(hmc.trans, cols),
-                          flags=[PLAIN_HMC] * len(cols), log_steps=log_steps)
-
-
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> FactorProvider | LogFactors:
     """Resolve the factor sequence for one sentence of word strings.
@@ -470,8 +464,6 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
         if word_id < 0:
             cols[pos] = feature_column(model.features, sentence[pos], pos)
     if mode == "hmc":
-        if decoder == "mpm":
-            return _hmc_factors(hmc, cols)
         initial, flags = hmc.pi * cols[0], [PLAIN_HMC] * len(cols)
         slots = np.full(len(cols) - 1, -1)
     else:
@@ -507,10 +499,11 @@ def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
         raise EmptySentence("empty observation sequence")
     cols = params.emit.T[np.asarray(obs)]
     none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
-    return _hmc_factors(params, cols,
-                        lambda: _log_steps(_log(params.trans.T), _log(cols),
-                                           np.zeros(len(cols) - 1, dtype=bool),
-                                           none, none, np.empty(0)))
+    return FactorProvider(params.pi * cols[0], _hmc_steps(params.trans, cols),
+                          [PLAIN_HMC] * len(cols),
+                          lambda: _log_steps(_log(params.trans.T), _log(cols),
+                                             np.zeros(len(cols) - 1, dtype=bool),
+                                             none, none, np.empty(0)))
 
 
 def forward(factors: FactorProvider):

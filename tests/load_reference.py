@@ -6,13 +6,14 @@ from sparse (word, first bit, label) rows and keeps the PMC initial
 factors as a per-word CSR table. This module keeps the derivation that
 design replaced: (n, width) int64 key rows decoded from the key numbers,
 dense int64 (labels, words) marginals, dense first and rest feature
-counts and a dense pi2. Property tests check that both give the same
-tables bit for bit. It is not used by the package.
+counts with each kind's code packed from extract_features, and a dense
+pi2. Property tests check that both give the same tables bit for bit. It
+is not used by the package.
 """
 
 import numpy as np
 
-from pmctag.features import _row_ids, _tables_from_counts, extract_features, word_suffix
+from pmctag.features import FeatureEmissionTables, extract_features, word_suffix
 from pmctag.inference import _log
 from pmctag.model import CountTable, HmcParams, id_dtype
 from pmctag.serialize import FORMAT_VERSION
@@ -75,21 +76,25 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len):
     label_totals = first.sum(axis=1) + rest.sum(axis=1)
 
     words = list(vocabulary)
-    shapes = [extract_features(word, 1, 0) for word in words]
     first_words = np.flatnonzero(first.any(axis=0))
     rest_words = np.flatnonzero(rest.any(axis=0))
     occurrences = np.vstack([first[:, first_words].T, rest[:, rest_words].T])
     kinds = [(k, 1) for k in first_words.tolist()] + [(k, 0) for k in rest_words.tolist()]
-    tuple_ids, tuple_counts = [], []
+    ranks, codes, tables = [], [], []
     for m in range(suffix_max_len + 1):
-        suffixes = [word_suffix(word, m) for word in words]
-        keys = [(shapes[k].cap, shapes[k].hyphen, bit, shapes[k].digit, suffixes[k])
-                for k, bit in kinds]
-        ids = _row_ids(keys)
-        rows = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
-        tuple_ids.append(ids)
-        tuple_counts.append(summed((len(ids), shape[0]), rows, occurrences))
-    return _tables_from_counts(tuple_ids, tuple_counts, label_totals, suffix_max_len)
+        suffixes = {k: word_suffix(words[k], m) for k, _ in kinds}
+        ranks.append({suffix: r for r, suffix in enumerate(sorted(set(suffixes.values())))})
+        keys = []
+        for k, bit in kinds:
+            f = extract_features(words[k], 1 - bit, m)
+            keys.append(ranks[m][f.suffix] * 16 + f.cap * 8 + f.hyphen * 4 + f.first * 2
+                        + f.digit)
+        level_codes, rows = np.unique(keys, return_inverse=True)
+        codes.append(level_codes)
+        tables.append(np.divide(summed((len(level_codes), shape[0]), rows, occurrences),
+                                label_totals, out=np.zeros((len(level_codes), shape[0])),
+                                where=label_totals > 0))
+    return FeatureEmissionTables(suffix_max_len, ranks, codes, tables)
 
 
 def decode_index(counts, trans) -> dict:

@@ -29,7 +29,7 @@ from pmctag.training import TrainConfig, accumulate_counts, fit_hmc, train_model
 
 from conftest import corpus_from, random_corpus, varied_corpus
 from conlleval_reference import score_sentences
-from test_features import brute_force_feature_tables
+from test_features import brute_force_feature_tables, tuple_rows
 from test_training import brute_force_tables
 
 DATA_DIR = os.environ.get(
@@ -154,8 +154,9 @@ def test_training_estimator_exactness():
         ref_tuples, ref_totals = brute_force_feature_tables(corpus, 3)
         for m in range(4):
             assert np.count_nonzero(feats.tables[m]) == len(ref_tuples[m])
+            rows = tuple_rows(feats, m)
             for (label, *rest), c in ref_tuples[m].items():
-                row = feats.tuple_ids[m][tuple(rest)]
+                row = rows[tuple(rest)]
                 assert feats.tables[m][row, alphabet.get(label)] == \
                     c / ref_totals[label]
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmctag.errors import EmptyCorpus, EmptyToken
 from pmctag.features import (backoff_level, derive_feature_tables,
@@ -30,9 +32,18 @@ def brute_force_feature_tables(corpus, max_len):
     return tuples, totals
 
 
+def tuple_rows(tables, m):
+    """The row in tables.tables[m] of each label-free tuple (cap, hyphen,
+    first, digit, suffix), decoded from the level's codes and suffix ranks."""
+    ranks = tables.suffix_ranks[m]
+    suffixes = sorted(ranks, key=ranks.__getitem__)
+    return {(code >> 3 & 1, code >> 2 & 1, code >> 1 & 1, code & 1, suffixes[code >> 4]): row
+            for row, code in enumerate(tables.codes[m].tolist())}
+
+
 def prob(tables, m, label, key):
     """Level-m probability of the label-free tuple `key` under `label`."""
-    return tables.tables[m][tables.tuple_ids[m][key], label]
+    return tables.tables[m][tuple_rows(tables, m)[key], label]
 
 
 class TestExtractFeatures:
@@ -72,9 +83,9 @@ class TestFitFeatureTables:
         tables = fit_feature_tables(corpus, alphabet, 3)
         noun = alphabet.get("NOUN")
         assert noun == 0
-        assert tables.tuple_ids[3] == {(1, 0, 1, 0, "ohn"): 0}
+        assert tuple_rows(tables, 3) == {(1, 0, 1, 0, "ohn"): 0}
         assert tables.tables[3].tolist() == [[1.0]]
-        assert tables.tuple_ids[0] == {(1, 0, 1, 0, ""): 0}
+        assert tuple_rows(tables, 0) == {(1, 0, 1, 0, ""): 0}
         assert tables.tables[0].tolist() == [[1.0]]
 
     def test_two_tokens_same_label_split_half(self):
@@ -154,7 +165,7 @@ class TestFeatureEmissionProb:
             p = feature_column(tables, "Vannes", 1)[label]
             key_level = level
             f = extract_features("Vannes", 1, key_level)
-            row = tables.tuple_ids[key_level].get(
+            row = tuple_rows(tables, key_level).get(
                 (f.cap, f.hyphen, f.first, f.digit, f.suffix))
             expect = 0.0 if row is None else tables.tables[key_level][row, label]
             assert p == expect
@@ -202,6 +213,43 @@ def test_backoff_monotone_largest_supported_level(rng):
     words = ["John", "likes", "xylophone", "B2B", "12", "zz", "Paris-2", "q"]
     for word in words:
         m = backoff_level(tables, word)
-        assert word_suffix(word, m) in tables.suffix_support[m]
+        assert word_suffix(word, m) in tables.suffix_ranks[m]
         for higher in range(m + 1, tables.max_len + 1):
-            assert word_suffix(word, higher) not in tables.suffix_support[higher]
+            assert word_suffix(word, higher) not in tables.suffix_ranks[higher]
+
+
+# non-ASCII capitals and decimals, a hyphen and NUL, which numpy's str
+# arrays drop from the end of a string
+SPELLING = "abÉΣ٣７-\x00"
+WORDS = st.text(SPELLING, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=st.lists(st.lists(st.tuples(WORDS, st.sampled_from(["X", "Y", "Z"])),
+                                   min_size=1, max_size=5), min_size=1, max_size=6),
+       unseen=st.lists(WORDS, min_size=1, max_size=8), suffix_max_len=st.integers(0, 4))
+def test_tables_of_any_spelling_match_the_brute_force_counter(sentences, unseen,
+                                                              suffix_max_len):
+    corpus = LabeledCorpus(sentences)
+    counts, alphabet, vocab = accumulate_counts(corpus)
+    tables = derive_feature_tables(counts, vocab, suffix_max_len)
+    assert tables == fit_feature_tables(corpus, alphabet, suffix_max_len)
+    ref_tuples, ref_totals = brute_force_feature_tables(corpus, suffix_max_len)
+    support = [{key[-1] for key in level} for level in ref_tuples]
+    for m, suffixes in enumerate(support):
+        assert dict(tables.suffix_ranks[m]) == {sfx: r for r, sfx in enumerate(sorted(suffixes))}
+    for word in unseen:
+        if word in vocab.index:
+            continue
+        level = max(m for m, suffixes in enumerate(support)
+                    if word[len(word) - min(m, len(word)):] in suffixes)
+        assert backoff_level(tables, word) == level
+        cap = 1 if word[0].isupper() else 0
+        hyp = 1 if "-" in word else 0
+        dig = 1 if any(c.isdecimal() for c in word) else 0
+        sfx = word[len(word) - min(level, len(word)):]
+        for pos in (0, 1):
+            key = (cap, hyp, 1 if pos == 0 else 0, dig, sfx)
+            assert feature_column(tables, word, pos).tolist() == [
+                ref_tuples[level].get((label, *key), 0) / ref_totals[label]
+                for label in alphabet.items]

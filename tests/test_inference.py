@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pmctag import inference
-from pmctag.errors import DeadEnd, EmptySentence
+from pmctag.errors import DeadEnd, EmptySentence, EmptyToken
 from pmctag.features import feature_column
 from pmctag.inference import (HMC_STEP, PMC_STEP, backward, decode_sentence,
                               forward, map_path, mpm_path, posterior_marginals,
@@ -490,6 +490,16 @@ class TestModelLevelDecoding:
         model = shape_model()
         labels = decode_sentence(model, ["ping"]).labels
         assert labels[0] in ("A", "B")
+
+    def test_empty_word_is_an_empty_token(self):
+        """The unknown-word lookup refuses an empty word itself, wherever it
+        stands, in both modes and for both decoders."""
+        model = shape_model()
+        for mode in ("pmc", "hmc"):
+            for decoder in ("mpm", "map"):
+                for sentence in (["w", ""], ["", "running"]):
+                    with pytest.raises(EmptyToken):
+                        decode_sentence(model, sentence, mode, decoder)
 
 
 class TestNormalizationInvariance:

@@ -6,7 +6,8 @@ model_stats text to it bit for bit, on random count tables, on trained
 corpora with a word seen only at the end of a sentence, and on the
 bundled training files, both as trained and as loaded from a file. Last,
 the load's heap peak must stay within a fixed multiple of the file's
-count rows.
+count rows, and the feature derivation's within a fixed multiple of the
+occurrence columns it reads.
 """
 
 import os
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmctag.conll import LabeledCorpus, read_conll
+from pmctag.features import derive_feature_tables
 from pmctag.model import Interner
 from pmctag.serialize import deserialize_model, model_stats, serialize_model
 from pmctag.training import TrainConfig, bundle_from_counts, train_model
@@ -136,3 +138,29 @@ def test_load_heap_peak_follows_the_file_size():
     finally:
         tracemalloc.stop()
     assert peak < LOAD_PEAK_PER_ROW * rows, peak / rows
+
+
+# derive_feature_tables' tracemalloc heap peak must stay below this many
+# times the bytes of the occurrence columns it reads: the label, word and
+# count columns of n0_ik and the second halves of n_ikjl. On the
+# 4000-sentence model below (51,657 tokens, 376,618 bytes of columns) it
+# peaks at about 2.2 times; the tuple-keyed tables it replaced, which
+# built a Python key per (word, first bit) per level, peaked at about 5.3.
+DERIVE_PEAK_PER_COLUMN_BYTE = 3
+
+
+def test_feature_derivation_heap_peak_follows_the_occurrence_columns():
+    world = synth.World(n_labels=40, groups=4, bio=True)
+    train = synth.sample_sentences(world, synth.make_rng(1, "train"), 4000)
+    model = train_model(LabeledCorpus(train), TrainConfig(task="chunk"))
+    counts = model.counts
+    columns = (*counts.n0_ik.columns, counts.n0_ik.counts,
+               *counts.n_ikjl.columns[2:], counts.n_ikjl.counts)
+    size = sum(column.nbytes for column in columns)
+    tracemalloc.start()
+    try:
+        derive_feature_tables(counts, model.vocabulary, model.suffix_max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DERIVE_PEAK_PER_COLUMN_BYTE * size, peak / size

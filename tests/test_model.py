@@ -158,7 +158,8 @@ class TestModelBundle:
             hmc = model.hmc
             counts = model.counts
             arrays = [hmc.pi, hmc.trans, hmc.trans_support, hmc.emit,
-                      *model.features.tables, counts.n0_i, counts.n_ij, counts.n_i,
+                      *model.features.tables, *model.features.codes,
+                      counts.n0_i, counts.n_ij, counts.n_i,
                       *counts.n0_ik.columns, counts.n0_ik.counts,
                       *counts.n_ikjl.columns, counts.n_ikjl.counts]
             for array in arrays:
@@ -176,11 +177,11 @@ class TestModelBundle:
                 features.tables = features.tables
             for m in range(features.max_len + 1):
                 with pytest.raises(TypeError):
-                    features.tuple_ids[m][next(iter(features.tuple_ids[m]))] = 0
+                    features.suffix_ranks[m][next(iter(features.suffix_ranks[m]))] = 0
                 with pytest.raises(AttributeError):
-                    features.suffix_support[m].add("zz")
+                    features.suffix_ranks[m].setdefault("zz", 0)
             with pytest.raises(TypeError):
-                features.tuple_ids[0] = {}
+                features.suffix_ranks[0] = {}
             for interner in (model.alphabet, model.vocabulary):
                 assert type(interner.items) is tuple
                 with pytest.raises(TypeError):
