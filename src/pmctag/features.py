@@ -30,7 +30,7 @@ CAP, HYPHEN, FIRST, DIGIT = 8, 4, 2, 1
 
 
 class WordFeatures(NamedTuple):
-    """The label-free feature tuple of a word; it keys the feature tables."""
+    """The label-free feature tuple of a word; a feature code packs it."""
 
     cap: int
     hyphen: int
@@ -113,7 +113,7 @@ class FeatureEmissionTables:
 
 
 def _shape(word: str) -> int:
-    """The cap, hyphen and digit bits of a word's feature code."""
+    """The cap, hyphen and digit bits of a word's code, as extract_features sets them."""
     if not word:
         raise EmptyToken("cannot extract features from an empty word")
     return CAP * word[0].isupper() | HYPHEN * ("-" in word) | DIGIT * any(map(str.isdecimal, word))
