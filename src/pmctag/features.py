@@ -129,6 +129,7 @@ def _build_tables(words, shapes, sources, n_labels, max_len) -> FeatureEmissionT
     codes. The int64 counts are divided once by the label totals, so each
     ratio is rounded once; labels without a token keep zero columns.
     """
+    # int32 holds the kinds and the table cells (at most 2 * labels x words)
     kind = np.zeros((2, len(words)), dtype=np.int32)
     for word, bit, _, _ in sources:
         kind[bit, word] = 1
