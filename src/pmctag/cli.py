@@ -9,16 +9,14 @@ Each option is declared once, with its default, type and choices, on the
 subcommand that reads it. A --config file sets defaults for the running
 subcommand's optional single-value options; explicit flags still win.
 
-train reads each corpus once, a block of whole sentences at a time, and
-keeps only id columns of its words and tags, so a corpus may be a pipe.
-Its model, and tag's output file, are written through a new file made
-before any input is read, which replaces the old one only at the end
-(see _new_file). tag and eval first check their whole input, so that a
-bad line exits 2 before anything is written, and then read, decode and
-write or score it one window of whole sentences at a time, so that their
-memory does not grow with the input; the input must therefore be a
-regular file, but it may be tag's output file. eval adds up the integer
-tallies of the windows and formats its report once, at the end.
+Every input is read once, a block of whole sentences at a time, so it may
+be a pipe. train keeps only id columns of its words and tags; tag and eval
+read, decode and write or score one window of whole sentences at a time,
+so that their memory does not grow with the input. Every output, dead ends
+on stderr included, is published after the last window, through a new file
+made before any input is read (see _new_file): an error in any window
+leaves no output, and tag's output may be its input. eval adds up the
+integer tallies of the windows and formats its report once, at the end.
 """
 
 from __future__ import annotations
@@ -27,10 +25,13 @@ import argparse
 import contextlib
 import json
 import os
+import pathlib
 import re
 import reprlib
+import shutil
 import stat
 import sys
+import tempfile
 import time
 from collections import Counter
 from itertools import compress
@@ -40,7 +41,7 @@ import numpy as np
 from . import evaluation, inference, oracle, training
 from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                     read_records, read_tag_mapping, windows, write_conll)
-from .errors import DeadEnd, FormatError, PmctagError
+from .errors import DeadEnd, FormatError, PmctagError, UnknownTag
 from .evaluation import evaluate_predictions, format_report_kv, format_report_text
 from .model import ModelBundle
 from .serialize import load_model, model_stats, save_model
@@ -240,8 +241,8 @@ def _decode_corpus(model: ModelBundle, sentences, opts, start=0) -> list:
     return results
 
 
-def _tally_results(results, what):
-    """Report each dead end on stderr, saying `what` became of its sentence.
+def _tally_results(results, what, notes):
+    """Add to `notes` each dead end's stderr line, saying `what` became of its sentence.
 
     Returns the mask of decoded sentences and the report fields that tally
     their downgrades and the dead ends.
@@ -250,8 +251,8 @@ def _tally_results(results, what):
     for result in results:
         done.append(not isinstance(result, DeadEnd))
         if not done[-1]:
-            _diag(f"sentence {result.sentence_index}: dead end at position "
-                  f"{result.position}; {what}")
+            notes.append(f"sentence {result.sentence_index}: dead end at position "
+                         f"{result.position}; {what}")
     decoded = list(compress(results, done))
     return done, {"downgrades": sum(r.downgraded for r in decoded),
                   "resolutions": sum(r.resolutions for r in decoded),
@@ -260,40 +261,43 @@ def _tally_results(results, what):
 
 @contextlib.contextmanager
 def _new_file(path):
-    """The path to write the output file `path` at; None when `path` is.
+    """The path of a new file to write the output `path` (stdout when None) at.
 
-    A regular file, or a path that names no file yet, is written through a
-    new file beside it. That file is made at once, so an unwritable path
-    fails before any input is read; it takes the old file's permissions,
-    and replaces it once the block has ended without an exception (it is
-    removed otherwise). So the output may be an input file, and a failed
-    command leaves an earlier output as it was. Any other kind of file,
-    such as /dev/null, is written in place.
+    The file is made at once, so an unwritable path fails before any input
+    is read. It is published once the block has ended without an exception,
+    and removed either way. A regular file, or a path that names no file
+    yet, gets a new file beside it, with its permissions, which replaces it:
+    so the output may be an input file, and a failed command leaves an
+    earlier output as it was. stdout, or another kind of file such as
+    /dev/null (opened at once), gets a temporary file that is copied out.
     """
-    if path is None:
-        yield None
-        return
-    target = os.path.realpath(path)
+    target = None if path is None else os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
+        mode = None if target is None else os.stat(target).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        yield target
-        return
-    if mode is not None:
-        open(target, "a").close()  # raises, as "w" would, when the file is read-only
-    head, tail = os.path.split(target)
-    new = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    open(new, "x").close()
-    try:
-        if mode is not None:
+    with contextlib.ExitStack() as stack:
+        if target is None or mode is not None and not stat.S_ISREG(mode):
+            out = sys.stdout if target is None else stack.enter_context(
+                open(target, "w", encoding="utf-8"))
+            handle, new = tempfile.mkstemp(suffix=".tmp")
+            os.close(handle)
+        else:
+            out = None
+            if mode is not None:
+                open(target, "a").close()  # raises, as "w" would, when the file is read-only
+            head, tail = os.path.split(target)
+            new = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            open(new, "x").close()
+        stack.callback(pathlib.Path(new).unlink, missing_ok=True)
+        if out is None and mode is not None:
             os.chmod(new, stat.S_IMODE(mode))
         yield new
-        os.replace(new, target)
-    except BaseException:
-        os.unlink(new)
-        raise
+        if out is None:
+            os.replace(new, target)
+        else:
+            with open(new, encoding="utf-8", newline="") as src:
+                shutil.copyfileobj(src, out)
 
 
 def cmd_train(opts) -> int:
@@ -320,22 +324,21 @@ def cmd_tag(opts) -> int:
     model = load_model(opts.model)
     options = dict(word_column=opts.word_column, skip_pattern=opts.skip_pattern,
                    comment_prefix=opts.comment_prefix)
-    tally = Counter()
-    with open(opts.input, encoding="utf-8") as fh:
-        parts = windows(fh, WINDOW_TOKENS, **options)
-        with _new_file(opts.output) as path, (open(path, "w", encoding="utf-8") if path
-                                              else contextlib.nullcontext(sys.stdout)) as out:
-            for window in parts:
-                records = read_records(window, **options)
-                sentences = [[cols[opts.word_column] for cols in sent] for sent in records]
-                results = _decode_corpus(model, sentences, opts, tally["sentences"])
-                done, fields = _tally_results(results, "skipped")
-                tagged = list(compress(records, done))
-                for sent, result in zip(tagged, compress(results, done)):
-                    for cols, label in zip(sent, result.labels):
-                        cols.append(label)
-                write_conll(tagged, out)
-                tally.update(fields, sentences=len(records))
+    tally, notes = Counter(), []
+    with open(opts.input, encoding="utf-8") as fh, _new_file(opts.output) as path, \
+            open(path, "w", encoding="utf-8") as out:
+        for window in windows(fh, WINDOW_TOKENS, **options):
+            records = read_records(window, **options)
+            sentences = [[cols[opts.word_column] for cols in sent] for sent in records]
+            results = _decode_corpus(model, sentences, opts, tally["sentences"])
+            done, fields = _tally_results(results, "skipped", notes)
+            tagged = list(compress(records, done))
+            for sent, result in zip(tagged, compress(results, done)):
+                for cols, label in zip(sent, result.labels):
+                    cols.append(label)
+            write_conll(tagged, out)
+            tally.update(fields, sentences=len(records))
+    sys.stderr.writelines(note + "\n" for note in notes)
     if tally["resolutions"]:
         _diag(f"downgrade-rate {tally['downgrades'] / tally['resolutions']:.6f}")
     return 1 if tally["failed_sentences"] else 0
@@ -346,18 +349,22 @@ def cmd_eval(opts) -> int:
     mapping = _read_mapping(opts)
     options = dict(word_column=opts.word_column, tag_column=opts.tag_column,
                    skip_pattern=opts.skip_pattern, comment_prefix=opts.comment_prefix)
-    report, decode_time, start = None, 0.0, 0
+    report, decode_time, start, notes, missing = None, 0.0, 0, [], set()
     with open(opts.corpus, encoding="utf-8") as fh:
-        for window in windows(fh, WINDOW_TOKENS, mapping=mapping, **options):
+        for window in windows(fh, WINDOW_TOKENS, **options):
             corpus = read_conll(window, **options)
             if mapping is not None:
+                # once a tag is missing, the rest is read only for its missing tags
+                missing.update(set(corpus.tag_items).difference(mapping))
+                if missing:
+                    continue
                 corpus = apply_mapping(corpus, mapping)
             known_bits = mark_known(corpus, model.vocabulary)
             t0 = time.perf_counter()
             results = _decode_corpus(model, corpus.per_sentence(corpus.words), opts, start)
             decode_time += time.perf_counter() - t0
             start += len(results)
-            done, fields = _tally_results(results, "excluded from metrics")
+            done, fields = _tally_results(results, "excluded from metrics", notes)
             part = evaluate_predictions(
                 list(compress(corpus.per_sentence(corpus.tags), done)),
                 [r.labels for r in compress(results, done)],
@@ -365,6 +372,9 @@ def cmd_eval(opts) -> int:
                 task=model.task, scheme=opts.scheme, mode=opts.mode,
                 decoder=opts.decoder, **fields)
             report = part if report is None else report + part
+    if missing:
+        raise UnknownTag(missing)
+    sys.stderr.writelines(note + "\n" for note in notes)
     text = format_report_text(report)
     if opts.report_text:
         with open(opts.report_text, "w", encoding="utf-8") as fh:

@@ -2,11 +2,11 @@
 
 Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
-raw orthography. Every reader reads a stream in blocks of whole sentences
-(_blocks), checked by one set of line rules (_Scanner). read_records keeps
-the column rows of each block, read_conll only id columns of its words and
-tags, and windows() checks a whole stream, keeping no tokens, before
-cutting it into windows of whole sentences for them.
+raw orthography. Every reader reads a stream once, in blocks of whole
+sentences (_blocks), checked by one set of line rules (_Scanner), so a
+stream may be a pipe. read_records keeps the column rows of each block,
+read_conll only id columns of its words and tags, and windows() hands out
+each block, as it is read, as a text stream for them.
 """
 
 from __future__ import annotations
@@ -203,8 +203,6 @@ def _blocks(stream, scanner, size):
                 edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
                 yield text, np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
     except UnicodeDecodeError as exc:
-        if not stream.seekable():
-            raise
         raise _decode_error(stream, exc) from None
 
 
@@ -269,66 +267,58 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
 
 
 def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
-            comment_prefix=None, mapping=None):
-    """Check a whole corpus stream, then return an iterator over its windows.
+            comment_prefix=None):
+    """The windows of a corpus stream, read once, as the iterator advances.
 
-    The check applies read_records' rules to every line, a block of lines
-    at a time, and keeps no tokens; with a tag mapping it also raises
-    UnknownTag, listing every tag of the stream that the mapping lacks.
-    So a bad line anywhere raises before the first window is read. The
-    stream must be seekable, since it is then rewound and read again.
-
-    Each window is a text stream of whole sentences, read as the iterator
-    advances: the lines of one block of _blocks of `budget` lines, so it
-    ends at the first blank line after at least `budget` non-blank lines
-    (kept or dropped), or at the end of the stream, and is longer than the
-    budget only by the rest of one sentence. A stream without token lines
-    gives one empty window. Reading every window with the same options
-    gives the sentences of the whole stream, in order.
+    Each window is a text stream of whole sentences: the kept lines of one
+    block of _blocks of `budget` lines, so it ends at the first blank line
+    after at least `budget` non-blank lines (kept or dropped), or at the
+    stream end, and exceeds the budget only by the rest of one sentence. A
+    stream without token lines gives one empty window. A bad line raises,
+    with its line number in the stream, when its window is reached. Reading
+    every window with the same options gives the stream's sentences, in order.
     """
     scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
-    if not stream.seekable():
-        raise FormatError("the input cannot be read twice; give a regular file, not a pipe")
-    ends, missing = [], set()  # the number of stream lines up to the end of each window
     for text, _ in _blocks(stream, scanner, budget):
-        ends.append(scanner.lines)
-        if mapping is not None:
-            missing.update(set(text.split()[tag_column::scanner.width]).difference(mapping))
-    if missing:
-        raise UnknownTag(missing)
-    stream.seek(0)
-    return (io.StringIO("".join(islice(stream, n)))
-            for n in np.diff(ends, prepend=0).tolist() or [0])
+        yield io.StringIO(text)
+    if scanner.width is None:  # no token line
+        yield io.StringIO()
 
 
-def _decode_error(stream, exc):
-    """The error of the first bytes of a text file stream that do not decode,
-    which raised `exc`.
+def _decode_error(stream, exc) -> FormatError:
+    """The FormatError of the first bytes of a stream that do not decode, which raised `exc`.
 
-    The stream decodes its file a chunk at a time, and the position of its
-    UnicodeDecodeError counts from the chunk. This decodes the file again
-    from the start, a block at a time and keeping nothing, and says what
-    the codec says when it decodes the whole file at once: the position
-    counts from the start of the file. `exc` is returned as it is if the
-    file now decodes.
+    The stream decodes a chunk at a time, and the position of its
+    UnicodeDecodeError counts from the chunk. A file is decoded again from
+    the start, a block at a time and keeping nothing, to say what the codec
+    says when it decodes the whole file at once: the position counts from
+    the start of the file. A stream that cannot seek, such as a pipe, is
+    not read again: its error names the bytes and gives no position.
     """
-    stream.seek(0)
-    decoder = codecs.getincrementaldecoder(stream.encoding)()
-    offset = 0  # bytes of the file before the block
-    while True:
-        block = stream.buffer.read(1 << 16)
-        pending = len(decoder.getstate()[0])  # bytes of the blocks before, not yet decoded
-        try:
-            decoder.decode(block, final=not block)
-        except UnicodeDecodeError as found:
-            bad = found.object[found.start:found.end]
-            start = offset - pending + found.start
-            where = (f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1
-                     else f"bytes in position {start}-{start + len(bad) - 1}")
-            return FormatError(f"'{found.encoding}' codec can't decode {where}: {found.reason}")
-        if not block:
-            return exc
-        offset += len(block)
+    found, start = exc, None
+    if stream.seekable():
+        stream.seek(0)
+        decoder = codecs.getincrementaldecoder(stream.encoding)()
+        offset = 0  # bytes of the file before the block
+        while True:
+            block = stream.buffer.read(1 << 16)
+            pending = len(decoder.getstate()[0])  # bytes of the blocks before, not yet decoded
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as bad:
+                found, start = bad, offset - pending + bad.start
+                break
+            if not block:
+                break
+            offset += len(block)
+    bad = found.object[found.start:found.end]
+    if start is None:
+        where = ("byte" if len(bad) == 1 else "bytes") + "".join(f" 0x{b:02x}" for b in bad)
+    elif len(bad) == 1:
+        where = f"byte 0x{bad[0]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{start + len(bad) - 1}"
+    return FormatError(f"'{found.encoding}' codec can't decode {where}: {found.reason}")
 
 
 def write_conll(sentences, stream):

@@ -273,20 +273,18 @@ def _counts(blocks, n):
 
 
 def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
-    """Raise CorruptModel unless every label and word occurs in a count key.
+    """Raise CorruptModel unless every label and word starts a chain or ends a pattern.
 
-    Every token of a training corpus starts a chain (an n0_ik key) or ends
-    a pattern (an n_ikjl key), so only a damaged or crafted file declares
-    a label or word that no key uses.
+    Every token of a training corpus starts a chain (is in an n0_ik key)
+    or ends a pattern (is the second pair of an n_ikjl key), so only a
+    damaged or crafted file declares a label or word that does neither.
     """
-    for what, size, first, pair in (("label", n_labels, 0, (0, 2)),
-                                    ("word", n_words, 1, (1, 3))):
+    for what, size, column in (("label", n_labels, 0), ("word", n_words, 1)):
         used = np.zeros(size, dtype=bool)
-        used[n0_ik.columns[first]] = True
-        for column in pair:
-            used[n_ikjl.columns[column]] = True
+        used[n0_ik.columns[column]] = True
+        used[n_ikjl.columns[column + 2]] = True
         if not used.all():
-            raise CorruptModel(f"{what} {int(used.argmin())} occurs in no count key")
+            raise CorruptModel(f"{what} {int(used.argmin())} starts no chain and ends no pattern")
 
 
 def _read_interner(r, what) -> Interner:

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -45,6 +46,24 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def _piped(data):
+    """A /dev/fd path that reads `data` from a pipe, which a thread fills."""
+    read_end, write_end = os.pipe()
+
+    def fill():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+
+    thread = threading.Thread(target=fill)
+    thread.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        thread.join()
 
 
 @pytest.fixture
@@ -582,24 +601,81 @@ class TestWindows:
         assert (code, out) == (0, "")
         assert not os.path.isfile(os.devnull)
 
-    @pytest.mark.parametrize("command", ["tag", "eval"])
-    def test_pipe_input_exits_2(self, command, model_path, capsys):
-        read_end, write_end = os.pipe()
-        try:
-            with os.fdopen(write_end, "w", encoding="utf-8") as fh:
-                fh.write(open(TEST, encoding="utf-8").read())
-            source = f"/dev/fd/{read_end}"
-            argv = {"tag": ["tag", "--model", model_path, "--input", source],
+    @pytest.mark.parametrize("command", ["tag", "tag-output", "eval"])
+    def test_pipe_input_reads_like_the_file(self, command, model_path, tmp_path, capsys,
+                                            monkeypatch):
+        """tag and eval read their input once, so it may be a pipe: over
+        many windows and read blocks, with dead ends, every output is the
+        file's."""
+        text, _ = _window_corpus()
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(text * 40, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = {"tag": ["tag", "--model", model_path],
+                "tag-output": ["tag", "--model", model_path,
+                               "--output", str(out_dir / "tagged")],
+                "eval": ["eval", "--model", model_path, "--tag-column", "2",
+                         "--report-kv", str(out_dir / "kv")]}[command]
+        flag = "--corpus" if command == "eval" else "--input"
+        monkeypatch.setattr(cli, "WINDOW_TOKENS", 50)
+        from_file = self.outputs(argv + [flag, str(corpus)], out_dir, capsys)
+        with _piped(corpus.read_bytes()) as source:
+            from_pipe = self.outputs(argv + [flag, source], out_dir, capsys)
+        assert from_pipe == from_file
+        code, out, err, files = from_file
+        assert code == 1 and (out or files) and any("dead end" in line for line in err)
+
+    @pytest.mark.parametrize("command", ["train", "tag", "eval"])
+    def test_bytes_that_are_not_utf8_from_a_pipe_are_named(self, command, model_path,
+                                                           tmp_path, capsys):
+        """A pipe cannot be decoded again to place the bad byte, past the
+        first read chunk here, so the error names it and gives no position."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with _piped(b"a X Y\n" * 3000 + b"\xff X Y\n") as source:
+            argv = {"train": ["train", "--corpus", source, "--model", str(out_dir / "m.pmc")],
+                    "tag": ["tag", "--model", model_path, "--input", source],
                     "eval": ["eval", "--model", model_path, "--corpus", source,
-                             "--tag-column", "2"]}[command]
-            code, out, err = run(argv, capsys)
-        finally:
-            os.close(read_end)
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
-        assert "Traceback" not in err
+                             "--tag-column", "2", "--report-kv", str(out_dir / "kv")]}
+            code, out, err = run(argv[command], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: 'utf-8' codec can't decode byte 0xff: "
+                                    "invalid start byte"]
+        assert list(out_dir.iterdir()) == []
+
+    def test_missing_tags_of_every_window_are_listed_after_the_input(self, model_path,
+                                                                      tmp_path, capsys,
+                                                                      monkeypatch):
+        """eval --mapping stops decoding at the first window with a tag the
+        mapping lacks, reads the rest for its missing tags, and then exits 2
+        listing them all, with no output and no dead-end line."""
+        test = open(TEST, encoding="utf-8").read().strip("\n").split("\n\n")
+        # one sentence a window: a dead end, then tags X-1 and X-3 in windows 1 and 3
+        sentences = ["The DT B-NP\nQ#7 NN I-NP", test[0].replace("NN I-NP", "NN X-1"),
+                     test[2], test[1].replace("VBP B-VP", "VBP X-3"), test[2]]
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text("\n\n".join(sentences) + "\n", encoding="utf-8")
+        mapping = tmp_path / "chunk.map"
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["eval", "--model", model_path, "--corpus", str(corpus), "--tag-column", "2",
+                "--mapping", str(mapping), "--report-text", str(out_dir / "txt"),
+                "--report-kv", str(out_dir / "kv")]
+        monkeypatch.setattr(cli, "WINDOW_TOKENS", 1)
+        known = ["B-NP B-NP", "I-NP I-NP", "B-VP B-VP", "B-ADVP B-ADVP", "O O"]
+        mapping.write_text("\n".join(known + ["X-1 I-NP", "X-3 B-VP"]), encoding="utf-8")
+        code, out, err, files = self.outputs(argv, out_dir, capsys)
+        assert (code, out, sorted(files)) == (1, "", ["kv", "txt"])
+        assert err == ["sentence 0: dead end at position 1; excluded from metrics"]
+        mapping.write_text("\n".join(known), encoding="utf-8")
+        decoded = []
+        decode_corpus = cli._decode_corpus
+        monkeypatch.setattr(cli, "_decode_corpus", lambda model, sentences, opts, start:
+                            decoded.append(start) or decode_corpus(model, sentences, opts, start))
+        assert self.outputs(argv, out_dir, capsys) == \
+            (2, "", ["error: tags missing from mapping: X-1, X-3"], {})
+        assert decoded == [0]
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-from io import BytesIO, StringIO, TextIOWrapper
+from io import BufferedReader, BytesIO, StringIO, TextIOWrapper, UnsupportedOperation
 from unittest import mock
 
 import pytest
@@ -160,10 +160,31 @@ class TestMarkKnown:
 # break lines at \x1c, \x1d, \x85 and \u2028, the reader must not
 SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\xa0", "\u2028", "\u3000"]
 TOKENS = ["a", "B", "x1", "#", "#c", "-DOCSTART-", "\xe9", "ab-c", "\x00"]
+
+
+class _Pipe(BytesIO):
+    """Bytes that, like a pipe, can be read only once: seeking and telling raise."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise UnsupportedOperation("seek")
+
+    def tell(self):
+        raise UnsupportedOperation("tell")
+
+
+def _piped(text):
+    """What open("/dev/stdin", encoding="utf-8") gives when stdin is a pipe."""
+    return TextIOWrapper(BufferedReader(_Pipe(text.encode("utf-8"))), encoding="utf-8")
+
+
 STREAMS = {
     "string": StringIO,
     # what open(path, encoding="utf-8") gives: universal newlines
     "file": lambda text: TextIOWrapper(BytesIO(text.encode("utf-8")), encoding="utf-8"),
+    "pipe": _piped,
 }
 
 
@@ -318,28 +339,24 @@ def test_windows_hold_whole_sentences_of_at_least_the_budget():
     assert [w.getvalue() for w in windows(StringIO(""), 2)] == [""]
 
 
-def test_windows_check_the_tag_mapping_before_the_first_window():
-    text = "a X\n\nb Q\n\nc R\n\nd Q\n"
-    with pytest.raises(UnknownTag) as err:
-        windows(StringIO(text), 1, tag_column=1, mapping={"X": "Y"})
-    assert err.value.tags == ["Q", "R"]
-    assert len(list(windows(StringIO(text), 1, tag_column=1,
-                            mapping=dict.fromkeys("XQR", "Y")))) == 4
-
-
-def test_windows_refuse_a_stream_that_cannot_be_rewound():
-    class Pipe(StringIO):
-        def seekable(self):
-            return False
-
-    with pytest.raises(FormatError, match="cannot be read twice"):
-        windows(Pipe("a X\n"), 1)
+def test_windows_over_a_pipe_read_like_the_line_loop():
+    """windows read a stream once, as they advance, so a pipe that cannot
+    seek gives the sentences of the line loop, over many windows and read
+    blocks, and a bad line raises only when its window is reached."""
+    text = "a X\nb Y\n\n# c\nc Z\n\n" * 5000
+    expected = conll_reference.read_records(StringIO(text), comment_prefix="#")
+    assert _read_windows(_piped(text), 100, comment_prefix="#") == expected
+    parts = windows(_piped(text + "d\n"), 100, comment_prefix="#")
+    first = read_records(next(parts), comment_prefix="#")
+    assert 0 < len(first) < len(expected) and first == expected[:len(first)]
+    with pytest.raises(FormatError, match="line 30001: ragged row"):
+        list(parts)
 
 
 @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80"])
 @pytest.mark.parametrize("place", [0, 8191, 65535, 65536, 70000, None])
 def test_windows_place_bad_utf8_in_the_file(bad, place, tmp_path):
-    """The check decodes the file in chunks, and the rest of the file in
+    """The windows decode the file in chunks, and the rest of the file in
     blocks of 64 KiB when a chunk fails; the message is the codec's for
     the whole file, also for a sequence cut by a block edge or the file end."""
     data = bytearray(b"a X\n" * 20000)
@@ -350,8 +367,26 @@ def test_windows_place_bad_utf8_in_the_file(bad, place, tmp_path):
     with pytest.raises(UnicodeDecodeError) as want:
         bytes(data).decode("utf-8")
     with open(path, encoding="utf-8") as fh, pytest.raises(FormatError) as got:
-        windows(fh, 5)
+        list(windows(fh, 5))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad, named", [(b"\xff", "byte 0xff"), (b"\xe2\x80", "bytes 0xe2 0x80"),
+                                        (b"\xed\xa0\x80", "byte 0xed")])
+@pytest.mark.parametrize("place", [0, 8191, 70000, None])
+def test_readers_name_bad_utf8_from_a_pipe(bad, named, place):
+    """A pipe cannot be decoded again to count the bytes before the bad
+    ones, so the message names them and the codec's reason, and gives no
+    position."""
+    data = bytearray(b"a X\n" * 20000)
+    at = len(data) if place is None else place
+    data[at:at] = bad
+    with pytest.raises(UnicodeDecodeError) as want:
+        bytes(data).decode("utf-8")
+    for read in (read_records, read_conll, lambda stream: list(windows(stream, 5))):
+        with pytest.raises(FormatError) as got:
+            read(TextIOWrapper(BufferedReader(_Pipe(bytes(data))), encoding="utf-8"))
+        assert str(got.value) == f"'utf-8' codec can't decode {named}: {want.value.reason}"
 
 
 @settings(max_examples=150, deadline=None)
