@@ -354,11 +354,12 @@ def cmd_eval(opts) -> int:
         for window in windows(fh, WINDOW_TOKENS, **options):
             corpus = read_conll(window, **options)
             if mapping is not None:
-                # once a tag is missing, the rest is read only for its missing tags
-                missing.update(set(corpus.tag_items).difference(mapping))
-                if missing:
-                    continue
-                corpus = apply_mapping(corpus, mapping)
+                try:
+                    corpus = apply_mapping(corpus, mapping)
+                except UnknownTag as exc:  # the rest is read only for its missing tags
+                    missing.update(exc.tags)
+            if missing:
+                continue
             known_bits = mark_known(corpus, model.vocabulary)
             t0 = time.perf_counter()
             results = _decode_corpus(model, corpus.per_sentence(corpus.words), opts, start)

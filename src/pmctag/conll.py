@@ -270,13 +270,12 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
             comment_prefix=None):
     """The windows of a corpus stream, read once, as the iterator advances.
 
-    Each window is a text stream of whole sentences: the kept lines of one
-    block of _blocks of `budget` lines, so it ends at the first blank line
-    after at least `budget` non-blank lines (kept or dropped), or at the
-    stream end, and exceeds the budget only by the rest of one sentence. A
-    stream without token lines gives one empty window. A bad line raises,
-    with its line number in the stream, when its window is reached. Reading
-    every window with the same options gives the stream's sentences, in order.
+    Each window is a text stream of whole sentences, the kept lines of one
+    block of _blocks of `budget` lines: it ends at the first blank line after
+    at least `budget` non-blank lines (kept or dropped), or at the stream
+    end. A stream without token lines gives one empty window. A bad line
+    raises, with its line number in the stream, when its window is reached.
+    Read with the same options, the windows give the stream's sentences in order.
     """
     scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
     for text, _ in _blocks(stream, scanner, budget):

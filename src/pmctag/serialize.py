@@ -284,7 +284,8 @@ def _check_every_id_used(n_labels, n_words, n0_ik, n_ikjl):
         used[n0_ik.columns[column]] = True
         used[n_ikjl.columns[column + 2]] = True
         if not used.all():
-            raise CorruptModel(f"{what} {int(used.argmin())} starts no chain and ends no pattern")
+            raise CorruptModel(f"{what} {int(used.argmin())} occurs in no count key "
+                               "as a chain start or a pattern end")
 
 
 def _read_interner(r, what) -> Interner:

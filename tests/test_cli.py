@@ -63,7 +63,8 @@ def _piped(data):
         yield f"/dev/fd/{read_end}"
     finally:
         os.close(read_end)
-        thread.join()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -175,16 +175,16 @@ class _Pipe(BytesIO):
         raise UnsupportedOperation("tell")
 
 
-def _piped(text):
-    """What open("/dev/stdin", encoding="utf-8") gives when stdin is a pipe."""
-    return TextIOWrapper(BufferedReader(_Pipe(text.encode("utf-8"))), encoding="utf-8")
+def _piped(data):
+    """What open("/dev/stdin", encoding="utf-8") gives when stdin is a pipe of `data`."""
+    return TextIOWrapper(BufferedReader(_Pipe(data)), encoding="utf-8")
 
 
 STREAMS = {
     "string": StringIO,
     # what open(path, encoding="utf-8") gives: universal newlines
     "file": lambda text: TextIOWrapper(BytesIO(text.encode("utf-8")), encoding="utf-8"),
-    "pipe": _piped,
+    "pipe": lambda text: _piped(text.encode("utf-8")),
 }
 
 
@@ -345,8 +345,8 @@ def test_windows_over_a_pipe_read_like_the_line_loop():
     blocks, and a bad line raises only when its window is reached."""
     text = "a X\nb Y\n\n# c\nc Z\n\n" * 5000
     expected = conll_reference.read_records(StringIO(text), comment_prefix="#")
-    assert _read_windows(_piped(text), 100, comment_prefix="#") == expected
-    parts = windows(_piped(text + "d\n"), 100, comment_prefix="#")
+    assert _read_windows(STREAMS["pipe"](text), 100, comment_prefix="#") == expected
+    parts = windows(STREAMS["pipe"](text + "d\n"), 100, comment_prefix="#")
     first = read_records(next(parts), comment_prefix="#")
     assert 0 < len(first) < len(expected) and first == expected[:len(first)]
     with pytest.raises(FormatError, match="line 30001: ragged row"):
@@ -385,7 +385,7 @@ def test_readers_name_bad_utf8_from_a_pipe(bad, named, place):
         bytes(data).decode("utf-8")
     for read in (read_records, read_conll, lambda stream: list(windows(stream, 5))):
         with pytest.raises(FormatError) as got:
-            read(TextIOWrapper(BufferedReader(_Pipe(bytes(data))), encoding="utf-8"))
+            read(_piped(bytes(data)))
         assert str(got.value) == f"'utf-8' codec can't decode {named}: {want.value.reason}"
 
 

@@ -223,16 +223,10 @@ def test_varint_codec_round_trips(values, block):
     (dict(task="postag"), "unknown task"),
     (dict(suffix_max_len=1 << 20), "suffix length"),
     (dict(n0_ik=[], n_ikjl=[]), "no chains"),
-    (dict(labels=("A", "B", "C")), "label 2 starts no chain and ends no pattern"),
-    (dict(words=("x", "y", "z")), "word 2 starts no chain and ends no pattern"),
+    (dict(labels=("A", "B", "C")), "label 2 occurs in no count key"),
+    (dict(words=("x", "y", "z")), "word 2 occurs in no count key"),
     (dict(words=("z", "x", "y"), n_ikjl=[((0, 1, 1, 2), 1)], n0_ik=[((0, 1), 1)]),
-     "word 0 starts no chain and ends no pattern"),
-    # "zz" only starts a pattern: no corpus gives a token that neither starts
-    # its sentence nor follows another
-    (dict(labels=("X",), words=("a", "zz"), n0_ik=[((0, 0), 1)], n_ikjl=[((0, 1, 0, 0), 1)]),
-     "word 1 starts no chain and ends no pattern"),
-    (dict(labels=("X", "Y"), words=("a",), n0_ik=[((0, 0), 1)], n_ikjl=[((1, 0, 0, 0), 1)]),
-     "label 1 starts no chain and ends no pattern"),
+     "word 0 occurs in no count key"),
     # a later difference at the limit, differences below it that sum to it
     # or beyond, and a sum past 2 ** 64 that a wrapping uint64 sum would miss
     (dict(n0_ik=[((0, 0), 1), (4, 1)]), "unknown label or word"),
@@ -259,6 +253,12 @@ def test_varint_codec_round_trips(values, block):
     # a last byte that promises another
     (dict(arrays=(None, None, None, b"\x81")), "unterminated varint"),
     (dict(arrays=(b"\x00\x80", None, None, None)), "unterminated varint"),
+    # "zz" and "Y" only start a pattern: no corpus gives a token that neither
+    # starts its sentence nor follows another
+    (dict(labels=("X",), words=("a", "zz"), n0_ik=[((0, 0), 1)], n_ikjl=[((0, 1, 0, 0), 1)]),
+     "word 1 occurs in no count key as a chain start or a pattern end"),
+    (dict(labels=("X", "Y"), words=("a",), n0_ik=[((0, 0), 1)], n_ikjl=[((1, 0, 0, 0), 1)]),
+     "label 1 occurs in no count key as a chain start or a pattern end"),
 ])
 def test_malformed_fields_rejected(fields, reason):
     with pytest.raises(CorruptModel, match=reason):
@@ -313,7 +313,7 @@ def test_inflated_label_and_word_counts_raise(small_model_bytes, data):
     for items, extra, stem in ((labels, extra_labels, "Label"), (words, extra_words, "word")):
         for m in range(extra):
             items.insert(data.draw(st.integers(0, len(items)), label="at"), f"{stem}-{m}-new")
-    with pytest.raises(CorruptModel, match="starts no chain and ends no pattern"):
+    with pytest.raises(CorruptModel, match="occurs in no count key"):
         deserialize_model(_encode_model(model, labels, words))
 
 
