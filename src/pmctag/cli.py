@@ -278,8 +278,7 @@ def _new_file(path):
         mode = None
     with contextlib.ExitStack() as stack:
         if target is None or mode is not None and not stat.S_ISREG(mode):
-            out = sys.stdout if target is None else stack.enter_context(
-                open(target, "w", encoding="utf-8"))
+            out = sys.stdout if target is None else stack.enter_context(open(target, "wb"))
             handle, new = tempfile.mkstemp(suffix=".tmp")
             os.close(handle)
         else:
@@ -295,8 +294,8 @@ def _new_file(path):
         yield new
         if out is None:
             os.replace(new, target)
-        else:
-            with open(new, encoding="utf-8", newline="") as src:
+        else:  # stdout takes text, a device the bytes, which may be a model's
+            with (open(new, "rb") if target else open(new, encoding="utf-8", newline="")) as src:
                 shutil.copyfileobj(src, out)
 
 

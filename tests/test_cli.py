@@ -181,6 +181,13 @@ class TestTrain:
         assert proc.returncode == 0, proc.stderr
         assert piped.read_bytes() == model.read_bytes()
 
+    def test_model_to_a_device(self, capsys):
+        """A device gets the model's bytes, copied out at the end."""
+        code, out, err = run(["train", "--corpus", TRAIN, "--tag-column", "2",
+                              "--model", os.devnull], capsys)
+        assert (code, out) == (0, "")
+        assert "model-bytes" in err and not os.path.isfile(os.devnull)
+
     def test_bytes_that_are_not_utf8_are_placed_in_the_file(self, tmp_path, capsys):
         """The corpus is read in blocks; the error still gives the byte's
         position in the whole file, past the first block."""
