@@ -12,7 +12,9 @@ subcommand's optional single-value options; explicit flags still win.
 Every input is read once, a block of whole sentences at a time, so it may
 be a pipe. train keeps only id columns of its words and tags; tag and eval
 read, decode and write or score one window of whole sentences at a time,
-so that their memory does not grow with the input. Every output, dead ends
+so that their memory does not grow with the input. A window's table
+lookups are made once for all its sentences (inference.lookup_window), and
+its sentences are decoded one by one from them. Every output, dead ends
 on stderr included, is published after the last window, through a new file
 made before any input is read (see _new_file): an error in any window
 leaves no output, and tag's output may be its input. eval adds up the
@@ -228,16 +230,22 @@ def _read_corpus(opts, path) -> LabeledCorpus:
     return corpus if mapping is None else apply_mapping(corpus, mapping)
 
 
-def _decode_corpus(model: ModelBundle, sentences, opts, start=0) -> list:
-    """Decode word sequences in order: one DecodeResult per sentence, or
-    for a failed one its DeadEnd, whose sentence_index counts from `start`."""
+def _decode_corpus(model: ModelBundle, words, lengths, opts, start=0, ids=None) -> list:
+    """Decode a window of sentences in order: one DecodeResult per sentence,
+    or for a failed one its DeadEnd, whose sentence_index counts from `start`.
+
+    words and lengths (and ids, when given) are as inference.lookup_window
+    takes them: the window's tables are looked up once, and each sentence
+    is decoded from its part of the lookup.
+    """
+    window = inference.lookup_window(model, words, lengths, opts.mode, ids)
     results = []
-    for idx, words in enumerate(sentences, start):
+    for s in range(len(window)):
         try:
             results.append(inference.decode_sentence(
-                model, words, mode=opts.mode, decoder=opts.decoder))
+                model, window.sentence(s), mode=opts.mode, decoder=opts.decoder))
         except DeadEnd as exc:
-            results.append(DeadEnd(exc.position, sentence_index=idx))
+            results.append(DeadEnd(exc.position, sentence_index=start + s))
     return results
 
 
@@ -328,8 +336,9 @@ def cmd_tag(opts) -> int:
             open(path, "w", encoding="utf-8") as out:
         for window in windows(fh, WINDOW_TOKENS, **options):
             records = read_records(window, **options)
-            sentences = [[cols[opts.word_column] for cols in sent] for sent in records]
-            results = _decode_corpus(model, sentences, opts, tally["sentences"])
+            words = [cols[opts.word_column] for sent in records for cols in sent]
+            results = _decode_corpus(model, words, list(map(len, records)), opts,
+                                     tally["sentences"])
             done, fields = _tally_results(results, "skipped", notes)
             tagged = list(compress(records, done))
             for sent, result in zip(tagged, compress(results, done)):
@@ -361,7 +370,8 @@ def cmd_eval(opts) -> int:
                 continue
             known_bits = mark_known(corpus, model.vocabulary)
             t0 = time.perf_counter()
-            results = _decode_corpus(model, corpus.per_sentence(corpus.words), opts, start)
+            results = _decode_corpus(model, corpus.word_items, corpus.lengths.tolist(), opts,
+                                     start, ids=corpus.word_ids)
             decode_time += time.perf_counter() - t0
             start += len(results)
             done, fields = _tally_results(results, "excluded from metrics", notes)

@@ -179,9 +179,8 @@ def _blocks(stream, scanner, size):
     ends at a sentence end or at the stream end. Blocks without a token
     line are left out. Lines are checked by `scanner` (_Scanner.scan) as
     they are read, and the lengths are the int64 numbers of token lines of
-    the block's sentences. A file whose bytes do not decode raises the
-    FormatError of _decode_error; from a stream that cannot seek, such as
-    a pipe, the UnicodeDecodeError is raised as it is.
+    the block's sentences. Bytes that do not decode raise the FormatError
+    of _decode_error.
     """
     try:
         while True:
@@ -197,13 +196,22 @@ def _blocks(stream, scanner, size):
                 filled += len(read) - int(np.count_nonzero(counts == 0))
             if not filled:
                 return
-            widths, text = np.concatenate(widths), "".join(lines)
-            del lines, read, kept  # only the text is kept while the block is read
+            widths = np.concatenate(widths)
+            del read, kept
             if widths.any():  # sentences are the runs of token lines
                 edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
-                yield text, np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
+                # the text is made in the yield, so the frame holds no line
+                # and no text while the block is read
+                yield _drained(lines), np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
     except UnicodeDecodeError as exc:
         raise _decode_error(stream, exc) from None
+
+
+def _drained(lines) -> str:
+    """The lines joined into one text; the list is emptied."""
+    text = "".join(lines)
+    lines.clear()
+    return text
 
 
 def _through_blank(stream):
@@ -278,8 +286,9 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
     Read with the same options, the windows give the stream's sentences in order.
     """
     scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
-    for text, _ in _blocks(stream, scanner, budget):
-        yield io.StringIO(text)
+    # each text goes straight into its window, so no frame holds it while
+    # the window is read
+    yield from map(io.StringIO, map(itemgetter(0), _blocks(stream, scanner, budget)))
     if scanner.width is None:  # no token line
         yield io.StringIO()
 
@@ -334,19 +343,26 @@ def write_conll(sentences, stream):
 
 
 def read_tag_mapping(stream) -> dict[str, str]:
-    """Parse a mapping file of `source target` lines split on any whitespace."""
+    """Parse a mapping file of `source target` lines split on any whitespace.
+
+    Bytes that do not decode raise the FormatError of _decode_error, as
+    in the corpus readers.
+    """
     mapping = {}
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise FormatError(f"expected 'source target', got {stripped!r}", line=lineno)
-        source, target = fields
-        if source in mapping and mapping[source] != target:
-            raise FormatError(f"conflicting targets for {source!r}", line=lineno)
-        mapping[source] = target
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            fields = stripped.split()
+            if len(fields) != 2:
+                raise FormatError(f"expected 'source target', got {stripped!r}", line=lineno)
+            source, target = fields
+            if source in mapping and mapping[source] != target:
+                raise FormatError(f"conflicting targets for {source!r}", line=lineno)
+            mapping[source] = target
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
     return mapping
 
 

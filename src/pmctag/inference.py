@@ -6,6 +6,14 @@ In PMC mode a step whose observed word bigram has no training support is
 downgraded to the HMC factor for that step only; emissions of unknown
 words fall back to the orthographic feature model.
 
+Resolving the factors has two parts. The lookups run per window of
+sentences (lookup_window): the vocabulary, the emission columns, the
+feature columns of unknown words, the bigram slots, the PMC triples and
+the initial factors are read once over all the window's tokens. The
+factor build and the recursions run per sentence (resolve_factors and
+the decoders), on the sentence's part of the lookups; a single sentence
+of words is looked up as a window of one.
+
 The factors are resolved for the decoder that reads them, and each
 decoder finds the downgrades and the dead end its own way, with the same
 result. For MPM, forward-backward runs in scaled linear space: each step
@@ -22,7 +30,8 @@ finds the downgrades and the dead end.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -275,11 +284,12 @@ class DecodeIndex:
         ratios the value, in the order of the steps.
         """
         at = (slots >= 0).nonzero()[0]
-        lo = self.offsets[slots[at]]
-        sizes = self.offsets[slots[at] + 1] - lo
+        bigrams = slots[at]
+        hi = self.offsets[bigrams + 1]
+        sizes = hi - self.offsets[bigrams]
         t = at.repeat(sizes)
-        # triple positions: the slices lo[s]:lo[s] + sizes[s], concatenated
-        pos = np.arange(t.size) + (lo - sizes.cumsum() + sizes).repeat(sizes)
+        # triple positions: the slices hi[s] - sizes[s]:hi[s], concatenated
+        pos = np.arange(t.size) + (hi - sizes.cumsum()).repeat(sizes)
         return t, self.flat[pos], self.ratios[pos]
 
 
@@ -423,9 +433,128 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
     return LogFactors(initial, scores, flags, None)
 
 
+@dataclass(eq=False)
+class WindowLookup:
+    """The table lookups of a window of sentences, made once over all their tokens.
+
+    lookup_window builds one for a model and a mode, and sentence(s) hands
+    out sentence s's part, from which resolve_factors builds its factors.
+    starts holds the token offset of each sentence and then the token
+    count. cols holds the emission column of each token, initial the
+    initial factor of each sentence and first_flags its flag. slots holds
+    the bigram slot of each step, -1 where the step has no PMC support or
+    crosses a sentence end. The PMC triples (t, flat, ratios) of the steps
+    come in step order, t counting the window's steps, and those of
+    sentence s are triples[s]:triples[s + 1].
+    """
+
+    model: ModelBundle
+    mode: str
+    starts: list[int]
+    cols: np.ndarray = field(repr=False)
+    initial: list[np.ndarray] = field(repr=False)
+    first_flags: list[str] = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    triples: list[int] = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+    ratios: np.ndarray = field(repr=False)
+
+    def __len__(self):
+        return len(self.first_flags)
+
+    def sentence(self, s) -> "SentenceLookup":
+        """Sentence s's part of the lookups."""
+        if len(self.initial) == 1:  # the whole window, as resolve_factors looks one sentence up
+            return SentenceLookup(self.model, self.mode, self.initial[0], self.first_flags[0],
+                                  self.cols, self.slots, self.t, self.flat, self.ratios)
+        lo, hi = self.starts[s], self.starts[s + 1]
+        a, b = self.triples[s], self.triples[s + 1]
+        t = self.t[a:b]
+        return SentenceLookup(self.model, self.mode, self.initial[s], self.first_flags[s],
+                              self.cols[lo:hi], self.slots[lo:hi - 1], t - lo if lo else t,
+                              self.flat[a:b], self.ratios[a:b])
+
+
+class SentenceLookup(NamedTuple):
+    """One sentence's part of a WindowLookup, as resolve_factors takes it:
+    views of the window's arrays, with the steps t counted from the
+    sentence's first step."""
+
+    model: ModelBundle
+    mode: str
+    initial: np.ndarray
+    first_flag: str
+    cols: np.ndarray
+    slots: np.ndarray
+    t: np.ndarray
+    flat: np.ndarray
+    ratios: np.ndarray
+
+
+def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> WindowLookup:
+    """Look up what the factors of a window of sentences read from the model's tables.
+
+    words holds the window's words in token order, or, when ids is given,
+    the distinct words that ids (one per token) index; lengths holds the
+    token count of each sentence, in order. Each table is read once over
+    all the tokens: one vocabulary lookup (of each distinct word, with
+    ids), one emission gather, the feature column of an unknown word once
+    per distinct (word, first in its sentence) pair, one bigram_slots call
+    (no bigram crosses a sentence end), one pmc_triples call, and the
+    initial factor and its flag for every sentence.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    starts = [0, *accumulate(lengths)]
+    if 0 in lengths:
+        raise EmptySentence("cannot resolve factors for an empty sentence")
+    hmc, index = model.hmc, model.index
+    vocabulary = model.vocabulary.index
+    known = [vocabulary.get(w, -1) for w in words]
+    wids = np.array(known, dtype=np.int64)
+    if ids is not None:
+        wids = wids[ids]
+        known = wids.tolist()
+    # (T, N) emission columns: hmc.emit for known words, features otherwise
+    cols = hmc.emit.T[wids]
+    heads = starts[:-1]
+    if -1 in known:
+        found, firsts = {}, set(heads)
+        for pos, word_id in enumerate(known):
+            if word_id < 0:
+                key = words[pos if ids is None else ids[pos]], pos in firsts
+                column = found.get(key)
+                if column is None:  # the position only sets the first-word bit
+                    column = found[key] = feature_column(model.features, key[0],
+                                                         0 if key[1] else 1)
+                cols[pos] = column
+    initial, first_flags = [], []
+    for head in heads:
+        word_id = known[head] if mode == "pmc" else -1
+        column = index.pi2_column(word_id) if word_id >= 0 else None
+        initial.append(hmc.pi * cols[head] if column is None else column)
+        first_flags.append(PMC_STEP if column is not None else
+                           HMC_STEP if mode == "pmc" else PLAIN_HMC)
+    if mode == "hmc":
+        slots = np.full(max(len(wids) - 1, 0), -1)
+    else:
+        slots = index.bigram_slots(wids)
+        if len(heads) > 1:
+            slots[np.array(starts[1:-1]) - 1] = -1
+    t, flat, ratios = index.pmc_triples(slots)
+    triples = t.searchsorted(heads).tolist() if len(heads) > 1 else [0] * len(heads)
+    return WindowLookup(model, mode, starts, cols, initial, first_flags, slots,
+                        triples + [len(t)], t, flat, ratios)
+
+
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> FactorProvider | LogFactors:
-    """Resolve the factor sequence for one sentence of word strings.
+    """Resolve the factor sequence for one sentence.
+
+    The sentence is a list of word strings, looked up as a window of one
+    (see lookup_window), or a SentenceLookup of a window looked up for
+    this model and mode.
 
     In PMC mode, step t -> t+1 keeps the PMC factor when both words are
     known and the bigram pattern count is positive, and is downgraded to
@@ -450,35 +579,20 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    if not sentence:
-        raise EmptySentence("cannot resolve factors for an empty sentence")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    hmc, index = model.hmc, model.index
-    vocabulary = model.vocabulary.index
-    ids = [vocabulary.get(w, -1) for w in sentence]
-    wids = np.array(ids)
-    # (T, N) emission columns: hmc.emit for known words, features otherwise
-    cols = hmc.emit.T[wids]
-    for pos, word_id in enumerate(ids):
-        if word_id < 0:
-            cols[pos] = feature_column(model.features, sentence[pos], pos)
-    if mode == "hmc":
-        initial, flags = hmc.pi * cols[0], [PLAIN_HMC] * len(cols)
-        slots = np.full(len(cols) - 1, -1)
-    else:
-        initial = index.pi2_column(ids[0]) if ids[0] >= 0 else None
-        if initial is not None:
-            flags = [PMC_STEP]
-        else:
-            initial = hmc.pi * cols[0]
-            flags = [HMC_STEP]
-        slots = index.bigram_slots(wids)
-        flags += [PMC_STEP if u >= 0 else HMC_STEP for u in slots.tolist()]
-    kept = slots >= 0
-    t, flat, ratios = index.pmc_triples(slots)
+    if not isinstance(sentence, SentenceLookup):
+        if not sentence:
+            raise EmptySentence("cannot resolve factors for an empty sentence")
+        sentence = lookup_window(model, sentence, (len(sentence),), mode).sentence(0)
+    elif sentence.model is not model or sentence.mode != mode:
+        raise ValueError("the sentence was looked up for another model or mode")
+    _, _, initial, flag, cols, slots, t, flat, ratios = sentence
+    step = HMC_STEP if mode == "pmc" else PLAIN_HMC
+    flags = [flag]
+    flags += [PMC_STEP if u >= 0 else step for u in slots.tolist()]
+    hmc, kept = model.hmc, slots >= 0
     if decoder == "map":
-        return _log_factors(index.log_trans_t, cols, initial, flags, kept, t, flat, ratios)
+        return _log_factors(model.index.log_trans_t, cols, initial, flags, kept, t, flat,
+                            ratios)
     steps = _hmc_steps(hmc.trans, cols)
     steps[kept] = 0.0
     _flat_steps(steps)[t, flat] = ratios
@@ -612,11 +726,13 @@ class DecodeResult:
 
 def decode_sentence(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> DecodeResult:
-    """Decode one sentence of word strings: its labels and per-step flags.
+    """Decode one sentence: its labels and per-step flags.
 
-    decoder "mpm" gives the marginal-posterior-mode labels and "map" the
-    jointly most probable ones (Viterbi) with their log score. The
-    factors are resolved for the decoder (see resolve_factors).
+    The sentence is a list of word strings or a SentenceLookup of a window
+    looked up for this model and mode (see resolve_factors); both give the
+    same result. decoder "mpm" gives the marginal-posterior-mode labels
+    and "map" the jointly most probable ones (Viterbi) with their log
+    score. The factors are resolved for the decoder (see resolve_factors).
     """
     factors = resolve_factors(model, sentence, mode=mode, decoder=decoder)
     score = None

@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import synth  # noqa: E402
 import tracing  # noqa: E402
 
-from pmctag import cli  # noqa: E402
+from pmctag import cli, inference  # noqa: E402
 from pmctag.conll import LabeledCorpus, mark_known, read_conll, read_records  # noqa: E402
 from pmctag.errors import DeadEnd  # noqa: E402
 from pmctag.evaluation import evaluate_predictions  # noqa: E402
@@ -47,11 +47,34 @@ def tiny(tmp_path):
     return train, test, path
 
 
-def test_index_span_is_recorded_once_while_loading(tiny):
+def counted_lookups(monkeypatch) -> list:
+    """Count the calls of inference.lookup_window, which no span wraps:
+    the returned list gets one entry per call."""
+    calls, lookup_window = [], inference.lookup_window
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lookup_window(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "lookup_window", counted)
+    return calls
+
+
+def children(tracer, name, parent_name) -> list:
+    """The spans called `name`, each checked to be the child of a `parent_name` span."""
+    found = [span for span in tracer.spans if span.name == name]
+    assert all(tracer.spans[span.parent].name == parent_name for span in found)
+    return found
+
+
+def test_index_span_is_recorded_once_while_loading(tiny, monkeypatch):
     """The span inference.decode_index wraps inference.DecodeIndex, so it
     reads 0 if the bundle build stops looking the class up on its module,
-    and shows up under decoding if the index is built lazily again."""
+    and shows up under decoding if the index is built lazily again. A
+    direct decode_sentence looks its sentence up as a window of one inside
+    its inference.resolve_factors span, so sentence_p50_ms times the lookup."""
     _, test, path = tiny
+    lookups = counted_lookups(monkeypatch)
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
         model = load_model(path)
@@ -64,7 +87,8 @@ def test_index_span_is_recorded_once_while_loading(tiny):
     built = [span for span in tracer.spans if span.name == "inference.decode_index"]
     assert len(built) == 1
     assert tracer.spans[built[0].parent].name == "serialize.deserialize_model"
-    assert any(span.name == "inference.resolve_factors" for span in tracer.spans)
+    resolved = [span for span in tracer.spans if span.name == "inference.resolve_factors"]
+    assert len(resolved) == len(lookups) == 2 * len(test)
 
 
 def test_model_attributes_read_outside_the_tracer(tiny):
@@ -152,13 +176,14 @@ def test_cli_training_records_one_read_and_one_tally_per_corpus(tiny, tmp_path):
 
 @pytest.mark.parametrize("command", ["tag", "eval"])
 @pytest.mark.parametrize("decoder", ["mpm", "map"])
-def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, decoder):
+def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, decoder,
+                                                    monkeypatch):
     """perfbench's traced check of tag-mpm and eval-map-oov takes each
     sentence's flags from the results of the inference.decode_sentence
     spans, and the dead ends from those spans' errors, and compares them
     with the library's own decodes. That holds only while the CLI calls
     decode_sentence once per sentence through its module attribute."""
-    trace_cli_decoding(tiny, tmp_path, command, decoder)
+    trace_cli_decoding(tiny, tmp_path, command, decoder, monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["tag", "eval"])
@@ -169,7 +194,7 @@ def test_cli_decoding_in_small_windows_records_one_span_per_sentence(
     writing or scoring spans are then one per window, and there are
     several windows."""
     monkeypatch.setattr(cli, "WINDOW_TOKENS", 5)
-    summary = trace_cli_decoding(tiny, tmp_path, command, decoder).summary()
+    summary = trace_cli_decoding(tiny, tmp_path, command, decoder, monkeypatch).summary()
     layers = {"tag": ("conll.read_records", "cli.decode_corpus", "conll.write_conll"),
               "eval": ("conll.read_conll", "conll.mark_known", "cli.decode_corpus",
                        "evaluation.evaluate_predictions")}[command]
@@ -177,9 +202,13 @@ def test_cli_decoding_in_small_windows_records_one_span_per_sentence(
     assert len(calls) == 1 and calls.pop() > 1
 
 
-def trace_cli_decoding(tiny, tmp_path, command, decoder):
+def trace_cli_decoding(tiny, tmp_path, command, decoder, monkeypatch):
     """Run tag or eval on the tiny test sentences under the tracer and check
-    its decode_sentence spans against the library; returns the tracer."""
+    its decode_sentence spans against the library; returns the tracer.
+
+    The CLI looks each window up once, inside its cli.decode_corpus span,
+    and each sentence's decode_sentence span holds one resolve_factors span
+    that builds the sentence's factors from its part of the lookup."""
     _, test, path = tiny
     model = load_model(path)
     flags, dead = [], 0
@@ -199,12 +228,16 @@ def trace_cli_decoding(tiny, tmp_path, command, decoder):
         source.write_text(synth.conll_text(test), encoding="utf-8")
         argv = ["eval", "--model", str(path), "--corpus", str(source),
                 "--report-kv", str(tmp_path / "report.kv")]
+    lookups = counted_lookups(monkeypatch)
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
         code = cli.main(argv + ["--decoder", decoder])
     assert code == (1 if dead else 0)
-    spans = [span for span in tracer.spans if span.name == "inference.decode_sentence"]
+    assert len(lookups) == tracer.summary()["cli.decode_corpus"]["calls"]
+    spans = children(tracer, "inference.decode_sentence", "cli.decode_corpus")
     assert len(spans) == len(test)
+    assert len(children(tracer, "inference.resolve_factors",
+                        "inference.decode_sentence")) == len(test)
     assert tracer.decode_flags == flags
     assert sum(span.error is not None for span in spans) == dead
     assert tracer.summary()["inference.decode_sentence"]["errors"] == dead

@@ -199,6 +199,26 @@ class TestTrain:
         assert err.splitlines() == ["error: 'utf-8' codec can't decode byte 0xff in "
                                     "position 120000: invalid start byte"]
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mapping_bytes_that_are_not_utf8_are_placed_in_the_file(self, command, tmp_path,
+                                                                    capsys):
+        """A mapping is decoded a chunk at a time as well; the error gives
+        the byte's position in the whole file, past the first chunk."""
+        mapping = tmp_path / "chunk.map"
+        mapping.write_bytes(b"B-NP B-NP\n" * 2000 + b"\xff X\n\n")
+        assert mapping.stat().st_size == 20005
+        model = tmp_path / "m.pmc"
+        code, _, _ = run(["train", "--corpus", TRAIN, "--tag-column", "2", "--model",
+                          str(model), "--task", "chunk"], capsys)
+        assert code == 0
+        argv = (["train", "--model", str(tmp_path / "other.pmc")] if command == "train"
+                else ["eval", "--model", str(model)])
+        code, out, err = run(argv + ["--corpus", TRAIN, "--tag-column", "2", "--mapping",
+                                     str(mapping)], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: 'utf-8' codec can't decode byte 0xff in "
+                                    "position 20000: invalid start byte"]
+
     def test_mapping_applied(self, tmp_path, capsys):
         path = str(tmp_path / "pos.pmc")
         code, _, _ = run(["train", "--corpus", TRAIN, "--model", path,
@@ -585,10 +605,10 @@ class TestWindows:
     def test_failed_tag_leaves_the_old_output(self, model_path, tmp_path, capsys,
                                               monkeypatch):
         """An error after some windows are written leaves no partial output."""
-        def fail_at_second_window(model, sentences, opts, start=0):
+        def fail_at_second_window(model, words, lengths, opts, start=0):
             if start:
                 raise ShapeError("failed")
-            return decode_corpus(model, sentences, opts, start)
+            return decode_corpus(model, words, lengths, opts, start)
 
         decode_corpus = cli._decode_corpus
         monkeypatch.setattr(cli, "_decode_corpus", fail_at_second_window)
@@ -679,8 +699,9 @@ class TestWindows:
         mapping.write_text("\n".join(known), encoding="utf-8")
         decoded = []
         decode_corpus = cli._decode_corpus
-        monkeypatch.setattr(cli, "_decode_corpus", lambda model, sentences, opts, start:
-                            decoded.append(start) or decode_corpus(model, sentences, opts, start))
+        monkeypatch.setattr(cli, "_decode_corpus", lambda model, words, lengths, opts, start, ids:
+                            decoded.append(start) or decode_corpus(model, words, lengths, opts,
+                                                                   start, ids))
         assert self.outputs(argv, out_dir, capsys) == \
             (2, "", ["error: tags missing from mapping: X-1, X-3"], {})
         assert decoded == [0]

@@ -358,7 +358,8 @@ def test_windows_over_a_pipe_read_like_the_line_loop():
 def test_windows_place_bad_utf8_in_the_file(bad, place, tmp_path):
     """The windows decode the file in chunks, and the rest of the file in
     blocks of 64 KiB when a chunk fails; the message is the codec's for
-    the whole file, also for a sequence cut by a block edge or the file end."""
+    the whole file, also for a sequence cut by a block edge or the file end.
+    The lines are a valid tag mapping too, and read_tag_mapping says the same."""
     data = bytearray(b"a X\n" * 20000)
     at = len(data) if place is None else place
     data[at:at] = bad
@@ -366,9 +367,10 @@ def test_windows_place_bad_utf8_in_the_file(bad, place, tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(UnicodeDecodeError) as want:
         bytes(data).decode("utf-8")
-    with open(path, encoding="utf-8") as fh, pytest.raises(FormatError) as got:
-        list(windows(fh, 5))
-    assert str(got.value) == str(want.value)
+    for read in (lambda stream: list(windows(stream, 5)), read_tag_mapping):
+        with open(path, encoding="utf-8") as fh, pytest.raises(FormatError) as got:
+            read(fh)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad, named", [(b"\xff", "byte 0xff"), (b"\xe2\x80", "bytes 0xe2 0x80"),
@@ -383,7 +385,8 @@ def test_readers_name_bad_utf8_from_a_pipe(bad, named, place):
     data[at:at] = bad
     with pytest.raises(UnicodeDecodeError) as want:
         bytes(data).decode("utf-8")
-    for read in (read_records, read_conll, lambda stream: list(windows(stream, 5))):
+    for read in (read_records, read_conll, lambda stream: list(windows(stream, 5)),
+                 read_tag_mapping):
         with pytest.raises(FormatError) as got:
             read(_piped(bytes(data)))
         assert str(got.value) == f"'utf-8' codec can't decode {named}: {want.value.reason}"
