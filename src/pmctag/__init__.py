@@ -8,7 +8,7 @@ from .errors import (CorruptModel, DeadEnd, EmptyCorpus, EmptySentence,
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (FeatureEmissionTables, WordFeatures, extract_features,
                        fit_feature_tables)
-from .inference import (FactorProvider, backward, decode_sentence, forward,
+from .inference import (FactorProvider, backward, decode_sentence, forward, lookup_window,
                         posterior_marginals, resolve_factors)
 from .model import CountTable, CountTables, HmcParams, Interner, ModelBundle
 from .oracle import (PmcParams, TinyInstance, embed_hmc_as_pmc, enumerate_map,

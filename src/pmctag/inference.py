@@ -433,7 +433,7 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
     return LogFactors(initial, scores, flags, None)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WindowLookup:
     """The table lookups of a window of sentences, made once over all their tokens.
 
