@@ -444,8 +444,8 @@ class WindowLookup:
     initial factor of each sentence and first_flags its flag. slots holds
     the bigram slot of each step, -1 where the step has no PMC support or
     crosses a sentence end. The PMC triples (t, flat, ratios) of the steps
-    come in step order, t counting the window's steps, and those of
-    sentence s are triples[s]:triples[s + 1].
+    come in step order, t counting the steps of each triple's sentence, and
+    those of sentence s are triples[s]:triples[s + 1].
     """
 
     model: ModelBundle
@@ -465,14 +465,10 @@ class WindowLookup:
 
     def sentence(self, s) -> "SentenceLookup":
         """Sentence s's part of the lookups."""
-        if len(self.initial) == 1:  # the whole window, as resolve_factors looks one sentence up
-            return SentenceLookup(self.model, self.mode, self.initial[0], self.first_flags[0],
-                                  self.cols, self.slots, self.t, self.flat, self.ratios)
         lo, hi = self.starts[s], self.starts[s + 1]
         a, b = self.triples[s], self.triples[s + 1]
-        t = self.t[a:b]
         return SentenceLookup(self.model, self.mode, self.initial[s], self.first_flags[s],
-                              self.cols[lo:hi], self.slots[lo:hi - 1], t - lo if lo else t,
+                              self.cols[lo:hi], self.slots[lo:hi - 1], self.t[a:b],
                               self.flat[a:b], self.ratios[a:b])
 
 
@@ -543,9 +539,12 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
         if len(heads) > 1:
             slots[np.array(starts[1:-1]) - 1] = -1
     t, flat, ratios = index.pmc_triples(slots)
-    triples = t.searchsorted(heads).tolist() if len(heads) > 1 else [0] * len(heads)
-    return WindowLookup(model, mode, starts, cols, initial, first_flags, slots,
-                        triples + [len(t)], t, flat, ratios)
+    triples = [0, len(t)]
+    if len(heads) > 1:  # cut the triples per sentence, and count steps from its first
+        triples = t.searchsorted(starts).tolist()
+        t = t - np.repeat(heads, np.diff(triples))
+    return WindowLookup(model, mode, starts, cols, initial, first_flags, slots, triples,
+                        t, flat, ratios)
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
@@ -579,13 +578,18 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    if not isinstance(sentence, SentenceLookup):
+    if isinstance(sentence, SentenceLookup):
+        if sentence.model is not model or sentence.mode != mode:
+            raise ValueError("the sentence was looked up for another model or mode")
+        _, _, initial, flag, cols, slots, t, flat, ratios = sentence
+    else:
         if not sentence:
             raise EmptySentence("cannot resolve factors for an empty sentence")
-        sentence = lookup_window(model, sentence, (len(sentence),), mode).sentence(0)
-    elif sentence.model is not model or sentence.mode != mode:
-        raise ValueError("the sentence was looked up for another model or mode")
-    _, _, initial, flag, cols, slots, t, flat, ratios = sentence
+        # a window of one sentence, whose arrays are the sentence's
+        window = lookup_window(model, sentence, (len(sentence),), mode)
+        initial, flag, cols, slots = (window.initial[0], window.first_flags[0], window.cols,
+                                      window.slots)
+        t, flat, ratios = window.t, window.flat, window.ratios
     step = HMC_STEP if mode == "pmc" else PLAIN_HMC
     flags = [flag]
     flags += [PMC_STEP if u >= 0 else step for u in slots.tolist()]
