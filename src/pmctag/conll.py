@@ -286,9 +286,10 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
     Read with the same options, the windows give the stream's sentences in order.
     """
     scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
-    # each text goes straight into its window, so no frame holds it while
-    # the window is read
-    yield from map(io.StringIO, map(itemgetter(0), _blocks(stream, scanner, budget)))
+    for text, _ in _blocks(stream, scanner, budget):
+        window = io.StringIO(text)
+        del text  # the window holds its own copy while it is read
+        yield window
     if scanner.width is None:  # no token line
         yield io.StringIO()
 

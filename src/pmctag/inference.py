@@ -525,13 +525,13 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
                     column = found[key] = feature_column(model.features, key[0],
                                                          0 if key[1] else 1)
                 cols[pos] = column
+    step = HMC_STEP if mode == "pmc" else PLAIN_HMC
     initial, first_flags = [], []
     for head in heads:
         word_id = known[head] if mode == "pmc" else -1
         column = index.pi2_column(word_id) if word_id >= 0 else None
         initial.append(hmc.pi * cols[head] if column is None else column)
-        first_flags.append(PMC_STEP if column is not None else
-                           HMC_STEP if mode == "pmc" else PLAIN_HMC)
+        first_flags.append(step if column is None else PMC_STEP)
     if mode == "hmc":
         slots = np.full(max(len(wids) - 1, 0), -1)
     else:
