@@ -9,10 +9,10 @@ words fall back to the orthographic feature model.
 Resolving the factors has two parts. The lookups run per window of
 sentences (lookup_window): the vocabulary, the emission columns, the
 feature columns of unknown words, the bigram slots, the PMC triples and
-the initial factors are read once over all the window's tokens. The
-factor build and the recursions run per sentence (resolve_factors and
-the decoders), on the sentence's part of the lookups; a single sentence
-of words is looked up as a window of one.
+the initial factors are read once over all the window's tokens, which
+sets each step's regime flag. The factor build and the recursions run per
+sentence (resolve_factors and the decoders), on a window of one: a
+sentence's view of a larger window, or the lookup of a list of words.
 
 The factors are resolved for the decoder that reads them, and each
 decoder finds the downgrades and the dead end its own way, with the same
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -63,26 +63,30 @@ _BLOCK = 16
 _TINY = 1e-200
 
 
-def _reaches(first, mats, rows, s) -> bool:
+def _reaches(mats, rows, s, verified) -> bool:
     """Whether the exact 0/1 support at position s reaches a label through mats[s].
 
     The exact support of a position is the set of labels that some path
-    of positive factors from first reaches; underflow cannot change it.
-    It is the support of rows[s] when, at every position up to s, the row
-    holds exactly the labels that the row before reaches, which one
-    batched product checks. Otherwise it is rebuilt step by step.
+    of positive factors from the first position reaches; underflow cannot
+    change it. verified = [v, support] holds a position v <= s and its
+    exact support, and is moved to s: the support at s is that of rows[s]
+    when, from v to s, each row holds exactly the labels that the row
+    before reaches, which one batched product checks. Otherwise it is
+    carried step by step from v.
     """
-    live = np.sign(rows[:s + 1])
-    reach = np.sign(np.matmul(live[:, None, :], mats[:s + 1])[:, 0])
-    if (live[0] == np.sign(first)).all() and (live[1:] == reach[:-1]).all():
+    v, support = verified
+    live = np.sign(rows[v:s + 1])
+    reach = np.sign(np.matmul(live[:, None, :], mats[v:s + 1])[:, 0])
+    if (live[0] == support).all() and (live[1:] == reach[:-1]).all():
+        verified[:] = s, live[-1]
         return bool(reach[-1].any())
-    support = first > 0
-    for mat in mats[:s + 1]:
+    for mat in mats[v:s]:
         support = np.dot(support, mat) > 0
-    return bool(support.any())
+    verified[:] = s, support
+    return bool((np.dot(support, mats[s]) > 0).any())
 
 
-def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK) -> int | None:
+def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK, verified=None) -> int | None:
     """Scaled recursion rows[s + 1] ~ rows[s] @ mats[s] from rows[0] ~ first.
 
     Fills rows with normalized rows and scales with row masses, so that
@@ -95,7 +99,9 @@ def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK) -> int | None:
     reaches step 0 either, so rescue(0) is offered before giving up there.
     A row left empty although the exact support reaches past it lost its
     entries to underflow inside a block, and the recursion is redone with
-    blocks of one step.
+    blocks of one step. Each check of the exact support starts where the
+    last one ended (see _reaches), which neither a rescue nor the redo
+    moves back.
     """
     total = np.add.reduce(first)
     if total == 0.0:
@@ -104,6 +110,7 @@ def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK) -> int | None:
         return 0
     np.divide(first, total, out=rows[0])
     scales[0] = total
+    verified = verified or [0, np.sign(first)]
     dot, add, row, mat = np.dot, np.add.reduce, list(rows), list(mats)
     lo, n_steps = 0, len(mat)
     while lo < n_steps:
@@ -120,12 +127,12 @@ def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK) -> int | None:
         scales[lo + 2:hi + 1] /= mass[:-1]
         if low:  # and redo the step into it from a normalized row
             total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
-            if total == 0.0 and rescue is not None and not _reaches(first, mats, rows, hi):
+            if total == 0.0 and rescue is not None and not _reaches(mats, rows, hi, verified):
                 rescue(hi)
                 total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
             if total == 0.0:
-                if block > 1 and _reaches(first, mats, rows, hi):
-                    return _chain(first, mats, rows, scales, rescue, block=1)
+                if block > 1 and _reaches(mats, rows, hi, verified):
+                    return _chain(first, mats, rows, scales, rescue, 1, verified)
                 return hi + 1
             row[hi + 1] /= total
             scales[hi + 1] = total
@@ -437,15 +444,16 @@ def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> Lo
 class WindowLookup:
     """The table lookups of a window of sentences, made once over all their tokens.
 
-    lookup_window builds one for a model and a mode, and sentence(s) hands
-    out sentence s's part, from which resolve_factors builds its factors.
-    starts holds the token offset of each sentence and then the token
-    count. cols holds the emission column of each token, initial the
-    initial factor of each sentence and first_flags its flag. slots holds
-    the bigram slot of each step, -1 where the step has no PMC support or
+    lookup_window builds one for a model and a mode. starts holds the
+    token offset of each sentence and then the token count. cols holds the
+    emission column of each token and flags its regime flag: a sentence's
+    first token has the flag of the sentence's initial factor, in initial,
+    and every other token the flag of the step into it. slots holds the
+    bigram slot of each step, -1 where the step has no PMC support or
     crosses a sentence end. The PMC triples (t, flat, ratios) of the steps
     come in step order, t counting the steps of each triple's sentence, and
-    those of sentence s are triples[s]:triples[s + 1].
+    those of sentence s are triples[s]:triples[s + 1]. sentence(s) hands
+    out sentence s as a window of one, of views of this window's arrays.
     """
 
     model: ModelBundle
@@ -453,7 +461,7 @@ class WindowLookup:
     starts: list[int]
     cols: np.ndarray = field(repr=False)
     initial: list[np.ndarray] = field(repr=False)
-    first_flags: list[str] = field(repr=False)
+    flags: list[str] = field(repr=False)
     slots: np.ndarray = field(repr=False)
     triples: list[int] = field(repr=False)
     t: np.ndarray = field(repr=False)
@@ -461,31 +469,15 @@ class WindowLookup:
     ratios: np.ndarray = field(repr=False)
 
     def __len__(self):
-        return len(self.first_flags)
+        return len(self.initial)
 
-    def sentence(self, s) -> "SentenceLookup":
-        """Sentence s's part of the lookups."""
+    def sentence(self, s) -> "WindowLookup":
+        """Sentence s as a window of one."""
         lo, hi = self.starts[s], self.starts[s + 1]
         a, b = self.triples[s], self.triples[s + 1]
-        return SentenceLookup(self.model, self.mode, self.initial[s], self.first_flags[s],
-                              self.cols[lo:hi], self.slots[lo:hi - 1], self.t[a:b],
-                              self.flat[a:b], self.ratios[a:b])
-
-
-class SentenceLookup(NamedTuple):
-    """One sentence's part of a WindowLookup, as resolve_factors takes it:
-    views of the window's arrays, with the steps t counted from the
-    sentence's first step."""
-
-    model: ModelBundle
-    mode: str
-    initial: np.ndarray
-    first_flag: str
-    cols: np.ndarray
-    slots: np.ndarray
-    t: np.ndarray
-    flat: np.ndarray
-    ratios: np.ndarray
+        return WindowLookup(self.model, self.mode, [0, hi - lo], self.cols[lo:hi],
+                            [self.initial[s]], self.flags[lo:hi], self.slots[lo:hi - 1],
+                            [0, b - a], self.t[a:b], self.flat[a:b], self.ratios[a:b])
 
 
 def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> WindowLookup:
@@ -498,7 +490,7 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
     ids), one emission gather, the feature column of an unknown word once
     per distinct (word, first in its sentence) pair, one bigram_slots call
     (no bigram crosses a sentence end), one pmc_triples call, and the
-    initial factor and its flag for every sentence.
+    initial factor of every sentence and the regime flag of every token.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -525,35 +517,42 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
                     column = found[key] = feature_column(model.features, key[0],
                                                          0 if key[1] else 1)
                 cols[pos] = column
-    step = HMC_STEP if mode == "pmc" else PLAIN_HMC
-    initial, first_flags = [], []
-    for head in heads:
-        word_id = known[head] if mode == "pmc" else -1
-        column = index.pi2_column(word_id) if word_id >= 0 else None
-        initial.append(hmc.pi * cols[head] if column is None else column)
-        first_flags.append(step if column is None else PMC_STEP)
     if mode == "hmc":
         slots = np.full(max(len(wids) - 1, 0), -1)
     else:
         slots = index.bigram_slots(wids)
         if len(heads) > 1:
             slots[np.array(starts[1:-1]) - 1] = -1
+    # each token's flag is that of the step into it, a first token's that of
+    # its initial factor: PMC_STEP with PMC support, else the fallback flag
+    fallback = HMC_STEP if mode == "pmc" else PLAIN_HMC
+    flags = [fallback]
+    flags += [PMC_STEP if u >= 0 else fallback for u in slots.tolist()]
+    initial = []
+    for head in heads:
+        word_id = known[head] if mode == "pmc" else -1
+        column = index.pi2_column(word_id) if word_id >= 0 else None
+        initial.append(hmc.pi * cols[head] if column is None else column)
+        if column is not None:
+            flags[head] = PMC_STEP
     t, flat, ratios = index.pmc_triples(slots)
     triples = [0, len(t)]
     if len(heads) > 1:  # cut the triples per sentence, and count steps from its first
         triples = t.searchsorted(starts).tolist()
         t = t - np.repeat(heads, np.diff(triples))
-    return WindowLookup(model, mode, starts, cols, initial, first_flags, slots, triples,
-                        t, flat, ratios)
+    return WindowLookup(model, mode, starts, cols, initial, flags, slots, triples, t, flat,
+                        ratios)
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> FactorProvider | LogFactors:
     """Resolve the factor sequence for one sentence.
 
-    The sentence is a list of word strings, looked up as a window of one
-    (see lookup_window), or a SentenceLookup of a window looked up for
-    this model and mode.
+    The sentence is a window of one sentence looked up for this model and
+    mode, such as window.sentence(s), or a list of word strings, which is
+    looked up as one (see lookup_window); any other window is refused with
+    a ValueError. The lookup has set each step's regime flag; the factors
+    start from a copy of those flags, which the downgrades below rewrite.
 
     In PMC mode, step t -> t+1 keeps the PMC factor when both words are
     known and the bigram pattern count is positive, and is downgraded to
@@ -578,28 +577,19 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    if isinstance(sentence, SentenceLookup):
-        if sentence.model is not model or sentence.mode != mode:
-            raise ValueError("the sentence was looked up for another model or mode")
-        _, _, initial, flag, cols, slots, t, flat, ratios = sentence
-    else:
-        if not sentence:
-            raise EmptySentence("cannot resolve factors for an empty sentence")
-        # a window of one sentence, whose arrays are the sentence's
+    window = sentence
+    if not isinstance(window, WindowLookup):
         window = lookup_window(model, sentence, (len(sentence),), mode)
-        initial, flag, cols, slots = (window.initial[0], window.first_flags[0], window.cols,
-                                      window.slots)
-        t, flat, ratios = window.t, window.flat, window.ratios
-    step = HMC_STEP if mode == "pmc" else PLAIN_HMC
-    flags = [flag]
-    flags += [PMC_STEP if u >= 0 else step for u in slots.tolist()]
-    hmc, kept = model.hmc, slots >= 0
+    elif window.model is not model or window.mode != mode or len(window) != 1:
+        raise ValueError("the sentence is not one sentence looked up for this model and mode")
+    # a copy of the flags: a rescue rewrites them, and one window may be decoded twice
+    cols, flags, kept, hmc = window.cols, list(window.flags), window.slots >= 0, model.hmc
     if decoder == "map":
-        return _log_factors(model.index.log_trans_t, cols, initial, flags, kept, t, flat,
-                            ratios)
+        return _log_factors(model.index.log_trans_t, cols, window.initial[0], flags, kept,
+                            window.t, window.flat, window.ratios)
     steps = _hmc_steps(hmc.trans, cols)
     steps[kept] = 0.0
-    _flat_steps(steps)[t, flat] = ratios
+    _flat_steps(steps)[window.t, window.flat] = window.ratios
 
     def rescue(s):
         """Downgrade step s to its HMC factor if it is a kept PMC step."""
@@ -608,7 +598,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
             kept[s] = False
             flags[s + 1] = HMC_STEP
 
-    return FactorProvider(initial, steps, flags, rescue=rescue)
+    return FactorProvider(window.initial[0], steps, flags, rescue=rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
@@ -732,11 +722,12 @@ def decode_sentence(model: ModelBundle, sentence, mode="pmc",
                     decoder="mpm") -> DecodeResult:
     """Decode one sentence: its labels and per-step flags.
 
-    The sentence is a list of word strings or a SentenceLookup of a window
-    looked up for this model and mode (see resolve_factors); both give the
-    same result. decoder "mpm" gives the marginal-posterior-mode labels
-    and "map" the jointly most probable ones (Viterbi) with their log
-    score. The factors are resolved for the decoder (see resolve_factors).
+    The sentence is a list of word strings or a window of one sentence
+    looked up for this model and mode, such as window.sentence(s) (see
+    resolve_factors); both give the same result. decoder "mpm" gives the
+    marginal-posterior-mode labels and "map" the jointly most probable
+    ones (Viterbi) with their log score. The factors are resolved for the
+    decoder (see resolve_factors); the flags are the lookup's, downgraded.
     """
     factors = resolve_factors(model, sentence, mode=mode, decoder=decoder)
     score = None

@@ -5,12 +5,15 @@ tag and eval look up the tables of a whole window of sentences at once
 the lookup; decode_sentence(model, words) looks a sentence up as a window
 of one. Wherever the windows are cut, each sentence must get, bit for bit,
 the same flags, dead end, labels, posteriors (MPM) and log score (MAP) as
-alone, in both modes and with both decoders.
+alone, in both modes and with both decoders. A sentence's part of the
+lookup is itself a window of one, the same, field by field, as the
+sentence's own lookup.
 """
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +62,16 @@ def window_cuts(sentences, budget):
     return cuts
 
 
+def assert_same_lookup(view, lone):
+    """A window's sentence view holds, field by field, the sentence's lone lookup."""
+    assert (view.model, view.mode, view.starts, view.triples, view.flags) == (
+        lone.model, lone.mode, lone.starts, lone.triples, lone.flags)
+    assert len(view.initial) == len(lone.initial) == 1
+    assert np.array_equal(view.initial[0], lone.initial[0])
+    for name in ("cols", "slots", "t", "flat", "ratios"):
+        assert np.array_equal(getattr(view, name), getattr(lone, name)), name
+
+
 def check_windows(model, sentences, budget, interned):
     """Every sentence of every window of `budget` tokens decodes as alone."""
     cuts = window_cuts(sentences, budget)
@@ -74,8 +87,10 @@ def check_windows(model, sentences, budget, interned):
                     flat, ids = tuple(index), np.array([index[w] for w in flat], dtype=np.int32)
                 window = lookup_window(model, flat, [len(words) for words in part], mode, ids)
                 assert len(window) == len(part)
-                for s in range(len(part)):
-                    assert outcome(model, window.sentence(s), mode, decoder) == alone[lo + s]
+                for s, words in enumerate(part):
+                    view = window.sentence(s)
+                    assert_same_lookup(view, lookup_window(model, words, [len(words)], mode))
+                    assert outcome(model, view, mode, decoder) == alone[lo + s]
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -121,3 +136,20 @@ def test_an_unknown_word_first_in_one_sentence_and_inside_another():
     sentences = [["Qz", "b"], ["b", "Qz"], ["Qz"]]
     for interned in (False, True):
         check_windows(model, sentences, sum(map(len, sentences)), interned)
+
+
+def test_a_window_for_another_model_or_mode_or_of_two_sentences_is_refused():
+    """A window decodes only as one sentence looked up for the same model
+    object and mode; an equal model trained again is another model."""
+    corpus = corpus_from([("a", "X"), ("b", "Y")], [("b", "Y"), ("a", "X")])
+    model = train_model(corpus, TrainConfig(task="pos"))
+    other = train_model(corpus, TrainConfig(task="pos"))
+    window = lookup_window(model, ["a", "b", "b"], [2, 1], "pmc")
+    refused = [(other, window.sentence(0), "pmc"), (model, window.sentence(0), "hmc"),
+               (model, window, "pmc")]
+    for decoder in DECODERS:
+        assert decode_sentence(model, window.sentence(0), "pmc", decoder).labels == ["X", "Y"]
+        for decode in (resolve_factors, decode_sentence):
+            for owner, view, mode in refused:
+                with pytest.raises(ValueError, match="looked up for this model and mode"):
+                    decode(owner, view, mode, decoder)
