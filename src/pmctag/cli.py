@@ -408,12 +408,11 @@ def cmd_verify(opts) -> int:
     bad = 0
     for _ in range(opts.instances):
         inst = oracle.TinyInstance.random(rng)
-        factors = inst.factors()
-        post = inference.posterior_marginals(factors)
+        post = inference.posterior_marginals(inst.factors())
         ref = oracle.enumerate_posteriors(inst)
         dev = float(np.max(np.abs(post - ref)))
         worst_post = max(worst_post, dev)
-        _, score = inference.map_path(factors)
+        _, score = inference.map_path(inst.factors(decoder="map"))
         _, ref_score = oracle.enumerate_map(inst)
         sdev = abs(score - ref_score)
         worst_score = max(worst_score, sdev)
@@ -433,7 +432,9 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-INPUT_ERRORS = (OSError, ValueError, PmctagError)
+# a MemoryError is an input too large for this machine: a sentence's factor
+# stack grows with its length times the labels squared
+INPUT_ERRORS = (OSError, ValueError, PmctagError, MemoryError)
 
 
 def main(argv=None) -> int:
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
         _diag(f"error: {exc}")
         return 1
     except INPUT_ERRORS as exc:
-        _diag(f"error: {exc}")
+        _diag(f"error: {str(exc) or type(exc).__name__}")
         return 2
 
 

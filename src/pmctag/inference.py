@@ -14,24 +14,22 @@ sets each step's regime flag. The factor build and the recursions run per
 sentence (resolve_factors and the decoders), on a window of one: a
 sentence's view of a larger window, or the lookup of a list of words.
 
-The factors are resolved for the decoder that reads them, and each
-decoder finds the downgrades and the dead end its own way, with the same
-result. For MPM, forward-backward runs in scaled linear space: each step
-is one vector-matrix product, and the rows are normalized once per block
-of _BLOCK steps. The forward pass runs when the factors are built, so it
+Every producer (resolve_factors, factors_from_hmc, TinyInstance.factors)
+resolves the factors for the decoder that reads them, and each decoder
+finds the downgrades and the dead end its own way, with the same result.
+For MPM, forward-backward runs in scaled linear space: each step is one
+vector-matrix product, and the rows are normalized once per block of
+_BLOCK steps. The forward pass runs when the factors are built, so it
 finds the downgrades and the dead end, falling back on the exact 0/1
-support where a row underflows. For MAP, no float factor is built:
-Viterbi runs in log space from log tables (the model's log transitions,
-the sentence's log emission columns and the logs of its PMC ratios), and
-one boolean pass of the exact 0/1 support, read from that log stack,
-finds the downgrades and the dead end.
+support where a row underflows. For MAP, no float factor is built: the
+producer builds a log stack from its log tables, and one boolean pass of
+its exact 0/1 support (_log_factors) finds the downgrades and the dead end.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -156,21 +154,14 @@ class FactorProvider:
     resolve_factors' rescue downgrades a kept PMC step whose forward row
     comes out empty while its exact 0/1 support is empty too, and a row
     left empty after that is the dead end. This is how factors resolved
-    for MPM find their downgrades and dead end; factors resolved for MAP
-    are LogFactors, which build no float stack.
-
-    log_steps, when the producer sets it, returns a fresh (T-1, N, N)
-    stack of log factors for map_path, built from the producer's log
-    tables and laid out [t, j, i]: the log of steps[t, i, j]. The oracle,
-    factors_from_hmc and hand-built factors set it; resolve_factors does
-    not, since it resolves Viterbi's factors with decoder="map".
+    for MPM find their downgrades and dead end. They hold no log stack,
+    so map_path refuses them: factors resolved for MAP are LogFactors.
     """
 
     initial: np.ndarray
     steps: np.ndarray
     flags: list[str]
-    log_steps: Callable[[], np.ndarray] | None = field(default=None, repr=False)
-    rescue: InitVar[Callable[[int], None] | None] = None
+    rescue: InitVar[object] = None
     alpha: np.ndarray = field(init=False, repr=False)
     scales: np.ndarray = field(init=False, repr=False)
     dead: int | None = field(init=False)
@@ -351,7 +342,7 @@ def _hmc_steps(trans, cols) -> np.ndarray:
     return steps
 
 
-def _log_steps(log_trans_t, log_cols, kept, t, flat, ratios) -> np.ndarray:
+def _log_stack(log_trans_t, log_cols, kept, t, flat, ratios) -> np.ndarray:
     """(T-1, N, N) log factors of a sentence for Viterbi, laid out [t, j, i].
 
     log_cols holds the logs of the emission columns. Step t is log_trans_t
@@ -376,11 +367,11 @@ class LogFactors:
     """Resolved per-sentence factors for Viterbi alone, as log tables.
 
     initial and flags are as in FactorProvider; scores is the (T-1, N, N)
-    stack of log factors laid out [t, j, i], as _log_steps builds it after
-    the downgrades, and dead the first position that the exact 0/1 support
-    does not reach, or None. There is no float step stack and no forward
-    pass. log_steps hands out scores itself: map_path adds its suffix
-    scores into it, so a LogFactors is decoded once.
+    stack of log factors laid out [t, j, i] after the downgrades, and dead
+    the first position that the exact 0/1 support does not reach, or None.
+    There is no float step stack and no forward pass. Only _log_factors
+    makes one. map_path adds its suffix scores into scores, so a LogFactors
+    is decoded once.
     """
 
     initial: np.ndarray
@@ -388,30 +379,26 @@ class LogFactors:
     flags: list[str]
     dead: int | None
 
-    def log_steps(self) -> np.ndarray:
-        return self.scores
 
+def _log_factors(initial, scores, flags, kept, log_trans_t=None, log_cols=None) -> LogFactors:
+    """Viterbi's factors of a sentence from its log stack scores, laid out
+    [t, j, i], with downgrades and dead end decided by its exact 0/1 support.
 
-def _log_factors(log_trans_t, cols, initial, flags, kept, t, flat, ratios) -> LogFactors:
-    """Viterbi's factors of a sentence, with downgrades and dead end decided
-    by the exact 0/1 support read from the log stack.
-
-    The support of step t is the set of entries of its log factors above
+    The support of step t is the set of entries of scores[t] above
     _LOG_ZERO / 2, and the forward support is carried through it as
     booleans, one product per step, which cannot underflow. Emptiness is
     checked once per block of _BLOCK steps, on the block's last row. Where
-    a row of the block comes out empty, a kept PMC step into it is
-    downgraded (its log factors rewritten as log_trans_t plus its log
-    emission column) and the pass restarts at that step, so a downgrade
-    redoes at most one block; any other empty row is the dead end. An
-    empty initial factor ends the sentence at position 0, after
-    downgrading step 0 if it is kept, as the forward pass of
-    FactorProvider does.
+    a row of the block comes out empty, a kept step t into it (kept[t]) is
+    downgraded, its log factors rewritten as log_trans_t plus
+    log_cols[t + 1] (the only use of these two HMC tables), and the pass
+    restarts at that step, so a downgrade redoes at most one block; any
+    other empty row is the dead end. An empty initial factor ends the
+    sentence at position 0, after downgrading step 0 if it is kept, as the
+    forward pass of FactorProvider does. scores, kept and flags are
+    rewritten in place.
     """
-    log_cols = _log(cols)
-    scores = _log_steps(log_trans_t, log_cols, kept, t, flat, ratios)
     live = list(scores > _LOG_ZERO / 2)  # live[t][j, i]: step t takes i to j
-    rows = np.empty((len(cols), len(log_trans_t)), dtype=bool)
+    rows = np.empty((len(scores) + 1, len(initial)), dtype=bool)
     np.greater(initial, 0.0, out=rows[0])
 
     def downgrade(s):
@@ -585,8 +572,9 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     # a copy of the flags: a rescue rewrites them, and one window may be decoded twice
     cols, flags, kept, hmc = window.cols, list(window.flags), window.slots >= 0, model.hmc
     if decoder == "map":
-        return _log_factors(model.index.log_trans_t, cols, window.initial[0], flags, kept,
-                            window.t, window.flat, window.ratios)
+        log_trans_t, log_cols = model.index.log_trans_t, _log(cols)
+        scores = _log_stack(log_trans_t, log_cols, kept, window.t, window.flat, window.ratios)
+        return _log_factors(window.initial[0], scores, flags, kept, log_trans_t, log_cols)
     steps = _hmc_steps(hmc.trans, cols)
     steps[kept] = 0.0
     _flat_steps(steps)[window.t, window.flat] = window.ratios
@@ -601,17 +589,23 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     return FactorProvider(window.initial[0], steps, flags, rescue=rescue)
 
 
-def factors_from_hmc(params: HmcParams, obs) -> FactorProvider:
-    """Classic HMC factors for an id-encoded observation sequence."""
+def factors_from_hmc(params: HmcParams, obs, decoder="mpm") -> FactorProvider | LogFactors:
+    """Classic HMC factors for an id-encoded observation sequence, resolved
+    for decoder as resolve_factors resolves them: a FactorProvider for
+    "mpm", and for "map" the LogFactors of the log transitions plus the log
+    emission columns, whose dead end the support pass finds (no step is
+    PMC, so none is downgraded).
+    """
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
     if len(obs) == 0:
         raise EmptySentence("empty observation sequence")
     cols = params.emit.T[np.asarray(obs)]
-    none = np.empty(0, dtype=np.intp)  # no step is PMC, there are no triples
-    return FactorProvider(params.pi * cols[0], _hmc_steps(params.trans, cols),
-                          [PLAIN_HMC] * len(cols),
-                          lambda: _log_steps(_log(params.trans.T), _log(cols),
-                                             np.zeros(len(cols) - 1, dtype=bool),
-                                             none, none, np.empty(0)))
+    initial, flags = params.pi * cols[0], [PLAIN_HMC] * len(cols)
+    if decoder == "mpm":
+        return FactorProvider(initial, _hmc_steps(params.trans, cols), flags)
+    scores = _log(cols)[1:, :, None] + _log(params.trans.T)
+    return _log_factors(initial, scores, flags, np.zeros(len(scores), dtype=bool))
 
 
 def forward(factors: FactorProvider):
@@ -665,21 +659,20 @@ def mpm_path(factors: FactorProvider) -> np.ndarray:
     return posterior_marginals(factors).argmax(axis=1)
 
 
-def map_path(factors: FactorProvider | LogFactors):
+def map_path(factors: LogFactors):
     """Best label sequence under the resolved factors (max-product).
 
-    Returns (path, log_score). Works in log space, on the stack that
-    factors.log_steps() returns; among equal-scoring paths the
+    Returns (path, log_score). Works in log space, on factors.scores, into
+    which it adds its suffix scores; among equal-scoring paths the
     lexicographically smallest id sequence is returned, obtained by
     maximizing suffix scores first and reconstructing front to back with
     ties resolved to the lowest id. A sentence without a path has a dead
-    end, which the factors found when they were resolved: the forward pass
-    of a FactorProvider, the exact 0/1 support pass of LogFactors. It is
-    raised before any score is computed. A FactorProvider without
-    log_steps, as resolve_factors builds for MPM, is refused: a sentence's
-    Viterbi factors are resolve_factors(..., decoder="map").
+    end, which the exact 0/1 support pass of _log_factors found when the
+    factors were resolved; it is raised before any score is computed. Only
+    LogFactors are taken, as every producer resolves them with
+    decoder="map"; a FactorProvider, resolved for MPM, is refused.
     """
-    if factors.log_steps is None:
+    if not isinstance(factors, LogFactors):
         raise ValueError('these factors have no log stack for Viterbi; '
                          'resolve the sentence with decoder="map"')
     if factors.dead is not None:
@@ -687,7 +680,7 @@ def map_path(factors: FactorProvider | LogFactors):
     # scores[t, j, i]: log step t from i to j plus the best suffix score
     # from j at t + 1; suffix is a column over j, and the best over j is an
     # elementwise maximum of rows
-    scores = list(factors.log_steps())
+    scores = list(factors.scores)
     head = _log(factors.initial)
     suffix = np.zeros((len(head), 1))
     for step in reversed(scores):

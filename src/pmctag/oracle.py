@@ -3,7 +3,8 @@
 The enumerators score every one of the N^T label sequences against dense
 parameter tables and are therefore exact up to float summation. The
 decoder's factors for the same tables are built straight from the dense
-arrays (`TinyInstance.factors`), and an HMC embeds as a dense instance.
+arrays (`TinyInstance.factors`), for either decoder, and an HMC embeds as
+a dense instance.
 They ship with the package (not only the tests) so the CLI can self-check
 against them on demand. fit_pmc is the sparse pairwise-chain estimator the
 tests hold the decoder's count ratios to; no production path uses it.
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DeadEnd, EmptySentence, EmptySupport
-from .inference import PMC_STEP, FactorProvider, _log
+from .inference import DECODERS, PMC_STEP, FactorProvider, LogFactors, _log, _log_factors
 from .model import PROB_TOL, CountTables, HmcParams
 
 
@@ -66,32 +67,33 @@ class TinyInstance:
             scores *= self.emit2[seqs[:, t], obs[t], seqs[:, t + 1], obs[t + 1]]
         return seqs, scores
 
-    def factors(self, obs=None) -> FactorProvider:
-        """Decoder factors for obs (default: self.obs), with no downgrade.
+    def factors(self, obs=None, decoder="mpm") -> FactorProvider | LogFactors:
+        """Decoder factors for obs (default: self.obs), with no downgrade,
+        resolved for decoder as resolve_factors resolves a sentence's.
 
-        steps[t, i, j] = trans2[i, k, j] * emit2[i, k, j, l] for the word
-        bigram (k, l) at t -> t + 1; all-zero rows contribute probability 0.
-        Viterbi adds the logs of the two tables, so an embedded HMC scores
-        exactly as its own log transitions plus log emissions do.
+        For "mpm", steps[t, i, j] = trans2[i, k, j] * emit2[i, k, j, l] for
+        the word bigram (k, l) at t -> t + 1; all-zero rows contribute
+        probability 0. For "map", the log stack adds the logs of the two
+        tables, so an embedded HMC scores exactly as its own log
+        transitions plus log emissions do, and the decoders' own support
+        pass (_log_factors) finds the dead end.
         """
+        if decoder not in DECODERS:
+            raise ValueError(f"unknown decoder {decoder!r}")
         obs = np.asarray(self.obs if obs is None else obs, dtype=np.int64)
         if obs.size == 0:
             raise EmptySentence("empty observation sequence")
         k, l = obs[:-1], obs[1:]
-
-        def pick(trans2, emit2):
-            # the two index arrays of emit2 are split by a slice, so numpy
-            # puts the position axis first; trans2 keeps the label axis first
-            return trans2[:, k, :].transpose(1, 0, 2), emit2[:, k, :, l]
-
-        trans, emit = pick(self.trans2, self.emit2)
-
-        def log_steps():
-            log_trans, log_emit = pick(_log(self.trans2), _log(self.emit2))
-            return (log_trans + log_emit).transpose(0, 2, 1)
-
-        return FactorProvider(initial=self.pi2[:, obs[0]], steps=trans * emit,
-                              flags=[PMC_STEP] * obs.size, log_steps=log_steps)
+        tables = np.asarray if decoder == "mpm" else _log
+        # the two index arrays of emit2 are split by a slice, so numpy puts
+        # the position axis first; trans2 keeps the label axis first
+        trans = tables(self.trans2)[:, k, :].transpose(1, 0, 2)
+        emit = tables(self.emit2)[:, k, :, l]
+        initial, flags = self.pi2[:, obs[0]], [PMC_STEP] * obs.size
+        if decoder == "mpm":
+            return FactorProvider(initial, trans * emit, flags)
+        return _log_factors(initial, (trans + emit).transpose(0, 2, 1), flags,
+                            np.zeros(len(k), dtype=bool))
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_max=4, m_max=5, t_max=7) -> "TinyInstance":

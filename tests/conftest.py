@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmctag.conll import LabeledCorpus
-from pmctag.inference import FactorProvider, _log
+from pmctag.inference import FactorProvider, LogFactors, _log, _log_factors
 
 
 def corpus_from(*sentences) -> LabeledCorpus:
@@ -12,12 +12,16 @@ def corpus_from(*sentences) -> LabeledCorpus:
     return LabeledCorpus(sentences=[list(s) for s in sentences])
 
 
-def hand_factors(initial, steps, flags, rescue=None) -> FactorProvider:
-    """Factors given directly as arrays; Viterbi scores the log of the stack."""
+def hand_factors(initial, steps, flags, rescue=None,
+                 decoder="mpm") -> FactorProvider | LogFactors:
+    """Factors given directly as arrays, resolved for decoder: for "map",
+    the log of the stack with no step left to downgrade (rescue is unused)."""
     initial = np.asarray(initial, dtype=float)
     steps = np.asarray(steps, dtype=float).reshape(-1, len(initial), len(initial))
-    return FactorProvider(initial, steps, flags,
-                          log_steps=lambda: _log(steps).transpose(0, 2, 1), rescue=rescue)
+    if decoder == "map":
+        return _log_factors(initial, _log(steps).transpose(0, 2, 1), flags,
+                            np.zeros(len(steps), dtype=bool))
+    return FactorProvider(initial, steps, flags, rescue=rescue)
 
 
 def random_corpus(rng: random.Random, n_sentences=50, n_words=8, n_labels=3,

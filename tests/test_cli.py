@@ -623,6 +623,28 @@ class TestWindows:
         assert [path.name for path in out_dir.iterdir()] == ["tagged"]
         assert (out_dir / "tagged").read_text(encoding="utf-8") == "old\n"
 
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_memory_error_exits_2_and_leaves_the_old_output(self, command, model_path,
+                                                            tmp_path, capsys, monkeypatch):
+        """A decode that runs out of memory ends with one error line and exit
+        2, not a traceback, and leaves an existing output as it was."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.inference, "decode_sentence", exhausted)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        output = out_dir / "old"
+        output.write_text("old\n", encoding="utf-8")
+        argv = {"tag": ["tag", "--model", model_path, "--input", TEST, "--output", str(output)],
+                "eval": ["eval", "--model", model_path, "--corpus", TEST, "--tag-column", "2",
+                         "--report-kv", str(output)]}[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+        assert "Traceback" not in err
+        assert [path.name for path in out_dir.iterdir()] == ["old"]
+        assert output.read_text(encoding="utf-8") == "old\n"
+
     def test_tag_writes_a_device_in_place(self, model_path, capsys):
         code, out, _ = run(["tag", "--model", model_path, "--input", TEST,
                             "--output", os.devnull], capsys)

@@ -183,7 +183,9 @@ def test_underflowing_blocks_match_per_step_normalization():
     assert np.max(np.abs(alpha - want_alpha)) <= 1e-12
     post = ref.posterior_marginals(initial, steps)
     assert np.max(np.abs(posterior_marginals(factors) - post)) <= 1e-12
-    _, score = map_path(factors)
+    map_factors = hand_factors(initial, steps, [PMC_STEP] * (len(steps) + 1), decoder="map")
+    assert map_factors.dead is None
+    _, score = map_path(map_factors)
     assert math.isclose(score, ref.map_path(initial, steps)[1], rel_tol=1e-12)
 
 
@@ -211,7 +213,8 @@ def test_entries_lost_inside_a_block_do_not_end_the_sentence(gap):
     post = ref.posterior_marginals(initial, steps)
     assert np.max(np.abs(posterior_marginals(factors) - post)) <= 1e-12
     assert mpm_path(factors).tolist() == [1] * (n_steps + 1)
-    path, score = map_path(factors)
+    path, score = map_path(hand_factors(initial, steps, [PMC_STEP] * (n_steps + 1),
+                                        decoder="map"))
     want_path, want_score = ref.map_path(initial, steps)
     assert path.tolist() == want_path
     assert math.isclose(score, want_score, rel_tol=1e-12)

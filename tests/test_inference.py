@@ -7,10 +7,11 @@ import pytest
 from pmctag import inference
 from pmctag.errors import DeadEnd, EmptySentence, EmptyToken
 from pmctag.features import feature_column
-from pmctag.inference import (HMC_STEP, PMC_STEP, backward, decode_sentence,
-                              forward, map_path, mpm_path, posterior_marginals,
-                              resolve_factors)
-from pmctag.oracle import TinyInstance, enumerate_map, enumerate_posteriors, fit_pmc
+from pmctag.inference import (HMC_STEP, PMC_STEP, LogFactors, backward, decode_sentence,
+                              factors_from_hmc, forward, map_path, mpm_path,
+                              posterior_marginals, resolve_factors)
+from pmctag.oracle import (TinyInstance, enumerate_map, enumerate_posteriors, fit_pmc,
+                           random_hmc)
 from pmctag.training import TrainConfig, train_model
 
 from conftest import corpus_from, hand_factors, random_corpus, varied_corpus
@@ -59,8 +60,8 @@ def brute_beta(inst):
     return np.array(rows)
 
 
-def library_factors(inst):
-    return inst.factors()
+def library_factors(inst, decoder="mpm"):
+    return inst.factors(decoder=decoder)
 
 
 def fig3_model():
@@ -373,7 +374,7 @@ class TestDecodeMap:
     def test_deterministic_chain(self):
         init = np.array([1.0, 0.0])
         step = np.array([[0.0, 1.0], [0.0, 0.0]])
-        factors = hand_factors(initial=init, steps=[step], flags=[PMC_STEP] * 2)
+        factors = hand_factors(initial=init, steps=[step], flags=[PMC_STEP] * 2, decoder="map")
         path, score = map_path(factors)
         assert list(path) == [0, 1]
         assert score == pytest.approx(0.0)
@@ -381,7 +382,7 @@ class TestDecodeMap:
     def test_score_matches_enumeration_and_path_attains_it(self, nprng):
         for _ in range(40):
             inst = TinyInstance.random(nprng)
-            factors = library_factors(inst)
+            factors = library_factors(inst, decoder="map")
             path, score = map_path(factors)
             _, ref_score = enumerate_map(inst)
             assert score == pytest.approx(ref_score, abs=1e-9)
@@ -397,7 +398,7 @@ class TestDecodeMap:
         # same lexicographic-smallest convention on both sides
         for _ in range(25):
             inst = TinyInstance.random(nprng, t_max=5)
-            path, _ = map_path(library_factors(inst))
+            path, _ = map_path(library_factors(inst, decoder="map"))
             ref_path, _ = enumerate_map(inst)
             assert np.array_equal(path, ref_path)
 
@@ -405,14 +406,33 @@ class TestDecodeMap:
         n = 2
         factors = hand_factors(initial=np.full(n, 0.5),
                                steps=[np.full((n, n), 0.25)] * 2,
-                               flags=[PMC_STEP] * 3)
+                               flags=[PMC_STEP] * 3, decoder="map")
         path, _ = map_path(factors)
         assert list(path) == [0, 0, 0]
+
+    def test_sparse_instances_agree_or_both_dead(self, nprng):
+        """The dead end of the oracle's MAP factors comes from the decoders'
+        own support pass, and it must agree with enumeration."""
+        live = dead = 0
+        for _ in range(80):
+            inst = TinyInstance.random_sparse(nprng)
+            try:
+                ref_path, ref_score = enumerate_map(inst)
+            except DeadEnd:
+                dead += 1
+                with pytest.raises(DeadEnd):
+                    map_path(library_factors(inst, decoder="map"))
+                continue
+            live += 1
+            path, score = map_path(library_factors(inst, decoder="map"))
+            assert abs(score - ref_score) < 1e-9
+            assert np.array_equal(path, ref_path)
+        assert live and dead  # both branches exercised
 
     def test_dead_end_position(self):
         factors = hand_factors(initial=np.array([0.5, 0.5]),
                                steps=[np.zeros((2, 2))],
-                               flags=[PMC_STEP] * 2)
+                               flags=[PMC_STEP] * 2, decoder="map")
         with pytest.raises(DeadEnd) as err:
             map_path(factors)
         assert err.value.position == 1
@@ -485,6 +505,20 @@ class TestModelLevelDecoding:
                 map_path(factors)
             path, _ = map_path(resolve_factors(model, sentence, mode, decoder="map"))
             assert path.tolist() == mpm_path(factors).tolist()
+
+    def test_every_producer_resolves_for_one_decoder(self):
+        """The oracle and factors_from_hmc resolve for one decoder as
+        resolve_factors does: map_path refuses their MPM factors, and an
+        unknown decoder is refused."""
+        inst = TinyInstance.random(np.random.default_rng(5))
+        hmc = random_hmc(np.random.default_rng(5))
+        for produce in (inst.factors,
+                        lambda decoder: factors_from_hmc(hmc, [0, 0, 0], decoder=decoder)):
+            with pytest.raises(ValueError, match='decoder="map"'):
+                map_path(produce(decoder="mpm"))
+            assert isinstance(produce(decoder="map"), LogFactors)
+            with pytest.raises(ValueError, match="unknown decoder"):
+                produce(decoder="viterbi")
 
     def test_unknown_only_sentence_decodes_via_features(self):
         model = shape_model()

@@ -113,8 +113,8 @@ class TestEmbedding:
             post_pmc = posterior_marginals(f_pmc)
             post_hmc = posterior_marginals(f_hmc)
             assert np.max(np.abs(post_pmc - post_hmc)) < 1e-12
-            path_pmc, score_pmc = map_path(f_pmc)
-            path_hmc, score_hmc = map_path(f_hmc)
+            path_pmc, score_pmc = map_path(pmc.factors(obs, decoder="map"))
+            path_hmc, score_hmc = map_path(factors_from_hmc(hmc, obs, decoder="map"))
             assert np.array_equal(path_pmc, path_hmc)
             assert score_pmc == score_hmc
 
@@ -129,7 +129,7 @@ class TestEmbedding:
         )
         pmc = embed_hmc_as_pmc(hmc)
         f = pmc.factors([0, 1, 0])
-        path, _ = map_path(f)
+        path, _ = map_path(pmc.factors([0, 1, 0], decoder="map"))
         assert list(path) == [0, 1, 0]
         np.testing.assert_array_equal(posterior_marginals(f),
                                       [[1, 0], [0, 1], [1, 0]])
