@@ -8,9 +8,10 @@ words fall back to the orthographic feature model.
 
 Resolving the factors has two parts. The lookups run per window of
 sentences (lookup_window): the vocabulary, the emission columns, the
-feature columns of unknown words, the bigram slots, the PMC triples and
-the initial factors are read once over all the window's tokens, which
-sets each step's regime flag. The factor build and the recursions run per
+feature columns of unknown words, the bigram slots and the PMC triples
+(those of (START, word) into a sentence's first word give its initial
+factor) are read once over all the window's tokens, which sets each
+token's regime flag. The factor build and the recursions run per
 sentence (resolve_factors and the decoders), on a window of one: a
 sentence's view of a larger window, or the lookup of a list of words.
 
@@ -190,22 +191,20 @@ class DecodeIndex:
     index field, so decoding only reads it. No field can be reassigned or
     deleted, and every array is read-only.
 
-    The PMC initial factors pi2[i, k] = n0_ik / L form a per-word CSR
-    table: the chain-initial labels of word k and their factors are
-    pi2_labels and pi2_values at pi2_offsets[k]:pi2_offsets[k + 1], labels
-    ascending. pi2_column(k) expands one word's column over all labels; a
-    first word has PMC initial support exactly when that column has an
-    entry.
-
-    The PMC step factors form a CSR (compressed sparse row) index keyed by
-    the word bigram code k * n_words + l. codes holds the distinct codes
-    of the bigrams with a positive pattern count, in increasing order,
-    followed by one sentinel above every code; the triples of codes[u]
-    are the entries offsets[u]:offsets[u + 1] of flat and ratios. A
-    triple (i * n_labels + j, n_ikjl / m_ik) is a non-zero entry of the
-    PMC step factor trans2[i, k][j] * emit2[i, k, j][l], at its offset in
-    the flattened N x N step, written as the single count ratio that
-    product reduces to; m_ik comes run by run (CountTables.m_ik_runs).
+    The PMC factors form one CSR (compressed sparse row) index keyed by
+    the bigram code k * (n_words + 1) + l of words k and l, where
+    k = n_words, START, stands for the start of a sentence. codes holds
+    the distinct codes of the bigrams with a positive count, in increasing
+    order, followed by one sentinel above every code; the triples of
+    codes[u] are the entries offsets[u]:offsets[u + 1] of flat and ratios.
+    A triple (i * n_labels + j, n_ikjl / m_ik) of a word bigram is a
+    non-zero entry of the PMC step factor trans2[i, k][j] * emit2[i, k, j][l],
+    at its offset in the flattened N x N step, written as the single count
+    ratio that product reduces to; m_ik comes run by run
+    (CountTables.m_ik_runs). The chain runs over (label, word) pairs, so
+    the initial factor pi2[i, l] = n0_il / L is the step out of a start
+    pair: the bigram (START, l) has the triples (i, n0_il / L), from
+    source label 0 to first label i, labels ascending.
 
     log_trans_t is the log of the HMC transitions `trans`, transposed:
     log_trans_t[j, i] = log trans[i, j], the layout of Viterbi's score
@@ -213,9 +212,6 @@ class DecodeIndex:
     """
 
     n_words: int
-    pi2_offsets: np.ndarray
-    pi2_labels: np.ndarray
-    pi2_values: np.ndarray
     codes: np.ndarray
     offsets: np.ndarray
     flat: np.ndarray
@@ -223,29 +219,26 @@ class DecodeIndex:
     log_trans_t: np.ndarray
 
     def __init__(self, counts: CountTables, trans: np.ndarray):
-        n_words = counts.n_words
-        first_labels, first_words = counts.n0_ik.columns
-        by_word = np.argsort(first_words, kind="stable")
-        pi2_offsets = np.zeros(n_words + 1, dtype=np.int64)
-        np.cumsum(np.bincount(first_words, minlength=n_words), out=pi2_offsets[1:])
+        n_words, n = counts.n_words, len(counts.n_ikjl)
         i, k, j, l = counts.n_ikjl.columns
-        order, codes, offsets = _bigram_runs(k, l, n_words)
+        first_labels, first_words = counts.n0_ik.columns
+        start = np.full(len(first_words), n_words)  # START, before each first word
+        order, codes, offsets = _bigram_runs((k, start), (l, first_words), n_words + 1)
         runs, m_ik = counts.m_ik_runs()
-        ratios = m_ik.astype(np.float64).repeat(np.diff(runs, append=len(order)))
+        ratios = m_ik.astype(np.float64).repeat(np.diff(runs, append=n))
         np.divide(counts.n_ikjl.counts, ratios, out=ratios)
+        # then the initial factors' rows, in two steps that hold two copies at most
+        ratios = np.append(ratios, counts.n0_ik.counts / counts.L)
         ratios = ratios[order]
         # int32 halves their size; a model whose N x N offsets overflow
         # it could not hold even one N x N step
-        flat = i[order].astype(np.int32)
-        flat *= counts.n_labels
-        flat += j[order]
+        flat = np.concatenate((i, first_labels), dtype=np.int32)
+        flat[:n] *= counts.n_labels
+        flat[:n] += j
         tables = {
-            "pi2_offsets": pi2_offsets,
-            "pi2_labels": first_labels[by_word],
-            "pi2_values": (counts.n0_ik.counts / counts.L)[by_word],
             "codes": codes,
             "offsets": offsets,
-            "flat": flat,
+            "flat": flat[order],
             "ratios": ratios,
             "log_trans_t": _log(trans.T),
         }
@@ -255,52 +248,50 @@ class DecodeIndex:
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
-    def pi2_column(self, k) -> np.ndarray | None:
-        """The PMC initial factors pi2[:, k] of first word k, None if all are zero."""
-        lo, hi = self.pi2_offsets[k], self.pi2_offsets[k + 1]
-        if lo == hi:
-            return None
-        column = np.zeros(len(self.log_trans_t))
-        column[self.pi2_labels[lo:hi]] = self.pi2_values[lo:hi]
-        return column
+    def bigram_slots(self, wids, heads) -> np.ndarray:
+        """Position in codes of the bigram into each token, -1 without support.
 
-    def bigram_slots(self, wids) -> np.ndarray:
-        """Position in codes of each adjacent word pair, -1 without support.
-
-        wids holds one vocabulary id per word, -1 for an unknown word.
+        wids holds one vocabulary id per token, -1 for an unknown word, and
+        heads the position of each sentence's first token. The bigram into
+        a first token is (START, word), so no bigram crosses a sentence end.
         """
-        k, l = wids[:-1], wids[1:]
+        k = np.empty_like(wids)
+        k[1:] = wids[:-1]
+        k[heads] = self.n_words
         # an unknown first word gives a code below 0 as well
-        code = np.where(l >= 0, k * self.n_words + l, -1)
+        code = np.where(wids >= 0, k * (self.n_words + 1) + wids, -1)
         slots = self.codes.searchsorted(code)
         return np.where(self.codes[slots] == code, slots, -1)
 
     def pmc_triples(self, slots):
-        """The triples of every bigram slots[t] >= 0, as arrays (t, flat, ratios).
+        """The triples of every slot >= 0, as arrays (t, flat, ratios).
 
-        t is the step, flat the offset in the flattened N x N step and
-        ratios the value, in the order of the steps.
+        t is the step, the index of the slot's token minus one, so the
+        triples of an initial factor come at step -1; flat is the offset in
+        the flattened N x N step and ratios the value, in step order.
         """
         at = (slots >= 0).nonzero()[0]
         bigrams = slots[at]
         hi = self.offsets[bigrams + 1]
         sizes = hi - self.offsets[bigrams]
         t = at.repeat(sizes)
+        t -= 1
         # triple positions: the slices hi[s] - sizes[s]:hi[s], concatenated
         pos = np.arange(t.size) + (hi - sizes.cumsum()).repeat(sizes)
         return t, self.flat[pos], self.ratios[pos]
 
 
-def _bigram_runs(k, l, n_words):
-    """(order, codes, offsets) of the bigram codes k * n_words + l.
+def _bigram_runs(k, l, radix):
+    """(order, codes, offsets) of the bigram codes k * radix + l.
 
+    k and l are sequences of arrays, each read as their concatenation.
     order sorts the codes stably, codes holds the distinct ones in
     increasing order followed by a sentinel above every code, and the
     rows order[offsets[u]:offsets[u + 1]] are the ones with codes[u].
     """
-    code = k.astype(np.int64)
-    code *= n_words
-    code += l
+    code = np.concatenate(k, dtype=np.int64)
+    code *= radix
+    code += np.concatenate(l)
     order = np.argsort(code, kind="stable")
     code.sort()  # the values of code[order], sorted in place
     starts = run_starts(code)
@@ -370,14 +361,15 @@ class LogFactors:
     stack of log factors laid out [t, j, i] after the downgrades, and dead
     the first position that the exact 0/1 support does not reach, or None.
     There is no float step stack and no forward pass. Only _log_factors
-    makes one. map_path adds its suffix scores into scores, so a LogFactors
-    is decoded once.
+    makes one. map_path adds its suffix scores into scores and sets
+    decoded, so a LogFactors is decoded once.
     """
 
     initial: np.ndarray
     scores: np.ndarray = field(repr=False)
     flags: list[str]
     dead: int | None
+    decoded: bool = field(default=False, init=False)
 
 
 def _log_factors(initial, scores, flags, kept, log_trans_t=None, log_cols=None) -> LogFactors:
@@ -433,21 +425,19 @@ class WindowLookup:
 
     lookup_window builds one for a model and a mode. starts holds the
     token offset of each sentence and then the token count. cols holds the
-    emission column of each token and flags its regime flag: a sentence's
-    first token has the flag of the sentence's initial factor, in initial,
-    and every other token the flag of the step into it. slots holds the
-    bigram slot of each step, -1 where the step has no PMC support or
-    crosses a sentence end. The PMC triples (t, flat, ratios) of the steps
-    come in step order, t counting the steps of each triple's sentence, and
-    those of sentence s are triples[s]:triples[s + 1]. sentence(s) hands
-    out sentence s as a window of one, of views of this window's arrays.
+    emission column of each token, slots the bigram slot of the factor
+    into it (-1 without PMC support; a first token's is that of its
+    initial factor) and flags its regime flag. The PMC triples (t, flat,
+    ratios) come in step order, t counting the steps of each triple's
+    sentence from -1, the initial factor's, and those of sentence s are
+    triples[s]:triples[s + 1]. sentence(s) hands out sentence s as a
+    window of one, of views of this window's arrays.
     """
 
     model: ModelBundle
     mode: str
     starts: list[int]
     cols: np.ndarray = field(repr=False)
-    initial: list[np.ndarray] = field(repr=False)
     flags: list[str] = field(repr=False)
     slots: np.ndarray = field(repr=False)
     triples: list[int] = field(repr=False)
@@ -456,15 +446,15 @@ class WindowLookup:
     ratios: np.ndarray = field(repr=False)
 
     def __len__(self):
-        return len(self.initial)
+        return len(self.starts) - 1
 
     def sentence(self, s) -> "WindowLookup":
         """Sentence s as a window of one."""
         lo, hi = self.starts[s], self.starts[s + 1]
         a, b = self.triples[s], self.triples[s + 1]
         return WindowLookup(self.model, self.mode, [0, hi - lo], self.cols[lo:hi],
-                            [self.initial[s]], self.flags[lo:hi], self.slots[lo:hi - 1],
-                            [0, b - a], self.t[a:b], self.flat[a:b], self.ratios[a:b])
+                            self.flags[lo:hi], self.slots[lo:hi], [0, b - a], self.t[a:b],
+                            self.flat[a:b], self.ratios[a:b])
 
 
 def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> WindowLookup:
@@ -476,8 +466,8 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
     all the tokens: one vocabulary lookup (of each distinct word, with
     ids), one emission gather, the feature column of an unknown word once
     per distinct (word, first in its sentence) pair, one bigram_slots call
-    (no bigram crosses a sentence end), one pmc_triples call, and the
-    initial factor of every sentence and the regime flag of every token.
+    (the bigram into each token), one pmc_triples call, and each token's
+    regime flag: PMC_STEP where it has a slot, else the fallback flag.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -505,30 +495,17 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
                                                          0 if key[1] else 1)
                 cols[pos] = column
     if mode == "hmc":
-        slots = np.full(max(len(wids) - 1, 0), -1)
+        slots = np.full(len(wids), -1)
     else:
-        slots = index.bigram_slots(wids)
-        if len(heads) > 1:
-            slots[np.array(starts[1:-1]) - 1] = -1
-    # each token's flag is that of the step into it, a first token's that of
-    # its initial factor: PMC_STEP with PMC support, else the fallback flag
+        slots = index.bigram_slots(wids, heads)
     fallback = HMC_STEP if mode == "pmc" else PLAIN_HMC
-    flags = [fallback]
-    flags += [PMC_STEP if u >= 0 else fallback for u in slots.tolist()]
-    initial = []
-    for head in heads:
-        word_id = known[head] if mode == "pmc" else -1
-        column = index.pi2_column(word_id) if word_id >= 0 else None
-        initial.append(hmc.pi * cols[head] if column is None else column)
-        if column is not None:
-            flags[head] = PMC_STEP
+    flags = [PMC_STEP if u >= 0 else fallback for u in slots.tolist()]
     t, flat, ratios = index.pmc_triples(slots)
     triples = [0, len(t)]
-    if len(heads) > 1:  # cut the triples per sentence, and count steps from its first
-        triples = t.searchsorted(starts).tolist()
+    if len(heads) > 1:  # cut the triples per sentence, and count its steps from -1
+        triples = t.searchsorted(np.array(starts) - 1).tolist()
         t = t - np.repeat(heads, np.diff(triples))
-    return WindowLookup(model, mode, starts, cols, initial, flags, slots, triples, t, flat,
-                        ratios)
+    return WindowLookup(model, mode, starts, cols, flags, slots, triples, t, flat, ratios)
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
@@ -538,13 +515,14 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     The sentence is a window of one sentence looked up for this model and
     mode, such as window.sentence(s), or a list of word strings, which is
     looked up as one (see lookup_window); any other window is refused with
-    a ValueError. The lookup has set each step's regime flag; the factors
+    a ValueError. The lookup has set each token's regime flag; the factors
     start from a copy of those flags, which the downgrades below rewrite.
 
     In PMC mode, step t -> t+1 keeps the PMC factor when both words are
     known and the bigram pattern count is positive, and is downgraded to
-    the HMC factor otherwise; the initial factor likewise uses the joint
-    initial table when the first word has support there. A kept PMC step
+    the HMC factor otherwise; the initial factor likewise is that of the
+    bigram (START, first word), from its triples at step -1, or the HMC
+    one, hmc.pi times the first emission column. A kept PMC step
     that would leave no label with forward support is downgraded as well:
     two individually supported bigrams need not agree on the label of the
     word they share, so a run of PMC factors can strand the forward
@@ -570,14 +548,19 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     elif window.model is not model or window.mode != mode or len(window) != 1:
         raise ValueError("the sentence is not one sentence looked up for this model and mode")
     # a copy of the flags: a rescue rewrites them, and one window may be decoded twice
-    cols, flags, kept, hmc = window.cols, list(window.flags), window.slots >= 0, model.hmc
+    cols, flags, kept, hmc = window.cols, list(window.flags), window.slots[1:] >= 0, model.hmc
+    # the initial factor: its triples (one per label) come first, at step -1; else HMC's
+    n0 = window.t.searchsorted(0)
+    initial = (np.bincount(window.flat[:n0], window.ratios[:n0], cols.shape[1]) if n0
+               else hmc.pi * cols[0])
+    t, flat, ratios = window.t[n0:], window.flat[n0:], window.ratios[n0:]
     if decoder == "map":
         log_trans_t, log_cols = model.index.log_trans_t, _log(cols)
-        scores = _log_stack(log_trans_t, log_cols, kept, window.t, window.flat, window.ratios)
-        return _log_factors(window.initial[0], scores, flags, kept, log_trans_t, log_cols)
+        scores = _log_stack(log_trans_t, log_cols, kept, t, flat, ratios)
+        return _log_factors(initial, scores, flags, kept, log_trans_t, log_cols)
     steps = _hmc_steps(hmc.trans, cols)
     steps[kept] = 0.0
-    _flat_steps(steps)[window.t, window.flat] = window.ratios
+    _flat_steps(steps)[t, flat] = ratios
 
     def rescue(s):
         """Downgrade step s to its HMC factor if it is a kept PMC step."""
@@ -586,7 +569,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
             kept[s] = False
             flags[s + 1] = HMC_STEP
 
-    return FactorProvider(window.initial[0], steps, flags, rescue=rescue)
+    return FactorProvider(initial, steps, flags, rescue=rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs, decoder="mpm") -> FactorProvider | LogFactors:
@@ -670,13 +653,17 @@ def map_path(factors: LogFactors):
     end, which the exact 0/1 support pass of _log_factors found when the
     factors were resolved; it is raised before any score is computed. Only
     LogFactors are taken, as every producer resolves them with
-    decoder="map"; a FactorProvider, resolved for MPM, is refused.
+    decoder="map"; a FactorProvider, resolved for MPM, is refused, and so
+    are factors already decoded, whose scores hold the suffix scores.
     """
     if not isinstance(factors, LogFactors):
         raise ValueError('these factors have no log stack for Viterbi; '
                          'resolve the sentence with decoder="map"')
     if factors.dead is not None:
         raise DeadEnd(factors.dead)
+    if factors.decoded:
+        raise ValueError("these factors were decoded already; resolve the sentence again")
+    factors.decoded = True
     # scores[t, j, i]: log step t from i to j plus the best suffix score
     # from j at t + 1; suffix is a column over j, and the best over j is an
     # elementwise maximum of rows

@@ -32,8 +32,9 @@ class Outcome:
 
 
 def _bigram_slots(index, wids):
+    """The index slot of each word bigram of a sentence, -1 without support."""
     k, l = wids[:-1], wids[1:]
-    code = np.where((k >= 0) & (l >= 0), k * index.n_words + l, -1)
+    code = np.where((k >= 0) & (l >= 0), k * (index.n_words + 1) + l, -1)
     slots = np.searchsorted(index.codes, code)
     return np.where(index.codes[slots] == code, slots, -1)
 
@@ -57,11 +58,13 @@ def resolve_factors(model, sentence, mode="pmc"):
     if mode == "hmc":
         return initial, steps, [PLAIN_HMC] * len(sentence)
 
-    n = len(model.alphabet)
-    lo, hi = index.pi2_offsets[wids[0]:wids[0] + 2] if wids[0] >= 0 else (0, 0)
-    if lo < hi:
+    n, counts = len(model.alphabet), model.counts
+    # the PMC initial factor n0_ik / L of the first word, from the counts
+    first_labels, first_words = counts.n0_ik.columns
+    first = (first_words == wids[0]) if wids[0] >= 0 else np.zeros(len(counts.n0_ik), bool)
+    if first.any():
         initial = np.zeros(n)
-        initial[index.pi2_labels[lo:hi]] = index.pi2_values[lo:hi]
+        initial[first_labels[first]] = counts.n0_ik.counts[first] / counts.L
         flags = [PMC_STEP]
     else:
         flags = [HMC_STEP]

@@ -3,12 +3,12 @@
 The package keeps a count table as narrow id columns, reads the marginal
 m_ik run by run of the sorted pattern rows, counts feature occurrences
 from sparse (word, first bit, label) rows and keeps the PMC initial
-factors as a per-word CSR table. This module keeps the derivation that
-design replaced: (n, width) int64 key rows decoded from the key numbers,
-dense int64 (labels, words) marginals, dense first and rest feature
-counts with each kind's code packed from extract_features, and a dense
-pi2. Property tests check that both give the same tables bit for bit. It
-is not used by the package.
+factors as the sentence-start bigrams of its one CSR index. This module
+keeps the derivation that design replaced: (n, width) int64 key rows
+decoded from the key numbers, dense int64 (labels, words) marginals,
+dense first and rest feature counts with each kind's code packed from
+extract_features, and a dense pi2. Property tests check that both give
+the same tables bit for bit. It is not used by the package.
 """
 
 import numpy as np
@@ -98,22 +98,30 @@ def derive_feature_tables(counts, vocabulary, suffix_max_len):
 
 
 def decode_index(counts, trans) -> dict:
-    """The decode index's arrays with a dense (labels, words) pi2."""
+    """The decode index's arrays, with the initial factors also as a dense
+    (labels, words) pi2; the bigram (START, k) of first word k, START =
+    n_words, holds the non-zero column pi2[:, k] with source label 0."""
     n, v = counts.n_labels, counts.n_words
     pi2 = np.zeros((n, v))
     pi2[tuple(key_rows(counts.n0_ik, n, v).T)] = counts.n0_ik.counts / counts.L
     i, k, j, l = key_rows(counts.n_ikjl, n, v).T
     c = counts.n_ikjl.counts
-    code = k * v + l
+    code = k * (v + 1) + l
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.diff(code, prepend=-1))
+    first_words, first_labels = np.nonzero(pi2.T)  # by word, labels ascending
+    start_codes = v * (v + 1) + first_words
+    start_runs = np.flatnonzero(np.diff(start_codes, prepend=-1))
     return {
         "pi2": pi2,
-        "codes": np.append(code[starts], np.iinfo(np.int64).max),
-        "offsets": np.append(starts, code.size),
-        "flat": (i * n + j)[order].astype(np.int32),
-        "ratios": (c / marginals(counts)["m_ik"][i, k])[order],
+        "codes": np.concatenate((code[starts], start_codes[start_runs],
+                                 [np.iinfo(np.int64).max])),
+        "offsets": np.concatenate((starts, code.size + start_runs,
+                                   [code.size + start_codes.size])),
+        "flat": np.concatenate(((i * n + j)[order], first_labels)).astype(np.int32),
+        "ratios": np.concatenate(((c / marginals(counts)["m_ik"][i, k])[order],
+                                  pi2.T[first_words, first_labels])),
         "log_trans_t": _log(trans.T),
     }
 

@@ -102,12 +102,12 @@ def test_sweep_covers_rescues_dead_ends_and_zero_columns():
         model, sentences = model_and_sentences(seed, 2 + seed % 7, 1 + seed % 4, 6)
         for sentence in sentences:
             wids = np.array([model.vocabulary.index.get(w, -1) for w in sentence])
-            slots = model.index.bigram_slots(wids)
+            slots = model.index.bigram_slots(wids, [0])
             for mode in ("pmc", "hmc"):
                 for decoder in ("mpm", "map"):
                     want = check(model, sentence, mode, decoder)
                     rescued = any(s >= 0 and f == HMC_STEP
-                                  for s, f in zip(slots.tolist(), want.flags[1:]))
+                                  for s, f in zip(slots[1:].tolist(), want.flags[1:]))
                     seen["rescue"] += rescued
                     seen["rescue dead end"] += rescued and want.dead is not None
                     seen["dead end"] += want.dead is not None
@@ -229,18 +229,23 @@ def test_a_step_that_strands_the_support_is_offered_to_the_rescue():
 
 
 def scaled_down(model, factor):
-    """The model with every emission and PMC ratio multiplied by factor.
+    """The model with every emission and PMC step ratio multiplied by factor.
 
     Its factors are no longer probabilities, but the 0/1 supports, the
     posteriors and the best paths stay those of the model. With a factor
     of 1e-190, one step takes a block's row above _TINY and the next one
-    underflows it to zero.
+    underflows it to zero. The PMC initial factors, the triples of the
+    sentence-start bigrams after every word bigram's, keep their ratios.
     """
     hmc = model.hmc
     index = object.__new__(DecodeIndex)
     for f in dataclasses.fields(DecodeIndex):
         object.__setattr__(index, f.name, getattr(model.index, f.name))
-    object.__setattr__(index, "ratios", model.index.ratios * factor)
+    n_words = index.n_words
+    steps = index.offsets[index.codes.searchsorted(n_words * (n_words + 1))]
+    ratios = index.ratios.copy()
+    ratios[:steps] *= factor
+    object.__setattr__(index, "ratios", ratios)
     return dataclasses.replace(
         model, index=index,
         hmc=HmcParams(pi=hmc.pi, trans=hmc.trans, trans_support=hmc.trans_support,

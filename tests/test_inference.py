@@ -100,18 +100,23 @@ class TestDecodeIndex:
             for l, p in row.items():
                 if pmc.trans2[(i, k)][j] * p > 0:
                     expected[(k, l, i, j)] = pmc.trans2[(i, k)][j] * p
-        got = {}
-        n = len(model.alphabet)
+        got, initial = {}, {}
+        n, start = len(model.alphabet), index.n_words
         for u, code in enumerate(index.codes[:-1].tolist()):
-            k, l = divmod(code, index.n_words)
+            k, l = divmod(code, index.n_words + 1)
             for t in range(index.offsets[u], index.offsets[u + 1]):
                 i, j = divmod(int(index.flat[t]), n)
-                got[(k, l, i, j)] = index.ratios[t]
+                if k == start:  # the initial factor: source label 0 to first label j
+                    assert i == 0
+                    initial[(j, l)] = index.ratios[t]
+                else:
+                    got[(k, l, i, j)] = index.ratios[t]
         assert got.keys() == expected.keys()
         for key, p in got.items():
             assert abs(p - expected[key]) <= 1e-15 * expected[key], key
-        for (i, k), p in pmc.pi2.items():
-            assert index.pi2_column(k)[i] == p
+        assert initial.keys() == pmc.pi2.keys()
+        for key, p in pmc.pi2.items():
+            assert initial[key] == p, key
 
 
 class TestDenseLayout:
@@ -126,8 +131,11 @@ class TestDenseLayout:
         assert z == len(model.vocabulary) - 1
         shape = (len(model.alphabet), len(model.vocabulary))
         assert model.hmc.emit.shape == shape
-        assert model.index.pi2_offsets.shape == (shape[1] + 1,)
-        assert model.index.pi2_column(z) is None
+        # the sentence-start bigrams, (START, a) and (START, b), come last
+        index, v = model.index, shape[1]
+        firsts = sorted(model.vocabulary.get(w) for w in ("a", "b"))
+        assert (index.codes[-3:-1] - v * (v + 1)).tolist() == firsts
+        assert index.bigram_slots(np.array([z]), [0])[0] == -1
         assert not model.hmc.emit[:, z].any()
         for decoder in ("mpm", "map"):
             with pytest.raises(DeadEnd) as err:
@@ -428,6 +436,17 @@ class TestDecodeMap:
             assert abs(score - ref_score) < 1e-9
             assert np.array_equal(path, ref_path)
         assert live and dead  # both branches exercised
+
+    def test_decoded_factors_are_refused(self):
+        """map_path adds its suffix scores into the log stack, so a second
+        call on the same factors would read them twice."""
+        inst = TinyInstance.random(np.random.default_rng(1))
+        factors = library_factors(inst, decoder="map")
+        path, score = map_path(factors)
+        fresh, fresh_score = map_path(library_factors(inst, decoder="map"))
+        assert (path.tolist(), score) == (fresh.tolist(), fresh_score)
+        with pytest.raises(ValueError, match="decoded already"):
+            map_path(factors)
 
     def test_dead_end_position(self):
         factors = hand_factors(initial=np.array([0.5, 0.5]),

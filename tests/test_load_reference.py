@@ -40,12 +40,13 @@ def assert_same_bits(got, expected, what):
 
 
 def dense_pi2(index, n_labels) -> np.ndarray:
-    """The per-word initial table expanded to a dense (labels, words) array."""
+    """The index's sentence-start bigrams expanded to a dense (labels, words) array."""
     pi2 = np.zeros((n_labels, index.n_words))
-    for k in range(index.n_words):
-        column = index.pi2_column(k)
-        if column is not None:
-            pi2[:, k] = column
+    start = index.n_words * (index.n_words + 1)
+    for u, code in enumerate(index.codes[:-1].tolist()):
+        if code >= start:
+            for p in range(index.offsets[u], index.offsets[u + 1]):
+                pi2[index.flat[p], code - start] = index.ratios[p]
     return pi2
 
 
@@ -105,7 +106,8 @@ def test_trained_corpora_match_the_dense_reference(sentences, at, suffix_max_len
     sentences.insert(min(at, len(sentences)), [("a", "X"), ("zz-9", "Y")])
     model = train_model(LabeledCorpus(sentences), TrainConfig(suffix_max_len=suffix_max_len))
     z = model.vocabulary.get("zz-9")
-    assert model.index.pi2_column(z) is None and not model.hmc.emit[:, z].any()
+    assert model.index.bigram_slots(np.array([z]), [0])[0] == -1  # no (START, z) bigram
+    assert not model.hmc.emit[:, z].any()
     assert_trained_and_loaded_match(model)
 
 

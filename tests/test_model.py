@@ -209,8 +209,7 @@ class TestModelBundle:
                     delattr(index, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 index.extra = None
-            for name in ("pi2_offsets", "pi2_labels", "pi2_values", "codes", "offsets",
-                         "flat", "ratios", "log_trans_t"):
+            for name in ("codes", "offsets", "flat", "ratios", "log_trans_t"):
                 array = getattr(index, name)
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
