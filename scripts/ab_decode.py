@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of the decoders of two pmctag source trees.
+"""In-process A/B timing of the decoders and readers of two pmctag source trees.
 
 Run from the repository root, with the src/ of another checkout as A:
 
@@ -17,13 +17,18 @@ decode_sentence call per sentence ("direct"), and cli._decode_corpus with
 each chunk of CHUNK sentences as one window ("windows"). The sides
 alternate per chunk, and the side that starts alternates per round, so a
 drift in the host's speed meets both. A round's time for one side and
-way is the sum over its chunks. The script prints, per way, both sides'
-median round times, their quartiles and the ratio B / A of the medians.
+way is the sum over its chunks. A third way ("read") times each side's
+conll.windows over the workload's CLI input text, held in memory, and
+read_records (tag-mpm) or read_conll (eval-map-oov) of each window, as
+the CLI reads it; the side that starts alternates per round. The script
+prints, per way, both sides' median round times, their quartiles and the
+ratio B / A of the medians.
 
 Last it prints each side's output digest, a sha256 over every test
 sentence decoded in both modes with both decoders: the flags, then the
 posterior bytes (MPM) or the labels and the log score (MAP), or the
-dead-end position. Equal digests mean byte-identical outputs.
+dead-end position. Equal digests mean byte-identical outputs. The read
+digest of each side is a sha256 over its parsed sentences.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import time
@@ -41,7 +47,7 @@ from types import SimpleNamespace
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or the trees
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run as bench  # noqa: E402
-from synth import make_rng, sample_sentences  # noqa: E402
+from synth import conll_text, make_rng, sample_sentences  # noqa: E402
 
 CHUNK = 100  # sentences per chunk, and per window of cli._decode_corpus
 
@@ -66,18 +72,37 @@ def load_side(pkg, wl, train):
     return pkg.serialize.deserialize_model(pkg.serialize.serialize_model(model))
 
 
-def direct(pkg, model, chunk, decoder):
+def direct(pkg, model, chunk, wl):
     for words in chunk:
         try:
-            pkg.inference.decode_sentence(model, words, decoder=decoder)
+            pkg.inference.decode_sentence(model, words, decoder=wl.decoder)
         except pkg.errors.DeadEnd:
             pass
 
 
-def windows(pkg, model, chunk, decoder):
+def windows(pkg, model, chunk, wl):
     words = [w for sentence in chunk for w in sentence]
-    opts = SimpleNamespace(mode="pmc", decoder=decoder)
+    opts = SimpleNamespace(mode="pmc", decoder=wl.decoder)
     pkg.cli._decode_corpus(model, words, list(map(len, chunk)), opts)
+
+
+def read(pkg, model, text, wl) -> list:
+    """Each window of the text, parsed as the CLI's tag or eval parses it."""
+    conll = pkg.conll
+    # trees older than conll.WINDOW_LINES kept the CLI's window as cli.WINDOW_TOKENS
+    budget = getattr(conll, "WINDOW_LINES", None) or pkg.cli.WINDOW_TOKENS
+    if wl.command == "tag":
+        return [conll.read_records(w) for w in conll.windows(io.StringIO(text), budget)]
+    return [conll.read_conll(w, tag_column=1)
+            for w in conll.windows(io.StringIO(text), budget, tag_column=1)]
+
+
+def read_digest(pkg, text, wl) -> str:
+    """sha256 over the sentences of every window the side parses from the text."""
+    h = hashlib.sha256()
+    for parsed in read(pkg, None, text, wl):
+        h.update(repr(parsed if wl.command == "tag" else parsed.sentences).encode())
+    return h.hexdigest()
 
 
 def digest(pkg, model, sentences) -> str:
@@ -120,20 +145,24 @@ def main(argv=None) -> int:
         pkg = import_tree(tree, f"pmctag_{label.lower()}")
         sides[label] = pkg, load_side(pkg, wl, train)
 
-    ways = {"direct": direct, "windows": windows}
+    # the CLI's input text: tag reads the words alone, eval the word and tag columns
+    text = ("".join("".join(f"{w}\n" for w in words) + "\n" for words in sentences)
+            if wl.command == "tag" else conll_text(test))
+    # each way with the units it times, alternating the sides per unit
+    ways = {"direct": (direct, chunks), "windows": (windows, chunks), "read": (read, [text])}
     times = {(way, label): [] for way in ways for label in sides}
-    for way, decode in ways.items():  # one untimed pass, to warm both sides
+    for way, (call, units) in ways.items():  # one untimed pass, to warm both sides
         for pkg, model in sides.values():
-            decode(pkg, model, chunks[0], wl.decoder)
+            call(pkg, model, units[0], wl)
     for r in range(args.rounds):
         order = ["A", "B"] if r % 2 == 0 else ["B", "A"]
-        for way, decode in ways.items():
+        for way, (call, units) in ways.items():
             total = dict.fromkeys(sides, 0.0)
-            for chunk in chunks:
+            for unit in units:
                 for label in order:
                     pkg, model = sides[label]
                     t0 = time.perf_counter()
-                    decode(pkg, model, chunk, wl.decoder)
+                    call(pkg, model, unit, wl)
                     total[label] += time.perf_counter() - t0
             for label, seconds in total.items():
                 times[way, label].append(seconds)
@@ -149,6 +178,8 @@ def main(argv=None) -> int:
         print(f"{way:8s} B / A: {medians['B'] / medians['A']:.3f}")
     for label, (pkg, model) in sides.items():
         print(f"digest {label}: {digest(pkg, model, sentences)}")
+    for label, (pkg, _) in sides.items():
+        print(f"read digest {label}: {read_digest(pkg, text, wl)}")
     return 0
 
 

@@ -9,10 +9,11 @@ Each option is declared once, with its default, type and choices, on the
 subcommand that reads it. A --config file sets defaults for the running
 subcommand's optional single-value options; explicit flags still win.
 
-Every input is read once, a block of whole sentences at a time, so it may
-be a pipe. train keeps only id columns of its words and tags; tag and eval
-read, decode and write or score one window of whole sentences at a time,
-so that their memory does not grow with the input. A window's table
+Every input is read once, a window of whole sentences at a time
+(conll.windows, of conll.WINDOW_LINES non-blank lines), and each line is
+checked once, so it may be a pipe. train keeps only id columns of its
+words and tags; tag and eval read, decode and write or score one window at
+a time, so that their memory does not grow with the input. A window's table
 lookups are made once for all its sentences (inference.lookup_window), and
 its sentences are decoded one by one from them. Every output, dead ends
 on stderr included, is published after the last window, through a new file
@@ -40,7 +41,7 @@ from itertools import compress
 
 import numpy as np
 
-from . import evaluation, inference, oracle, training
+from . import conll, evaluation, inference, oracle, training
 from .conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
                     read_records, read_tag_mapping, windows, write_conll)
 from .errors import DeadEnd, FormatError, PmctagError, UnknownTag
@@ -53,11 +54,6 @@ from .training import train_model, update_online  # noqa: F401 - perfbench/traci
 # verify checks an instance in about 0.6 ms on a 2-vCPU Xeon host, so
 # this bound keeps a run to about a minute
 MAX_INSTANCES = 100_000
-
-# tag and eval read, decode and write their input one window of whole
-# sentences at a time, so that memory does not grow with the input; a
-# window ends at the first sentence end after this many token lines
-WINDOW_TOKENS = 2048
 
 
 def _diag(msg):
@@ -334,7 +330,7 @@ def cmd_tag(opts) -> int:
     tally, notes = Counter(), []
     with open(opts.input, encoding="utf-8") as fh, _new_file(opts.output) as path, \
             open(path, "w", encoding="utf-8") as out:
-        for window in windows(fh, WINDOW_TOKENS, **options):
+        for window in windows(fh, conll.WINDOW_LINES, **options):
             records = read_records(window, **options)
             words = [cols[opts.word_column] for sent in records for cols in sent]
             results = _decode_corpus(model, words, list(map(len, records)), opts,
@@ -359,7 +355,7 @@ def cmd_eval(opts) -> int:
                    skip_pattern=opts.skip_pattern, comment_prefix=opts.comment_prefix)
     report, decode_time, start, notes, missing = None, 0.0, 0, [], set()
     with open(opts.corpus, encoding="utf-8") as fh:
-        for window in windows(fh, WINDOW_TOKENS, **options):
+        for window in windows(fh, conll.WINDOW_LINES, **options):
             corpus = read_conll(window, **options)
             if mapping is not None:
                 try:

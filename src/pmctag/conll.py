@@ -2,17 +2,17 @@
 
 Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
-raw orthography. Every reader reads a stream once, in blocks of whole
-sentences (_blocks), checked by one set of line rules (_Scanner), so a
-stream may be a pipe. read_records keeps the column rows of each block,
-read_conll only id columns of its words and tags, and windows() hands out
-each block, as it is read, as a text stream for them.
+raw orthography. Every reader reads a stream once, through windows(): it
+cuts the stream into windows of whole sentences, of WINDOW_LINES
+non-blank lines in the readers, and checks each line once, by one set of
+line rules (_Scanner), so a stream may be a pipe. read_records keeps the
+column rows of each window, read_conll only id columns of its words and
+tags, and either parses one window of windows() as it is.
 """
 
 from __future__ import annotations
 
 import codecs
-import io
 import itertools
 import re
 from collections import defaultdict
@@ -167,46 +167,6 @@ class _Scanner:
         return lines, widths
 
 
-# Non-blank lines per block of the readers
-_BLOCK_LINES = 8192
-
-
-def _blocks(stream, scanner, size):
-    """(text of the kept lines, sentence lengths) of each block of whole sentences.
-
-    A block is the next `size` non-blank lines, kept or dropped, with the
-    blank lines among them, and the lines up to the next blank line: so it
-    ends at a sentence end or at the stream end. Blocks without a token
-    line are left out. Lines are checked by `scanner` (_Scanner.scan) as
-    they are read, and the lengths are the int64 numbers of token lines of
-    the block's sentences. Bytes that do not decode raise the FormatError
-    of _decode_error.
-    """
-    try:
-        while True:
-            lines, widths, filled = [], [], 0
-            # once `size` non-blank lines are read, read on to the end of the sentence
-            while read := list(islice(stream, size - filled) if filled < size
-                                else _through_blank(stream)):
-                kept, counts = scanner.scan(read)
-                lines += kept
-                widths.append(counts)
-                if filled >= size:
-                    break
-                filled += len(read) - int(np.count_nonzero(counts == 0))
-            if not filled:
-                return
-            widths = np.concatenate(widths)
-            del read, kept
-            if widths.any():  # sentences are the runs of token lines
-                edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
-                # the text is made in the yield, so the frame holds no line
-                # and no text while the block is read
-                yield _drained(lines), np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
-    except UnicodeDecodeError as exc:
-        raise _decode_error(stream, exc) from None
-
-
 def _drained(lines) -> str:
     """The lines joined into one text; the list is emptied."""
     text = "".join(lines)
@@ -234,6 +194,61 @@ def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
         f"ragged row: {n_cols} columns where previous lines had {width}", line=line)
 
 
+# Non-blank lines per window of the readers and of the CLI
+WINDOW_LINES = 2048
+
+
+def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
+            comment_prefix=None):
+    """The windows of a corpus stream, read once, as the iterator advances.
+
+    A window is (text, lengths, width): the kept lines of a block of whole
+    sentences as one text, the int64 token count of each sentence, and the
+    stream's column count. A block is the next `budget` (at least 1)
+    non-blank lines, kept or dropped, with the blank lines among them and
+    the lines up to the next blank line. Blocks without a token line are
+    left out; a stream without token lines gives one empty window, of width
+    None. Each line is checked once, by one _Scanner, as it is read: a bad
+    line, or bytes that do not decode (_decode_error), raise when their
+    window is reached, with the line number in the stream. read_records and
+    read_conll parse a window as it is, given the options it was read with.
+    """
+    if budget < 1:
+        raise ValueError(f"window budget must be 1 or more, not {budget}")
+    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
+    try:
+        while True:
+            lines, widths, filled = [], [], 0
+            # once `budget` non-blank lines are read, read on to the end of the sentence
+            while read := list(islice(stream, budget - filled) if filled < budget
+                                else _through_blank(stream)):
+                kept, counts = scanner.scan(read)
+                lines += kept
+                widths.append(counts)
+                if filled >= budget:
+                    break
+                filled += len(read) - int(np.count_nonzero(counts == 0))
+            if not filled:
+                break
+            widths = np.concatenate(widths)
+            del read, kept
+            if widths.any():  # sentences are the runs of token lines
+                edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
+                # the text is made in the yield, so the frame holds no line
+                # and no text while the window is used
+                yield (_drained(lines), np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0),
+                       scanner.width)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
+    if scanner.width is None:  # no token line
+        yield "", np.zeros(0, dtype=np.int64), None
+
+
+def _windows_of(source, *options):
+    """One window of windows() as it is, or a stream's windows of WINDOW_LINES lines."""
+    return (source,) if isinstance(source, tuple) else windows(source, WINDOW_LINES, *options)
+
+
 def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
                  tag_column=None):
     """Parse column records: a list of sentences, each a list of column lists.
@@ -244,13 +259,15 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     and the same column count as the others; violations raise FormatError
     with the 1-based line number. Negative column numbers, a tag column
     equal to the word column and an invalid skip_pattern are rejected
-    before the first line is read.
+    before the first line is read. `stream` may also be one window of
+    windows(), which is parsed as it is.
     """
-    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
     sentences = []
-    for text, lengths in _blocks(stream, scanner, _BLOCK_LINES):
-        flat, width = text.split(), scanner.width
-        rows = (flat[r:r + width] for r in range(0, len(flat), width))
+    for text, lengths, width in _windows_of(stream, word_column, tag_column,
+                                            skip_pattern, comment_prefix):
+        flat = text.split()
+        # width is None only in the empty window, whose range is empty
+        rows = (flat[r:r + width] for r in range(0, len(flat), width or 1))
         sentences += [list(islice(rows, n)) for n in lengths.tolist()]
     return sentences
 
@@ -259,39 +276,19 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
                comment_prefix=None) -> LabeledCorpus:
     """Read a labeled corpus, taking words and tags from the given columns.
 
-    Reads the same lines as read_records and raises the same errors. Each
-    block of lines is interned as it is read, so only the corpus's id
-    columns grow with the stream.
+    Reads the same lines as read_records, also from one window, and raises
+    the same errors. Each window is interned as it is read, so only the
+    corpus's id columns grow with the stream.
     """
-    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
     words, tags = defaultdict(itertools.count().__next__), defaultdict(itertools.count().__next__)
     blocks = [(_ids(words, ()), _ids(tags, ()), np.zeros(0, dtype=np.int64))]
-    for text, lengths in _blocks(stream, scanner, _BLOCK_LINES):
-        flat, width = text.split(), scanner.width
+    for text, lengths, width in _windows_of(stream, word_column, tag_column,
+                                            skip_pattern, comment_prefix):
+        flat = text.split()
         blocks.append((_ids(words, flat[word_column::width]),
                        _ids(tags, flat[tag_column::width]), lengths))
     word_ids, tag_ids, lengths = map(np.concatenate, zip(*blocks))
     return LabeledCorpus.from_ids(words, word_ids, tags, tag_ids, lengths)
-
-
-def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
-            comment_prefix=None):
-    """The windows of a corpus stream, read once, as the iterator advances.
-
-    Each window is a text stream of whole sentences, the kept lines of one
-    block of _blocks of `budget` lines: it ends at the first blank line after
-    at least `budget` non-blank lines (kept or dropped), or at the stream
-    end. A stream without token lines gives one empty window. A bad line
-    raises, with its line number in the stream, when its window is reached.
-    Read with the same options, the windows give the stream's sentences in order.
-    """
-    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
-    for text, _ in _blocks(stream, scanner, budget):
-        window = io.StringIO(text)
-        del text  # the window holds its own copy while it is read
-        yield window
-    if scanner.width is None:  # no token line
-        yield io.StringIO()
 
 
 def _decode_error(stream, exc) -> FormatError:
@@ -338,8 +335,7 @@ def write_conll(sentences, stream):
     """
     for sent in sentences:
         for cols in sent:
-            stream.write(" ".join(cols))
-            stream.write("\n")
+            stream.write(" ".join(cols) + "\n")
         stream.write("\n")
 
 

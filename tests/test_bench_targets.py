@@ -11,6 +11,7 @@ attributes on a tiny model from the benchmark's generator.
 import io
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import synth  # noqa: E402
 import tracing  # noqa: E402
 
-from pmctag import cli, inference  # noqa: E402
+from pmctag import cli, conll, inference  # noqa: E402
 from pmctag.conll import LabeledCorpus, mark_known, read_conll, read_records  # noqa: E402
 from pmctag.errors import DeadEnd  # noqa: E402
 from pmctag.evaluation import evaluate_predictions  # noqa: E402
 from pmctag.features import backoff_level  # noqa: E402
-from pmctag.inference import HMC_STEP, PMC_STEP, decode_index, decode_sentence  # noqa: E402
+from pmctag.inference import (HMC_STEP, PMC_STEP, DecodeResult, decode_index,  # noqa: E402
+                              decode_sentence)
 from pmctag.serialize import load_model, save_model, serialize_model  # noqa: E402
 from pmctag.training import TrainConfig, train_model, update_online  # noqa: E402
 
@@ -174,6 +176,40 @@ def test_cli_training_records_one_read_and_one_tally_per_corpus(tiny, tmp_path):
     assert model.read_bytes() == serialize_model(expected)
 
 
+@pytest.mark.parametrize("mode", ["pmc", "hmc"])
+@pytest.mark.parametrize("decoder", ["mpm", "map"])
+def test_decode_corpus_gives_each_sentence_its_result_in_order(tiny, mode, decoder):
+    """cli._decode_corpus returns one DecodeResult or DeadEnd per sentence
+    of its window, in input order, with decode_sentence's flags and labels;
+    a DeadEnd has decode_sentence's position, and its sentence_index is
+    `start` plus the sentence's index in the window. Windows of 7 of the 20
+    tiny test sentences: the first holds no dead end, the others some."""
+    _, test, path = tiny
+    model = load_model(path)
+    sentences = [[w for w, _ in sent] for sent in test]
+    expected = []
+    for words in sentences:
+        try:
+            expected.append(decode_sentence(model, words, mode=mode, decoder=decoder))
+        except DeadEnd as exc:
+            expected.append(exc)
+    dead = [isinstance(want, DeadEnd) for want in expected]
+    assert not any(dead[:7]) and any(dead[7:14]) and any(dead[14:])
+    opts = SimpleNamespace(mode=mode, decoder=decoder)
+    for first in range(0, len(sentences), 7):
+        window, start = sentences[first:first + 7], 100 + first
+        results = cli._decode_corpus(model, [w for words in window for w in words],
+                                     list(map(len, window)), opts, start)
+        assert len(results) == len(window)
+        for s, (got, want) in enumerate(zip(results, expected[first:first + 7])):
+            if isinstance(want, DeadEnd):
+                assert type(got) is DeadEnd
+                assert (got.position, got.sentence_index) == (want.position, start + s)
+            else:
+                assert type(got) is DecodeResult
+                assert (got.flags, got.labels) == (want.flags, want.labels)
+
+
 @pytest.mark.parametrize("command", ["tag", "eval"])
 @pytest.mark.parametrize("decoder", ["mpm", "map"])
 def test_cli_decoding_records_one_span_per_sentence(tiny, tmp_path, command, decoder,
@@ -193,7 +229,7 @@ def test_cli_decoding_in_small_windows_records_one_span_per_sentence(
     """The same at a window of a few tokens: the reading, decoding and
     writing or scoring spans are then one per window, and there are
     several windows."""
-    monkeypatch.setattr(cli, "WINDOW_TOKENS", 5)
+    monkeypatch.setattr(conll, "WINDOW_LINES", 5)
     summary = trace_cli_decoding(tiny, tmp_path, command, decoder, monkeypatch).summary()
     layers = {"tag": ("conll.read_records", "cli.decode_corpus", "conll.write_conll"),
               "eval": ("conll.read_conll", "conll.mark_known", "cli.decode_corpus",

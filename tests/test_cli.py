@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmctag import cli
+from pmctag import cli, conll
 from pmctag.cli import main
 from pmctag.conll import LabeledCorpus, read_conll, read_tag_mapping
 from pmctag.errors import DeadEnd, ShapeError
@@ -527,7 +527,7 @@ class TestWindows:
         for argv in commands:
             seen = []
             for window in (10 ** 9, 1, 4):
-                monkeypatch.setattr(cli, "WINDOW_TOKENS", window)
+                monkeypatch.setattr(conll, "WINDOW_LINES", window)
                 seen.append(self.outputs(argv, out_dir, capsys))
             assert seen[0] == seen[1] == seen[2], argv
             code, out, err, files = seen[0]
@@ -553,7 +553,7 @@ class TestWindows:
                 "eval": ["eval", "--model", model_path, "--corpus", str(corpus),
                          "--tag-column", "2", "--report-text", str(out_dir / "txt"),
                          "--report-kv", str(out_dir / "kv")]}[command]
-        monkeypatch.setattr(cli, "WINDOW_TOKENS", 2)
+        monkeypatch.setattr(conll, "WINDOW_LINES", 2)
         for args in (argv, argv[:5] + (["--tag-column", "2"] if command == "eval" else [])):
             code, out, err = run(args, capsys)
             assert code == 2
@@ -583,6 +583,30 @@ class TestWindows:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    @pytest.mark.parametrize("window", [4, 2048])
+    def test_each_input_line_is_checked_once(self, command, window, model_path, tmp_path,
+                                             capsys, monkeypatch):
+        """windows checks each line as it reads it, and the readers parse its
+        windows as they are, so _Scanner.scan sees every input line once."""
+        text, _ = _window_corpus()
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(text, encoding="utf-8")
+        seen, scan = [], conll._Scanner.scan
+
+        def counted(scanner, lines):
+            seen.append(len(lines))
+            return scan(scanner, lines)
+
+        monkeypatch.setattr(conll._Scanner, "scan", counted)
+        monkeypatch.setattr(conll, "WINDOW_LINES", window)
+        argv = {"tag": ["tag", "--model", model_path, "--input", str(corpus),
+                        "--output", str(tmp_path / "tagged")],
+                "eval": ["eval", "--model", model_path, "--corpus", str(corpus),
+                         "--tag-column", "2", "--report-kv", str(tmp_path / "kv")]}[command]
+        assert run(argv, capsys)[0] == 1
+        assert sum(seen) == text.count("\n")
+
     def test_tag_in_place_equals_tag_to_another_file(self, model_path, tmp_path, capsys,
                                                      monkeypatch):
         """The output may be the input file itself, even one far larger than
@@ -592,7 +616,7 @@ class TestWindows:
         corpus.write_text(text * 200, encoding="utf-8")
         assert corpus.stat().st_size > 8 * 8192
         corpus.chmod(0o640)
-        monkeypatch.setattr(cli, "WINDOW_TOKENS", 50)
+        monkeypatch.setattr(conll, "WINDOW_LINES", 50)
         for output in (other, corpus):
             code, out, _ = run(["tag", "--model", model_path, "--input", str(corpus),
                                 "--output", str(output)], capsys)
@@ -612,7 +636,7 @@ class TestWindows:
 
         decode_corpus = cli._decode_corpus
         monkeypatch.setattr(cli, "_decode_corpus", fail_at_second_window)
-        monkeypatch.setattr(cli, "WINDOW_TOKENS", 4)
+        monkeypatch.setattr(conll, "WINDOW_LINES", 4)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         (out_dir / "tagged").write_text("old\n", encoding="utf-8")
@@ -668,7 +692,7 @@ class TestWindows:
                 "eval": ["eval", "--model", model_path, "--tag-column", "2",
                          "--report-kv", str(out_dir / "kv")]}[command]
         flag = "--corpus" if command == "eval" else "--input"
-        monkeypatch.setattr(cli, "WINDOW_TOKENS", 50)
+        monkeypatch.setattr(conll, "WINDOW_LINES", 50)
         from_file = self.outputs(argv + [flag, str(corpus)], out_dir, capsys)
         with _piped(corpus.read_bytes()) as source:
             from_pipe = self.outputs(argv + [flag, source], out_dir, capsys)
@@ -712,7 +736,7 @@ class TestWindows:
         argv = ["eval", "--model", model_path, "--corpus", str(corpus), "--tag-column", "2",
                 "--mapping", str(mapping), "--report-text", str(out_dir / "txt"),
                 "--report-kv", str(out_dir / "kv")]
-        monkeypatch.setattr(cli, "WINDOW_TOKENS", 1)
+        monkeypatch.setattr(conll, "WINDOW_LINES", 1)
         known = ["B-NP B-NP", "I-NP I-NP", "B-VP B-VP", "B-ADVP B-ADVP", "O O"]
         mapping.write_text("\n".join(known + ["X-1 I-NP", "X-3 B-VP"]), encoding="utf-8")
         code, out, err, files = self.outputs(argv, out_dir, capsys)

@@ -311,7 +311,7 @@ def test_readers_at_any_block_size_read_like_the_line_loop(texts, block, budget,
                    comment_prefix=comment_prefix, skip_pattern=skip_pattern)
     make = STREAMS[stream]
     expected = _outcome(conll_reference.read_records, make(text), **options)
-    with mock.patch.object(conll, "_BLOCK_LINES", block):
+    with mock.patch.object(conll, "WINDOW_LINES", block):
         assert _outcome(read_records, make(text), **options) == expected
         assert _outcome(_read_windows, make(text), budget=budget, **options) == expected
         if tag_column is not None:
@@ -334,9 +334,16 @@ def test_windows_read_like_the_line_loop_on_edge_cases(text, budget):
 
 def test_windows_hold_whole_sentences_of_at_least_the_budget():
     text = "a\nb\nc\n\nd\n\n\ne\nf\n\ng\n"
-    got = [window.getvalue() for window in windows(StringIO(text), 2)]
-    assert got == ["a\nb\nc\n\n", "d\n\n\ne\nf\n\n", "g\n"]
-    assert [w.getvalue() for w in windows(StringIO(""), 2)] == [""]
+    got = [(window[0], window[1].tolist(), window[2]) for window in windows(StringIO(text), 2)]
+    assert got == [("a\nb\nc\n\n", [3], 1), ("d\n\n\ne\nf\n\n", [1, 2], 1), ("g\n", [1], 1)]
+    assert [(w[0], w[1].tolist(), w[2]) for w in windows(StringIO(""), 2)] == [("", [], None)]
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_windows_refuse_a_budget_below_one(budget):
+    """A budget of 0 would read no line and yield no window, losing every line."""
+    with pytest.raises(ValueError, match=f"window budget must be 1 or more, not {budget}"):
+        next(windows(StringIO("a X\nb Y\n"), budget))
 
 
 def test_windows_over_a_pipe_read_like_the_line_loop():
