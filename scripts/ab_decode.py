@@ -4,6 +4,7 @@
 Run from the repository root, with the src/ of another checkout as A:
 
     python3 scripts/ab_decode.py OTHER/src src --workload tag-mpm --seed 1 --rounds 15
+    python3 scripts/ab_decode.py OTHER/src src --workload train-online
 
 Each tree is a directory that holds a pmctag package; the two are
 imported side by side as the packages pmctag_a and pmctag_b. The
@@ -20,15 +21,18 @@ drift in the host's speed meets both. A round's time for one side and
 way is the sum over its chunks. A third way ("read") times each side's
 conll.windows over the workload's CLI input text, held in memory, and
 read_records (tag-mpm) or read_conll (eval-map-oov) of each window, as
-the CLI reads it; the side that starts alternates per round. The script
-prints, per way, both sides' median round times, their quartiles and the
-ratio B / A of the medians.
+the CLI reads it; the side that starts alternates per round. train-online
+decodes nothing, so "read" is its one way: each side reads the training
+and extra texts with conll.read_conll over a stream, as train reads its
+corpora, and no model is trained. The script prints, per way, both sides'
+median round times, their quartiles and the ratio B / A of the medians.
 
 Last it prints each side's output digest, a sha256 over every test
 sentence decoded in both modes with both decoders: the flags, then the
 posterior bytes (MPM) or the labels and the log score (MAP), or the
 dead-end position. Equal digests mean byte-identical outputs. The read
-digest of each side is a sha256 over its parsed sentences.
+digest of each side is a sha256 over its parsed sentences, or for
+train-online over each corpus's items, id columns and sentence lengths.
 """
 
 from __future__ import annotations
@@ -87,8 +91,11 @@ def windows(pkg, model, chunk, wl):
 
 
 def read(pkg, model, text, wl) -> list:
-    """Each window of the text, parsed as the CLI's tag or eval parses it."""
+    """Each window of the text, parsed as the CLI's tag or eval parses it, or
+    for train-online each of the texts, read as train reads a corpus."""
     conll = pkg.conll
+    if wl.command == "train":
+        return [conll.read_conll(io.StringIO(corpus)) for corpus in text]
     # trees older than conll.WINDOW_LINES kept the CLI's window as cli.WINDOW_TOKENS
     budget = getattr(conll, "WINDOW_LINES", None) or pkg.cli.WINDOW_TOKENS
     if wl.command == "tag":
@@ -98,10 +105,16 @@ def read(pkg, model, text, wl) -> list:
 
 
 def read_digest(pkg, text, wl) -> str:
-    """sha256 over the sentences of every window the side parses from the text."""
+    """sha256 over the sentences of every window the side parses from the text,
+    or over the items, id columns and lengths of every corpus it reads."""
     h = hashlib.sha256()
     for parsed in read(pkg, None, text, wl):
-        h.update(repr(parsed if wl.command == "tag" else parsed.sentences).encode())
+        if wl.command == "train":
+            h.update(repr((parsed.word_items, parsed.tag_items)).encode())
+            for column in (parsed.word_ids, parsed.tag_ids, parsed.lengths):
+                h.update(column.tobytes())
+        else:
+            h.update(repr(parsed if wl.command == "tag" else parsed.sentences).encode())
     return h.hexdigest()
 
 
@@ -128,7 +141,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tree_a", help="directory holding the pmctag package of side A")
     p.add_argument("tree_b", help="directory holding the pmctag package of side B")
-    p.add_argument("--workload", required=True, choices=["tag-mpm", "eval-map-oov"])
+    p.add_argument("--workload", required=True,
+                   choices=["tag-mpm", "eval-map-oov", "train-online"])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--rounds", type=int, default=15)
     args = p.parse_args(argv)
@@ -136,6 +150,7 @@ def main(argv=None) -> int:
         p.error("--rounds must be at least 2, to give quartiles")
 
     wl = bench.WORKLOADS[args.workload]
+    decodes = wl.command != "train"
     train = sample_sentences(wl.world, make_rng(args.seed, "train"), wl.train)
     test = sample_sentences(wl.world, make_rng(args.seed, "test"), wl.test, wl.oov_share)
     sentences = [[w for w, _ in sentence] for sentence in test]
@@ -143,13 +158,20 @@ def main(argv=None) -> int:
     sides = {}
     for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
         pkg = import_tree(tree, f"pmctag_{label.lower()}")
-        sides[label] = pkg, load_side(pkg, wl, train)
+        sides[label] = pkg, load_side(pkg, wl, train) if decodes else None
 
-    # the CLI's input text: tag reads the words alone, eval the word and tag columns
-    text = ("".join("".join(f"{w}\n" for w in words) + "\n" for words in sentences)
-            if wl.command == "tag" else conll_text(test))
+    # the CLI's input text: train reads its corpora, tag the words alone, eval
+    # the word and tag columns
+    if not decodes:
+        extra = sample_sentences(wl.world, make_rng(args.seed, "extra"), wl.extra)
+        text = [conll_text(train), conll_text(extra)]
+    elif wl.command == "tag":
+        text = "".join("".join(f"{w}\n" for w in words) + "\n" for words in sentences)
+    else:
+        text = conll_text(test)
     # each way with the units it times, alternating the sides per unit
-    ways = {"direct": (direct, chunks), "windows": (windows, chunks), "read": (read, [text])}
+    ways = {"direct": (direct, chunks), "windows": (windows, chunks)} if decodes else {}
+    ways["read"] = (read, [text])
     times = {(way, label): [] for way in ways for label in sides}
     for way, (call, units) in ways.items():  # one untimed pass, to warm both sides
         for pkg, model in sides.values():
@@ -167,8 +189,9 @@ def main(argv=None) -> int:
             for label, seconds in total.items():
                 times[way, label].append(seconds)
 
+    read_sentences = len(sentences) if decodes else len(train) + len(extra)
     print(f"workload {args.workload}  seed {args.seed}  rounds {args.rounds}  "
-          f"sentences {len(sentences)}  chunk {CHUNK}")
+          f"sentences {read_sentences}  chunk {CHUNK}")
     for way in ways:
         medians = {}
         for label in sides:
@@ -176,7 +199,7 @@ def main(argv=None) -> int:
             print(f"{way:8s} {label}: median {medians[label]:.4f} s  "
                   f"quartiles {q1:.4f}-{q3:.4f} s")
         print(f"{way:8s} B / A: {medians['B'] / medians['A']:.3f}")
-    for label, (pkg, model) in sides.items():
+    for label, (pkg, model) in sides.items() if decodes else ():
         print(f"digest {label}: {digest(pkg, model, sentences)}")
     for label, (pkg, _) in sides.items():
         print(f"read digest {label}: {read_digest(pkg, text, wl)}")

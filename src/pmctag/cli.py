@@ -10,23 +10,25 @@ subcommand that reads it. A --config file sets defaults for the running
 subcommand's optional single-value options; explicit flags still win.
 
 Every input is read once, a window of whole sentences at a time
-(conll.windows, of conll.WINDOW_LINES non-blank lines), and each line is
-checked once, so it may be a pipe. train keeps only id columns of its
-words and tags; tag and eval read, decode and write or score one window at
-a time, so that their memory does not grow with the input. A window's table
-lookups are made once for all its sentences (inference.lookup_window), and
-its sentences are decoded one by one from them. Every output, dead ends
-on stderr included, is published after the last window, through a new file
-made before any input is read (see _new_file): an error in any window
-leaves no output, and tag's output may be its input. eval adds up the
-integer tallies of the windows and formats its report once, at the end.
+(conll.windows, of conll.WINDOW_LINES non-blank lines), so it may be a
+pipe; each line is looked up once in a bounded table of the distinct lines
+read so far, and only a line new to it is split and checked. train keeps
+only id columns of its words and tags; tag and eval read, decode and write
+or score one window at a time, so that their memory does not grow with the
+input. A window's table lookups are made once for all its sentences
+(inference.lookup_window), and its sentences are decoded one by one from
+them. Every output, dead ends on stderr included, is published after the
+last window, through a new file made before any input is read (see
+_new_file): an error in any window leaves no output, and tag's output may
+be its input. eval adds up the integer tallies of the windows and formats
+its report once, at the end. The json module is imported only to read a
+--config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import pathlib
 import re
@@ -171,6 +173,8 @@ def _read_config(path, options) -> dict:
     Each key names one of `options` (see _config_options), and its value
     has that option's type (int or str) and is one of its choices.
     """
+    import json  # here, not at the top: only --config reads JSON
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if _nested_too_deeply(text):

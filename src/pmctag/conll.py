@@ -4,10 +4,14 @@ Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
 raw orthography. Every reader reads a stream once, through windows(): it
 cuts the stream into windows of whole sentences, of WINDOW_LINES
-non-blank lines in the readers, and checks each line once, by one set of
-line rules (_Scanner), so a stream may be a pipe. read_records keeps the
-column rows of each window, read_conll only id columns of its words and
-tags, and either parses one window of windows() as it is.
+non-blank lines in the readers, so a stream may be a pipe. A corpus
+repeats its lines, so each line is looked up in a bounded table of the
+distinct lines (_LineTable), and only a line new to the table is split
+and checked by the line rules. A window gives each token line as its
+entry in the table. read_records builds the column rows of each window
+from its distinct lines; read_conll interns the word and tag of each
+entry once and keeps only id columns. Either parses one window of
+windows() as it is.
 """
 
 from __future__ import annotations
@@ -95,34 +99,23 @@ def _interned(tokens) -> tuple[tuple, np.ndarray]:
     return tuple(index), ids
 
 
-def _dropped(line, word_column, skip, comment_prefix) -> bool:
-    """True for a comment line or a token line whose word matches `skip`.
-
-    A line too short for the word column is kept, so the parse reports it.
-    """
-    stripped = line.strip()
-    if not stripped:
-        return False
-    if comment_prefix and stripped.startswith(comment_prefix):
-        return True
-    if skip is None:
-        return False
-    cols = stripped.split()
-    return word_column < len(cols) and skip.fullmatch(cols[word_column]) is not None
-
-
-class _Scanner:
-    """The corpus line rules, applied to consecutive blocks of one stream's lines.
+class _LineTable:
+    """The corpus line rules, and the distinct lines of a stream read so far.
 
     Made from the reader options, which it checks before any line is read:
     negative column numbers, a tag column equal to the word column and an
-    invalid skip_pattern raise FormatError. scan() takes the next block of
-    lines, each ending at a newline character and nowhere else, and drops
-    the comment and skip lines. A line is blank when it holds only
-    whitespace (anything str.split splits on). The first token line of the
-    stream fixes the column count; a later token line, in any block, that
-    has another count or is too short for the word or tag column raises
-    FormatError with its line number in the stream.
+    invalid skip_pattern raise FormatError. lookup() takes the stream's next
+    lines, each ending at a newline character and nowhere else, and gives
+    each one's entry with one dict lookup: the distinct lines are numbered
+    in order of first occurrence, and entry n is lines[n]. Only a line new
+    to the table is split, to be checked, and given its kind: a line that
+    holds only whitespace (anything str.split splits on) is BLANK, a comment
+    line or a token line whose word matches skip_pattern is DROPPED, and any
+    other line is a TOKEN line. The first token line of the stream fixes
+    the column count, `width`; a later new token line that has another
+    count or is too short for the word or tag column raises FormatError
+    with its line number in the stream, so every token line in the table
+    has passed the checks. clear() empties the table; the width stays.
     """
 
     def __init__(self, word_column, tag_column, skip_pattern, comment_prefix):
@@ -139,23 +132,35 @@ class _Scanner:
         self.comment_prefix = comment_prefix
         self.need = max(word_column, -1 if tag_column is None else tag_column) + 1
         self.width = None  # the column count of the stream's first token line
-        self.lines = 0  # lines scanned so far
+        self.seen = 0  # lines looked up so far
+        self.clear()
 
-    def scan(self, lines):
-        """(kept lines, their column counts) of the next block of lines.
+    def clear(self):
+        """Start an empty table; the lists of lines already handed out stay as they are."""
+        self.index = defaultdict(itertools.count().__next__)  # each distinct line: its entry
+        self.lines = []  # the line of each entry
+        self.kinds = np.zeros(0, dtype=np.int8)  # the kind of each entry
 
-        The kept lines are `lines` itself when no line can be dropped, and
-        the counts an int64 array, 0 for a blank line.
-        """
-        first, self.lines = self.lines, self.lines + len(lines)
-        kept = None  # 0-based index in the block of each kept line, when lines are dropped
+    def lookup(self, lines) -> np.ndarray:
+        """The int32 entry of each of the stream's next lines."""
+        known = len(self.index)
+        entries = np.fromiter(map(self.index.__getitem__, lines), dtype=np.int32,
+                              count=len(lines))
+        if len(self.index) > known:  # the lines new to the table, in order of first occurrence
+            new = list(islice(reversed(self.index), len(self.index) - known))
+            new.reverse()
+            self.kinds = np.concatenate([self.kinds, self._kinds(new, lines)])
+            self.lines += new
+        self.seen += len(lines)
+        return entries
+
+    def _kinds(self, new, lines) -> np.ndarray:
+        """The kinds of the lines `new`, each first seen in `lines`, which are checked."""
+        widths = np.fromiter(map(len, map(str.split, new)), dtype=np.int64, count=len(new))
+        kinds = np.where(widths > 0, TOKEN, BLANK).astype(np.int8)
         if self.skip or self.comment_prefix:
-            kept = [n for n, line in enumerate(lines)
-                    if not _dropped(line, self.word_column, self.skip, self.comment_prefix)]
-            lines = [lines[n] for n in kept]
-        widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64,
-                             count=len(lines))
-        token = widths > 0
+            kinds[np.fromiter(map(self._dropped, new), dtype=bool, count=len(new))] = DROPPED
+        token = kinds == TOKEN
         if token.any():
             if self.width is None:
                 self.width = int(widths[token.argmax()])
@@ -163,15 +168,29 @@ class _Scanner:
             if bad.any():
                 n = int(bad.argmax())
                 raise _row_error(int(widths[n]), self.width, self.word_column,
-                                 self.tag_column, first + (kept[n] if kept is not None else n) + 1)
-        return lines, widths
+                                 self.tag_column, self.seen + lines.index(new[n]) + 1)
+        return kinds
+
+    def _dropped(self, line) -> bool:
+        """True for a comment line or a token line whose word matches skip_pattern.
+
+        A line too short for the word column is kept, so the check reports it.
+        """
+        stripped = line.strip()
+        if self.comment_prefix and stripped.startswith(self.comment_prefix):
+            return True
+        if self.skip is None:
+            return False
+        cols = stripped.split()
+        return (self.word_column < len(cols)
+                and self.skip.fullmatch(cols[self.word_column]) is not None)
 
 
-def _drained(lines) -> str:
-    """The lines joined into one text; the list is emptied."""
-    text = "".join(lines)
-    lines.clear()
-    return text
+# The kinds of line in a _LineTable
+TOKEN, BLANK, DROPPED = 0, 1, 2
+# Distinct lines a _LineTable holds before it is cleared, about 1 MB: a
+# line of a short word and tag costs about 125 B in the table
+TABLE_LINES = 8192
 
 
 def _through_blank(stream):
@@ -202,51 +221,61 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
             comment_prefix=None):
     """The windows of a corpus stream, read once, as the iterator advances.
 
-    A window is (text, lengths, width): the kept lines of a block of whole
-    sentences as one text, the int64 token count of each sentence, and the
-    stream's column count. A block is the next `budget` (at least 1)
-    non-blank lines, kept or dropped, with the blank lines among them and
-    the lines up to the next blank line. Blocks without a token line are
-    left out; a stream without token lines gives one empty window, of width
-    None. Each line is checked once, by one _Scanner, as it is read: a bad
-    line, or bytes that do not decode (_decode_error), raise when their
-    window is reached, with the line number in the stream. read_records and
-    read_conll parse a window as it is, given the options it was read with.
+    A window is (entries, lengths, lines, width): the int32 entry of each
+    token line of a block of whole sentences, the int64 token count of each
+    sentence, the line of each entry, and the stream's column count.
+    A block is the next `budget` (at least 1) non-blank lines, kept or
+    dropped, with the blank lines among them and the lines up to the next
+    blank line. Blocks without a token line are left out; a stream without
+    token lines gives one empty window, of width 0. Each line is looked up
+    once in one _LineTable, as it is read, and each distinct line is split
+    and checked once per table: a bad line, or bytes that do not decode
+    (_decode_error), raise when their window is reached, with the line
+    number in the stream. The table is cleared before a window once it
+    holds TABLE_LINES lines, so its memory does not grow with the stream;
+    a window keeps the lines of its entries. read_records and read_conll
+    parse a window as it is, given the options it was read with.
     """
     if budget < 1:
         raise ValueError(f"window budget must be 1 or more, not {budget}")
-    scanner = _Scanner(word_column, tag_column, skip_pattern, comment_prefix)
+    table = _LineTable(word_column, tag_column, skip_pattern, comment_prefix)
     try:
         while True:
-            lines, widths, filled = [], [], 0
+            if len(table.index) >= TABLE_LINES:
+                table.clear()
+            entries, filled = [], 0
             # once `budget` non-blank lines are read, read on to the end of the sentence
             while read := list(islice(stream, budget - filled) if filled < budget
                                 else _through_blank(stream)):
-                kept, counts = scanner.scan(read)
-                lines += kept
-                widths.append(counts)
+                entries.append(table.lookup(read))
                 if filled >= budget:
                     break
-                filled += len(read) - int(np.count_nonzero(counts == 0))
+                filled += int(np.count_nonzero(table.kinds[entries[-1]] != BLANK))
             if not filled:
                 break
-            widths = np.concatenate(widths)
-            del read, kept
-            if widths.any():  # sentences are the runs of token lines
-                edges = np.diff((widths > 0).astype(np.int8), prepend=0, append=0)
-                # the text is made in the yield, so the frame holds no line
-                # and no text while the window is used
-                yield (_drained(lines), np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0),
-                       scanner.width)
+            del read  # the frame holds no line while the window is used
+            entries = np.concatenate(entries)
+            kinds = table.kinds[entries]
+            kept = kinds != DROPPED
+            entries, token = entries[kept], kinds[kept] == TOKEN
+            if token.any():  # sentences are the runs of token lines
+                edges = np.diff(token.astype(np.int8), prepend=0, append=0)
+                yield (entries[token], np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0),
+                       table.lines, table.width)
     except UnicodeDecodeError as exc:
         raise _decode_error(stream, exc) from None
-    if scanner.width is None:  # no token line
-        yield "", np.zeros(0, dtype=np.int64), None
+    if table.width is None:  # no token line
+        yield np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64), [], 0
 
 
 def _windows_of(source, *options):
     """One window of windows() as it is, or a stream's windows of WINDOW_LINES lines."""
     return (source,) if isinstance(source, tuple) else windows(source, WINDOW_LINES, *options)
+
+
+def _columns(lines, entries) -> list[str]:
+    """The columns of the lines of `entries`, one line after another."""
+    return " ".join(map(lines.__getitem__, entries.tolist())).split()
 
 
 def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
@@ -260,15 +289,16 @@ def read_records(stream, word_column=0, skip_pattern=None, comment_prefix=None,
     with the 1-based line number. Negative column numbers, a tag column
     equal to the word column and an invalid skip_pattern are rejected
     before the first line is read. `stream` may also be one window of
-    windows(), which is parsed as it is.
+    windows(), which is parsed as it is: each distinct line of a window is
+    split once, and each token gets its own list of its line's columns.
     """
     sentences = []
-    for text, lengths, width in _windows_of(stream, word_column, tag_column,
-                                            skip_pattern, comment_prefix):
-        flat = text.split()
-        # width is None only in the empty window, whose range is empty
-        rows = (flat[r:r + width] for r in range(0, len(flat), width or 1))
-        sentences += [list(islice(rows, n)) for n in lengths.tolist()]
+    for entries, lengths, lines, width in _windows_of(stream, word_column, tag_column,
+                                                      skip_pattern, comment_prefix):
+        distinct, at = np.unique(entries, return_inverse=True)
+        rows = list(zip(*[iter(_columns(lines, distinct))] * width))  # of each distinct line
+        tokens = map(list, map(rows.__getitem__, at.tolist()))
+        sentences += [list(islice(tokens, n)) for n in lengths.tolist()]
     return sentences
 
 
@@ -277,16 +307,26 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
     """Read a labeled corpus, taking words and tags from the given columns.
 
     Reads the same lines as read_records, also from one window, and raises
-    the same errors. Each window is interned as it is read, so only the
-    corpus's id columns grow with the stream.
+    the same errors. The word and tag of each line in a window's table are
+    interned once, in order of first occurrence, and each window's id
+    columns are gathered through its entries, so only the corpus's id
+    columns grow with the stream.
     """
     words, tags = defaultdict(itertools.count().__next__), defaultdict(itertools.count().__next__)
     blocks = [(_ids(words, ()), _ids(tags, ()), np.zeros(0, dtype=np.int64))]
-    for text, lengths, width in _windows_of(stream, word_column, tag_column,
-                                            skip_pattern, comment_prefix):
-        flat = text.split()
-        blocks.append((_ids(words, flat[word_column::width]),
-                       _ids(tags, flat[tag_column::width]), lengths))
+    table, ids = None, None  # the table's lines, and the word and tag id of each entry or -1
+    for entries, lengths, lines, width in _windows_of(stream, word_column, tag_column,
+                                                      skip_pattern, comment_prefix):
+        if lines is not table:  # a new table, none of whose lines is interned
+            table, ids = lines, np.zeros((2, 0), dtype=np.int32)
+        if ids.shape[1] < len(lines):  # -1 for each entry added since
+            ids = np.concatenate([ids, np.full((2, len(lines) - ids.shape[1]), -1, np.int32)], 1)
+        new = entries[ids[0, entries] < 0]  # the tokens of the entries not interned yet
+        if len(new):
+            flat = _columns(lines, new)
+            ids[0, new] = _ids(words, flat[word_column::width])
+            ids[1, new] = _ids(tags, flat[tag_column::width])
+        blocks.append((*ids[:, entries], lengths))
     word_ids, tag_ids, lengths = map(np.concatenate, zip(*blocks))
     return LabeledCorpus.from_ids(words, word_ids, tags, tag_ids, lengths)
 

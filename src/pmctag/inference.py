@@ -429,9 +429,10 @@ class WindowLookup:
     into it (-1 without PMC support; a first token's is that of its
     initial factor) and flags its regime flag. The PMC triples (t, flat,
     ratios) come in step order, t counting the steps of each triple's
-    sentence from -1, the initial factor's, and those of sentence s are
-    triples[s]:triples[s + 1]. sentence(s) hands out sentence s as a
-    window of one, of views of this window's arrays.
+    sentence from -1, the initial factor's; those of sentence s are
+    triples[s]:triples[s + 1], and the first initials[s] of them are its
+    initial factor's. sentence(s) hands out sentence s as a window of
+    one, of views of this window's arrays.
     """
 
     model: ModelBundle
@@ -441,6 +442,7 @@ class WindowLookup:
     flags: list[str] = field(repr=False)
     slots: np.ndarray = field(repr=False)
     triples: list[int] = field(repr=False)
+    initials: list[int] = field(repr=False)
     t: np.ndarray = field(repr=False)
     flat: np.ndarray = field(repr=False)
     ratios: np.ndarray = field(repr=False)
@@ -453,8 +455,8 @@ class WindowLookup:
         lo, hi = self.starts[s], self.starts[s + 1]
         a, b = self.triples[s], self.triples[s + 1]
         return WindowLookup(self.model, self.mode, [0, hi - lo], self.cols[lo:hi],
-                            self.flags[lo:hi], self.slots[lo:hi], [0, b - a], self.t[a:b],
-                            self.flat[a:b], self.ratios[a:b])
+                            self.flags[lo:hi], self.slots[lo:hi], [0, b - a],
+                            self.initials[s:s + 1], self.t[a:b], self.flat[a:b], self.ratios[a:b])
 
 
 def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> WindowLookup:
@@ -501,11 +503,15 @@ def lookup_window(model: ModelBundle, words, lengths, mode="pmc", ids=None) -> W
     fallback = HMC_STEP if mode == "pmc" else PLAIN_HMC
     flags = [PMC_STEP if u >= 0 else fallback for u in slots.tolist()]
     t, flat, ratios = index.pmc_triples(slots)
-    triples = [0, len(t)]
+    # a sentence's triples start at its step -1, the initial factor's, which end at its step 0
     if len(heads) > 1:  # cut the triples per sentence, and count its steps from -1
         triples = t.searchsorted(np.array(starts) - 1).tolist()
+        initials = (t.searchsorted(heads) - triples[:-1]).tolist()
         t = t - np.repeat(heads, np.diff(triples))
-    return WindowLookup(model, mode, starts, cols, flags, slots, triples, t, flat, ratios)
+    else:  # a lone sentence's steps count from -1 already
+        triples, initials = [0, len(t)], [int(t.searchsorted(0))]
+    return WindowLookup(model, mode, starts, cols, flags, slots, triples, initials, t, flat,
+                        ratios)
 
 
 def resolve_factors(model: ModelBundle, sentence, mode="pmc",
@@ -550,7 +556,7 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     # a copy of the flags: a rescue rewrites them, and one window may be decoded twice
     cols, flags, kept, hmc = window.cols, list(window.flags), window.slots[1:] >= 0, model.hmc
     # the initial factor: its triples (one per label) come first, at step -1; else HMC's
-    n0 = window.t.searchsorted(0)
+    n0 = window.initials[0]
     initial = (np.bincount(window.flat[:n0], window.ratios[:n0], cols.shape[1]) if n0
                else hmc.pi * cols[0])
     t, flat, ratios = window.t[n0:], window.flat[n0:], window.ratios[n0:]

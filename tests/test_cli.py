@@ -584,28 +584,47 @@ class TestWindows:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("command", ["tag", "eval"])
-    @pytest.mark.parametrize("window", [4, 2048])
-    def test_each_input_line_is_checked_once(self, command, window, model_path, tmp_path,
-                                             capsys, monkeypatch):
-        """windows checks each line as it reads it, and the readers parse its
-        windows as they are, so _Scanner.scan sees every input line once."""
+    @pytest.mark.parametrize("window, table", [(4, 8192), (2048, 8192), (4, 50)])
+    def test_each_input_line_is_looked_up_once(self, command, window, table, model_path,
+                                               tmp_path, capsys, monkeypatch):
+        """windows looks each line up in its line table as it reads it, and
+        the readers parse its windows as they are, so every input line is
+        looked up once. A line is split to be checked only when it is new to
+        the table: once per table, so once in all when the table holds
+        every distinct line."""
         text, _ = _window_corpus()
         corpus = tmp_path / "corpus.conll"
         corpus.write_text(text, encoding="utf-8")
-        seen, scan = [], conll._Scanner.scan
+        looked_up, added, lookup, kinds = [], [], conll._LineTable.lookup, conll._LineTable._kinds
 
-        def counted(scanner, lines):
-            seen.append(len(lines))
-            return scan(scanner, lines)
+        def counted_lookup(table, lines):
+            looked_up.append(len(lines))
+            return lookup(table, lines)
 
-        monkeypatch.setattr(conll._Scanner, "scan", counted)
+        def counted_kinds(table, new, lines):
+            added.append((table.index, new))
+            return kinds(table, new, lines)
+
+        monkeypatch.setattr(conll._LineTable, "lookup", counted_lookup)
+        monkeypatch.setattr(conll._LineTable, "_kinds", counted_kinds)
         monkeypatch.setattr(conll, "WINDOW_LINES", window)
+        monkeypatch.setattr(conll, "TABLE_LINES", table)
         argv = {"tag": ["tag", "--model", model_path, "--input", str(corpus),
                         "--output", str(tmp_path / "tagged")],
                 "eval": ["eval", "--model", model_path, "--corpus", str(corpus),
                          "--tag-column", "2", "--report-kv", str(tmp_path / "kv")]}[command]
         assert run(argv, capsys)[0] == 1
-        assert sum(seen) == text.count("\n")
+        assert sum(looked_up) == text.count("\n")
+        tables = {id(index): [] for index, _ in added}
+        for index, new in added:
+            tables[id(index)] += new
+        for lines in tables.values():
+            assert len(lines) == len(set(lines))
+        distinct = list(dict.fromkeys(text.splitlines(keepends=True)))
+        if table > len(distinct):  # one table: each distinct line is split once in all
+            assert list(tables.values()) == [distinct]
+        else:
+            assert len(tables) > 1
 
     def test_tag_in_place_equals_tag_to_another_file(self, model_path, tmp_path, capsys,
                                                      monkeypatch):
@@ -987,6 +1006,15 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "failures 0" in proc.stdout
+
+
+def test_cli_imports_json_only_for_a_config():
+    """Every run imports the CLI; only --config reads JSON."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pmctag.cli; print('json' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 def readme_commands():

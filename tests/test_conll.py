@@ -332,11 +332,108 @@ def test_windows_read_like_the_line_loop_on_edge_cases(text, budget):
                     _outcome(conll_reference.read_records, make(text), **options)
 
 
+@st.composite
+def _pooled_text(draw, need):
+    """Lines drawn from a pool of a few, so that most lines repeat.
+
+    The pool holds token lines of one column count, mostly `need`, in
+    whitespace variants, blank lines, comment and skip lines, and may hold
+    one line that is too short or ragged, which then comes after some good
+    lines.
+    """
+    width = draw(st.one_of(st.just(need), st.integers(1, 4)))
+    space = st.text(st.sampled_from(SPACES), max_size=2)
+
+    def line(n_cols):
+        cols = draw(st.lists(st.sampled_from(TOKENS), min_size=n_cols, max_size=n_cols))
+        seps = [draw(st.text(st.sampled_from(SPACES), min_size=1, max_size=2))
+                for _ in cols[1:]]
+        return draw(space) + cols[0] + "".join(map(str.__add__, seps, cols[1:])) + draw(space)
+
+    good = [line(width) for _ in range(draw(st.integers(1, 4)))]
+    other = draw(st.lists(st.sampled_from(["", " ", "\t", "\x1c", "\x85", "# c", "#",
+                                           "-DOCSTART- X", "-DOCSTART-"]), max_size=4))
+    picks = draw(st.lists(st.integers(0, len(good) + len(other) - 1), min_size=1, max_size=40))
+    lines = [(good + other)[n] for n in picks]
+    if draw(st.booleans()):  # a bad line's first copy, after good copies, and more copies
+        bad = line(draw(st.sampled_from([n for n in range(1, 6) if n != width])))
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = [bad] * draw(st.integers(1, 3))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), table=st.integers(1, 6), block=st.integers(1, 4),
+       budget=st.integers(1, 6), columns=_columns,
+       comment_prefix=st.sampled_from([None, "#", "# "]),
+       skip_pattern=st.sampled_from([None, "-DOCSTART-", "[A-Z].*"]),
+       stream=st.sampled_from(sorted(STREAMS)))
+def test_readers_of_repeated_lines_read_like_the_line_loop(data, table, block, budget, columns,
+                                                           comment_prefix, skip_pattern,
+                                                           stream):
+    """Each distinct line is checked when the line table first meets it;
+    a table of `table` lines is cleared in the middle of the stream, and
+    a line new to the next table is checked again. The readers still give
+    the line loop's sentences, or its error message and line, and
+    read_conll numbers words and tags in order of first occurrence."""
+    word_column, tag_column = columns
+    text = data.draw(_pooled_text(max(word_column, tag_column or 0) + 1))
+    options = dict(word_column=word_column, tag_column=tag_column,
+                   comment_prefix=comment_prefix, skip_pattern=skip_pattern)
+    make = STREAMS[stream]
+    expected = _outcome(conll_reference.read_records, make(text), **options)
+    with mock.patch.object(conll, "TABLE_LINES", table), \
+            mock.patch.object(conll, "WINDOW_LINES", block):
+        assert _outcome(read_records, make(text), **options) == expected
+        assert _outcome(_read_windows, make(text), budget=budget, **options) == expected
+        if tag_column is None:
+            return
+        assert _outcome(read_conll, make(text), **options) == \
+            _outcome(conll_reference.read_conll, make(text), **options)
+        if isinstance(expected, list):  # no error
+            corpus = read_conll(make(text), **options)
+            assert corpus.word_items == tuple(dict.fromkeys(corpus.words))
+            assert corpus.tag_items == tuple(dict.fromkeys(corpus.tags))
+
+
+def _shown(window):
+    """A window as (the line of each token, the sentence lengths, the width)."""
+    entries, lengths, lines, width = window
+    return [lines[e] for e in entries.tolist()], lengths.tolist(), width
+
+
 def test_windows_hold_whole_sentences_of_at_least_the_budget():
     text = "a\nb\nc\n\nd\n\n\ne\nf\n\ng\n"
-    got = [(window[0], window[1].tolist(), window[2]) for window in windows(StringIO(text), 2)]
-    assert got == [("a\nb\nc\n\n", [3], 1), ("d\n\n\ne\nf\n\n", [1, 2], 1), ("g\n", [1], 1)]
-    assert [(w[0], w[1].tolist(), w[2]) for w in windows(StringIO(""), 2)] == [("", [], None)]
+    assert list(map(_shown, windows(StringIO(text), 2))) == [
+        (["a\n", "b\n", "c\n"], [3], 1), (["d\n", "e\n", "f\n"], [1, 2], 1), (["g\n"], [1], 1)]
+    assert list(map(_shown, windows(StringIO(""), 2))) == [([], [], 0)]
+
+
+def test_windows_give_each_distinct_line_one_entry_per_table():
+    """A repeated line has the entry of its first copy, in any window,
+    until the table is cleared; a window lists its token lines' entries."""
+    text = "a X\nb Y\n# c\na X\n\na X\n# c\nb Y\n\nb Y\n"
+    got = list(windows(StringIO(text), 2, tag_column=1, comment_prefix="#"))
+    assert [w[0].tolist() for w in got] == [[0, 1, 0], [0, 1], [1]]
+    assert got[0][2] == ["a X\n", "b Y\n", "# c\n", "\n"]
+    with mock.patch.object(conll, "TABLE_LINES", 2):
+        got = list(windows(StringIO(text), 2, tag_column=1, comment_prefix="#"))
+    assert [w[0].tolist() for w in got] == [[0, 1, 0], [0, 2], [0]]
+    assert [_shown(w) for w in got] == [(["a X\n", "b Y\n", "a X\n"], [3], 2),
+                                        (["a X\n", "b Y\n"], [2], 2), (["b Y\n"], [1], 2)]
+    # each window keeps the lines of its table
+    assert got[0][2] == ["a X\n", "b Y\n", "# c\n", "\n"] and got[1][2] is not got[0][2]
+
+
+def test_read_conll_interns_the_lines_of_each_table():
+    """A cleared table numbers its lines from 0 again, so the word and tag
+    ids of one table's entries do not carry over to the next table's."""
+    text = "a X\n\nb Y\n\nc Z\n\nd W\n\na X\n"
+    with mock.patch.object(conll, "TABLE_LINES", 1), mock.patch.object(conll, "WINDOW_LINES", 1):
+        corpus = read_conll(StringIO(text))
+    assert corpus.sentences == conll_reference.read_conll(StringIO(text))
+    assert (corpus.word_items, corpus.word_ids.tolist()) == (("a", "b", "c", "d"), [0, 1, 2, 3, 0])
 
 
 @pytest.mark.parametrize("budget", [0, -1])

@@ -64,9 +64,11 @@ def window_cuts(sentences, budget):
 
 def assert_same_lookup(view, lone):
     """A window's sentence view holds, field by field, the sentence's lone lookup."""
-    assert (view.model, view.mode, view.starts, view.triples, view.flags) == (
-        lone.model, lone.mode, lone.starts, lone.triples, lone.flags)
+    assert (view.model, view.mode, view.starts, view.triples, view.initials, view.flags) == (
+        lone.model, lone.mode, lone.starts, lone.triples, lone.initials, lone.flags)
     assert len(view) == len(lone) == 1
+    # the initial factor's triples are those at step -1
+    assert view.initials == [int(np.count_nonzero(view.t < 0))]
     for name in ("cols", "slots", "t", "flat", "ratios"):
         assert np.array_equal(getattr(view, name), getattr(lone, name)), name
 
