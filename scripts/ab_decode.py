@@ -33,6 +33,8 @@ posterior bytes (MPM) or the labels and the log score (MAP), or the
 dead-end position. Equal digests mean byte-identical outputs. The read
 digest of each side is a sha256 over its parsed sentences, or for
 train-online over each corpus's items, id columns and sentence lengths.
+The script exits with status 1, after printing everything, when the two
+sides' digests or read digests differ, and with 0 otherwise.
 """
 
 from __future__ import annotations
@@ -199,11 +201,14 @@ def main(argv=None) -> int:
             print(f"{way:8s} {label}: median {medians[label]:.4f} s  "
                   f"quartiles {q1:.4f}-{q3:.4f} s")
         print(f"{way:8s} B / A: {medians['B'] / medians['A']:.3f}")
+    digests = {}
     for label, (pkg, model) in sides.items() if decodes else ():
-        print(f"digest {label}: {digest(pkg, model, sentences)}")
+        digests["digest", label] = digest(pkg, model, sentences)
     for label, (pkg, _) in sides.items():
-        print(f"read digest {label}: {read_digest(pkg, text, wl)}")
-    return 0
+        digests["read digest", label] = read_digest(pkg, text, wl)
+    for (kind, label), value in digests.items():
+        print(f"{kind} {label}: {value}")
+    return int(any(value != digests[kind, "A"] for (kind, _), value in digests.items()))
 
 
 if __name__ == "__main__":

@@ -16,15 +16,15 @@ sentence (resolve_factors and the decoders), on a window of one: a
 sentence's view of a larger window, or the lookup of a list of words.
 
 Every producer (resolve_factors, factors_from_hmc, TinyInstance.factors)
-resolves the factors for the decoder that reads them, and each decoder
-finds the downgrades and the dead end its own way, with the same result.
-For MPM, forward-backward runs in scaled linear space: each step is one
-vector-matrix product, and the rows are normalized once per block of
-_BLOCK steps. The forward pass runs when the factors are built, so it
-finds the downgrades and the dead end, falling back on the exact 0/1
-support where a row underflows. For MAP, no float factor is built: the
-producer builds a log stack from its log tables, and one boolean pass of
-its exact 0/1 support (_log_factors) finds the downgrades and the dead end.
+resolves the factors for the decoder that reads them: a FactorProvider
+for MPM, a LogFactors of log tables for MAP, each stack built by one
+builder (_steps). Each type runs its decoder's pass when it is built and
+offers one rescue the steps whose exact 0/1 support comes out empty, so
+both find the same downgrades and dead end. For MPM, forward-backward
+runs in scaled linear space, one vector-matrix product per step, with
+rows normalized once per block of _BLOCK steps and the exact 0/1 support
+as the fallback where a row underflows. For MAP, no float factor is
+built: a boolean pass of the log stack's support (_support) stands in.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ DECODERS = ("mpm", "map")
 # down to about 5e-324 of the mass. So a row that comes out empty is
 # judged by the exact support (_reaches), and if that is not empty, the
 # recursion is redone with blocks of one step. MAP's boolean support pass
-# (_log_factors) checks for an empty row once per block as well.
+# (_support) checks for an empty row once per block as well.
 _BLOCK = 16
 _TINY = 1e-200
 
@@ -100,7 +100,8 @@ def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK, verified=None) 
     entries to underflow inside a block, and the recursion is redone with
     blocks of one step. Each check of the exact support starts where the
     last one ended (see _reaches), which neither a rescue nor the redo
-    moves back.
+    moves back. rescue(s) says whether it replaced mats[s], and only then
+    is the step redone.
     """
     total = np.add.reduce(first)
     if total == 0.0:
@@ -126,8 +127,8 @@ def _chain(first, mats, rows, scales, rescue=None, block=_BLOCK, verified=None) 
         scales[lo + 2:hi + 1] /= mass[:-1]
         if low:  # and redo the step into it from a normalized row
             total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
-            if total == 0.0 and rescue is not None and not _reaches(mats, rows, hi, verified):
-                rescue(hi)
+            if (total == 0.0 and rescue is not None and not _reaches(mats, rows, hi, verified)
+                    and rescue(hi)):
                 total = add(dot(row[hi], mat[hi], out=row[hi + 1]))
             if total == 0.0:
                 if block > 1 and _reaches(mats, rows, hi, verified):
@@ -149,14 +150,13 @@ class FactorProvider:
     label i at position t to label j at position t + 1. flags record which
     regime produced each factor, the initial resolution first.
 
-    Building one runs the scaled forward pass: alpha holds its normalized
-    rows, scales the row masses, and dead the first position without
-    forward mass, or None. rescue is handed to that pass (see _chain):
-    resolve_factors' rescue downgrades a kept PMC step whose forward row
-    comes out empty while its exact 0/1 support is empty too, and a row
-    left empty after that is the dead end. This is how factors resolved
-    for MPM find their downgrades and dead end. They hold no log stack,
-    so map_path refuses them: factors resolved for MAP are LogFactors.
+    Building one runs the scaled forward pass, as a LogFactors runs its
+    support pass: alpha holds its normalized rows, scales the row masses,
+    and dead the first position without forward mass, or None. rescue,
+    on resolve_factors' contract, is offered each step whose forward row
+    and exact 0/1 support come out empty (see _chain), and a row left
+    empty after it is the dead end. They hold no log stack, so map_path
+    refuses them: factors resolved for MAP are LogFactors.
     """
 
     initial: np.ndarray
@@ -299,11 +299,6 @@ def _bigram_runs(k, l, radix):
             np.append(starts, code.size))
 
 
-def _flat_steps(steps) -> np.ndarray:
-    """(T-1, N * N) view of a (T-1, N, N) stack; a triple's flat offset indexes a row."""
-    return steps.reshape(len(steps), steps.shape[1] * steps.shape[2])
-
-
 def decode_index(model: ModelBundle) -> DecodeIndex:
     """The bundle's decode index; perfbench/run.py reads it through this name."""
     return model.index
@@ -322,87 +317,41 @@ def _log(x) -> np.ndarray:
     return out
 
 
-# Both builders below repeat the emission column over a whole N x N step
-# before the transition table is combined with it, which numpy does
-# several times faster than a broadcast.
+def _steps(table, rows, kept, empty, combine) -> np.ndarray:
+    """(T-1, N, N) stack whose step t is combine(table, rows[t + 1]).
 
-def _hmc_steps(trans, cols) -> np.ndarray:
-    """(T-1, N, N) stack of the HMC factors trans[i, j] * cols[t + 1][j]."""
-    steps = cols[1:, None, :].repeat(len(trans), axis=1)
-    np.multiply(steps, trans, out=steps)
+    rows holds one row per position, shaped to broadcast against table; a
+    kept[t] step starts from empty, which combining leaves empty. rows[1:]
+    is repeated over each step before combining, which numpy does several
+    times faster than a broadcast.
+    """
+    rows = np.where(kept[:, None, None], empty, rows[1:])
+    steps = rows.repeat(len(table), axis=rows.shape.index(1, 1))  # the axis rows lack
+    combine(steps, table, out=steps)
     return steps
 
 
-def _log_stack(log_trans_t, log_cols, kept, t, flat, ratios) -> np.ndarray:
-    """(T-1, N, N) log factors of a sentence for Viterbi, laid out [t, j, i].
-
-    log_cols holds the logs of the emission columns. Step t is log_trans_t
-    plus log_cols[t + 1] over its rows, unless kept[t] marks it a PMC step:
-    then it holds the logs of its triples, the ratios at (t, flat) as
-    pmc_triples returned them, and _LOG_ZERO elsewhere. Every triple must
-    belong to a kept step.
-    """
-    n = len(log_trans_t)
-    # a kept step starts from _LOG_ZERO, which adding a log transition
-    # leaves at _LOG_ZERO or below, and gets its ratios
-    rows = np.where(kept[:, None], _LOG_ZERO, log_cols[1:])
-    scores = rows[:, :, None].repeat(n, axis=2)
-    scores += log_trans_t
-    i, j = np.divmod(flat, n)
-    _flat_steps(scores)[t, j * n + i] = np.log(ratios)
-    return scores
-
-
-@dataclass(eq=False)
-class LogFactors:
-    """Resolved per-sentence factors for Viterbi alone, as log tables.
-
-    initial and flags are as in FactorProvider; scores is the (T-1, N, N)
-    stack of log factors laid out [t, j, i] after the downgrades, and dead
-    the first position that the exact 0/1 support does not reach, or None.
-    There is no float step stack and no forward pass. Only _log_factors
-    makes one. map_path adds its suffix scores into scores and sets
-    decoded, so a LogFactors is decoded once.
-    """
-
-    initial: np.ndarray
-    scores: np.ndarray = field(repr=False)
-    flags: list[str]
-    dead: int | None
-    decoded: bool = field(default=False, init=False)
-
-
-def _log_factors(initial, scores, flags, kept, log_trans_t=None, log_cols=None) -> LogFactors:
-    """Viterbi's factors of a sentence from its log stack scores, laid out
-    [t, j, i], with downgrades and dead end decided by its exact 0/1 support.
+def _support(initial, scores, rescue=None) -> int | None:
+    """First position that the exact 0/1 support of the log factors does not
+    reach, or None; scores is laid out [t, j, i].
 
     The support of step t is the set of entries of scores[t] above
     _LOG_ZERO / 2, and the forward support is carried through it as
     booleans, one product per step, which cannot underflow. Emptiness is
     checked once per block of _BLOCK steps, on the block's last row. Where
-    a row of the block comes out empty, a kept step t into it (kept[t]) is
-    downgraded, its log factors rewritten as log_trans_t plus
-    log_cols[t + 1] (the only use of these two HMC tables), and the pass
-    restarts at that step, so a downgrade redoes at most one block; any
-    other empty row is the dead end. An empty initial factor ends the
-    sentence at position 0, after downgrading step 0 if it is kept, as the
-    forward pass of FactorProvider does. scores, kept and flags are
-    rewritten in place.
+    a row of the block comes out empty, rescue(s) is offered the step s
+    into it, as _chain offers it: when it rewrites scores[s] and says so,
+    the pass restarts at that step, so a rescue redoes at most one block;
+    otherwise the row is the dead end. With no support at position 0,
+    rescue(0) is offered before giving up there.
     """
     live = list(scores > _LOG_ZERO / 2)  # live[t][j, i]: step t takes i to j
     rows = np.empty((len(scores) + 1, len(initial)), dtype=bool)
     np.greater(initial, 0.0, out=rows[0])
-
-    def downgrade(s):
-        np.add(log_trans_t, log_cols[s + 1, :, None], out=scores[s])
-        live[s] = scores[s] > _LOG_ZERO / 2
-        kept[s] = False
-        flags[s + 1] = HMC_STEP
-
     if not rows[0].any():
-        if len(kept) and kept[0]:
-            downgrade(0)
-        return LogFactors(initial, scores, flags, 0)
+        if rescue is not None and len(scores):
+            rescue(0)
+        return 0
     row, product, lo, n_steps = list(rows), np.matmul, 0, len(live)
     while lo < n_steps:
         hi = min(lo + _BLOCK, n_steps)
@@ -411,12 +360,37 @@ def _log_factors(initial, scores, flags, kept, log_trans_t=None, log_cols=None) 
         # an empty row empties every row after it
         if not row[hi].any():
             s = lo + int(np.logical_or.reduce(rows[lo + 1:hi + 1], axis=1).argmin())
-            if not kept[s]:
-                return LogFactors(initial, scores, flags, s + 1)
-            downgrade(s)
+            if rescue is None or not rescue(s):
+                return s + 1
+            live[s] = scores[s] > _LOG_ZERO / 2
             hi = s
         lo = hi
-    return LogFactors(initial, scores, flags, None)
+    return None
+
+
+@dataclass(eq=False)
+class LogFactors:
+    """Resolved per-sentence factors for Viterbi alone, as log tables.
+
+    initial and flags are as in FactorProvider; scores is the (T-1, N, N)
+    stack of log factors laid out [t, j, i]. There is no float step stack
+    and no forward pass: building one runs the boolean support pass
+    (_support) instead, which sets dead, the first position that the exact
+    0/1 support does not reach, or None. rescue is handed to that pass on
+    the contract FactorProvider's has (see resolve_factors), so both find
+    the same downgrades and dead end. map_path adds its suffix scores into
+    scores and sets decoded, so a LogFactors is decoded once.
+    """
+
+    initial: np.ndarray
+    scores: np.ndarray = field(repr=False)
+    flags: list[str]
+    rescue: InitVar[object] = None
+    dead: int | None = field(init=False)
+    decoded: bool = field(default=False, init=False)
+
+    def __post_init__(self, rescue):
+        self.dead = _support(self.initial, self.scores, rescue)
 
 
 @dataclass(eq=False, slots=True)
@@ -536,15 +510,14 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     leaves no label alive even as an HMC step, the sentence is a genuine
     dead end. In HMC mode all factors come from the hidden chain directly.
 
-    The decoder the factors are for decides how these steps are found.
-    For "mpm" every step is written into one (T-1, N, N) float stack and
-    a FactorProvider runs the scaled forward pass over it: a kept PMC step
-    is downgraded exactly when its forward row is empty and the exact 0/1
-    support is empty too (see _chain); these factors hold no log stack, so
-    map_path refuses them. For "map" no float stack is built: LogFactors
-    hold the log stack, and one boolean pass of the exact 0/1 support over
-    it finds the downgrades and the dead end (see _log_factors). Both give
-    the same flags and dead ends.
+    Both decoders build their stack with _steps, a kept PMC step starting
+    empty and then given its triples: floats laid out [t, i, j] for "mpm";
+    for "map" logs laid out [t, j, i], and no float stack. One rescue(s)
+    serves both: if step s is a kept PMC step, it rewrites it as its HMC
+    step, flags it HMC_STEP and returns True, else it returns False. A
+    FactorProvider ("mpm", see _chain) and a LogFactors ("map", see
+    _support) offer it the same steps, those whose exact 0/1 support comes
+    out empty, and give the same flags and dead ends.
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -556,26 +529,29 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
     # a copy of the flags: a rescue rewrites them, and one window may be decoded twice
     cols, flags, kept, hmc = window.cols, list(window.flags), window.slots[1:] >= 0, model.hmc
     # the initial factor: its triples (one per label) come first, at step -1; else HMC's
-    n0 = window.initials[0]
-    initial = (np.bincount(window.flat[:n0], window.ratios[:n0], cols.shape[1]) if n0
-               else hmc.pi * cols[0])
+    n, n0 = cols.shape[1], window.initials[0]
+    initial = np.bincount(window.flat[:n0], window.ratios[:n0], n) if n0 else hmc.pi * cols[0]
     t, flat, ratios = window.t[n0:], window.flat[n0:], window.ratios[n0:]
-    if decoder == "map":
-        log_trans_t, log_cols = model.index.log_trans_t, _log(cols)
-        scores = _log_stack(log_trans_t, log_cols, kept, t, flat, ratios)
-        return _log_factors(initial, scores, flags, kept, log_trans_t, log_cols)
-    steps = _hmc_steps(hmc.trans, cols)
-    steps[kept] = 0.0
-    _flat_steps(steps)[t, flat] = ratios
+    if decoder == "map":  # log factors, laid out [t, j, i]
+        table, rows = model.index.log_trans_t, _log(cols)[:, :, None]
+        empty, combine = _LOG_ZERO, np.add
+        i, j = np.divmod(flat, n)
+        flat, ratios = j * n + i, np.log(ratios)
+    else:
+        table, rows, empty, combine = hmc.trans, cols[:, None, :], 0.0, np.multiply
+    stack = _steps(table, rows, kept, empty, combine)
+    stack.reshape(len(stack), n * n)[t, flat] = ratios  # a triple's flat offset indexes a row
 
     def rescue(s):
-        """Downgrade step s to its HMC factor if it is a kept PMC step."""
-        if kept[s]:
-            np.multiply(hmc.trans, cols[s + 1], out=steps[s])
-            kept[s] = False
-            flags[s + 1] = HMC_STEP
+        """Downgrade step s to its HMC factor if it is a kept PMC step; whether it was."""
+        if not kept[s]:
+            return False
+        combine(table, rows[s + 1], out=stack[s])
+        kept[s] = False
+        flags[s + 1] = HMC_STEP
+        return True
 
-    return FactorProvider(initial, steps, flags, rescue=rescue)
+    return (LogFactors if decoder == "map" else FactorProvider)(initial, stack, flags, rescue)
 
 
 def factors_from_hmc(params: HmcParams, obs, decoder="mpm") -> FactorProvider | LogFactors:
@@ -591,10 +567,12 @@ def factors_from_hmc(params: HmcParams, obs, decoder="mpm") -> FactorProvider | 
         raise EmptySentence("empty observation sequence")
     cols = params.emit.T[np.asarray(obs)]
     initial, flags = params.pi * cols[0], [PLAIN_HMC] * len(cols)
+    kept = np.zeros(len(cols) - 1, dtype=bool)
     if decoder == "mpm":
-        return FactorProvider(initial, _hmc_steps(params.trans, cols), flags)
-    scores = _log(cols)[1:, :, None] + _log(params.trans.T)
-    return _log_factors(initial, scores, flags, np.zeros(len(scores), dtype=bool))
+        return FactorProvider(initial, _steps(params.trans, cols[:, None, :], kept, 0.0,
+                                              np.multiply), flags)
+    return LogFactors(initial, _steps(_log(params.trans.T), _log(cols)[:, :, None], kept,
+                                      _LOG_ZERO, np.add), flags)
 
 
 def forward(factors: FactorProvider):
@@ -656,8 +634,8 @@ def map_path(factors: LogFactors):
     lexicographically smallest id sequence is returned, obtained by
     maximizing suffix scores first and reconstructing front to back with
     ties resolved to the lowest id. A sentence without a path has a dead
-    end, which the exact 0/1 support pass of _log_factors found when the
-    factors were resolved; it is raised before any score is computed. Only
+    end, which the exact 0/1 support pass (_support) found when the
+    LogFactors were built; it is raised before any score is computed. Only
     LogFactors are taken, as every producer resolves them with
     decoder="map"; a FactorProvider, resolved for MPM, is refused, and so
     are factors already decoded, whose scores hold the suffix scores.

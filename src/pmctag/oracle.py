@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DeadEnd, EmptySentence, EmptySupport
-from .inference import DECODERS, PMC_STEP, FactorProvider, LogFactors, _log, _log_factors
+from .inference import DECODERS, PMC_STEP, FactorProvider, LogFactors, _log
 from .model import PROB_TOL, CountTables, HmcParams
 
 
@@ -75,8 +75,8 @@ class TinyInstance:
         the word bigram (k, l) at t -> t + 1; all-zero rows contribute
         probability 0. For "map", the log stack adds the logs of the two
         tables, so an embedded HMC scores exactly as its own log
-        transitions plus log emissions do, and the decoders' own support
-        pass (_log_factors) finds the dead end.
+        transitions plus log emissions do, and LogFactors runs the
+        decoders' own support pass over it, which finds the dead end.
         """
         if decoder not in DECODERS:
             raise ValueError(f"unknown decoder {decoder!r}")
@@ -92,8 +92,7 @@ class TinyInstance:
         initial, flags = self.pi2[:, obs[0]], [PMC_STEP] * obs.size
         if decoder == "mpm":
             return FactorProvider(initial, trans * emit, flags)
-        return _log_factors(initial, (trans + emit).transpose(0, 2, 1), flags,
-                            np.zeros(len(k), dtype=bool))
+        return LogFactors(initial, (trans + emit).transpose(0, 2, 1), flags)
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_max=4, m_max=5, t_max=7) -> "TinyInstance":

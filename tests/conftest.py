@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmctag.conll import LabeledCorpus
-from pmctag.inference import FactorProvider, LogFactors, _log, _log_factors
+from pmctag.inference import FactorProvider, LogFactors, _log
 
 
 def corpus_from(*sentences) -> LabeledCorpus:
@@ -15,13 +15,26 @@ def corpus_from(*sentences) -> LabeledCorpus:
 def hand_factors(initial, steps, flags, rescue=None,
                  decoder="mpm") -> FactorProvider | LogFactors:
     """Factors given directly as arrays, resolved for decoder: for "map",
-    the log of the stack with no step left to downgrade (rescue is unused)."""
+    the log of the stack, laid out [t, j, i].
+
+    rescue is handed to the decoder's pass on resolve_factors' contract:
+    rescue(s) may rewrite steps[s] in place, steps being a float64
+    (T-1, N, N) array then, and says whether it did. For "map" the log of
+    a rewritten step is written into the log stack.
+    """
     initial = np.asarray(initial, dtype=float)
     steps = np.asarray(steps, dtype=float).reshape(-1, len(initial), len(initial))
-    if decoder == "map":
-        return _log_factors(initial, _log(steps).transpose(0, 2, 1), flags,
-                            np.zeros(len(steps), dtype=bool))
-    return FactorProvider(initial, steps, flags, rescue=rescue)
+    if decoder == "mpm":
+        return FactorProvider(initial, steps, flags, rescue=rescue)
+    scores = _log(steps).transpose(0, 2, 1)
+
+    def log_rescue(s):
+        if not rescue(s):
+            return False
+        scores[s] = _log(steps[s]).T
+        return True
+
+    return LogFactors(initial, scores, flags, rescue and log_rescue)
 
 
 def random_corpus(rng: random.Random, n_sentences=50, n_words=8, n_labels=3,

@@ -347,21 +347,30 @@ def test_conll2003_and_ud_english_reproduction():
 
 
 def _seconds(fn):
-    t0 = time.perf_counter()
+    """CPU seconds of this process spent in fn(), which time spent waiting
+    for a shared host's CPU does not inflate."""
+    t0 = time.process_time()
     fn()
-    return time.perf_counter() - t0
+    return time.process_time() - t0
 
 
 def _median_ratio(fast, slow, repeats=3):
     """Median over repeats of the time of slow() over the time of fast().
 
     The host's speed drifts within seconds, so each repeat times the two
-    sides back to back and the comparison is made pair by pair.
+    sides back to back and the comparison is made pair by pair. Which side
+    runs first alternates from repeat to repeat, so a drift or a warm-up
+    favours neither side.
     """
     ratios = []
-    for _ in range(repeats):
-        t_fast = _seconds(fast)
-        ratios.append(_seconds(slow) / t_fast)
+    for k in range(repeats):
+        if k % 2:
+            t_slow = _seconds(slow)
+            t_fast = _seconds(fast)
+        else:
+            t_fast = _seconds(fast)
+            t_slow = _seconds(slow)
+        ratios.append(t_slow / t_fast)
     return sorted(ratios)[len(ratios) // 2]
 
 

@@ -228,6 +228,47 @@ def test_a_step_that_strands_the_support_is_offered_to_the_rescue():
     assert rescued == [1] and factors.dead == 2
 
 
+def _rescues(initial, pmc, hmc, kept, decoder):
+    """The steps a rescue that swaps in hmc[s] for a kept step s rescues,
+    in order, and the dead end, of hand factors of kept's mix of the two."""
+    steps = np.where(kept[:, None, None], pmc, hmc)
+    kept, rescued = kept.copy(), []
+
+    def rescue(s):
+        if not kept[s]:
+            return False
+        steps[s] = hmc[s]
+        kept[s] = False
+        rescued.append(s)
+        return True
+
+    factors = hand_factors(initial, steps, [PMC_STEP] * (len(steps) + 1), rescue, decoder)
+    return rescued, factors.dead
+
+
+def test_both_decoders_rescue_the_same_steps():
+    """FactorProvider's forward pass and LogFactors' support pass take the
+    one rescue contract of resolve_factors: over random sparse stacks with
+    a kept mask, they rescue the same steps in the same order and report
+    the same dead end, also for an empty initial factor (whose step 0 is
+    offered) and for rescues in blocks after the first."""
+    rng = np.random.default_rng(31)
+    seen = dict.fromkeys(["empty initial rescue", "later block rescue", "dead end",
+                          "no dead end"], 0)
+    for _ in range(300):
+        n, n_steps = int(rng.integers(1, 5)), int(rng.integers(0, 3 * _BLOCK + 4))
+        initial = rng.random(n) * (rng.random(n) < 0.8)
+        pmc = rng.random((n_steps, n, n)) * (rng.random((n_steps, n, n)) < 0.35)
+        hmc = rng.random((n_steps, n, n)) * (rng.random((n_steps, n, n)) < rng.uniform(0.6, 1))
+        kept = rng.random(n_steps) < 0.8
+        rescued, dead = _rescues(initial, pmc, hmc, kept, "mpm")
+        assert _rescues(initial, pmc, hmc, kept, "map") == (rescued, dead)
+        seen["empty initial rescue"] += not initial.any() and rescued == [0]
+        seen["later block rescue"] += any(s >= _BLOCK for s in rescued)
+        seen["dead end" if dead is not None else "no dead end"] += 1
+    assert all(seen.values()), seen
+
+
 def scaled_down(model, factor):
     """The model with every emission and PMC step ratio multiplied by factor.
 

@@ -484,7 +484,8 @@ class TestModelLevelDecoding:
 
     def test_map_builds_no_float_stack_and_runs_no_forward_pass(self, monkeypatch):
         """MAP decides its downgrades and dead ends from the support of its
-        log stack alone, so it never needs the float steps or _chain."""
+        log stack alone: it never runs _chain, and the one step builder
+        never builds it a float stack (combining with np.multiply)."""
         model = train_model(corpus_from(
             [("a", "X"), ("b", "Y")],
             [("b", "Z"), ("c", "W"), ("g", "W")],
@@ -512,8 +513,15 @@ class TestModelLevelDecoding:
         def refuse(*args, **kwargs):
             raise AssertionError("MAP decoding used the float recursion")
 
+        steps = inference._steps
+
+        def log_steps_only(table, rows, kept, empty, combine):
+            if combine is np.multiply:
+                refuse()
+            return steps(table, rows, kept, empty, combine)
+
         monkeypatch.setattr(inference, "_chain", refuse)
-        monkeypatch.setattr(inference, "_hmc_steps", refuse)
+        monkeypatch.setattr(inference, "_steps", log_steps_only)
         assert outcomes() == want
 
     def test_map_path_refuses_factors_resolved_for_mpm(self):
