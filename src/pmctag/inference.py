@@ -15,16 +15,20 @@ token's regime flag. The factor build and the recursions run per
 sentence (resolve_factors and the decoders), on a window of one: a
 sentence's view of a larger window, or the lookup of a list of words.
 
-Every producer (resolve_factors, factors_from_hmc, TinyInstance.factors)
-resolves the factors for the decoder that reads them: a FactorProvider
-for MPM, a LogFactors of log tables for MAP, each stack built by one
-builder (_steps). Each type runs its decoder's pass when it is built and
-offers one rescue the steps whose exact 0/1 support comes out empty, so
-both find the same downgrades and dead end. For MPM, forward-backward
-runs in scaled linear space, one vector-matrix product per step, with
-rows normalized once per block of _BLOCK steps and the exact 0/1 support
-as the fallback where a row underflows. For MAP, no float factor is
-built: a boolean pass of the log stack's support (_support) stands in.
+Two producers resolve the factors for the decoder that reads them, a
+FactorProvider for MPM and a LogFactors of log tables for MAP:
+resolve_factors, whose stacks one builder (_steps) builds in either mode,
+and the enumeration oracle's TinyInstance.factors, from its dense tables.
+HMC decoding is resolve_factors in mode "hmc", the path `--mode hmc`
+runs, and the tests hold an HMC embedded as a PMC
+(oracle.embed_hmc_as_pmc) to it. Each type runs its decoder's pass
+when it is built and offers one rescue the steps whose exact 0/1
+support comes out empty, so both find the same downgrades and dead end.
+For MPM, forward-backward runs in scaled linear space, one vector-matrix
+product per step, with rows normalized once per block of _BLOCK steps
+and the exact 0/1 support as the fallback where a row underflows. For
+MAP, no float factor is built: a boolean pass of the log stack's support
+(_support) stands in.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import DeadEnd, EmptySentence
 from .features import feature_column
-from .model import CountTables, HmcParams, ModelBundle, run_starts
+from .model import CountTables, ModelBundle, run_starts
 
 PMC_STEP = "pmc"
 HMC_STEP = "downgraded-hmc"
@@ -552,27 +556,6 @@ def resolve_factors(model: ModelBundle, sentence, mode="pmc",
         return True
 
     return (LogFactors if decoder == "map" else FactorProvider)(initial, stack, flags, rescue)
-
-
-def factors_from_hmc(params: HmcParams, obs, decoder="mpm") -> FactorProvider | LogFactors:
-    """Classic HMC factors for an id-encoded observation sequence, resolved
-    for decoder as resolve_factors resolves them: a FactorProvider for
-    "mpm", and for "map" the LogFactors of the log transitions plus the log
-    emission columns, whose dead end the support pass finds (no step is
-    PMC, so none is downgraded).
-    """
-    if decoder not in DECODERS:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    if len(obs) == 0:
-        raise EmptySentence("empty observation sequence")
-    cols = params.emit.T[np.asarray(obs)]
-    initial, flags = params.pi * cols[0], [PLAIN_HMC] * len(cols)
-    kept = np.zeros(len(cols) - 1, dtype=bool)
-    if decoder == "mpm":
-        return FactorProvider(initial, _steps(params.trans, cols[:, None, :], kept, 0.0,
-                                              np.multiply), flags)
-    return LogFactors(initial, _steps(_log(params.trans.T), _log(cols)[:, :, None], kept,
-                                      _LOG_ZERO, np.add), flags)
 
 
 def forward(factors: FactorProvider):

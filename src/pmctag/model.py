@@ -85,18 +85,17 @@ class HmcParams:
     pi[i] is the initial label probability, trans[i, j] the label
     transition probability and emit[i, k] the probability of word k under
     label i, an (n_labels, n_words) array. Labels whose rows have no
-    observations are stored as all-zero trans and emit rows with
-    trans_support[i] == False. No field can be reassigned, and all four
-    arrays are read-only.
+    observations are stored as all-zero trans and emit rows, so a label
+    has support exactly where its trans row is not zero. No field can be
+    reassigned, and all three arrays are read-only.
     """
 
     pi: np.ndarray
     trans: np.ndarray
-    trans_support: np.ndarray
     emit: np.ndarray
 
     def __post_init__(self):
-        for table in (self.pi, self.trans, self.trans_support, self.emit):
+        for table in (self.pi, self.trans, self.emit):
             table.setflags(write=False)
 
     @property
@@ -106,9 +105,10 @@ class HmcParams:
     def validate(self, tol=PROB_TOL):
         if abs(self.pi.sum() - 1.0) > tol:
             raise AssertionError(f"pi sums to {self.pi.sum()!r}")
+        support = self.trans.any(axis=1)
         for name, table in (("transition", self.trans), ("emission", self.emit)):
             rows = table.sum(axis=1)
-            bad = np.where(self.trans_support, np.abs(rows - 1.0) > tol, rows != 0.0)
+            bad = np.where(support, np.abs(rows - 1.0) > tol, rows != 0.0)
             if bad.any():
                 i = int(bad.argmax())
                 raise AssertionError(f"{name} row {i} sums to {rows[i]!r}")
@@ -118,7 +118,6 @@ class HmcParams:
             isinstance(other, HmcParams)
             and np.array_equal(self.pi, other.pi)
             and np.array_equal(self.trans, other.trans)
-            and np.array_equal(self.trans_support, other.trans_support)
             and np.array_equal(self.emit, other.emit)
         )
 

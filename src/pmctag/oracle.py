@@ -166,7 +166,8 @@ def embed_hmc_as_pmc(hmc: HmcParams) -> TinyInstance:
     trans2[i, k] copies the label transitions for every word, and
     emit2[i, k, j] = b[j] depends only on the next label. Labels without
     support keep their all-zero trans and emission rows. PMC inference on
-    the result reproduces HMC inference.
+    the result reproduces HMC inference, as inference.resolve_factors runs
+    it in mode "hmc": the tests hold the two to 1e-12 and to equal paths.
     """
     b = hmc.emit
     n, m = b.shape
@@ -187,8 +188,7 @@ def random_hmc(rng: np.random.Generator, n_max=4, m_max=5) -> HmcParams:
     trans /= trans.sum(axis=1, keepdims=True)
     emit = rng.random((n, m)) + 0.05
     emit /= emit.sum(axis=1, keepdims=True)
-    return HmcParams(pi=pi, trans=trans,
-                     trans_support=np.ones(n, dtype=bool), emit=emit)
+    return HmcParams(pi=pi, trans=trans, emit=emit)
 
 
 def normalize_counts(counts) -> dict:

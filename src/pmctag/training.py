@@ -102,19 +102,18 @@ def fit_hmc(counts: CountTables) -> HmcParams:
     """Hidden-chain parameters as empirical frequencies of the counts.
 
     pi(i) = n0_i / L, trans[i, j] = n_ij / n_i, emit[i, k] = m_ik / n_i.
-    Labels with n_i = 0 keep all-zero transition and emission rows,
-    flagged in trans_support. emit is written run by run of m_ik
-    (CountTables.m_ik_runs), and is zero where m_ik is.
+    Labels with n_i = 0 keep all-zero transition and emission rows. emit
+    is written run by run of m_ik (CountTables.m_ik_runs), and is zero
+    where m_ik is.
     """
     pi = counts.n0_i.astype(np.float64) / counts.L
-    support = counts.n_i > 0
     trans = np.divide(counts.n_ij, counts.n_i[:, None], out=np.zeros(counts.n_ij.shape),
-                      where=support[:, None])
+                      where=counts.n_i[:, None] > 0)
     starts, m_ik = counts.m_ik_runs()
     i, k = (column[starts] for column in counts.n_ikjl.columns[:2])
     emit = np.zeros((counts.n_labels, counts.n_words))
     emit[i, k] = m_ik / counts.n_i[i]
-    return HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
+    return HmcParams(pi=pi, trans=trans, emit=emit)
 
 
 def bundle_from_counts(alphabet, vocabulary, counts: CountTables, task: str,

@@ -1,15 +1,32 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from pmctag.conll import LabeledCorpus
-from pmctag.inference import FactorProvider, LogFactors, _log
+from pmctag.inference import DecodeIndex, FactorProvider, LogFactors, _log
+from pmctag.model import HmcParams, ModelBundle
+from pmctag.training import TrainConfig, train_model
 
 
 def corpus_from(*sentences) -> LabeledCorpus:
     """Build a corpus from sentences given as [(word, tag), ...] lists."""
     return LabeledCorpus(sentences=[list(s) for s in sentences])
+
+
+def hmc_bundle(hmc: HmcParams) -> ModelBundle:
+    """A bundle whose hmc is the given HMC, to decode it with --mode hmc's path.
+
+    Word k is "w{k}" and label i "L{i}": the bundle is trained on one
+    sentence that names every word and label in id order, so its ids
+    follow an observation sequence's, and then takes hmc and the decode
+    index of hmc.trans.
+    """
+    n, m = hmc.emit.shape
+    model = train_model(corpus_from([(f"w{k % m}", f"L{k % n}") for k in range(max(n, m))]),
+                        TrainConfig())
+    return dataclasses.replace(model, hmc=hmc, index=DecodeIndex(model.counts, hmc.trans))
 
 
 def hand_factors(initial, steps, flags, rescue=None,

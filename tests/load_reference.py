@@ -64,7 +64,7 @@ def fit_hmc(counts) -> HmcParams:
     trans, emit = (np.divide(table, dense["n_i"][:, None], out=np.zeros(table.shape),
                              where=support[:, None])
                    for table in (dense["n_ij"], dense["m_ik"]))
-    return HmcParams(pi=pi, trans=trans, trans_support=support, emit=emit)
+    return HmcParams(pi=pi, trans=trans, emit=emit)
 
 
 def derive_feature_tables(counts, vocabulary, suffix_max_len):

@@ -21,13 +21,13 @@ from pmctag.conll import (LabeledCorpus, apply_mapping, mark_known, read_conll,
 from pmctag.errors import DeadEnd
 from pmctag.evaluation import evaluate_predictions
 from pmctag.features import fit_feature_tables
-from pmctag.inference import (HMC_STEP, decode_sentence, factors_from_hmc, lookup_window,
-                              map_path, mpm_path, posterior_marginals, resolve_factors)
+from pmctag.inference import (HMC_STEP, decode_sentence, lookup_window, map_path, mpm_path,
+                              posterior_marginals, resolve_factors)
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
                            enumerate_posteriors, fit_pmc, random_hmc)
 from pmctag.training import TrainConfig, accumulate_counts, fit_hmc, train_model, update_online
 
-from conftest import corpus_from, random_corpus, varied_corpus
+from conftest import corpus_from, hmc_bundle, random_corpus, varied_corpus
 from conlleval_reference import score_sentences
 from test_features import brute_force_feature_tables, tuple_rows
 from test_training import brute_force_tables
@@ -92,15 +92,18 @@ def test_hmc_embedding_equivalence():
         n_words = hmc.emit.shape[1]
         obs = [int(rng.integers(0, n_words))
                for _ in range(int(rng.integers(1, 9)))]
+        model, words = hmc_bundle(hmc), [f"w{k}" for k in obs]
         embedded = embed_hmc_as_pmc(hmc)
         f_pmc = embedded.factors(obs)
-        f_hmc = factors_from_hmc(hmc, obs)
+        f_hmc = resolve_factors(model, words, mode="hmc")
         assert np.max(np.abs(posterior_marginals(f_pmc)
                              - posterior_marginals(f_hmc))) < 1e-12
         assert np.array_equal(mpm_path(f_pmc), mpm_path(f_hmc))
-        path_pmc, _ = map_path(embedded.factors(obs, decoder="map"))
-        path_hmc, _ = map_path(factors_from_hmc(hmc, obs, decoder="map"))
+        path_pmc, score_pmc = map_path(embedded.factors(obs, decoder="map"))
+        path_hmc, score_hmc = map_path(resolve_factors(model, words, mode="hmc",
+                                                       decoder="map"))
         assert np.array_equal(path_pmc, path_hmc)
+        assert score_pmc == score_hmc
     elapsed = time.perf_counter() - started
     assert elapsed < 10, f"took {elapsed:.1f}s"
 

@@ -289,8 +289,7 @@ def scaled_down(model, factor):
     object.__setattr__(index, "ratios", ratios)
     return dataclasses.replace(
         model, index=index,
-        hmc=HmcParams(pi=hmc.pi, trans=hmc.trans, trans_support=hmc.trans_support,
-                      emit=hmc.emit * factor))
+        hmc=HmcParams(pi=hmc.pi, trans=hmc.trans, emit=hmc.emit * factor))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -8,13 +8,13 @@ from pmctag import inference
 from pmctag.errors import DeadEnd, EmptySentence, EmptyToken
 from pmctag.features import feature_column
 from pmctag.inference import (HMC_STEP, PMC_STEP, LogFactors, backward, decode_sentence,
-                              factors_from_hmc, forward, map_path, mpm_path,
-                              posterior_marginals, resolve_factors)
+                              forward, map_path, mpm_path, posterior_marginals,
+                              resolve_factors)
 from pmctag.oracle import (TinyInstance, enumerate_map, enumerate_posteriors, fit_pmc,
                            random_hmc)
 from pmctag.training import TrainConfig, train_model
 
-from conftest import corpus_from, hand_factors, random_corpus, varied_corpus
+from conftest import corpus_from, hand_factors, hmc_bundle, random_corpus, varied_corpus
 from load_reference import key_rows, marginals
 
 
@@ -534,13 +534,14 @@ class TestModelLevelDecoding:
             assert path.tolist() == mpm_path(factors).tolist()
 
     def test_every_producer_resolves_for_one_decoder(self):
-        """The oracle and factors_from_hmc resolve for one decoder as
-        resolve_factors does: map_path refuses their MPM factors, and an
-        unknown decoder is refused."""
+        """The oracle and resolve_factors in HMC mode resolve for one
+        decoder: map_path refuses their MPM factors, and an unknown decoder
+        is refused."""
         inst = TinyInstance.random(np.random.default_rng(5))
-        hmc = random_hmc(np.random.default_rng(5))
+        model = hmc_bundle(random_hmc(np.random.default_rng(5)))
         for produce in (inst.factors,
-                        lambda decoder: factors_from_hmc(hmc, [0, 0, 0], decoder=decoder)):
+                        lambda decoder: resolve_factors(model, ["w0"] * 3, mode="hmc",
+                                                        decoder=decoder)):
             with pytest.raises(ValueError, match='decoder="map"'):
                 map_path(produce(decoder="mpm"))
             assert isinstance(produce(decoder="map"), LogFactors)

@@ -61,7 +61,7 @@ def assert_matches_reference(model):
     assert np.count_nonzero(dense["m_ik"]) == len(m_ik)
 
     hmc = ref.fit_hmc(counts)
-    for name in ("pi", "trans", "trans_support", "emit"):
+    for name in ("pi", "trans", "emit"):
         assert_same_bits(getattr(model.hmc, name), getattr(hmc, name), name)
 
     expected = ref.decode_index(counts, model.hmc.trans)

@@ -157,7 +157,7 @@ class TestModelBundle:
         for model in bundles:
             hmc = model.hmc
             counts = model.counts
-            arrays = [hmc.pi, hmc.trans, hmc.trans_support, hmc.emit,
+            arrays = [hmc.pi, hmc.trans, hmc.emit,
                       *model.features.tables, *model.features.codes,
                       counts.n0_i, counts.n_ij, counts.n_i,
                       *counts.n0_ik.columns, counts.n0_ik.counts,

@@ -1,10 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
 from pmctag.errors import DeadEnd
-from pmctag.inference import factors_from_hmc, map_path, posterior_marginals
+from pmctag.inference import map_path, posterior_marginals, resolve_factors
 from pmctag.oracle import (TinyInstance, embed_hmc_as_pmc, enumerate_map,
                            enumerate_posteriors, random_hmc)
+from pmctag.training import TrainConfig, train_model
+
+from conftest import hmc_bundle, random_corpus
 
 
 @pytest.fixture
@@ -107,16 +112,54 @@ class TestEmbedding:
             hmc = random_hmc(nprng)
             m = hmc.emit.shape[1]
             obs = [int(nprng.integers(0, m)) for _ in range(int(nprng.integers(1, 8)))]
+            model, words = hmc_bundle(hmc), [f"w{k}" for k in obs]
             pmc = embed_hmc_as_pmc(hmc)
             f_pmc = pmc.factors(obs)
-            f_hmc = factors_from_hmc(hmc, obs)
+            f_hmc = resolve_factors(model, words, mode="hmc")
             post_pmc = posterior_marginals(f_pmc)
             post_hmc = posterior_marginals(f_hmc)
             assert np.max(np.abs(post_pmc - post_hmc)) < 1e-12
             path_pmc, score_pmc = map_path(pmc.factors(obs, decoder="map"))
-            path_hmc, score_hmc = map_path(factors_from_hmc(hmc, obs, decoder="map"))
+            path_hmc, score_hmc = map_path(resolve_factors(model, words, mode="hmc",
+                                                           decoder="map"))
             assert np.array_equal(path_pmc, path_hmc)
             assert score_pmc == score_hmc
+
+    def test_embedding_of_sparse_trained_hmc_equals_hmc_mode(self):
+        """Count-trained HMCs have zero entries, and their sentences dead
+        ends, which random_hmc's never have: each sentence dies at the same
+        position as its embedding, for either decoder, or decodes alike."""
+
+        def outcome(decode, factors):
+            try:
+                return decode(factors)
+            except DeadEnd as err:
+                return err.position
+
+        dead = alive = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            corpus = random_corpus(rng, n_sentences=4, n_words=8, n_labels=4, max_len=4)
+            model = train_model(corpus, TrainConfig())
+            pmc, vocabulary = embed_hmc_as_pmc(model.hmc), model.vocabulary
+            for _ in range(20):
+                obs = [rng.randrange(len(vocabulary)) for _ in range(rng.randint(1, 6))]
+                words = [vocabulary[k] for k in obs]
+                post_pmc = outcome(posterior_marginals, pmc.factors(obs))
+                post_hmc = outcome(posterior_marginals, resolve_factors(model, words, "hmc"))
+                best_pmc = outcome(map_path, pmc.factors(obs, decoder="map"))
+                best_hmc = outcome(map_path, resolve_factors(model, words, "hmc", "map"))
+                outcomes = [post_pmc, post_hmc, best_pmc, best_hmc]
+                if any(isinstance(o, int) for o in outcomes):  # one dead end for all four
+                    assert all(isinstance(o, int) for o in outcomes) and len(set(outcomes)) == 1
+                    dead += 1
+                    continue
+                assert np.max(np.abs(post_pmc - post_hmc)) < 1e-12
+                (path_pmc, score_pmc), (path_hmc, score_hmc) = best_pmc, best_hmc
+                assert np.array_equal(path_pmc, path_hmc)
+                assert score_pmc == score_hmc
+                alive += 1
+        assert dead and alive
 
     def test_deterministic_hmc_stays_deterministic(self):
         from pmctag.model import HmcParams
@@ -124,7 +167,6 @@ class TestEmbedding:
         hmc = HmcParams(
             pi=np.array([1.0, 0.0]),
             trans=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            trans_support=np.array([True, True]),
             emit=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
         pmc = embed_hmc_as_pmc(hmc)
