@@ -31,8 +31,10 @@ Last it prints each side's output digest, a sha256 over every test
 sentence decoded in both modes with both decoders: the flags, then the
 posterior bytes (MPM) or the labels and the log score (MAP), or the
 dead-end position. Equal digests mean byte-identical outputs. The read
-digest of each side is a sha256 over its parsed sentences, or for
-train-online over each corpus's items, id columns and sentence lengths.
+digest of each side is a sha256 over each of its parsed sentences,
+whatever window holds it, so two trees that cut the text into other
+windows agree; for train-online it covers each corpus's items, id
+columns and sentence lengths.
 The script exits with status 1, after printing everything, when the two
 sides' digests or read digests differ, and with 0 otherwise.
 """
@@ -107,8 +109,8 @@ def read(pkg, model, text, wl) -> list:
 
 
 def read_digest(pkg, text, wl) -> str:
-    """sha256 over the sentences of every window the side parses from the text,
-    or over the items, id columns and lengths of every corpus it reads."""
+    """sha256 over each sentence the side parses from the text, whatever its
+    window, or over the items, id columns and lengths of every corpus it reads."""
     h = hashlib.sha256()
     for parsed in read(pkg, None, text, wl):
         if wl.command == "train":
@@ -116,7 +118,8 @@ def read_digest(pkg, text, wl) -> str:
             for column in (parsed.word_ids, parsed.tag_ids, parsed.lengths):
                 h.update(column.tobytes())
         else:
-            h.update(repr(parsed if wl.command == "tag" else parsed.sentences).encode())
+            for sentence in parsed if wl.command == "tag" else parsed.sentences:
+                h.update(repr(sentence).encode())
     return h.hexdigest()
 
 

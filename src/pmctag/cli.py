@@ -10,11 +10,11 @@ subcommand that reads it. A --config file sets defaults for the running
 subcommand's optional single-value options; explicit flags still win.
 
 Every input is read once, a window of whole sentences at a time
-(conll.windows, of conll.WINDOW_LINES non-blank lines), so it may be a
-pipe; each line is looked up once in a bounded table of the distinct lines
-read so far, and only a line new to it is split and checked. train keeps
-only id columns of its words and tags; tag and eval read, decode and write
-or score one window at a time, so that their memory does not grow with the
+(conll.windows, of about conll.WINDOW_LINES lines), so it may be a pipe;
+each line is looked up once in a bounded table of the distinct lines read
+so far, and only a line new to it is split and checked. train keeps only
+id columns of its words and tags; tag and eval read, decode and write or
+score one window at a time, so that their memory does not grow with the
 input. A window's table lookups are made once for all its sentences
 (inference.lookup_window), and its sentences are decoded one by one from
 them. Every output, dead ends on stderr included, is published after the

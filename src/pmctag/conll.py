@@ -3,15 +3,14 @@
 Token lines are whitespace-separated columns; sentences are separated by
 blank lines. Reading never normalizes tokens: the feature functions need
 raw orthography. Every reader reads a stream once, through windows(): it
-cuts the stream into windows of whole sentences, of WINDOW_LINES
-non-blank lines in the readers, so a stream may be a pipe. A corpus
-repeats its lines, so each line is looked up in a bounded table of the
-distinct lines (_LineTable), and only a line new to the table is split
-and checked by the line rules. A window gives each token line as its
-entry in the table. read_records builds the column rows of each window
-from its distinct lines; read_conll interns the word and tag of each
-entry once and keeps only id columns. Either parses one window of
-windows() as it is.
+cuts the stream into windows of whole sentences, of about WINDOW_LINES
+lines in the readers, so a stream may be a pipe. A corpus repeats its
+lines, so each line is looked up in a bounded table of the distinct lines
+(_LineTable), and only a line new to the table is split and checked by
+the line rules. A window gives each token line as its entry in the
+table. read_records builds the column rows of each window from its
+distinct lines; read_conll interns the word and tag of each entry and
+keeps only id columns. Either parses one window of windows() as it is.
 """
 
 from __future__ import annotations
@@ -213,7 +212,7 @@ def _row_error(n_cols, width, word_column, tag_column, line) -> FormatError:
         f"ragged row: {n_cols} columns where previous lines had {width}", line=line)
 
 
-# Non-blank lines per window of the readers and of the CLI
+# Lines per window of the readers and of the CLI
 WINDOW_LINES = 2048
 
 
@@ -224,14 +223,14 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
     A window is (entries, lengths, lines, width): the int32 entry of each
     token line of a block of whole sentences, the int64 token count of each
     sentence, the line of each entry, and the stream's column count.
-    A block is the next `budget` (at least 1) non-blank lines, kept or
-    dropped, with the blank lines among them and the lines up to the next
-    blank line. Blocks without a token line are left out; a stream without
-    token lines gives one empty window, of width 0. Each line is looked up
-    once in one _LineTable, as it is read, and each distinct line is split
-    and checked once per table: a bad line, or bytes that do not decode
-    (_decode_error), raise when their window is reached, with the line
-    number in the stream. The table is cleared before a window once it
+    A block is the next `budget` (at least 1) lines of any kind and, when
+    the last of them is not blank, the lines through the next blank line,
+    so that a run of blank lines is cut like any other lines. Blocks
+    without a token line are left out; a stream without token lines gives
+    one empty window, of width 0. Each line is looked up once in one
+    _LineTable, as it is read, and each distinct line is split and checked
+    once per table: a bad line, or bytes that do not decode (_decode_error),
+    raise when their window is reached, with the line number in the stream. The table is cleared before a window once it
     holds TABLE_LINES lines, so its memory does not grow with the stream;
     a window keeps the lines of its entries. read_records and read_conll
     parse a window as it is, given the options it was read with.
@@ -240,21 +239,13 @@ def windows(stream, budget, word_column=0, tag_column=None, skip_pattern=None,
         raise ValueError(f"window budget must be 1 or more, not {budget}")
     table = _LineTable(word_column, tag_column, skip_pattern, comment_prefix)
     try:
-        while True:
+        while read := list(islice(stream, budget)):
+            if not read[-1].isspace():  # read on to the end of the sentence
+                read += _through_blank(stream)
             if len(table.index) >= TABLE_LINES:
                 table.clear()
-            entries, filled = [], 0
-            # once `budget` non-blank lines are read, read on to the end of the sentence
-            while read := list(islice(stream, budget - filled) if filled < budget
-                                else _through_blank(stream)):
-                entries.append(table.lookup(read))
-                if filled >= budget:
-                    break
-                filled += int(np.count_nonzero(table.kinds[entries[-1]] != BLANK))
-            if not filled:
-                break
+            entries = table.lookup(read)
             del read  # the frame holds no line while the window is used
-            entries = np.concatenate(entries)
             kinds = table.kinds[entries]
             kept = kinds != DROPPED
             entries, token = entries[kept], kinds[kept] == TOKEN
@@ -307,13 +298,15 @@ def read_conll(stream, word_column=0, tag_column=1, skip_pattern=None,
     """Read a labeled corpus, taking words and tags from the given columns.
 
     Reads the same lines as read_records, also from one window, and raises
-    the same errors. The word and tag of each line in a window's table are
-    interned once, in order of first occurrence, and each window's id
-    columns are gathered through its entries, so only the corpus's id
-    columns grow with the stream.
+    the same errors. Words and tags are interned in order of first
+    occurrence. A token line new to the window's table is split and
+    interned at each of its occurrences in the window where it first
+    appears, and at none after: each window's id columns are gathered
+    through its entries from the ids of the table's lines, so only the
+    corpus's id columns grow with the stream.
     """
     words, tags = defaultdict(itertools.count().__next__), defaultdict(itertools.count().__next__)
-    blocks = [(_ids(words, ()), _ids(tags, ()), np.zeros(0, dtype=np.int64))]
+    blocks = []  # windows() yields at least one window, and a window handed in is one
     table, ids = None, None  # the table's lines, and the word and tag id of each entry or -1
     for entries, lengths, lines, width in _windows_of(stream, word_column, tag_column,
                                                       skip_pattern, comment_prefix):

@@ -302,7 +302,7 @@ def test_windows_read_like_the_line_loop(texts, budget, columns, comment_prefix,
        stream=st.sampled_from(sorted(STREAMS)))
 def test_readers_at_any_block_size_read_like_the_line_loop(texts, block, budget, columns,
                                                           comment_prefix, skip_pattern, stream):
-    """The readers read a stream in blocks of `block` non-blank lines, most
+    """The readers read a stream in blocks of `block` lines, most
     of them shorter than a sentence here, and each read and window still
     gives the line loop's sentences or error."""
     text = "\n\n".join(texts)
@@ -404,10 +404,22 @@ def _shown(window):
 
 
 def test_windows_hold_whole_sentences_of_at_least_the_budget():
+    """A block is `budget` lines of any kind, blank ones included, and the
+    lines through the next blank line when the last of them is not blank."""
     text = "a\nb\nc\n\nd\n\n\ne\nf\n\ng\n"
     assert list(map(_shown, windows(StringIO(text), 2))) == [
-        (["a\n", "b\n", "c\n"], [3], 1), (["d\n", "e\n", "f\n"], [1, 2], 1), (["g\n"], [1], 1)]
+        (["a\n", "b\n", "c\n"], [3], 1), (["d\n"], [1], 1), (["e\n", "f\n"], [2], 1),
+        (["g\n"], [1], 1)]
     assert list(map(_shown, windows(StringIO(""), 2))) == [([], [], 0)]
+    # a run of blank lines longer than the budget yields no window of its own,
+    # and the sentence after it comes whole
+    text = "a\n" + "\n" * 7 + "b\nc\n\nd\n"
+    assert list(map(_shown, windows(StringIO(text), 2))) == [
+        (["a\n"], [1], 1), (["b\n", "c\n"], [2], 1), (["d\n"], [1], 1)]
+    # a block whose last line is blank reads no further line
+    stream = StringIO("a\n\nb\nc\n\n")
+    assert _shown(next(windows(stream, 2))) == (["a\n"], [1], 1)
+    assert stream.readline() == "b\n"
 
 
 def test_windows_give_each_distinct_line_one_entry_per_table():

@@ -173,6 +173,25 @@ def test_tag_peak_memory_does_not_grow_with_the_input(tmp_path):
     assert peaks[1] - peaks[0] < 5 * 1024, f"peak RSS {peaks[0]} kB, then {peaks[1]} kB"
 
 
+def test_tag_peak_memory_does_not_grow_with_blank_lines(tmp_path):
+    """A window is cut after a number of lines of any kind, blank ones
+    included, so a million blank lines between two sentences leave the peak
+    where it was. Counting only non-blank lines put the whole run in one
+    window, and raised the peak by about 25 MB."""
+    model = tmp_path / "chunk.pmc"
+    _peak_rss_kb(["train", "--corpus", os.path.join(DATA, "train_chunk.conll"),
+                  "--model", str(model), "--task", "chunk", "--tag-column", "2"], tmp_path)
+    with open(os.path.join(DATA, "test_chunk.conll"), encoding="utf-8") as fh:
+        first, rest = fh.read().strip("\n").split("\n\n", 1)
+    peaks = []
+    for blanks in (0, 1_000_000):
+        source = tmp_path / f"input{blanks}.conll"
+        source.write_text(first + "\n\n" + "\n" * blanks + rest + "\n", encoding="utf-8")
+        peaks.append(_peak_rss_kb(["tag", "--model", str(model), "--input", str(source),
+                                   "--output", str(tmp_path / "tagged.conll")], tmp_path))
+    assert abs(peaks[1] - peaks[0]) < 5 * 1024, f"peak RSS {peaks[0]} kB, then {peaks[1]} kB"
+
+
 def test_tag_peak_memory_does_not_grow_with_distinct_lines(tmp_path):
     """The reader's line table holds each distinct line it meets, and is
     cleared when full, so an input whose every line is new leaves the peak
